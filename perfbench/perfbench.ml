@@ -3,7 +3,8 @@
      perfbench --workload NAME --seed N --seconds S --trace 0|1
 
    --trace 0 runs the workload's unit (set-up, then the timed phase)
-   round(S / unit_s) times and prints the end-to-end metrics.
+   round(S / unit_s) times, at least twice, and prints the end-to-end
+   metrics.
    --trace 1 runs the unit untraced to warm up, then untraced, traced
    and untraced again, then the rest of the layer ladder (the other
    workloads' units, the fleet on two domains and on one, and the
@@ -18,7 +19,8 @@ module Core = Guillotine_microarch.Core
 module Stats = Guillotine_util.Stats
 
 let default_seed = 1
-let min_setups = 3
+let min_units = 2
+let min_setups = 5
 let out_dir = "perfbench/out"
 
 let fail fmt = Printf.ksprintf (fun s -> prerr_endline ("perfbench: " ^ s); exit 2) fmt
@@ -100,29 +102,32 @@ let sum_outcomes outcomes =
 let untraced (w : W.t) ~seed ~seconds =
   let setup = w.W.prepare ~seed ~pins:(pins_for w.W.name ~seed) in
   let setups = ref [] in
-  (* Probes bracket every set-up and every unit (Pace). *)
+  (* Each set-up starts from a collected heap (untimed), so it does not
+     also pay for collecting the rig before it: that share depends on
+     where the major GC happens to be, and it drifted with the host
+     more than the probes follow.  Probes bracket every set-up and
+     every unit (Pace): the one after each collection also closes the
+     unit before it. *)
   let timed_setup () =
+    Gc.full_major ();
+    Pace.tick ~kernels:4 ();
     let t0 = Span.now () in
     let run = setup () in
     setups := (t0, Span.now ()) :: !setups;
     Pace.tick ~kernels:4 ();
     run
   in
+  let units = max min_units (Float.to_int (Float.round (seconds /. w.W.unit_s))) in
+  let outcomes = List.init units (fun _ -> (timed_setup ()) ()) in
   Pace.tick ~kernels:4 ();
-  let units = max 1 (Float.to_int (Float.round (seconds /. w.W.unit_s))) in
-  let outcomes =
-    List.init units (fun _ ->
-        let o = (timed_setup ()) () in
-        Pace.tick ~kernels:4 ();
-        o)
-  in
   while List.length !setups < min_setups do
     let (_unused : unit -> W.outcome) = timed_setup () in
     ()
   done;
   let scaled (t0, t1) = Pace.scaled t0 t1 in
   let raw (t0, t1) = t1 -. t0 in
-  let probe_s = List.map (fun (_, _, per_kernel) -> per_kernel) !Pace.probes in
+  let mix_s = List.map (fun (p : Pace.probe) -> p.Pace.mix_s) !Pace.probes in
+  let walk_s = List.map (fun (p : Pace.probe) -> p.Pace.walk_s) !Pace.probes in
   let ops = Array.concat (List.map (fun (o : W.outcome) -> o.W.ops) outcomes) in
   let runs = List.map (fun (o : W.outcome) -> o.W.span_of_run) outcomes in
   let attempted, failed = sum_outcomes outcomes in
@@ -130,13 +135,14 @@ let untraced (w : W.t) ~seed ~seconds =
   print_fingerprint w.W.name (List.hd outcomes).W.fingerprint;
   Printf.printf "samples setup_s=%d run_s=%d op=%d\n" (List.length !setups) (List.length runs)
     (Array.length ops);
-  Printf.printf "raw wall seconds: setup median %.6f, run median %.6f; probe median %.6f (reference %.6f)\n"
+  Printf.printf
+    "raw wall seconds: setup median %.6f, run median %.6f; probe mix median %.6f (reference %.6f), walk median %.6f (reference %.6f)\n"
     (median (List.map raw !setups)) (median (List.map raw runs))
-    (median probe_s) Pace.reference_s;
+    (median mix_s) Pace.reference_mix_s (median walk_s) Pace.reference_walk_s;
   let ops_us = Array.map (fun op -> scaled op *. 1e6) ops in
   print_result ~correct ~attempted ~failed
     [
-      ("setup_s", median (List.map scaled !setups), "s");
+      ("setup_s", median (List.map (fun (t0, t1) -> Pace.scaled ~setup:true t0 t1) !setups), "s");
       ("run_s", median (List.map scaled runs), "s");
       ("peak_rss_mb", peak_rss_mb (), "MB");
       ("op_p50_us", percentile ops_us 0.5, "us");
@@ -297,9 +303,9 @@ let traced (w : W.t) ~seed =
         ("fleet.pass_2dom_s", pass_2dom, "s");
         ("fleet.pass_1dom_s", pass_1dom, "s");
         ("fleet.domain_speedup", pass_1dom /. pass_2dom, "x");
-        ("gc.minor_mwords", mine.W.gc_minor_words /. 1e6, "Mwords");
-        ("gc.minor_collections", float_of_int mine.W.gc_minor_collections, "count");
-        ("gc.major_collections", float_of_int mine.W.gc_major_collections, "count");
+        ("gc.minor_mwords", mine.W.gc.Pace.words /. 1e6, "Mwords");
+        ("gc.minor_collections", float_of_int mine.W.gc.Pace.minors, "count");
+        ("gc.major_collections", float_of_int mine.W.gc.Pace.majors, "count");
         ("trace.run_s", W.run_s mine, "s");
         ("trace.overhead_pct", (scaled mine /. ((scaled before +. scaled after) /. 2.0) -. 1.0) *. 100.0, "%");
         ("trace.loop_overhead_pct", Span.self root /. Span.duration root *. 100.0, "%");

@@ -45,19 +45,15 @@ type outcome = {
   failed : int;
   fingerprint : (string * string) list;  (* exact simulated results *)
   counts : (string * float) list;  (* work done, for the per-layer ratios *)
-  gc_minor_words : float;  (* GC activity over the timed phase *)
-  gc_minor_collections : int;
-  gc_major_collections : int;
+  gc : Pace.gc;  (* GC activity over the timed phase, probes left out *)
 }
 
 type t = {
   name : string;
   unit_s : float;
-      (* sizes a run: --seconds S measures round(S / unit_s) units, at
-         least one, so both sides of a comparison do the same work.
-         Roughly one set-up and unit on the 2-core reference host;
-         golden-sweep's is half its ~15 s, so that a 15 s run measures
-         two sweeps. *)
+      (* one set-up and unit in scaled seconds (Pace): --seconds S
+         measures round(S / unit_s) units, and at least two, so both
+         sides of a comparison do the same work *)
   prepare : seed:int -> pins:(string * string) list option -> unit -> unit -> outcome;
       (* [pins] is the pinned fingerprint at the default seed, [None] at
          any other seed, where checks fall back to verdict classes *)
@@ -85,13 +81,13 @@ let check t ok what =
   end
 
 (* Times the unit's timed phase under its root span, with the GC
-   activity it caused. *)
+   activity it caused (the speed probes' own left out). *)
 let timed name f =
-  let g0 = Gc.quick_stat () in
+  let mark = Pace.gc_mark () in
   let t0 = Span.now () in
   let v = span name f in
   let t1 = Span.now () in
-  let g1 = Gc.quick_stat () in
+  let gc = Pace.gc_since mark in
   let finish ~ops ~(tally : tally) ~fingerprint ~counts =
     {
       span_of_run = (t0, t1);
@@ -100,9 +96,7 @@ let timed name f =
       failed = tally.failed;
       fingerprint;
       counts;
-      gc_minor_words = g1.Gc.minor_words -. g0.Gc.minor_words;
-      gc_minor_collections = g1.Gc.minor_collections - g0.Gc.minor_collections;
-      gc_major_collections = g1.Gc.major_collections - g0.Gc.major_collections;
+      gc;
     }
   in
   (v, (t0, t1), finish)
@@ -531,7 +525,7 @@ let crypto_probes ~seed =
 
 let all =
   [
-    { name = "golden-sweep"; unit_s = 7.5; prepare = golden_sweep };
-    { name = "serve-soak"; unit_s = 5.0; prepare = serve_soak };
-    { name = "guest-exec"; unit_s = 0.3; prepare = guest_exec };
+    { name = "golden-sweep"; unit_s = 11.5; prepare = golden_sweep };
+    { name = "serve-soak"; unit_s = 3.6; prepare = serve_soak };
+    { name = "guest-exec"; unit_s = 0.23; prepare = guest_exec };
   ]
