@@ -6,9 +6,8 @@
    - benign-guest   full-machine throughput on the benign compute loop,
                     installed through the hypervisor so the vetting CFG
                     feeds block translation; measured twice — fast path
-                    (block-translated execution + predecode +
-                    Engine.every_batch + Machine.run_cores) vs the
-                    baseline driver (JIT and predecode off +
+                    (block-translated execution + Engine.every_batch +
+                    Machine.run_cores) vs the baseline driver (JIT off +
                     Engine.every at quantum 1, one instruction per heap
                     event) — and reported as a speedup.
    - patch-loop     the invalidation price: the same hv-installed
@@ -16,9 +15,10 @@
                     between runs, so every round invalidates the
                     translated block and forces a lazy recompile before
                     re-entering steady state.
-   - fetch-loop     a pure control-flow guest (nops + jmp); the hot
-                    fetch/execute path allocates nothing on predecode
-                    hits, so this is where the words-per-instruction
+   - fetch-loop     a pure control-flow guest (nops + jmp) on the
+                    interpreter; the hot fetch/execute path allocates
+                    nothing once its ops are cached, so this is where
+                    the words-per-instruction
                     metric is meaningful (Int64 arithmetic necessarily
                     boxes, which benign-guest shows).
    - covert-channel prime+probe on one shared hierarchy — the
@@ -107,8 +107,8 @@ let best_of ~repeat f =
    quantum 1 over the 400k-iteration compute loop): 2.55e6 instr/s.
    The in-tree baseline measured below is faster than that, because the
    component-level work (hoisted TLB/cache walk loops, the MMU translate
-   memo, non-closure execute helpers) is unconditional and speeds the
-   legacy path too — so the speedup this suite reports is a lower bound
+   memo, the interpreter's op cache) is unconditional and speeds the
+   baseline arm too — so the speedup this suite reports is a lower bound
    on the speedup over the true pre-fast-path interpreter. *)
 let prepr_benign_instr_per_sec = 2.55e6
 
@@ -121,14 +121,12 @@ let prepr_benign_instr_per_sec = 2.55e6
    the per-call reinstall keeps the (cheap) translation pass inside the
    window, as it is in deployment. *)
 let bench_benign ~repeat ~iterations =
-  let ambient_predecode = Core.predecode_enabled () in
   let ambient_jit = Core.jit_enabled () in
   let m = Machine.create () in
   let hv = Hypervisor.create ~machine:m () in
   let p = Asm.assemble_exn (Guest.compute_loop ~iterations) in
   let c = Machine.model_core m 0 in
   let run ~fast () =
-    Core.set_predecode fast;
     Core.set_jit fast;
     (match
        Hypervisor.install_program hv ~label:"benign" ~core:0 ~code_pages:4
@@ -152,9 +150,8 @@ let bench_benign ~repeat ~iterations =
   in
   let fast_rate, retired, _ = best_of ~repeat (run ~fast:true) in
   let base_rate, _, _ = best_of ~repeat (run ~fast:false) in
-  (* Leave the process-wide flags as found — later workloads (patch-loop
+  (* Leave the process-wide flag as found — later workloads (patch-loop
      in particular) measure under the ambient configuration. *)
-  Core.set_predecode ambient_predecode;
   Core.set_jit ambient_jit;
   {
     workload = "benign-guest";
@@ -258,27 +255,25 @@ let bench_fetch_loop ~repeat ~fuel =
   let p = Asm.assemble_exn fetch_loop_source in
   Machine.install_program m ~core:0 ~code_pages:4 ~data_pages:4 p;
   let core = Machine.model_core m 0 in
-  (* Warm the predecode slots and the cache hierarchy out of the
-     measured window; the loop is infinite, so every later call is
-     steady state. *)
+  (* Warm the op cache and the cache hierarchy out of the measured
+     window; the loop is infinite, so every later call is steady
+     state. *)
   ignore (Core.run core ~fuel:1024);
   let alloc = ref infinity in
-  let measure ~fast () =
-    Core.set_predecode fast;
+  let measure () =
     let w0 = Gc.minor_words () in
     let executed = Core.run core ~fuel in
     let words = Gc.minor_words () -. w0 in
-    if fast then alloc := min !alloc (words /. float_of_int executed);
+    alloc := min !alloc (words /. float_of_int executed);
     executed
   in
-  let fast_rate, executed, _ = best_of ~repeat (measure ~fast:true) in
-  let base_rate, _, _ = best_of ~repeat (measure ~fast:false) in
+  let rate, executed, _ = best_of ~repeat measure in
   {
     workload = "fetch-loop";
     metric = "instr_per_sec";
-    value = fast_rate;
-    baseline = base_rate;
-    speedup = fast_rate /. base_rate;
+    value = rate;
+    baseline = 0.0;
+    speedup = 0.0;
     alloc_words_per_instr = !alloc;
     detail = Printf.sprintf "%d instructions, steady state" executed;
   }
@@ -485,17 +480,13 @@ let print_table samples =
   Table.print t
 
 (* Runs the suite; returns an exit code (non-zero when a [check]
-   regression fired).  Restores the process-wide predecode and JIT
-   flags. *)
+   regression fired).  Restores the process-wide JIT flag. *)
 let run ?(workloads = workload_names) ?(repeat = 3) ?(quick = false) ?(json = false)
     ?out ?check ?(tolerance = 0.30) () =
-  let initial_predecode = Core.predecode_enabled () in
   let initial_jit = Core.jit_enabled () in
   let samples =
     Fun.protect
-      ~finally:(fun () ->
-        Core.set_predecode initial_predecode;
-        Core.set_jit initial_jit)
+      ~finally:(fun () -> Core.set_jit initial_jit)
       (fun () -> List.map (run_workload ~quick ~repeat) workloads)
   in
   if json then print_string (json_of_samples samples) else print_table samples;

@@ -1182,8 +1182,8 @@ let bench_cmd =
     Cmd.v
       (Cmd.info "perf"
          ~doc:
-           "Run the P1 host-perf suite: interpreter throughput \
-            (fast path vs the GUILLOTINE_NO_PREDECODE=1 quantum-1 baseline), \
+           "Run the P1 host-perf suite: guest throughput \
+            (fast path vs the JIT-off quantum-1 baseline), \
             per-instruction minor-heap allocation, covert-channel and \
             fault-storm end-to-end rates.  Simulated results are identical \
             in every mode; only host time varies.")

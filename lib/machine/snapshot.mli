@@ -27,12 +27,11 @@ val restore : Machine.t -> t -> unit
     count, DRAM size) differs from the snapshot's, and
     {!Machine.Inspection_denied} if the machine is not quiescent.
 
-    Restoring rewrites every model-DRAM word through {!Dram.write}, so
-    it necessarily bumps {!Dram.generation}: any instruction a core
-    predecoded on the abandoned timeline is revalidated before it can
-    execute again (the restored-then-patched regression in
-    [test_perf_equiv] pins this), and microarchitectural state is
-    cleared per core as before. *)
+    Every fetch compares the word it reads with the word its cached op
+    was compiled from, so an instruction a core compiled on the
+    abandoned timeline is recompiled before it can execute again (the
+    restored-then-patched regressions in [test_perf_equiv] pin this),
+    and microarchitectural state is cleared per core as before. *)
 
 val digest_hex : t -> string
 (** SHA-256 over the captured state — a checkpoint identity suitable

@@ -1,13 +1,12 @@
-type t = { data : int64 array; mutable generation : int }
+type t = { data : int64 array }
 
 exception Bus_error of { addr : int; size : int }
 
 let create ~size =
   if size <= 0 then invalid_arg "Dram.create: size must be positive";
-  { data = Array.make size 0L; generation = 0 }
+  { data = Array.make size 0L }
 
 let size t = Array.length t.data
-let generation t = t.generation
 
 let check t addr =
   if addr < 0 || addr >= Array.length t.data then
@@ -20,7 +19,6 @@ let read t addr =
 
 let write t addr v =
   check t addr;
-  t.generation <- t.generation + 1;
   t.data.(addr) <- v
 
 let read_int t addr = Int64.to_int (read t addr)
@@ -29,14 +27,12 @@ let write_int t addr v = write t addr (Int64.of_int v)
 let flip_bit t ~addr ~bit =
   check t addr;
   if bit < 0 || bit > 63 then invalid_arg "Dram.flip_bit: bit out of range";
-  t.generation <- t.generation + 1;
   t.data.(addr) <- Int64.logxor t.data.(addr) (Int64.shift_left 1L bit)
 
 let load_words t ~at words =
   check t at;
   if at + Array.length words > Array.length t.data then
     raise (Bus_error { addr = at + Array.length words - 1; size = Array.length t.data });
-  t.generation <- t.generation + 1;
   Array.blit words 0 t.data at (Array.length words)
 
 let load_program t (p : Guillotine_isa.Asm.program) =
@@ -46,7 +42,6 @@ let fill t ~at ~len v =
   check t at;
   if len < 0 || at + len > Array.length t.data then
     raise (Bus_error { addr = at + len - 1; size = Array.length t.data });
-  t.generation <- t.generation + 1;
   Array.fill t.data at len v
 
 let snapshot t ~at ~len =

@@ -11,17 +11,13 @@
     exist, and in the simulation it must never be reachable from guest
     code (the MMU faults first); reaching it indicates a simulator bug. *)
 
-type t = {
-  data : int64 array;
-  mutable generation : int;
-}
-(** Concrete so the core's translated fetch path can read [data]
-    directly (after proving the index in bounds at translate time) and
-    compare [generation] without a cross-module call — the compiler is
-    run without flambda, so abstract accessors cost a call per
-    simulated instruction.  Treat as read-only outside this module:
-    every store to [data] must go through {!write} (or the bulk
-    mutators below) so [generation] is bumped. *)
+type t = { data : int64 array }
+(** Concrete so the core's fetch path can read [data] directly (after
+    proving the index in bounds) without a cross-module call — the
+    compiler is run without flambda, so abstract accessors cost a call
+    per simulated instruction.  Treat as read-only outside this module:
+    every store to [data] goes through {!write} or the bulk mutators
+    below. *)
 
 exception Bus_error of { addr : int; size : int }
 
@@ -31,20 +27,6 @@ val create : size:int -> t
 val size : t -> int
 val read : t -> int -> int64
 val write : t -> int -> int64 -> unit
-
-val generation : t -> int
-(** Monotonic write generation: bumped by every mutation of the array —
-    {!write} (and {!write_int}), {!flip_bit}, {!load_words} /
-    {!load_program}, and {!fill}.  [Snapshot.restore] rewrites every
-    word through {!write}, so a restore always lands on a fresh
-    generation.  Reads never bump it.
-
-    Consumers that memoise anything derived from DRAM contents (the
-    core's predecode cache, notably) compare the generation they cached
-    under against the current one and revalidate on mismatch; this makes
-    self-modifying guests, fault-injected bit flips, and model-guard
-    rollbacks correct by construction rather than by invalidation
-    callbacks. *)
 
 val read_int : t -> int -> int
 (** Truncating convenience for data values. *)

@@ -61,19 +61,11 @@ let read_value t ~addr =
 
 let read_cost t = t.last_cost
 
-let read t ~addr =
-  let v = read_value t ~addr in
-  (v, t.last_cost)
-
 let write t ~addr v =
   let c = touch t ~addr in
   if addr >= t.io_base_addr then Dram.write t.io_dram (addr - t.io_base_addr) v
   else Dram.write t.dram addr v;
   c
-
-let write_generation t =
-  Dram.generation t.dram
-  + (if t.io_dram == t.dram then 0 else Dram.generation t.io_dram)
 
 let flush_line t ~addr =
   match route t addr with

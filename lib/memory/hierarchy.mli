@@ -21,8 +21,8 @@ type t = {
   mutable cycles : int;
   mutable last_cost : int;
 }
-(** Exposed for the core's translated-block fetch path, which inlines
-    the L1 probe of {!read_value}.  Any such inline must keep [cycles]
+(** Exposed for the core's fetch path, which inlines the L1 probe of
+    {!read_value}.  Any such inline must keep [cycles]
     and [last_cost] exactly as {!read_value} would ([cycles_spent] and
     {!read_cost} are architecturally observable). *)
 
@@ -45,33 +45,21 @@ val dram : t -> Dram.t
 
 val io_base : t -> int option
 
-val read : t -> addr:int -> int64 * int
-(** Value and cycle cost.  Thin wrapper over {!read_value} +
-    {!read_cost}; allocates the pair, so the interpreter hot path uses
-    the two-call form instead. *)
-
 val read_value : t -> addr:int -> int64
-(** Same access as {!read} — identical cache-state movement and cycle
-    charge — but returns only the value and allocates nothing (the word
-    handed back is the box already stored in DRAM).  The cost of this
-    access is retrievable via {!read_cost} until the next access. *)
+(** Read a word through the hierarchy, charging its cycle cost and
+    moving cache state; allocates nothing (the word handed back is the
+    box already stored in DRAM).  The cost of this access is
+    retrievable via {!read_cost} until the next access. *)
 
 val read_cost : t -> int
-(** Cycle cost charged by the most recent {!read_value}, {!read},
-    {!write}, or {!touch} on this hierarchy. *)
+(** Cycle cost charged by the most recent {!read_value}, {!write}, or
+    {!touch} on this hierarchy. *)
 
 val write : t -> addr:int -> int64 -> int
 (** Cycle cost (write-through: DRAM is always current). *)
 
 val touch : t -> addr:int -> int
 (** Cache-state-only access (instruction fetch path reuses this). *)
-
-val write_generation : t -> int
-(** Monotonic sum of the write generations of every DRAM part reachable
-    from this hierarchy (main DRAM plus the IO region when attached).
-    Changes whenever any word a fetch could observe may have changed —
-    the predecode cache's invalidation signal.  See
-    {!Dram.generation}. *)
 
 val flush_line : t -> addr:int -> unit
 val flush_all : t -> unit

@@ -18,47 +18,15 @@ type halt_reason =
 type status = Running | Halted of halt_reason | Powered_off
 
 (* ------------------------------------------------------------------ *)
-(* Predecode fast path                                                *)
-(* ------------------------------------------------------------------ *)
-
-(* The interpreter memoises [Encoding.decode] in a per-core
-   direct-mapped paddr-indexed table so a static instruction is decoded
-   once, not once per cycle.  Correctness is generation-driven: every
-   entry records the DRAM write generation it was filled under
-   (see {!Guillotine_memory.Dram.generation}); a fetch that observes a
-   newer generation revalidates the entry against the word it just
-   fetched anyway (the fetch still goes through the cache hierarchy
-   every cycle for the timing model), so self-modifying guests,
-   fault-injected bit flips, and snapshot rollbacks can never execute a
-   stale decode.  The fast path is simulated-cycle-invisible: only host
-   time changes.
-
-   GUILLOTINE_NO_PREDECODE=1 (or any value other than empty/"0") forces
-   the always-decode slow path — the escape hatch the equivalence tests
-   and the perf baseline measurements use. *)
-
-let predecode_default =
-  match Sys.getenv_opt "GUILLOTINE_NO_PREDECODE" with
-  | None | Some "" | Some "0" -> true
-  | Some _ -> false
-
-let predecode_enabled_flag = ref predecode_default
-let set_predecode enabled = predecode_enabled_flag := enabled
-let predecode_enabled () = !predecode_enabled_flag
-
-let pd_slots = 4096 (* direct-mapped; must be a power of two *)
-let pd_mask = pd_slots - 1
-
-(* ------------------------------------------------------------------ *)
 (* Cycle-attribution profiling                                         *)
 (* ------------------------------------------------------------------ *)
 
 (* Deterministic execution profiler: every simulated cycle a profiled
    core charges is attributed to a (basic block, cost class) pair in
    plain int-array accumulators — no allocation, no clocks, no hash
-   tables on the retire path.  The discipline mirrors the predecode
-   cache: profiling observes the interpreter, it never participates in
-   it, so simulated cycles, cache movement and every architectural
+   tables on the retire path.  The discipline mirrors the fetch sites':
+   profiling observes execution, it never participates in it, so
+   simulated cycles, cache movement and every architectural
    effect are byte-identical with profiling on or off.  When a core's
    [prof_on] flag is false the entire apparatus costs one predictable
    branch per step and per charge site.
@@ -96,25 +64,47 @@ let cc_exec = Cost_class.index Cost_class.Execute
 let cc_exc = Cost_class.index Cost_class.Exception_dispatch
 let cc_door = Cost_class.index Cost_class.Doorbell
 
-(* Per-translated-instruction fetch site: the static PC plus the memoised
-   translation/placement hints its fetches revalidate.  The hints are
+(* ------------------------------------------------------------------ *)
+(* Fetch sites                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The unit of execution.  A site is one static pc plus the memoised
+   translation/placement hints its fetches revalidate, the word its op
+   was compiled from, and that op — the instruction's execute phase
+   ([compile]), the core's only instruction semantics.  The interpreter
+   keeps a direct-mapped pc-indexed array of sites; a translated block
+   is an array of them.
+
+   Every execution fetches the word through the site ([fetch]), which
+   charges the TLB lookup and hierarchy read the timing model demands,
+   then compares it with [s_word]: a mismatch (store to own code, DMA
+   patch, fault-injected bit flip, snapshot restore) means the op is
+   stale and the fresh word is compiled instead.  The hints are
    host-only accelerators — every probe either replicates the exact
    mutations of the function it short-circuits or falls back to it — so
-   a translated fetch moves TLB/cache/cycle state bit-identically to
-   [fetch_and_execute_fast]. *)
-type jit_fc = {
-  f_pc : int;
-  f_vpage : int;
-  mutable f_tlb_slot : int; (* hinted TLB entry index; -1 = unknown *)
-  mutable f_mmu_gen : int;  (* Mmu generation f_paddr was computed under; -1 forces a walk *)
-  mutable f_paddr : int;
-  mutable f_io : bool;      (* paddr routes to the uncached IO region *)
-  mutable f_set : int;      (* L1 placement of paddr (valid when not f_io) *)
-  mutable f_tag : int;
-  mutable f_way : int;      (* hinted L1 way *)
+   simulated state is identical whichever path a fetch takes.
+
+   Ops bake in their pc (jal link, branch fall-through, predictor index,
+   retire-hook pc), so an op may run only at the pc it was compiled for:
+   sites are keyed on pc, never paddr, since one frame can be executable
+   at two virtual pages. *)
+type site = {
+  s_pc : int;
+  s_vpage : int;
+  mutable s_tlb_slot : int; (* hinted TLB entry index; -1 = unknown *)
+  mutable s_mmu_gen : int;  (* Mmu generation s_paddr was computed under; -1 forces a walk *)
+  mutable s_paddr : int;    (* negative: the last fetch page-faulted *)
+  mutable s_io : bool;      (* paddr routes to the uncached IO region *)
+  mutable s_set : int;      (* L1 placement of paddr (valid when not s_io) *)
+  mutable s_tag : int;
+  mutable s_way : int;      (* hinted L1 way *)
+  mutable s_word : int64;   (* the word [s_op] was compiled from *)
+  mutable s_op : t -> bool;
+      (* Execute phase only (fetch and word compare happen first);
+         returns true iff control fell through to pc + 1. *)
 }
 
-type t = {
+and t = {
   id : int;
   kind : kind;
   regs : int64 array;
@@ -134,20 +124,16 @@ type t = {
   pending_irqs : int Queue.t; (* vector indices *)
   mutable irq_sink : (line:int -> unit) option;
   mutable retire_hooks : (pc:int -> Isa.instr -> unit) list; (* in call order *)
-  mutable trapped : bool; (* set when the current instruction delivers an exception *)
   mutable timer_interval : int; (* 0 = disabled *)
   mutable timer_deadline : int; (* cycle count of the next tick *)
   mutable spec_depth : int; (* transient window after a mispredict *)
   mutable traps : int; (* exceptions delivered (handled or halting) *)
   mutable irqs_delivered : int;
   mutable microarch_clears : int;
-  (* Predecode table (parallel arrays to keep entries unboxed-ish and
-     the lookup free of record allocation). [pd_paddr.(slot) = -1] marks
-     an empty slot. *)
-  pd_paddr : int array;
-  pd_gen : int array;
-  pd_word : int64 array;
-  pd_instr : Isa.instr array;
+  (* The interpreter's sites, direct-mapped by [pc land site_mask].
+     Host-side counters: [pd_hits] counts fetches that reused a cached
+     op, [pd_fills] ops the interpreter compiled. *)
+  sites : site array;
   mutable pd_hits : int;
   mutable pd_fills : int;
   (* Profiling plane.  [prof_block_of.(pc) = block id] for every pc of
@@ -189,18 +175,42 @@ and jit_state = {
 
 and jit_block = {
   jb_leader : int;
-  jb_pcs : int array;     (* contiguous: jb_pcs.(i+1) = jb_pcs.(i) + 1 *)
-  jb_words : int64 array; (* the words each op was compiled from *)
-  jb_fcs : jit_fc array;
-  jb_ops : (t -> bool) array;
-      (* Execute phase only (fetch/validate live in the runner); returns
-         true iff control fell through to the next sequential pc. *)
+  jb_sites : site array; (* contiguous pcs: site i+1 is at pc + 1 *)
   jb_has_irq : bool;
       (* Block contains an [Irq] doorbell: its sink can queue an
          interrupt mid-block, so the runner must re-check exit
          conditions per instruction rather than once at entry. *)
   mutable jb_valid : bool;
 }
+
+let site_slots = 4096 (* direct-mapped; must be a power of two *)
+let site_mask = site_slots - 1
+
+let new_site ~pc ~vpage word op =
+  {
+    s_pc = pc;
+    s_vpage = vpage;
+    s_tlb_slot = -1;
+    s_mmu_gen = -1;
+    s_paddr = -1;
+    s_io = false;
+    s_set = 0;
+    s_tag = 0;
+    s_way = 0;
+    s_word = word;
+    s_op = op;
+  }
+
+(* The op of a site that has not been filled yet; never run. *)
+let unfilled (_ : t) = false
+
+(* Empty-slot sentinels.  Every int is a reachable pc (a [jr] can land
+   on [min_int]), so no single pc can mark a slot empty.  Slot [i] is
+   only consulted for pcs congruent to [i], which share its parity, so
+   an even slot holds a sentinel at an odd pc and an odd slot one at an
+   even pc: neither can ever match. *)
+let vacant_even = new_site ~pc:1 ~vpage:0 0L unfilled
+let vacant_odd = new_site ~pc:0 ~vpage:0 0L unfilled
 
 (* Trap ABI register assignments. *)
 let reg_cause = 13
@@ -227,17 +237,14 @@ let create ~id ~kind ~hierarchy ?tlb ?bpred ?mmu () =
     pending_irqs = Queue.create ();
     irq_sink = None;
     retire_hooks = [];
-    trapped = false;
     timer_interval = 0;
     timer_deadline = 0;
     spec_depth = 8;
     traps = 0;
     irqs_delivered = 0;
     microarch_clears = 0;
-    pd_paddr = Array.make pd_slots (-1);
-    pd_gen = Array.make pd_slots 0;
-    pd_word = Array.make pd_slots 0L;
-    pd_instr = Array.make pd_slots Isa.Nop;
+    sites =
+      Array.init site_slots (fun i -> if i land 1 = 0 then vacant_even else vacant_odd);
     pd_hits = 0;
     pd_fills = 0;
     prof_on = !profile_default_flag;
@@ -398,7 +405,6 @@ let vector_entry t slot =
 (* Deliver an exception to the core-local vector, or halt.  A fault
    raised while already in a handler is a double fault: halt. *)
 let deliver_exception t cause =
-  t.trapped <- true;
   t.traps <- t.traps + 1;
   if t.in_handler then t.status <- Halted Double_fault
   else begin
@@ -429,10 +435,10 @@ let set_timer t ~interval =
   t.timer_interval <- interval;
   t.timer_deadline <- t.cycles + interval
 
-(* Page number for TLB indexing.  The shift is only equivalent to the
-   legacy division for non-negative addresses; a guest-computed negative
-   address must keep round-toward-zero semantics so TLB occupancy stays
-   byte-identical to the legacy interpreter. *)
+(* Page number for TLB indexing: [addr / page_size], rounding toward
+   zero.  The shift computes that only for non-negative addresses; a
+   guest-computed negative address keeps the division so TLB occupancy
+   stays byte-identical. *)
 let vpage_of t addr =
   if addr >= 0 then addr lsr Mmu.page_shift t.mmu else addr / Mmu.page_size t.mmu
 
@@ -448,10 +454,6 @@ let translate_data t ~vaddr ~access =
   let paddr = Mmu.translate_raw t.mmu ~addr:vaddr ~access in
   if paddr < 0 then deliver_exception t (Isa.Page_fault vaddr);
   paddr
-
-(* Register indices come from decoded 4-bit fields and [num_regs] is 16,
-   so they are in bounds by construction. *)
-let reg_value t r = Array.unsafe_get t.regs r
 
 let set_speculation_depth t depth =
   if depth < 0 then invalid_arg "Core.set_speculation_depth: negative";
@@ -554,156 +556,471 @@ let watch_data_hit t vaddr =
     else true
   else false
 
-(* Per-instruction helpers live at top level: defining them inside
-   [execute] would allocate their closures on every call, and [execute]
-   is the allocation-free hot path. *)
-let next t = t.pc <- t.pc + 1
+(* ------------------------------------------------------------------ *)
+(* Instruction semantics                                              *)
+(* ------------------------------------------------------------------ *)
 
-let alu3 t rd a b f =
-  Array.unsafe_set t.regs rd (f (reg_value t a) (reg_value t b));
-  t.cycles <- t.cycles + 1;
-  next t
+(* Retirement accounting, the tail of every op that did not trap: a
+   trapping instruction neither counts nor reaches the trace port (its
+   handler's instructions will). *)
+let retire t pc instr =
+  t.instret <- t.instret + 1;
+  if t.prof_on then
+    t.prof_retired.(t.prof_block) <- t.prof_retired.(t.prof_block) + 1;
+  match t.retire_hooks with
+  | [] -> ()
+  | hooks -> List.iter (fun hook -> hook ~pc instr) hooks
 
-let branch t rs1 rs2 target cmp =
-  let taken = cmp (reg_value t rs1) (reg_value t rs2) in
-  let predicted = Bpred.predict t.bpred ~pc:t.pc in
-  t.cycles <- t.cycles + Bpred.predict_and_update t.bpred ~pc:t.pc ~taken;
-  (* On a mispredict the frontend has already run down the predicted
-     path; replay that window transiently before the squash. *)
-  if predicted <> taken && t.spec_depth > 0 then begin
-    let wrong_path = if predicted then target else t.pc + 1 in
-    transient_walk t ~start_pc:wrong_path
+(* Branch resolution with the predictor index baked in: the cost,
+   counter training and correct/wrong stats of
+   [Bpred.predict_and_update].  On a mispredict the frontend has already
+   run down the predicted path; replay that window transiently before
+   the squash. *)
+let branch t pc target instr taken =
+  let bp = t.bpred in
+  let counters = bp.Bpred.counters in
+  let bi = pc land (Array.length counters - 1) in
+  let c0 = Array.unsafe_get counters bi in
+  let predicted = c0 >= 2 in
+  if predicted = taken then begin
+    bp.Bpred.correct <- bp.Bpred.correct + 1;
+    t.cycles <- t.cycles + 1
+  end
+  else begin
+    bp.Bpred.wrong <- bp.Bpred.wrong + 1;
+    t.cycles <- t.cycles + 1 + bp.Bpred.mispredict_penalty
   end;
-  if taken then t.pc <- target else next t
+  Array.unsafe_set counters bi
+    (if taken then (if c0 < 3 then c0 + 1 else 3)
+     else if c0 > 0 then c0 - 1
+     else 0);
+  if predicted <> taken && t.spec_depth > 0 then
+    transient_walk t ~start_pc:(if predicted then target else pc + 1);
+  if taken then t.pc <- target else t.pc <- pc + 1;
+  retire t pc instr;
+  false
 
-(* Execute one decoded instruction.  [t.pc] still points at it; we
-   advance pc here.  Returns unit; faults divert control flow. *)
-let execute t instr =
+(* Compile the execute phase of the instruction at [pc].  Operands, the
+   next pc and constant boxes are resolved here, once; the op runs after
+   its site has fetched and revalidated the word, with the fetch costs
+   already charged.  Register indices are 4-bit fields and [num_regs]
+   is 16, so they are in bounds by construction. *)
+let compile pc instr =
+  let pc1 = pc + 1 in
   let open Isa in
   match instr with
   | Nop ->
-    t.cycles <- t.cycles + 1;
-    next t
-  | Halt -> t.status <- Halted Halt_instruction
+    fun t ->
+      t.cycles <- t.cycles + 1;
+      t.pc <- pc1;
+      retire t pc instr;
+      true
+  | Halt ->
+    fun t ->
+      t.status <- Halted Halt_instruction;
+      retire t pc instr;
+      false
   | Movi (rd, v) ->
-    t.regs.(rd) <- Int64.of_int v;
-    t.cycles <- t.cycles + 1;
-    next t
+    let v64 = Int64.of_int v in
+    fun t ->
+      Array.unsafe_set t.regs rd v64;
+      t.cycles <- t.cycles + 1;
+      t.pc <- pc1;
+      retire t pc instr;
+      true
   | Movhi (rd, v) ->
-    t.regs.(rd) <-
-      Int64.logor t.regs.(rd) (Int64.shift_left (Int64.of_int v) 32);
-    t.cycles <- t.cycles + 1;
-    next t
+    let hi = Int64.shift_left (Int64.of_int v) 32 in
+    fun t ->
+      Array.unsafe_set t.regs rd (Int64.logor (Array.unsafe_get t.regs rd) hi);
+      t.cycles <- t.cycles + 1;
+      t.pc <- pc1;
+      retire t pc instr;
+      true
   | Mov (rd, rs) ->
-    t.regs.(rd) <- reg_value t rs;
-    t.cycles <- t.cycles + 1;
-    next t
-  | Add (rd, a, b) -> alu3 t rd a b Int64.add
-  | Sub (rd, a, b) -> alu3 t rd a b Int64.sub
+    fun t ->
+      Array.unsafe_set t.regs rd (Array.unsafe_get t.regs rs);
+      t.cycles <- t.cycles + 1;
+      t.pc <- pc1;
+      retire t pc instr;
+      true
+  | Add (rd, a, b) ->
+    fun t ->
+      Array.unsafe_set t.regs rd
+        (Int64.add (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs b));
+      t.cycles <- t.cycles + 1;
+      t.pc <- pc1;
+      retire t pc instr;
+      true
+  | Sub (rd, a, b) ->
+    fun t ->
+      Array.unsafe_set t.regs rd
+        (Int64.sub (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs b));
+      t.cycles <- t.cycles + 1;
+      t.pc <- pc1;
+      retire t pc instr;
+      true
   | Mul (rd, a, b) ->
-    t.cycles <- t.cycles + 2; (* multipliers are slower *)
-    alu3 t rd a b Int64.mul
+    fun t ->
+      Array.unsafe_set t.regs rd
+        (Int64.mul (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs b));
+      t.cycles <- t.cycles + 3; (* multipliers are slower *)
+      t.pc <- pc1;
+      retire t pc instr;
+      true
   | Div (rd, a, b) ->
-    if reg_value t b = 0L then deliver_exception t Div_by_zero
-    else begin
-      t.cycles <- t.cycles + 10;
-      alu3 t rd a b Int64.div
-    end
+    fun t ->
+      let bv = Array.unsafe_get t.regs b in
+      if Int64.equal bv 0L then begin
+        deliver_exception t Div_by_zero;
+        false
+      end
+      else begin
+        Array.unsafe_set t.regs rd (Int64.div (Array.unsafe_get t.regs a) bv);
+        t.cycles <- t.cycles + 11; (* the divider is slower still *)
+        t.pc <- pc1;
+        retire t pc instr;
+        true
+      end
   | Rem (rd, a, b) ->
-    if reg_value t b = 0L then deliver_exception t Div_by_zero
-    else begin
-      t.cycles <- t.cycles + 10;
-      alu3 t rd a b Int64.rem
-    end
-  | And_ (rd, a, b) -> alu3 t rd a b Int64.logand
-  | Or_ (rd, a, b) -> alu3 t rd a b Int64.logor
-  | Xor_ (rd, a, b) -> alu3 t rd a b Int64.logxor
+    fun t ->
+      let bv = Array.unsafe_get t.regs b in
+      if Int64.equal bv 0L then begin
+        deliver_exception t Div_by_zero;
+        false
+      end
+      else begin
+        Array.unsafe_set t.regs rd (Int64.rem (Array.unsafe_get t.regs a) bv);
+        t.cycles <- t.cycles + 11;
+        t.pc <- pc1;
+        retire t pc instr;
+        true
+      end
+  | And_ (rd, a, b) ->
+    fun t ->
+      Array.unsafe_set t.regs rd
+        (Int64.logand (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs b));
+      t.cycles <- t.cycles + 1;
+      t.pc <- pc1;
+      retire t pc instr;
+      true
+  | Or_ (rd, a, b) ->
+    fun t ->
+      Array.unsafe_set t.regs rd
+        (Int64.logor (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs b));
+      t.cycles <- t.cycles + 1;
+      t.pc <- pc1;
+      retire t pc instr;
+      true
+  | Xor_ (rd, a, b) ->
+    fun t ->
+      Array.unsafe_set t.regs rd
+        (Int64.logxor (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs b));
+      t.cycles <- t.cycles + 1;
+      t.pc <- pc1;
+      retire t pc instr;
+      true
   | Shl (rd, a, b) ->
-    alu3 t rd a b (fun x y -> Int64.shift_left x (Int64.to_int y land 63))
+    fun t ->
+      Array.unsafe_set t.regs rd
+        (Int64.shift_left (Array.unsafe_get t.regs a)
+           (Int64.to_int (Array.unsafe_get t.regs b) land 63));
+      t.cycles <- t.cycles + 1;
+      t.pc <- pc1;
+      retire t pc instr;
+      true
   | Shr (rd, a, b) ->
-    alu3 t rd a b (fun x y -> Int64.shift_right_logical x (Int64.to_int y land 63))
+    fun t ->
+      Array.unsafe_set t.regs rd
+        (Int64.shift_right_logical (Array.unsafe_get t.regs a)
+           (Int64.to_int (Array.unsafe_get t.regs b) land 63));
+      t.cycles <- t.cycles + 1;
+      t.pc <- pc1;
+      retire t pc instr;
+      true
   | Load (rd, rs, off) ->
-    let vaddr = Int64.to_int (reg_value t rs) + off in
-    if watch_data_hit t vaddr then t.status <- Halted (Watchpoint vaddr)
-    else begin
-      let paddr = translate_data t ~vaddr ~access:`R in
-      if paddr >= 0 then begin
-        t.regs.(rd) <- Hierarchy.read_value t.hierarchy ~addr:paddr;
-        let cost = Hierarchy.read_cost t.hierarchy in
-        t.cycles <- t.cycles + cost;
-        if t.prof_on then t.prof_mem <- t.prof_mem + cost;
-        next t
+    fun t ->
+      let vaddr = Int64.to_int (Array.unsafe_get t.regs rs) + off in
+      if watch_data_hit t vaddr then begin
+        t.status <- Halted (Watchpoint vaddr);
+        retire t pc instr;
+        false
       end
-    end
+      else begin
+        let paddr = translate_data t ~vaddr ~access:`R in
+        if paddr >= 0 then begin
+          t.regs.(rd) <- Hierarchy.read_value t.hierarchy ~addr:paddr;
+          let cost = Hierarchy.read_cost t.hierarchy in
+          t.cycles <- t.cycles + cost;
+          if t.prof_on then t.prof_mem <- t.prof_mem + cost;
+          t.pc <- pc1;
+          retire t pc instr;
+          true
+        end
+        else false (* page fault delivered: no retire *)
+      end
   | Store (rd, rs, off) ->
-    let vaddr = Int64.to_int (reg_value t rd) + off in
-    if watch_data_hit t vaddr then t.status <- Halted (Watchpoint vaddr)
-    else begin
-      let paddr = translate_data t ~vaddr ~access:`W in
-      if paddr >= 0 then begin
-        let cost = Hierarchy.write t.hierarchy ~addr:paddr (reg_value t rs) in
-        t.cycles <- t.cycles + cost;
-        if t.prof_on then t.prof_mem <- t.prof_mem + cost;
-        next t
+    fun t ->
+      let vaddr = Int64.to_int (Array.unsafe_get t.regs rd) + off in
+      if watch_data_hit t vaddr then begin
+        t.status <- Halted (Watchpoint vaddr);
+        retire t pc instr;
+        false
       end
-    end
+      else begin
+        let paddr = translate_data t ~vaddr ~access:`W in
+        if paddr >= 0 then begin
+          let cost =
+            Hierarchy.write t.hierarchy ~addr:paddr (Array.unsafe_get t.regs rs)
+          in
+          t.cycles <- t.cycles + cost;
+          if t.prof_on then t.prof_mem <- t.prof_mem + cost;
+          t.pc <- pc1;
+          retire t pc instr;
+          true
+        end
+        else false
+      end
   | Jmp a ->
-    t.cycles <- t.cycles + 1;
-    t.pc <- a
+    fun t ->
+      t.cycles <- t.cycles + 1;
+      t.pc <- a;
+      retire t pc instr;
+      false
   | Jr rs ->
-    t.cycles <- t.cycles + 1;
-    t.pc <- Int64.to_int (reg_value t rs)
+    fun t ->
+      t.cycles <- t.cycles + 1;
+      t.pc <- Int64.to_int (Array.unsafe_get t.regs rs);
+      retire t pc instr;
+      false
   | Jal (rd, a) ->
-    t.regs.(rd) <- Int64.of_int (t.pc + 1);
-    t.cycles <- t.cycles + 1;
-    t.pc <- a
-  | Beq (a, b, tgt) -> branch t a b tgt (fun x y -> Int64.equal x y)
-  | Bne (a, b, tgt) -> branch t a b tgt (fun x y -> not (Int64.equal x y))
-  | Blt (a, b, tgt) -> branch t a b tgt (fun x y -> Int64.compare x y < 0)
-  | Bge (a, b, tgt) -> branch t a b tgt (fun x y -> Int64.compare x y >= 0)
-  | Irq line -> (
-    match t.irq_sink with
-    | None -> deliver_exception t Bad_instruction
-    | Some sink ->
-      t.cycles <- t.cycles + 5;
-      if t.prof_on then t.prof_door <- t.prof_door + 5;
-      sink ~line;
-      next t)
+    let link = Int64.of_int pc1 in
+    fun t ->
+      Array.unsafe_set t.regs rd link;
+      t.cycles <- t.cycles + 1;
+      t.pc <- a;
+      retire t pc instr;
+      false
+  | Beq (a, b, tgt) ->
+    fun t ->
+      branch t pc tgt instr
+        (Int64.equal (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs b))
+  | Bne (a, b, tgt) ->
+    fun t ->
+      branch t pc tgt instr
+        (not (Int64.equal (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs b)))
+  | Blt (a, b, tgt) ->
+    fun t ->
+      branch t pc tgt instr
+        (Int64.compare (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs b) < 0)
+  | Bge (a, b, tgt) ->
+    fun t ->
+      branch t pc tgt instr
+        (Int64.compare (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs b) >= 0)
+  | Irq line ->
+    fun t -> (
+      match t.irq_sink with
+      | None ->
+        deliver_exception t Bad_instruction;
+        false
+      | Some sink ->
+        t.cycles <- t.cycles + 5;
+        if t.prof_on then t.prof_door <- t.prof_door + 5;
+        sink ~line;
+        t.pc <- pc1;
+        retire t pc instr;
+        true)
   | Iret ->
-    if not t.in_handler then deliver_exception t Bad_instruction
-    else begin
-      t.in_handler <- false;
-      t.cycles <- t.cycles + 2;
-      t.pc <- t.epc
-    end
+    fun t ->
+      if not t.in_handler then begin
+        deliver_exception t Bad_instruction;
+        false
+      end
+      else begin
+        t.in_handler <- false;
+        t.cycles <- t.cycles + 2;
+        t.pc <- t.epc;
+        retire t pc instr;
+        false
+      end
   | Rdcycle rd ->
-    t.regs.(rd) <- Int64.of_int t.cycles;
-    t.cycles <- t.cycles + 1;
-    next t
+    fun t ->
+      t.regs.(rd) <- Int64.of_int t.cycles;
+      t.cycles <- t.cycles + 1;
+      t.pc <- pc1;
+      retire t pc instr;
+      true
   | Mfepc rd ->
     (* Only meaningful inside a handler, but harmless elsewhere. *)
-    t.regs.(rd) <- Int64.of_int t.epc;
-    t.cycles <- t.cycles + 1;
-    next t
-  | Mtepc rs ->
-    if not t.in_handler then deliver_exception t Bad_instruction
-    else begin
-      t.epc <- Int64.to_int (reg_value t rs);
+    fun t ->
+      t.regs.(rd) <- Int64.of_int t.epc;
       t.cycles <- t.cycles + 1;
-      next t
-    end
+      t.pc <- pc1;
+      retire t pc instr;
+      true
+  | Mtepc rs ->
+    fun t ->
+      if not t.in_handler then begin
+        deliver_exception t Bad_instruction;
+        false
+      end
+      else begin
+        t.epc <- Int64.to_int (Array.unsafe_get t.regs rs);
+        t.cycles <- t.cycles + 1;
+        t.pc <- pc1;
+        retire t pc instr;
+        true
+      end
   | Clflush (rs, off) ->
-    let vaddr = Int64.to_int (reg_value t rs) + off in
-    let paddr = translate_data t ~vaddr ~access:`R in
-    if paddr >= 0 then begin
-      Hierarchy.flush_line t.hierarchy ~addr:paddr;
-      t.cycles <- t.cycles + 20;
-      if t.prof_on then t.prof_mem <- t.prof_mem + 20;
-      next t
-    end
+    fun t ->
+      let vaddr = Int64.to_int (Array.unsafe_get t.regs rs) + off in
+      let paddr = translate_data t ~vaddr ~access:`R in
+      if paddr >= 0 then begin
+        Hierarchy.flush_line t.hierarchy ~addr:paddr;
+        t.cycles <- t.cycles + 20;
+        if t.prof_on then t.prof_mem <- t.prof_mem + 20;
+        t.pc <- pc1;
+        retire t pc instr;
+        true
+      end
+      else false
   | Fence ->
-    t.cycles <- t.cycles + 15;
-    next t
+    fun t ->
+      t.cycles <- t.cycles + 15;
+      t.pc <- pc1;
+      retire t pc instr;
+      true
+
+let bad_instruction t =
+  deliver_exception t Isa.Bad_instruction;
+  false
+
+(* An undecodable word compiles to a trap wherever it is fetched. *)
+let compile_word pc word =
+  match Encoding.decode word with
+  | None -> bad_instruction
+  | Some instr -> compile pc instr
+
+(* ------------------------------------------------------------------ *)
+(* Fetch                                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* On a block transition, bank the finished residency and point at the
+   block owning the pc about to be fetched.  Interrupt and exception
+   dispatch charge their vector-read cost before the pc lands here, so
+   dispatch cycles are attributed to the interrupted (or faulting)
+   block — the block that incurred them. *)
+let prof_enter t pc =
+  let b =
+    if pc >= 0 && pc < Array.length t.prof_block_of then t.prof_block_of.(pc)
+    else t.prof_nblocks
+  in
+  if b <> t.prof_block then begin
+    prof_flush t;
+    t.prof_block <- b
+  end
+
+(* Fetch the word at site [s], charging what Tlb.lookup +
+   Mmu.translate_raw + Hierarchy.read_value charge: the TLB lookup cost,
+   then the hierarchy fetch cost.  On a fetch page fault the exception
+   is delivered here and [s.s_paddr] is left negative.  The hint probes
+   are safe because TLB vpages are unique across valid entries and
+   cache tags are unique within a set; a site at a negative pc, whose
+   vpage could equal the TLB's invalid marker, faults on its first fetch
+   and is never fetched through again. *)
+let fetch t s =
+  let tlb = t.tlb in
+  let slot = s.s_tlb_slot in
+  let tlb_cost =
+    if
+      slot >= 0
+      && (Array.unsafe_get tlb.Tlb.entries slot).Tlb.vpage = s.s_vpage
+    then begin
+      (* Replicates Tlb.lookup's hit path: clock, hit counter, stamp. *)
+      tlb.Tlb.clock <- tlb.Tlb.clock + 1;
+      tlb.Tlb.hits <- tlb.Tlb.hits + 1;
+      (Array.unsafe_get tlb.Tlb.entries slot).Tlb.stamp <- tlb.Tlb.clock;
+      tlb.Tlb.hit_cost
+    end
+    else begin
+      let c = Tlb.lookup tlb ~vpage:s.s_vpage in
+      s.s_tlb_slot <- Tlb.slot_of tlb ~vpage:s.s_vpage;
+      c
+    end
+  in
+  t.cycles <- t.cycles + tlb_cost;
+  if t.prof_on then t.prof_tlb <- t.prof_tlb + tlb_cost;
+  (if s.s_mmu_gen <> t.mmu.Mmu.gen then begin
+     let paddr = Mmu.translate_raw t.mmu ~addr:s.s_pc ~access:`X in
+     s.s_mmu_gen <- t.mmu.Mmu.gen;
+     s.s_paddr <- paddr;
+     if paddr >= 0 then begin
+       let h = t.hierarchy in
+       if paddr >= h.Hierarchy.io_base_addr then s.s_io <- true
+       else begin
+         s.s_io <- false;
+         s.s_set <- Cache.set_of_addr h.Hierarchy.l1 paddr;
+         s.s_tag <- Cache.tag_of_addr h.Hierarchy.l1 paddr;
+         s.s_way <- 0
+       end
+     end
+   end);
+  let paddr = s.s_paddr in
+  if paddr < 0 then begin
+    deliver_exception t (Isa.Page_fault s.s_pc);
+    0L
+  end
+  else begin
+    let h = t.hierarchy in
+    if s.s_io then begin
+      let c = h.Hierarchy.io_cost in
+      h.Hierarchy.cycles <- h.Hierarchy.cycles + c;
+      h.Hierarchy.last_cost <- c;
+      let word = Dram.read h.Hierarchy.io_dram (paddr - h.Hierarchy.io_base_addr) in
+      t.cycles <- t.cycles + c;
+      if t.prof_on then t.prof_fetch <- t.prof_fetch + c;
+      word
+    end
+    else begin
+      let l1 = h.Hierarchy.l1 in
+      let ways = Array.unsafe_get l1.Cache.ways s.s_set in
+      let way = Array.unsafe_get ways s.s_way in
+      let c =
+        if way.Cache.tag = s.s_tag then begin
+          (* Replicates Cache.access's hit path at L1: clock, hit
+             counter, LRU stamp; lower levels are untouched on a hit. *)
+          l1.Cache.clock <- l1.Cache.clock + 1;
+          l1.Cache.hits <- l1.Cache.hits + 1;
+          way.Cache.stamp <- l1.Cache.clock;
+          l1.Cache.cfg.Cache.hit_cost
+        end
+        else begin
+          let c = Cache.access l1 ~addr:paddr in
+          let wi = Cache.way_of l1 ~set:s.s_set ~tag:s.s_tag in
+          s.s_way <- (if wi >= 0 then wi else 0);
+          c
+        end
+      in
+      (* Field order matches Hierarchy.read_value: hierarchy cycle
+         accounting lands before the DRAM read (which can raise
+         Bus_error on a simulator bug). *)
+      h.Hierarchy.cycles <- h.Hierarchy.cycles + c;
+      h.Hierarchy.last_cost <- c;
+      let data = h.Hierarchy.dram.Dram.data in
+      let word =
+        (* paddr >= 0 was established above; the slow path exists only
+           to raise the same Bus_error Dram.read would. *)
+        if paddr < Array.length data then Array.unsafe_get data paddr
+        else Dram.read h.Hierarchy.dram paddr
+      in
+      t.cycles <- t.cycles + c;
+      if t.prof_on then t.prof_fetch <- t.prof_fetch + c;
+      word
+    end
+  end
+
+(* ------------------------------------------------------------------ *)
+(* Interpreter                                                        *)
+(* ------------------------------------------------------------------ *)
 
 let code_watch_hit t =
   (* [Hashtbl.length] is a field read: with no watchpoints armed (the
@@ -718,119 +1035,34 @@ let code_watch_hit t =
     else true
   else false
 
-(* Execute a decoded instruction and account its retirement.  Shared by
-   the predecode hit and miss paths. *)
-let execute_and_retire t instr =
-  let retired_pc = t.pc in
-  t.trapped <- false;
-  execute t instr;
-  (* A trapping instruction does not retire: it neither counts nor
-     reaches the trace port (its handler's instructions will). *)
-  if not t.trapped then begin
-    t.instret <- t.instret + 1;
-    if t.prof_on then
-      t.prof_retired.(t.prof_block) <- t.prof_retired.(t.prof_block) + 1;
-    match t.retire_hooks with
-    | [] -> ()
-    | hooks -> List.iter (fun hook -> hook ~pc:retired_pc instr) hooks
-  end
-
-(* Predecode lookup for the word just fetched from [paddr].  A slot hits
-   when it was filled for this paddr AND either (a) no DRAM write has
-   happened since it was last validated (generation match) or (b) the
-   freshly fetched word is unchanged — in which case the entry is
-   re-stamped with the current generation so subsequent fetches take the
-   pure generation fast path again. *)
-let predecode_hit t slot paddr word gen =
-  t.pd_paddr.(slot) = paddr
-  && (t.pd_gen.(slot) = gen
-     ||
-     if Int64.equal t.pd_word.(slot) word then begin
-       t.pd_gen.(slot) <- gen;
-       true
-     end
-     else false)
-
-(* The fast fetch path: non-allocating translate, non-allocating
-   hierarchy read, predecoded instruction on hit. *)
-let fetch_and_execute_fast t =
-  let vpage = vpage_of t t.pc in
-  let tlb_cost = Tlb.lookup t.tlb ~vpage in
-  t.cycles <- t.cycles + tlb_cost;
-  if t.prof_on then t.prof_tlb <- t.prof_tlb + tlb_cost;
-  let paddr = Mmu.translate_raw t.mmu ~addr:t.pc ~access:`X in
-  if paddr < 0 then deliver_exception t (Isa.Page_fault t.pc)
-  else begin
-    (* The fetch itself always goes through the hierarchy: cache-state
-       movement and the fetch's cycle cost are part of the timing
-       model the predecode cache must not perturb. *)
-    let word = Hierarchy.read_value t.hierarchy ~addr:paddr in
-    let fetch_cost = Hierarchy.read_cost t.hierarchy in
-    t.cycles <- t.cycles + fetch_cost;
-    if t.prof_on then t.prof_fetch <- t.prof_fetch + fetch_cost;
-    let slot = paddr land pd_mask in
-    let gen = Hierarchy.write_generation t.hierarchy in
-    if predecode_hit t slot paddr word gen then begin
-      (* Hot path: zero allocation — no decode, no option, no tuple. *)
-      t.pd_hits <- t.pd_hits + 1;
-      execute_and_retire t t.pd_instr.(slot)
-    end
-    else begin
-      match Encoding.decode word with
-      | None -> deliver_exception t Isa.Bad_instruction
-      | Some instr ->
-        t.pd_paddr.(slot) <- paddr;
-        t.pd_gen.(slot) <- gen;
-        t.pd_word.(slot) <- word;
-        t.pd_instr.(slot) <- instr;
-        t.pd_fills <- t.pd_fills + 1;
-        execute_and_retire t instr
-    end
-  end
-
-(* The pre-fast-path interpreter, preserved byte-for-byte in shape:
-   option/result-returning translate, tuple-returning [Hierarchy.read],
-   [Encoding.decode] every fetch.  GUILLOTINE_NO_PREDECODE selects it;
-   it is the reference implementation the equivalence suite compares the
-   fast path against and the baseline the P1 host-perf numbers are
-   measured from.  It also keeps the allocating wrapper APIs exercised. *)
-let fetch_and_execute_legacy t =
-  let vpage = t.pc / Mmu.page_size t.mmu in
-  let tlb_cost = Tlb.lookup t.tlb ~vpage in
-  t.cycles <- t.cycles + tlb_cost;
-  if t.prof_on then t.prof_tlb <- t.prof_tlb + tlb_cost;
-  match Mmu.translate t.mmu ~addr:t.pc ~access:`X with
-  | Error _ -> deliver_exception t (Isa.Page_fault t.pc)
-  | Ok paddr -> (
-    let word, cost = Hierarchy.read t.hierarchy ~addr:paddr in
-    t.cycles <- t.cycles + cost;
-    if t.prof_on then t.prof_fetch <- t.prof_fetch + cost;
-    match Encoding.decode word with
-    | None -> deliver_exception t Isa.Bad_instruction
-    | Some instr -> execute_and_retire t instr)
-
+(* One instruction through the site cache.  The slot's site serves only
+   the pc it was made for; any other pc gets a fresh site, published
+   once its fetch succeeds.  The op is reused while the fetched word
+   still equals the word it was compiled from, so the hot path neither
+   decodes nor allocates. *)
 let fetch_and_execute t =
   (* Code watchpoint: trap before fetch. *)
   if code_watch_hit t then t.status <- Halted (Watchpoint t.pc)
   else begin
-    (* On a block transition, bank the finished residency and point at
-       the block owning the pc about to be fetched.  Interrupt and
-       exception dispatch charge their vector-read cost before the pc
-       lands here, so dispatch cycles are attributed to the interrupted
-       (or faulting) block — the block that incurred them. *)
-    if t.prof_on then begin
-      let b =
-        if t.pc >= 0 && t.pc < Array.length t.prof_block_of then
-          t.prof_block_of.(t.pc)
-        else t.prof_nblocks
-      in
-      if b <> t.prof_block then begin
-        prof_flush t;
-        t.prof_block <- b
-      end
-    end;
-    if !predecode_enabled_flag then fetch_and_execute_fast t
-    else fetch_and_execute_legacy t
+    let pc = t.pc in
+    if t.prof_on then prof_enter t pc;
+    let slot = pc land site_mask in
+    let cached = Array.unsafe_get t.sites slot in
+    let s =
+      if cached.s_pc = pc then cached
+      else new_site ~pc ~vpage:(vpage_of t pc) 0L unfilled
+    in
+    let word = fetch t s in
+    if s.s_paddr >= 0 then begin
+      if s == cached && Int64.equal word s.s_word then t.pd_hits <- t.pd_hits + 1
+      else begin
+        s.s_word <- word;
+        s.s_op <- compile_word pc word;
+        t.pd_fills <- t.pd_fills + 1;
+        Array.unsafe_set t.sites slot s
+      end;
+      ignore (s.s_op t)
+    end
   end
 
 let step_body t =
@@ -865,494 +1097,30 @@ let step t =
 (* Threaded-code block translation                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* The predecode cache (above) killed the decode cost; what is left of
-   the dispatch overhead is paid once per *instruction*: the step loop,
-   the status/timer/irq checks, the full TLB scan, the MMU walk, the
-   L1 way scan, the instruction match.  The translation plane kills
-   that too.  At [Hypervisor.install_program] time the vet layer's CFG
-   recovery hands over a block plan ({!Jit.plan}); each basic block is
-   compiled into an array of closures — one per instruction, operands
-   unpacked, static next-pc and constants pre-boxed — and executed back
+(* The interpreter pays its dispatch overhead once per instruction: the
+   step loop, the status/timer/irq checks, the slot lookup, the fetch
+   call.  The translation plane pays it once per block.  At
+   [Hypervisor.install_program] time the vet layer's CFG recovery hands
+   over a block plan ({!Jit.plan}); each basic block becomes an array of
+   sites — the same sites and ops the interpreter runs — executed back
    to back by [jit_run_block] with a single dispatch per block entry.
 
-   The contract is the same as the predecode cache's, only stricter
-   because more is inlined: translated execution is simulated-state
-   invisible.  Per instruction the runner still takes a TLB lookup, an
-   MMU translation, a hierarchy fetch and the word-level revalidation —
-   each either via the original function or via a hint probe that
-   replicates that function's mutations exactly — so cycle counts,
-   cache/TLB/predictor movement, profile residencies, trap ordering and
-   watchpoint behaviour are byte-identical to the interpreter.  The
-   equivalence suite diffs end states and scenario goldens across
-   GUILLOTINE_NO_JIT to enforce this.
+   Translated execution is simulated-state invisible.  Per instruction
+   the runner still takes the site's fetch (TLB lookup, MMU translation,
+   hierarchy read, word compare), so cycle counts, cache/TLB/predictor
+   movement, profile residencies, trap ordering and watchpoint
+   behaviour are byte-identical to the interpreter.  The equivalence
+   suite diffs end states and scenario goldens across [set_jit] to
+   enforce this.
 
-   Self-modification safety is word-granular rather than
-   generation-granular: every translated fetch compares the word the
-   hierarchy just returned against the word the op was compiled from
-   (the same discipline the predecode cache applies after a
-   [Dram.generation] bump).  Any mismatch — DMA patch, fault-injected
-   bit flip, snapshot restore, store to own code — invalidates the
-   translation and executes the fresh word through the interpreter;
-   the block is recompiled lazily on its next entry. *)
-
-let jit_fc_make t pc =
-  {
-    f_pc = pc;
-    f_vpage = vpage_of t pc;
-    f_tlb_slot = -1;
-    f_mmu_gen = -1;
-    f_paddr = -1;
-    f_io = false;
-    f_set = 0;
-    f_tag = 0;
-    f_way = 0;
-  }
-
-(* Per-instruction block-transition bookkeeping, identical to the
-   profiling preamble in [fetch_and_execute]. *)
-let jit_prof_enter t pc =
-  let b =
-    if pc >= 0 && pc < Array.length t.prof_block_of then t.prof_block_of.(pc)
-    else t.prof_nblocks
-  in
-  if b <> t.prof_block then begin
-    prof_flush t;
-    t.prof_block <- b
-  end
-
-(* Retirement accounting, identical to the tail of [execute_and_retire]
-   (the callers only reach this when the instruction did not trap). *)
-let jit_retire t pc instr =
-  t.instret <- t.instret + 1;
-  if t.prof_on then
-    t.prof_retired.(t.prof_block) <- t.prof_retired.(t.prof_block) + 1;
-  match t.retire_hooks with
-  | [] -> ()
-  | hooks -> List.iter (fun hook -> hook ~pc:pc instr) hooks
-
-(* Fetch the word at a translated site, charging exactly what
-   [fetch_and_execute_fast] charges before its decode step: TLB lookup
-   cost, then the hierarchy fetch cost.  On a fetch page fault the
-   exception is delivered here and [t.trapped] tells the runner.  The
-   hint probes are safe because TLB vpages are unique across valid
-   entries and cache tags are unique within a set. *)
-let jit_fetch t fc =
-  let tlb = t.tlb in
-  let slot = fc.f_tlb_slot in
-  let tlb_cost =
-    if
-      slot >= 0
-      && (Array.unsafe_get tlb.Tlb.entries slot).Tlb.vpage = fc.f_vpage
-    then begin
-      (* Replicates Tlb.lookup's hit path: clock, hit counter, stamp. *)
-      tlb.Tlb.clock <- tlb.Tlb.clock + 1;
-      tlb.Tlb.hits <- tlb.Tlb.hits + 1;
-      (Array.unsafe_get tlb.Tlb.entries slot).Tlb.stamp <- tlb.Tlb.clock;
-      tlb.Tlb.hit_cost
-    end
-    else begin
-      let c = Tlb.lookup tlb ~vpage:fc.f_vpage in
-      fc.f_tlb_slot <- Tlb.slot_of tlb ~vpage:fc.f_vpage;
-      c
-    end
-  in
-  t.cycles <- t.cycles + tlb_cost;
-  if t.prof_on then t.prof_tlb <- t.prof_tlb + tlb_cost;
-  (if fc.f_mmu_gen <> t.mmu.Mmu.gen then begin
-     let paddr = Mmu.translate_raw t.mmu ~addr:fc.f_pc ~access:`X in
-     fc.f_mmu_gen <- t.mmu.Mmu.gen;
-     fc.f_paddr <- paddr;
-     if paddr >= 0 then begin
-       let h = t.hierarchy in
-       if paddr >= h.Hierarchy.io_base_addr then fc.f_io <- true
-       else begin
-         fc.f_io <- false;
-         fc.f_set <- Cache.set_of_addr h.Hierarchy.l1 paddr;
-         fc.f_tag <- Cache.tag_of_addr h.Hierarchy.l1 paddr;
-         fc.f_way <- 0
-       end
-     end
-   end);
-  let paddr = fc.f_paddr in
-  if paddr < 0 then begin
-    deliver_exception t (Isa.Page_fault fc.f_pc);
-    0L
-  end
-  else begin
-    let h = t.hierarchy in
-    if fc.f_io then begin
-      let c = h.Hierarchy.io_cost in
-      h.Hierarchy.cycles <- h.Hierarchy.cycles + c;
-      h.Hierarchy.last_cost <- c;
-      let word = Dram.read h.Hierarchy.io_dram (paddr - h.Hierarchy.io_base_addr) in
-      t.cycles <- t.cycles + c;
-      if t.prof_on then t.prof_fetch <- t.prof_fetch + c;
-      word
-    end
-    else begin
-      let l1 = h.Hierarchy.l1 in
-      let ways = Array.unsafe_get l1.Cache.ways fc.f_set in
-      let way = Array.unsafe_get ways fc.f_way in
-      let c =
-        if way.Cache.tag = fc.f_tag then begin
-          (* Replicates Cache.access's hit path at L1: clock, hit
-             counter, LRU stamp; lower levels are untouched on a hit. *)
-          l1.Cache.clock <- l1.Cache.clock + 1;
-          l1.Cache.hits <- l1.Cache.hits + 1;
-          way.Cache.stamp <- l1.Cache.clock;
-          l1.Cache.cfg.Cache.hit_cost
-        end
-        else begin
-          let c = Cache.access l1 ~addr:paddr in
-          let wi = Cache.way_of l1 ~set:fc.f_set ~tag:fc.f_tag in
-          fc.f_way <- (if wi >= 0 then wi else 0);
-          c
-        end
-      in
-      (* Field order matches Hierarchy.read_value: hierarchy cycle
-         accounting lands before the DRAM read (which can raise
-         Bus_error on a simulator bug). *)
-      h.Hierarchy.cycles <- h.Hierarchy.cycles + c;
-      h.Hierarchy.last_cost <- c;
-      let data = h.Hierarchy.dram.Dram.data in
-      let word =
-        (* paddr >= 0 was established above; the slow path exists only
-           to raise the same Bus_error Dram.read would. *)
-        if paddr < Array.length data then Array.unsafe_get data paddr
-        else Dram.read h.Hierarchy.dram paddr
-      in
-      t.cycles <- t.cycles + c;
-      if t.prof_on then t.prof_fetch <- t.prof_fetch + c;
-      word
-    end
-  end
-
-(* The fetched word no longer matches the word this block was compiled
-   from: drop the translation and run the word the machine actually
-   fetched through the interpreter — the same word-compare discipline
-   the predecode cache applies after a generation bump. *)
-let jit_diverge t jb word =
+   A fetched word that no longer matches its site's word (DMA patch,
+   fault-injected bit flip, snapshot restore, store to own code)
+   invalidates the whole block: the fetched word runs through a freshly
+   compiled op, and the block is recompiled lazily on its next entry. *)
+let jit_diverge t jb s word =
   jb.jb_valid <- false;
   t.jit_invalidations <- t.jit_invalidations + 1;
-  match Encoding.decode word with
-  | None -> deliver_exception t Isa.Bad_instruction
-  | Some instr -> execute_and_retire t instr
-
-(* Branch resolution with the predictor index baked in; state movement
-   and cost identical to [branch] (predict + predict_and_update). *)
-let jit_branch t pc target instr taken =
-  let bp = t.bpred in
-  let counters = bp.Bpred.counters in
-  let bi = pc land (Array.length counters - 1) in
-  let c0 = Array.unsafe_get counters bi in
-  let predicted = c0 >= 2 in
-  if predicted = taken then begin
-    bp.Bpred.correct <- bp.Bpred.correct + 1;
-    t.cycles <- t.cycles + 1
-  end
-  else begin
-    bp.Bpred.wrong <- bp.Bpred.wrong + 1;
-    t.cycles <- t.cycles + 1 + bp.Bpred.mispredict_penalty
-  end;
-  Array.unsafe_set counters bi
-    (if taken then (if c0 < 3 then c0 + 1 else 3)
-     else if c0 > 0 then c0 - 1
-     else 0);
-  if predicted <> taken && t.spec_depth > 0 then
-    transient_walk t ~start_pc:(if predicted then target else pc + 1);
-  if taken then t.pc <- target else t.pc <- pc + 1;
-  jit_retire t pc instr;
-  false
-
-(* Compile the execute phase of one instruction.  The closure runs after
-   the runner has fetched and revalidated the word, with fetch costs
-   already charged — so each arm mirrors the corresponding [execute] arm
-   plus the retire tail, with operands, next-pc and constant boxes
-   resolved at compile time.  Register indices are 4-bit fields, in
-   bounds by construction (see [reg_value]). *)
-let jit_compile_exec pc instr =
-  let pc1 = pc + 1 in
-  let open Isa in
-  match instr with
-  | Nop ->
-    fun t ->
-      t.cycles <- t.cycles + 1;
-      t.pc <- pc1;
-      jit_retire t pc instr;
-      true
-  | Halt ->
-    fun t ->
-      t.status <- Halted Halt_instruction;
-      jit_retire t pc instr;
-      false
-  | Movi (rd, v) ->
-    let v64 = Int64.of_int v in
-    fun t ->
-      Array.unsafe_set t.regs rd v64;
-      t.cycles <- t.cycles + 1;
-      t.pc <- pc1;
-      jit_retire t pc instr;
-      true
-  | Movhi (rd, v) ->
-    let hi = Int64.shift_left (Int64.of_int v) 32 in
-    fun t ->
-      Array.unsafe_set t.regs rd (Int64.logor (Array.unsafe_get t.regs rd) hi);
-      t.cycles <- t.cycles + 1;
-      t.pc <- pc1;
-      jit_retire t pc instr;
-      true
-  | Mov (rd, rs) ->
-    fun t ->
-      Array.unsafe_set t.regs rd (Array.unsafe_get t.regs rs);
-      t.cycles <- t.cycles + 1;
-      t.pc <- pc1;
-      jit_retire t pc instr;
-      true
-  | Add (rd, a, b) ->
-    fun t ->
-      Array.unsafe_set t.regs rd
-        (Int64.add (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs b));
-      t.cycles <- t.cycles + 1;
-      t.pc <- pc1;
-      jit_retire t pc instr;
-      true
-  | Sub (rd, a, b) ->
-    fun t ->
-      Array.unsafe_set t.regs rd
-        (Int64.sub (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs b));
-      t.cycles <- t.cycles + 1;
-      t.pc <- pc1;
-      jit_retire t pc instr;
-      true
-  | Mul (rd, a, b) ->
-    fun t ->
-      Array.unsafe_set t.regs rd
-        (Int64.mul (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs b));
-      t.cycles <- t.cycles + 3; (* 2 for the multiplier + 1 from alu3 *)
-      t.pc <- pc1;
-      jit_retire t pc instr;
-      true
-  | Div (rd, a, b) ->
-    fun t ->
-      let bv = Array.unsafe_get t.regs b in
-      if Int64.equal bv 0L then begin
-        deliver_exception t Div_by_zero;
-        false
-      end
-      else begin
-        Array.unsafe_set t.regs rd (Int64.div (Array.unsafe_get t.regs a) bv);
-        t.cycles <- t.cycles + 11; (* 10 for the divider + 1 from alu3 *)
-        t.pc <- pc1;
-        jit_retire t pc instr;
-        true
-      end
-  | Rem (rd, a, b) ->
-    fun t ->
-      let bv = Array.unsafe_get t.regs b in
-      if Int64.equal bv 0L then begin
-        deliver_exception t Div_by_zero;
-        false
-      end
-      else begin
-        Array.unsafe_set t.regs rd (Int64.rem (Array.unsafe_get t.regs a) bv);
-        t.cycles <- t.cycles + 11;
-        t.pc <- pc1;
-        jit_retire t pc instr;
-        true
-      end
-  | And_ (rd, a, b) ->
-    fun t ->
-      Array.unsafe_set t.regs rd
-        (Int64.logand (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs b));
-      t.cycles <- t.cycles + 1;
-      t.pc <- pc1;
-      jit_retire t pc instr;
-      true
-  | Or_ (rd, a, b) ->
-    fun t ->
-      Array.unsafe_set t.regs rd
-        (Int64.logor (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs b));
-      t.cycles <- t.cycles + 1;
-      t.pc <- pc1;
-      jit_retire t pc instr;
-      true
-  | Xor_ (rd, a, b) ->
-    fun t ->
-      Array.unsafe_set t.regs rd
-        (Int64.logxor (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs b));
-      t.cycles <- t.cycles + 1;
-      t.pc <- pc1;
-      jit_retire t pc instr;
-      true
-  | Shl (rd, a, b) ->
-    fun t ->
-      Array.unsafe_set t.regs rd
-        (Int64.shift_left (Array.unsafe_get t.regs a)
-           (Int64.to_int (Array.unsafe_get t.regs b) land 63));
-      t.cycles <- t.cycles + 1;
-      t.pc <- pc1;
-      jit_retire t pc instr;
-      true
-  | Shr (rd, a, b) ->
-    fun t ->
-      Array.unsafe_set t.regs rd
-        (Int64.shift_right_logical (Array.unsafe_get t.regs a)
-           (Int64.to_int (Array.unsafe_get t.regs b) land 63));
-      t.cycles <- t.cycles + 1;
-      t.pc <- pc1;
-      jit_retire t pc instr;
-      true
-  | Load (rd, rs, off) ->
-    fun t ->
-      let vaddr = Int64.to_int (Array.unsafe_get t.regs rs) + off in
-      if watch_data_hit t vaddr then begin
-        t.status <- Halted (Watchpoint vaddr);
-        jit_retire t pc instr;
-        false
-      end
-      else begin
-        let paddr = translate_data t ~vaddr ~access:`R in
-        if paddr >= 0 then begin
-          t.regs.(rd) <- Hierarchy.read_value t.hierarchy ~addr:paddr;
-          let cost = Hierarchy.read_cost t.hierarchy in
-          t.cycles <- t.cycles + cost;
-          if t.prof_on then t.prof_mem <- t.prof_mem + cost;
-          t.pc <- pc1;
-          jit_retire t pc instr;
-          true
-        end
-        else false (* page fault delivered: no retire *)
-      end
-  | Store (rd, rs, off) ->
-    fun t ->
-      let vaddr = Int64.to_int (Array.unsafe_get t.regs rd) + off in
-      if watch_data_hit t vaddr then begin
-        t.status <- Halted (Watchpoint vaddr);
-        jit_retire t pc instr;
-        false
-      end
-      else begin
-        let paddr = translate_data t ~vaddr ~access:`W in
-        if paddr >= 0 then begin
-          let cost =
-            Hierarchy.write t.hierarchy ~addr:paddr (Array.unsafe_get t.regs rs)
-          in
-          t.cycles <- t.cycles + cost;
-          if t.prof_on then t.prof_mem <- t.prof_mem + cost;
-          t.pc <- pc1;
-          jit_retire t pc instr;
-          true
-        end
-        else false
-      end
-  | Jmp a ->
-    fun t ->
-      t.cycles <- t.cycles + 1;
-      t.pc <- a;
-      jit_retire t pc instr;
-      false
-  | Jr rs ->
-    fun t ->
-      t.cycles <- t.cycles + 1;
-      t.pc <- Int64.to_int (Array.unsafe_get t.regs rs);
-      jit_retire t pc instr;
-      false
-  | Jal (rd, a) ->
-    let link = Int64.of_int (pc + 1) in
-    fun t ->
-      Array.unsafe_set t.regs rd link;
-      t.cycles <- t.cycles + 1;
-      t.pc <- a;
-      jit_retire t pc instr;
-      false
-  | Beq (a, b, tgt) ->
-    fun t ->
-      jit_branch t pc tgt instr
-        (Int64.equal (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs b))
-  | Bne (a, b, tgt) ->
-    fun t ->
-      jit_branch t pc tgt instr
-        (not (Int64.equal (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs b)))
-  | Blt (a, b, tgt) ->
-    fun t ->
-      jit_branch t pc tgt instr
-        (Int64.compare (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs b) < 0)
-  | Bge (a, b, tgt) ->
-    fun t ->
-      jit_branch t pc tgt instr
-        (Int64.compare (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs b) >= 0)
-  | Irq line ->
-    fun t -> (
-      match t.irq_sink with
-      | None ->
-        deliver_exception t Bad_instruction;
-        false
-      | Some sink ->
-        t.cycles <- t.cycles + 5;
-        if t.prof_on then t.prof_door <- t.prof_door + 5;
-        sink ~line;
-        t.pc <- pc1;
-        jit_retire t pc instr;
-        true)
-  | Iret ->
-    fun t ->
-      if not t.in_handler then begin
-        deliver_exception t Bad_instruction;
-        false
-      end
-      else begin
-        t.in_handler <- false;
-        t.cycles <- t.cycles + 2;
-        t.pc <- t.epc;
-        jit_retire t pc instr;
-        false
-      end
-  | Rdcycle rd ->
-    fun t ->
-      t.regs.(rd) <- Int64.of_int t.cycles;
-      t.cycles <- t.cycles + 1;
-      t.pc <- pc1;
-      jit_retire t pc instr;
-      true
-  | Mfepc rd ->
-    fun t ->
-      t.regs.(rd) <- Int64.of_int t.epc;
-      t.cycles <- t.cycles + 1;
-      t.pc <- pc1;
-      jit_retire t pc instr;
-      true
-  | Mtepc rs ->
-    fun t ->
-      if not t.in_handler then begin
-        deliver_exception t Bad_instruction;
-        false
-      end
-      else begin
-        t.epc <- Int64.to_int (Array.unsafe_get t.regs rs);
-        t.cycles <- t.cycles + 1;
-        t.pc <- pc1;
-        jit_retire t pc instr;
-        true
-      end
-  | Clflush (rs, off) ->
-    fun t ->
-      let vaddr = Int64.to_int (Array.unsafe_get t.regs rs) + off in
-      let paddr = translate_data t ~vaddr ~access:`R in
-      if paddr >= 0 then begin
-        Hierarchy.flush_line t.hierarchy ~addr:paddr;
-        t.cycles <- t.cycles + 20;
-        if t.prof_on then t.prof_mem <- t.prof_mem + 20;
-        t.pc <- pc1;
-        jit_retire t pc instr;
-        true
-      end
-      else false
-  | Fence ->
-    fun t ->
-      t.cycles <- t.cycles + 15;
-      t.pc <- pc1;
-      jit_retire t pc instr;
-      true
+  ignore (compile_word s.s_pc word t)
 
 (* Compile block [b] from the words currently in DRAM.  Host-side only:
    reads go straight to DRAM (no cache, TLB or cycle movement) and the
@@ -1401,10 +1169,11 @@ let jit_translate_block t js b =
       let jb =
         {
           jb_leader = pcs.(0);
-          jb_pcs = pcs;
-          jb_words = words;
-          jb_fcs = Array.map (fun pc -> jit_fc_make t pc) pcs;
-          jb_ops = Array.mapi (fun i pc -> jit_compile_exec pc instrs.(i)) pcs;
+          jb_sites =
+            Array.mapi
+              (fun i pc ->
+                new_site ~pc ~vpage:(vpage_of t pc) words.(i) (compile pc instrs.(i)))
+              pcs;
           jb_has_irq =
             Array.exists
               (fun instr -> match instr with Isa.Irq _ -> true | _ -> false)
@@ -1423,9 +1192,8 @@ let jit_translate_block t js b =
    pending interrupt, no code watchpoints).  Per instruction: re-check
    the exit conditions (an op's irq sink or retire hook can arm them
    mid-block), profile block transition, fetch + revalidate the word,
-   then the compiled execute phase.  A back-edge to our own leader
-   re-enters without a dispatch round trip.  Returns retired step
-   count.
+   then the op.  A back-edge to our own leader re-enters without a
+   dispatch round trip.  Returns retired step count.
 
    The only instruction-level escapes from straight-line execution that
    do NOT exit via an op returning false are an irq-sink call (the
@@ -1437,10 +1205,8 @@ let jit_translate_block t js b =
    performed stay true for the whole block and the per-instruction
    guard reduces to the fuel and cycle-target compares. *)
 let jit_run_block t jb ~fuel ~target =
-  let ops = jb.jb_ops in
-  let fcs = jb.jb_fcs in
-  let words = jb.jb_words in
-  let n = Array.length ops in
+  let sites = jb.jb_sites in
+  let n = Array.length sites in
   let quiet =
     (match t.retire_hooks with [] -> true | _ :: _ -> false)
     && not jb.jb_has_irq
@@ -1475,63 +1241,63 @@ let jit_run_block t jb ~fuel ~target =
     then continue := false
     else begin
       incr steps;
-      let fc = Array.unsafe_get fcs !i in
-      if t.prof_on then jit_prof_enter t fc.f_pc;
-      t.trapped <- false;
-      (* Inlined [jit_fetch] for the every-hint-valid case (TLB slot
-         hit, MMU generation unchanged, cached paddr in model DRAM, L1
-         way hit).  The checks are pure; the mutation sequence below —
-         TLB clock/hits/stamp, core tlb-cost cycles, L1 clock/hits/
-         stamp, hierarchy cycles/last_cost, core fetch-cost cycles —
-         replicates Tlb.lookup + Cache.access + Hierarchy.read_value in
-         exactly the interpreter's order.  Anything short of a full hit
-         takes the general path. *)
-      let slot = fc.f_tlb_slot in
+      let s = Array.unsafe_get sites !i in
+      if t.prof_on then prof_enter t s.s_pc;
+      (* Inlined [fetch] for the every-hint-valid case (TLB slot hit,
+         MMU generation unchanged, cached paddr in model DRAM, L1 way
+         hit).  The checks are pure; the mutation sequence below — TLB
+         clock/hits/stamp, core tlb-cost cycles, L1 clock/hits/stamp,
+         hierarchy cycles/last_cost, core fetch-cost cycles — replicates
+         [fetch] in exactly its order.  Anything short of a full hit
+         takes [fetch] itself.  Kept inline on purpose: without
+         cross-module inlining, calling [fetch] here costs guest
+         throughput. *)
+      let slot = s.s_tlb_slot in
       let w =
         if
           slot >= 0
-          && (Array.unsafe_get tlb_entries slot).Tlb.vpage = fc.f_vpage
-          && fc.f_mmu_gen = mmu.Mmu.gen
-          && (not fc.f_io)
-          && fc.f_paddr >= 0
-          && fc.f_paddr < data_len
+          && (Array.unsafe_get tlb_entries slot).Tlb.vpage = s.s_vpage
+          && s.s_mmu_gen = mmu.Mmu.gen
+          && (not s.s_io)
+          && s.s_paddr >= 0
+          && s.s_paddr < data_len
         then begin
           tlb.Tlb.clock <- tlb.Tlb.clock + 1;
           tlb.Tlb.hits <- tlb.Tlb.hits + 1;
           (Array.unsafe_get tlb_entries slot).Tlb.stamp <- tlb.Tlb.clock;
           t.cycles <- t.cycles + tlb_hit_cost;
           if t.prof_on then t.prof_tlb <- t.prof_tlb + tlb_hit_cost;
-          let ways = Array.unsafe_get l1_ways fc.f_set in
-          let way = Array.unsafe_get ways fc.f_way in
+          let ways = Array.unsafe_get l1_ways s.s_set in
+          let way = Array.unsafe_get ways s.s_way in
           let c =
-            if way.Cache.tag = fc.f_tag then begin
+            if way.Cache.tag = s.s_tag then begin
               l1.Cache.clock <- l1.Cache.clock + 1;
               l1.Cache.hits <- l1.Cache.hits + 1;
               way.Cache.stamp <- l1.Cache.clock;
               l1_hit_cost
             end
             else begin
-              let c = Cache.access l1 ~addr:fc.f_paddr in
-              let wi = Cache.way_of l1 ~set:fc.f_set ~tag:fc.f_tag in
-              fc.f_way <- (if wi >= 0 then wi else 0);
+              let c = Cache.access l1 ~addr:s.s_paddr in
+              let wi = Cache.way_of l1 ~set:s.s_set ~tag:s.s_tag in
+              s.s_way <- (if wi >= 0 then wi else 0);
               c
             end
           in
           h.Hierarchy.cycles <- h.Hierarchy.cycles + c;
           h.Hierarchy.last_cost <- c;
-          let word = Array.unsafe_get data fc.f_paddr in
+          let word = Array.unsafe_get data s.s_paddr in
           t.cycles <- t.cycles + c;
           if t.prof_on then t.prof_fetch <- t.prof_fetch + c;
           word
         end
-        else jit_fetch t fc
+        else fetch t s
       in
-      if t.trapped then continue := false
-      else if not (Int64.equal w (Array.unsafe_get words !i)) then begin
-        jit_diverge t jb w;
+      if s.s_paddr < 0 then continue := false (* fetch page fault delivered *)
+      else if not (Int64.equal w s.s_word) then begin
+        jit_diverge t jb s w;
         continue := false
       end
-      else if (Array.unsafe_get ops !i) t then begin
+      else if s.s_op t then begin
         incr i;
         if !i >= n then continue := false (* fell through to the next block *)
       end
@@ -1573,6 +1339,10 @@ let jit_dispatch t ~fuel ~target =
 
 let set_jit enabled = Jit.set_enabled enabled
 let jit_enabled () = Jit.enabled ()
+
+(* Sites are the only way instructions execute, so the op cache they
+   form cannot be turned off. *)
+let predecode_enabled () = true
 
 let jit_stats t =
   {

@@ -84,45 +84,38 @@ val run_cycles : t -> cycles:int -> int
     the batched inner loop: a driver advancing simulated time in quanta
     calls this once per quantum instead of once per instruction. *)
 
-(** {2 Predecode fast path}
+(** {2 Compiled ops}
 
-    The interpreter memoises instruction decode in a per-core
-    direct-mapped paddr-indexed cache, validated against the DRAM write
-    generation ({!Guillotine_memory.Dram.generation}) on every fetch and
-    revalidated word-for-word when the generation has moved.  The fast
-    path changes host time only — simulated cycles, cache-state
-    movement, and every architectural effect are identical with it on
-    or off (the equivalence suite pins this).  The
-    [GUILLOTINE_NO_PREDECODE] environment variable (any value other
-    than empty or ["0"]) disables it at start-up. *)
-
-val set_predecode : bool -> unit
-(** Process-wide override of the predecode fast path (applies to all
-    cores, including existing ones — entries are revalidated, never
-    trusted, so toggling is always safe). *)
+    Every instruction executes as an op compiled once from its word,
+    held in a fetch site keyed by pc: the interpreter keeps a per-core
+    direct-mapped table of sites.  Each execution still fetches the word
+    through the cache hierarchy (the timing model charges it) and
+    compares it with the word the op was compiled from, so
+    self-modifying, DMA-patched, fault-flipped, or snapshot-restored
+    code is recompiled before it runs.  The op cache changes host time
+    only. *)
 
 val predecode_enabled : unit -> bool
+(** Always [true]: the op cache is how instructions execute, so it
+    cannot be turned off. *)
 
 val predecode_stats : t -> int * int
-(** [(hits, fills)]: fetches served from the predecode cache vs decode
-    calls that filled a slot.  Host-perf observability only. *)
+(** [(hits, fills)]: interpreter fetches that reused a cached op vs ops
+    the interpreter compiled.  Host-perf observability only. *)
 
 (** {2 Threaded-code block translation}
 
-    The step above predecode: at [Hypervisor.install_program] time the
-    vet layer's CFG recovery supplies a basic-block plan
-    ({!Jit.plan}); each block is compiled into an array of closures —
-    one per instruction, operands and next-pc pre-resolved — and
-    executed with a single dispatch per block entry instead of per
-    instruction.  Same contract as the predecode cache, enforced the
-    same way: translated execution is simulated-state invisible (every
-    instruction still takes its TLB lookup, MMU translation, hierarchy
-    fetch, and cycle charges, bit-identically), and every translated
-    fetch revalidates the fetched word against the word it was
-    compiled from, so self-modifying, DMA-patched, fault-flipped, or
-    snapshot-restored code invalidates the translation and falls back
-    to the interpreter.  [GUILLOTINE_NO_JIT] (any value other than
-    empty or ["0"]) disables it at start-up. *)
+    The step above the interpreter: at [Hypervisor.install_program]
+    time the vet layer's CFG recovery supplies a basic-block plan
+    ({!Jit.plan}); each block becomes an array of the same fetch sites
+    and ops the interpreter runs, executed with a single dispatch per
+    block entry instead of per instruction.  Translated execution is
+    simulated-state invisible (every instruction still takes its TLB
+    lookup, MMU translation, hierarchy fetch, and cycle charges,
+    bit-identically), and a fetched word that no longer matches the
+    word its op was compiled from invalidates the block, which is
+    retranslated on its next entry.  [GUILLOTINE_NO_JIT] (any value
+    other than empty or ["0"]) disables it at start-up. *)
 
 val set_jit : bool -> unit
 (** Process-wide override of block-translated execution (safe to toggle
@@ -150,7 +143,7 @@ val jit_stats : t -> Jit.stats
     attributed to a [(basic block, cost class)] cell in a flat int
     array — no allocation on the hot path, and {e zero} effect on
     simulated-cycle behaviour (the equivalence suite pins this, same
-    discipline as the predecode fast path).  The hypervisor installs
+    discipline as the op cache).  The hypervisor installs
     the paddr→block map at program-install time from the vetting CFG;
     cycles charged at a pc outside the map (or before any map is
     installed) land in a single pseudo-block with id

@@ -10,8 +10,8 @@ type stats = {
   block_exits : int;
 }
 
-(* GUILLOTINE_NO_JIT=1 preserves the interpreter shape as reference and
-   baseline; same convention as GUILLOTINE_NO_PREDECODE. *)
+(* GUILLOTINE_NO_JIT=1 runs every instruction through the interpreter,
+   the block runner's reference and baseline. *)
 let default =
   match Sys.getenv_opt "GUILLOTINE_NO_JIT" with
   | None | Some "" | Some "0" -> true

@@ -1,10 +1,10 @@
 (** Block-translation policy for the threaded-code JIT.
 
     The hypervisor translates a guest's basic blocks (discovered by the
-    vet layer's CFG recovery at [install_program] time) into chains of
-    OCaml closures — one closure per instruction with operands
-    pre-resolved and cost classes pre-looked-up — executed back to back
-    with a single dispatch per {e block}.  This module owns the
+    vet layer's CFG recovery at [install_program] time) into arrays of
+    the core's compiled ops — one per instruction, operands
+    pre-resolved — executed back to back with a single dispatch per
+    {e block}.  This module owns the
     vet-neutral data the core consumes (the microarch library must not
     depend on the vet library): the block plan, the process-wide enable
     flag, the translation-cache stat shape, and the profile ranking
@@ -30,7 +30,7 @@ type plan = {
 
 type stats = {
   translations : int;
-      (** Blocks compiled to closure chains (including recompiles after
+      (** Blocks compiled to arrays of ops (including recompiles after
           invalidation). *)
   invalidations : int;
       (** Translations discarded because a fetched word no longer
@@ -43,8 +43,7 @@ type stats = {
 val enabled_flag : bool ref
 (** Read directly by the core's dispatch loop (deref per dispatch).
     Defaults to on unless [GUILLOTINE_NO_JIT] is set to something other
-    than [""]/["0"] in the environment — same escape-hatch shape as
-    [GUILLOTINE_NO_PREDECODE]. *)
+    than [""]/["0"] in the environment. *)
 
 val set_enabled : bool -> unit
 val enabled : unit -> bool

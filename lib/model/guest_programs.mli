@@ -98,9 +98,9 @@ val dma_sleeper :
     overwritten {e last}), running the stub after every fetch.  The
     static image is clean — the stub is a benign beacon bumping word
     1025 — but once the disk carries {!patch_payload}, the final DMA
-    rewrites the already-predecoded stub in place and the next
-    execution must see the hostile bytes: the predecode generation
-    counter acting as a security mechanism. *)
+    rewrites the already-compiled stub in place and the next execution
+    must see the hostile bytes: the core's fetch-time word compare
+    acting as a security mechanism. *)
 
 val patch_payload : rounds:int -> string
 (** The hostile firmware {!dma_sleeper} fetches: a flush+reload probe

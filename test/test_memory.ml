@@ -307,7 +307,8 @@ let test_hierarchy_read_write () =
   let dram = Dram.create ~size:1024 in
   let h = Hierarchy.create ~dram () in
   let c1 = Hierarchy.write h ~addr:10 99L in
-  let v, c2 = Hierarchy.read h ~addr:10 in
+  let v = Hierarchy.read_value h ~addr:10 in
+  let c2 = Hierarchy.read_cost h in
   Alcotest.(check int64) "value" 99L v;
   Alcotest.(check bool) "second access cheaper" true (c2 < c1)
 
@@ -316,7 +317,8 @@ let test_hierarchy_io_uncached () =
   let io = Dram.create ~size:64 in
   let h = Hierarchy.create ~io:(4096, io) ~io_cost:100 ~dram () in
   let c1 = Hierarchy.write h ~addr:4096 7L in
-  let v, c2 = Hierarchy.read h ~addr:4096 in
+  let v = Hierarchy.read_value h ~addr:4096 in
+  let c2 = Hierarchy.read_cost h in
   Alcotest.(check int64) "io value" 7L v;
   Alcotest.(check int) "io write flat cost" 100 c1;
   Alcotest.(check int) "io read flat cost" 100 c2;

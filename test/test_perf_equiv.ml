@@ -1,20 +1,23 @@
 (* Fast-path equivalence suite.
 
-   The interpreter fast path (predecode cache + batched stepping) must
-   be host-time faster but simulated-cycle invisible.  Three layers of
-   pinning:
+   The fast paths (block translation, the interpreter's op cache,
+   batched stepping) must be host-time faster but simulated-cycle
+   invisible.  Four layers of pinning:
 
-   - golden fault scenarios: all eight named scenarios (and their
-     monitored replays) produce byte-identical telemetry, verdicts, and
-     incident reports with the fast path on vs. forced off — the same
-     escape hatch GUILLOTINE_NO_PREDECODE=1 selects at process start;
+   - golden fault scenarios: every named scenario (and its monitored
+     replay) produces byte-identical telemetry, verdicts, and incident
+     reports with block translation on vs. forced off — the same escape
+     hatch GUILLOTINE_NO_JIT=1 selects at process start;
    - driver equivalence: the batched driver (Engine.every_batch +
      Machine.run_cores) leaves a guest in exactly the end state the
      one-instruction-per-event driver (Engine.every + run_models at
      quantum 1) does;
-   - invalidation: a predecoded instruction is never stale — DRAM bit
-     flips, hypervisor patches, and snapshot restore-then-patch all
-     force a re-decode before the word executes again.
+   - invalidation: a cached op is never stale — DRAM bit flips,
+     hypervisor patches, and snapshot restore-then-patch all force a
+     recompile before the word executes again;
+   - block translation: random programs, directed invalidations, and
+     the two ways a cached op could run at the wrong pc (an aliased
+     code frame, a jump to a pc whose site slot was never filled).
 
    The CI seed matrix re-runs the scenario layer at other seeds via
    FAULTS_SEED (alcotest owns argv, so an env var is the channel). *)
@@ -36,15 +39,15 @@ let matrix_seed =
   | Some s -> (try int_of_string s with Failure _ -> 1)
   | None -> 1
 
-let with_predecode fast f =
-  let was = Core.predecode_enabled () in
-  Core.set_predecode fast;
-  Fun.protect ~finally:(fun () -> Core.set_predecode was) f
+let with_jit fast f =
+  let was = Core.jit_enabled () in
+  Core.set_jit fast;
+  Fun.protect ~finally:(fun () -> Core.set_jit was) f
 
 (* The machine snapshot now surfaces the execution-plane counters
    (coreN.predecode and coreN.jit).  Those are host-side observability
    and legitimately differ across the very modes this suite toggles
-   (predecode off ⇒ zero predecode hits), so they are stripped before
+   (translation off ⇒ zero translations), so they are stripped before
    the byte-identity comparison; every simulated-state metric remains
    pinned. *)
 let is_host_plane_metric key =
@@ -73,8 +76,8 @@ let render_snapshots o =
 let test_scenarios_identical () =
   List.iter
     (fun name ->
-      let fast = with_predecode true (fun () -> Scenarios.run name ~seed:matrix_seed) in
-      let slow = with_predecode false (fun () -> Scenarios.run name ~seed:matrix_seed) in
+      let fast = with_jit true (fun () -> Scenarios.run name ~seed:matrix_seed) in
+      let slow = with_jit false (fun () -> Scenarios.run name ~seed:matrix_seed) in
       let check what = Alcotest.(check string) (name ^ ": " ^ what) in
       check "verdict" slow.Scenarios.verdict fast.Scenarios.verdict;
       check "recovery" slow.Scenarios.recovery fast.Scenarios.recovery;
@@ -91,12 +94,8 @@ let test_scenarios_identical () =
 let test_monitored_identical () =
   List.iter
     (fun name ->
-      let fast =
-        with_predecode true (fun () -> Scenarios.run_monitored name ~seed:matrix_seed)
-      in
-      let slow =
-        with_predecode false (fun () -> Scenarios.run_monitored name ~seed:matrix_seed)
-      in
+      let fast = with_jit true (fun () -> Scenarios.run_monitored name ~seed:matrix_seed) in
+      let slow = with_jit false (fun () -> Scenarios.run_monitored name ~seed:matrix_seed) in
       Alcotest.(check (list (triple string string (float 0.0))))
         (name ^ ": alerts") slow.Scenarios.alerts fast.Scenarios.alerts;
       Alcotest.(check (option string))
@@ -118,109 +117,97 @@ let test_monitored_identical () =
 let result_base = 4 * 256
 
 let run_benign ~fast =
-  with_predecode fast (fun () ->
-      let m = Machine.create () in
-      let p = Asm.assemble_exn (Guest.compute_loop ~iterations:2_000) in
-      Machine.install_program m ~core:0 ~code_pages:4 ~data_pages:4 p;
-      let e = Engine.create () in
-      (if fast then
-         ignore
-           (Engine.every_batch e ~period:1.0 ~batch:64 (fun () ->
-                Machine.run_cores m ~cycles:4096 > 0))
-       else
-         ignore (Engine.every e ~period:1.0 (fun () -> Machine.run_models m ~quantum:1 > 0)));
-      Engine.run e;
-      let c = Machine.model_core m 0 in
-      Core.pause c;
-      let hits, _fills = Core.predecode_stats c in
-      ( Core.cycles c,
-        Core.instructions_retired c,
-        List.init 16 (Core.read_reg c),
-        List.init 8 (fun i -> Dram.read (Machine.model_dram m) (result_base + i)),
-        hits ))
+  let m = Machine.create () in
+  let p = Asm.assemble_exn (Guest.compute_loop ~iterations:2_000) in
+  Machine.install_program m ~core:0 ~code_pages:4 ~data_pages:4 p;
+  let e = Engine.create () in
+  (if fast then
+     ignore
+       (Engine.every_batch e ~period:1.0 ~batch:64 (fun () ->
+            Machine.run_cores m ~cycles:4096 > 0))
+   else ignore (Engine.every e ~period:1.0 (fun () -> Machine.run_models m ~quantum:1 > 0)));
+  Engine.run e;
+  let c = Machine.model_core m 0 in
+  Core.pause c;
+  let hits, _fills = Core.predecode_stats c in
+  ( Core.cycles c,
+    Core.instructions_retired c,
+    List.init 16 (Core.read_reg c),
+    List.init 8 (fun i -> Dram.read (Machine.model_dram m) (result_base + i)),
+    hits )
 
 let test_batched_driver_equivalent () =
   let fc, fr, fregs, fmem, fhits = run_benign ~fast:true in
-  let lc, lr, lregs, lmem, lhits = run_benign ~fast:false in
+  let lc, lr, lregs, lmem, _ = run_benign ~fast:false in
   Alcotest.(check int) "cycles" lc fc;
   Alcotest.(check int) "instructions retired" lr fr;
   Alcotest.(check (list int64)) "registers" lregs fregs;
   Alcotest.(check (list int64)) "result memory" lmem fmem;
-  (* Non-vacuity: the fast run ran on the cache, the off run never
-     touched it. *)
-  Alcotest.(check bool) "fast path hit the cache" true (fhits > 0);
-  Alcotest.(check int) "legacy path never fills" 0 lhits
+  (* Non-vacuity: the batched run reused cached ops. *)
+  Alcotest.(check bool) "fast path hit the cache" true (fhits > 0)
 
 (* --------------------------- invalidation -------------------------- *)
 
 (* A two-instruction guest whose first word we patch between runs; if a
-   stale predecoded instruction ever executed, r1 would keep its old
-   value. *)
+   stale cached op ever executed, r1 would keep its old value. *)
 let patchable = [ Isa.Movi (1, 11); Isa.Halt ]
 
 let test_flip_bit_invalidates () =
-  with_predecode true (fun () ->
-      let m = Machine.create () in
-      let p = Asm.instrs patchable in
-      Machine.install_program m ~core:0 ~code_pages:4 ~data_pages:4 p;
-      let c = Machine.model_core m 0 in
-      ignore (Core.run c ~fuel:10);
-      Alcotest.(check int64) "before flip" 11L (Core.read_reg c 1);
-      (* Flip bit 4 of the immediate field: 11 lxor 16 = 27 — the same
-         entry point Fault_plan's DRAM flips use. *)
-      Dram.flip_bit (Machine.model_dram m) ~addr:p.Asm.origin ~bit:4;
-      Core.set_pc c p.Asm.origin;
-      Core.resume c;
-      ignore (Core.run c ~fuel:10);
-      Alcotest.(check int64) "after flip" 27L (Core.read_reg c 1))
+  let m = Machine.create () in
+  let p = Asm.instrs patchable in
+  Machine.install_program m ~core:0 ~code_pages:4 ~data_pages:4 p;
+  let c = Machine.model_core m 0 in
+  ignore (Core.run c ~fuel:10);
+  Alcotest.(check int64) "before flip" 11L (Core.read_reg c 1);
+  (* Flip bit 4 of the immediate field: 11 lxor 16 = 27 — the same
+     entry point Fault_plan's DRAM flips use. *)
+  Dram.flip_bit (Machine.model_dram m) ~addr:p.Asm.origin ~bit:4;
+  Core.set_pc c p.Asm.origin;
+  Core.resume c;
+  ignore (Core.run c ~fuel:10);
+  Alcotest.(check int64) "after flip" 27L (Core.read_reg c 1)
 
 let test_patch_invalidates () =
-  with_predecode true (fun () ->
-      let m = Machine.create () in
-      let p = Asm.instrs patchable in
-      Machine.install_program m ~core:0 ~code_pages:4 ~data_pages:4 p;
-      let c = Machine.model_core m 0 in
-      ignore (Core.run c ~fuel:10);
-      Alcotest.(check int64) "first run" 11L (Core.read_reg c 1);
-      (* Hypervisor-style patch over the private bus. *)
-      Machine.inspect_write m p.Asm.origin
-        (Guillotine_isa.Encoding.encode (Isa.Movi (1, 22)));
-      Core.set_pc c p.Asm.origin;
-      Core.resume c;
-      ignore (Core.run c ~fuel:10);
-      Alcotest.(check int64) "patched run" 22L (Core.read_reg c 1))
+  let m = Machine.create () in
+  let p = Asm.instrs patchable in
+  Machine.install_program m ~core:0 ~code_pages:4 ~data_pages:4 p;
+  let c = Machine.model_core m 0 in
+  ignore (Core.run c ~fuel:10);
+  Alcotest.(check int64) "first run" 11L (Core.read_reg c 1);
+  (* Hypervisor-style patch over the private bus. *)
+  Machine.inspect_write m p.Asm.origin
+    (Guillotine_isa.Encoding.encode (Isa.Movi (1, 22)));
+  Core.set_pc c p.Asm.origin;
+  Core.resume c;
+  ignore (Core.run c ~fuel:10);
+  Alcotest.(check int64) "patched run" 22L (Core.read_reg c 1)
 
 let test_restore_then_patch () =
-  with_predecode true (fun () ->
-      let m = Machine.create () in
-      let p = Asm.instrs patchable in
-      Machine.install_program m ~core:0 ~code_pages:4 ~data_pages:4 p;
-      let c = Machine.model_core m 0 in
-      Core.pause c;
-      let snap = Snapshot.capture m in
-      Core.resume c;
-      ignore (Core.run c ~fuel:10);
-      Alcotest.(check int64) "first run" 11L (Core.read_reg c 1);
-      (* Roll back to the pre-run checkpoint, then patch the restored
-         image before resuming: the core predecoded [movi r1, 11] on the
-         abandoned timeline, and must not execute it on this one. *)
-      Snapshot.restore m snap;
-      Dram.write (Machine.model_dram m) p.Asm.origin
-        (Guillotine_isa.Encoding.encode (Isa.Movi (1, 22)));
-      Core.resume c;
-      ignore (Core.run c ~fuel:10);
-      Alcotest.(check int64) "restored-then-patched run" 22L (Core.read_reg c 1))
+  let m = Machine.create () in
+  let p = Asm.instrs patchable in
+  Machine.install_program m ~core:0 ~code_pages:4 ~data_pages:4 p;
+  let c = Machine.model_core m 0 in
+  Core.pause c;
+  let snap = Snapshot.capture m in
+  Core.resume c;
+  ignore (Core.run c ~fuel:10);
+  Alcotest.(check int64) "first run" 11L (Core.read_reg c 1);
+  (* Roll back to the pre-run checkpoint, then patch the restored
+     image before resuming: the core compiled [movi r1, 11] on the
+     abandoned timeline, and must not execute it on this one. *)
+  Snapshot.restore m snap;
+  Dram.write (Machine.model_dram m) p.Asm.origin
+    (Guillotine_isa.Encoding.encode (Isa.Movi (1, 22)));
+  Core.resume c;
+  ignore (Core.run c ~fuel:10);
+  Alcotest.(check int64) "restored-then-patched run" 22L (Core.read_reg c 1)
 
 (* ----------------------- block translation ------------------------ *)
 
 module Hypervisor = Guillotine_hv.Hypervisor
 module Iommu = Guillotine_memory.Iommu
+module Mmu = Guillotine_memory.Mmu
 module Encoding = Guillotine_isa.Encoding
-
-let with_jit fast f =
-  let was = Core.jit_enabled () in
-  Core.set_jit fast;
-  Fun.protect ~finally:(fun () -> Core.set_jit was) f
 
 (* Random programs over the FULL instruction space, but with control
    flow confined to the code region (targets in 0..len+4: past-the-end
@@ -282,6 +269,18 @@ let gen_program =
 let print_program instrs =
   String.concat "; " (List.map Isa.to_string instrs)
 
+(* Install [instrs] on model core 0 through the hypervisor, whose CFG
+   block plan makes the image block-translatable. *)
+let hv_install m instrs =
+  let hv = Hypervisor.create ~machine:m () in
+  let p = Asm.instrs instrs in
+  (match
+     Hypervisor.install_program hv ~label:"test" ~core:0 ~code_pages:4 ~data_pages:4 p
+   with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "install rejected");
+  p
+
 (* Full end-state capture: registers, pc, cycle count, retirement
    count, a digest of all of model memory, and the complete profile
    accumulators (so translated execution provably attributes every
@@ -289,14 +288,7 @@ let print_program instrs =
 let run_random ~jit instrs =
   with_jit jit (fun () ->
       let m = Machine.create () in
-      let hv = Hypervisor.create ~machine:m () in
-      let p = Asm.instrs instrs in
-      (match
-         Hypervisor.install_program hv ~label:"qcheck" ~core:0 ~code_pages:4
-           ~data_pages:4 p
-       with
-      | Ok _ -> ()
-      | Error _ -> Alcotest.fail "qcheck install rejected");
+      ignore (hv_install m instrs);
       let c = Machine.model_core m 0 in
       Core.set_profiling c true;
       ignore (Core.run c ~fuel:2_000);
@@ -318,33 +310,25 @@ let prop_jit_equivalent =
     (QCheck.make gen_program ~print:print_program)
     (fun instrs -> run_random ~jit:true instrs = run_random ~jit:false instrs)
 
-(* Directed invalidation regressions, mirroring the predecode trio
+(* Directed invalidation regressions, mirroring the interpreter trio
    above but through the hypervisor install path so the program is
    eagerly block-translated; each asserts both the architectural result
    and that the stale translation was actually dropped. *)
 let run_patch_scenario ~patch =
   with_jit true (fun () ->
-      with_predecode true (fun () ->
-          let m = Machine.create () in
-          let hv = Hypervisor.create ~machine:m () in
-          let p = Asm.instrs patchable in
-          (match
-             Hypervisor.install_program hv ~label:"patchable" ~core:0
-               ~code_pages:4 ~data_pages:4 p
-           with
-          | Ok _ -> ()
-          | Error _ -> Alcotest.fail "install rejected");
-          let c = Machine.model_core m 0 in
-          ignore (Core.run c ~fuel:10);
-          Alcotest.(check int64) "first run" 11L (Core.read_reg c 1);
-          let before = (Core.jit_stats c).Guillotine_microarch.Jit.invalidations in
-          patch m p;
-          Core.set_pc c p.Asm.origin;
-          Core.resume c;
-          ignore (Core.run c ~fuel:10);
-          let after = (Core.jit_stats c).Guillotine_microarch.Jit.invalidations in
-          Alcotest.(check bool) "translation invalidated" true (after > before);
-          Core.read_reg c 1))
+      let m = Machine.create () in
+      let p = hv_install m patchable in
+      let c = Machine.model_core m 0 in
+      ignore (Core.run c ~fuel:10);
+      Alcotest.(check int64) "first run" 11L (Core.read_reg c 1);
+      let before = (Core.jit_stats c).Guillotine_microarch.Jit.invalidations in
+      patch m p;
+      Core.set_pc c p.Asm.origin;
+      Core.resume c;
+      ignore (Core.run c ~fuel:10);
+      let after = (Core.jit_stats c).Guillotine_microarch.Jit.invalidations in
+      Alcotest.(check bool) "translation invalidated" true (after > before);
+      Core.read_reg c 1)
 
 let test_jit_flip_bit () =
   let r =
@@ -375,14 +359,7 @@ let test_jit_dma_patch () =
 let test_jit_restore_then_patch () =
   with_jit true (fun () ->
       let m = Machine.create () in
-      let hv = Hypervisor.create ~machine:m () in
-      let p = Asm.instrs patchable in
-      (match
-         Hypervisor.install_program hv ~label:"patchable" ~core:0 ~code_pages:4
-           ~data_pages:4 p
-       with
-      | Ok _ -> ()
-      | Error _ -> Alcotest.fail "install rejected");
+      let p = hv_install m patchable in
       let c = Machine.model_core m 0 in
       Core.pause c;
       let snap = Snapshot.capture m in
@@ -398,6 +375,72 @@ let test_jit_restore_then_patch () =
       let after = (Core.jit_stats c).Guillotine_microarch.Jit.invalidations in
       Alcotest.(check bool) "translation invalidated" true (after > before);
       Alcotest.(check int64) "restored-then-patched run" 22L (Core.read_reg c 1))
+
+(* Ops bake in their pc (here the jal link), so a cached op may run only
+   at the pc it was compiled for.  The code frame is executable at a
+   second virtual page [alias] words up, where pc 0 and pc [alias] share
+   an interpreter slot: from either page the jal must link to its
+   executing pc + 1, and the trace port must see both pcs. *)
+let alias = 4096
+
+let run_alias ~jit =
+  with_jit jit (fun () ->
+      let m = Machine.create () in
+      ignore (hv_install m [ Isa.Jal (2, 2); Isa.Halt; Isa.Halt ]);
+      let c = Machine.model_core m 0 in
+      let mmu = Core.mmu c in
+      (match Mmu.map mmu ~vpage:(alias / Mmu.page_size mmu) ~frame:0 Mmu.perm_rx with
+      | Ok () -> ()
+      | Error _ -> Alcotest.fail "alias map");
+      let pcs = ref [] in
+      Core.add_retire_hook c (fun ~pc _ -> pcs := pc :: !pcs);
+      let links =
+        List.map
+          (fun start ->
+            Core.pause c;
+            Core.set_pc c start;
+            Core.resume c;
+            ignore (Core.run c ~fuel:10);
+            Core.read_reg c 2)
+          [ 0; alias; 0 ]
+      in
+      (links, List.rev !pcs, Core.cycles c))
+
+let test_alias_links_per_pc () =
+  let on = run_alias ~jit:true and off = run_alias ~jit:false in
+  List.iter
+    (fun (mode, (links, pcs, _)) ->
+      Alcotest.(check (list int64))
+        (mode ^ ": links") [ 1L; Int64.of_int (alias + 1); 1L ] links;
+      Alcotest.(check (list int)) (mode ^ ": retired pcs") [ 0; 2; alias; 2; 0; 2 ] pcs)
+    [ ("jit on", on); ("jit off", off) ];
+  let cycles (_, _, c) = c in
+  Alcotest.(check int) "cycles agree" (cycles off) (cycles on)
+
+(* Every int is a reachable pc: [movhi] sets r1 to 2^62, which [jr]
+   lands on as [min_int], a pc whose interpreter slot is slot 0.  With
+   translation on the runner executes pc 0, so slot 0 is never filled,
+   and its empty marker must not pass for a site at [min_int].  Both
+   modes must reach the pinned end state: a fetch page fault at
+   [min_int] with no handler, after 508 cycles. *)
+let run_never_filled ~jit =
+  with_jit jit (fun () ->
+      let m = Machine.create () in
+      ignore (hv_install m [ Isa.Movhi (1, 0x4000_0000); Isa.Jr 1 ]);
+      let c = Machine.model_core m 0 in
+      ignore (Core.run c ~fuel:100);
+      (Core.cycles c, Core.get_pc c, Format.asprintf "%a" Core.pp_status (Core.status c)))
+
+let test_never_filled_slot () =
+  let expected =
+    ( 508,
+      min_int,
+      Format.asprintf "%a" Core.pp_status
+        (Core.Halted (Core.Unhandled_exception (Isa.Page_fault min_int))) )
+  in
+  let state = Alcotest.(triple int int string) in
+  Alcotest.check state "jit on" expected (run_never_filled ~jit:true);
+  Alcotest.check state "jit off" expected (run_never_filled ~jit:false)
 
 let () =
   Alcotest.run "perf_equiv"
@@ -429,5 +472,7 @@ let () =
             test_jit_dma_patch;
           Alcotest.test_case "restore then patch invalidates translation" `Quick
             test_jit_restore_then_patch;
+          Alcotest.test_case "aliased code links per pc" `Quick test_alias_links_per_pc;
+          Alcotest.test_case "never-filled slot at min_int" `Quick test_never_filled_slot;
         ] );
     ]
