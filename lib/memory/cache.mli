@@ -33,8 +33,10 @@ type t = {
   mutable hits : int;
   mutable misses : int;
 }
-(** Exposed for the core's translated-block fast path, which probes a
-    remembered (set, way) before falling back to {!access}.  A probe
+(** Exposed for the core's instruction fetch, which probes a
+    remembered way before falling back to {!access}.  Ways are mutated
+    in place and never replaced, so a remembered way stays the one at
+    its (set, index).  A probe
     that hits must replicate {!access}'s hit-path mutations exactly
     (clock, hit counter, LRU stamp) — cache occupancy and timing are
     the side channels the whole model exists to exhibit.  Tags are

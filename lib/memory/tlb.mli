@@ -19,9 +19,10 @@ type t = {
   mutable hits : int;
   mutable misses : int;
 }
-(** The representation is exposed for the core's translated-block fast
-    path, which probes a remembered slot before falling back to
-    {!lookup}.  Any such probe must replicate {!lookup}'s hit-path
+(** The representation is exposed for the core's instruction fetch,
+    which probes a remembered entry before falling back to
+    {!lookup}.  Entries are mutated in place and never replaced, so a
+    remembered entry stays the one at its index.  Any such probe must replicate {!lookup}'s hit-path
     mutations exactly (clock, hit counter, LRU stamp): occupancy and
     timing are architecturally visible side channels.  Valid entries
     have unique [vpage]s — {!lookup} only installs a page on miss — so

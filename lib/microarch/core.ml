@@ -91,13 +91,13 @@ let cc_door = Cost_class.index Cost_class.Doorbell
 type site = {
   s_pc : int;
   s_vpage : int;
-  mutable s_tlb_slot : int; (* hinted TLB entry index; -1 = unknown *)
+  mutable s_tlb : Tlb.entry; (* hinted TLB entry; [no_entry s_vpage] = unknown *)
   mutable s_mmu_gen : int;  (* Mmu generation s_paddr was computed under; -1 forces a walk *)
   mutable s_paddr : int;    (* negative: the last fetch page-faulted *)
   mutable s_io : bool;      (* paddr routes to the uncached IO region *)
   mutable s_set : int;      (* L1 placement of paddr (valid when not s_io) *)
   mutable s_tag : int;
-  mutable s_way : int;      (* hinted L1 way *)
+  mutable s_way : Cache.way; (* hinted L1 way of set s_set; [no_way] = unknown *)
   mutable s_word : int64;   (* the word [s_op] was compiled from *)
   mutable s_op : t -> bool;
       (* Execute phase only (fetch and word compare happen first);
@@ -186,17 +186,26 @@ and jit_block = {
 let site_slots = 4096 (* direct-mapped; must be a power of two *)
 let site_mask = site_slots - 1
 
+(* Hint sentinels, never in a TLB or cache and never matched.  An L1
+   tag is non-negative, so [no_way] matches no tag.  With one-word pages
+   every int is a vpage, so a site's unknown TLB entry is the sentinel
+   whose vpage has the other parity. *)
+let no_way = { Cache.tag = min_int; stamp = 0 }
+let no_entry_for_even = { Tlb.vpage = 1; stamp = 0 }
+let no_entry_for_odd = { Tlb.vpage = 0; stamp = 0 }
+let no_entry vpage = if vpage land 1 = 0 then no_entry_for_even else no_entry_for_odd
+
 let new_site ~pc ~vpage word op =
   {
     s_pc = pc;
     s_vpage = vpage;
-    s_tlb_slot = -1;
+    s_tlb = no_entry vpage;
     s_mmu_gen = -1;
     s_paddr = -1;
     s_io = false;
     s_set = 0;
     s_tag = 0;
-    s_way = 0;
+    s_way = no_way;
     s_word = word;
     s_op = op;
   }
@@ -922,28 +931,29 @@ let prof_enter t pc =
 (* Fetch the word at site [s], charging what Tlb.lookup +
    Mmu.translate_raw + Hierarchy.read_value charge: the TLB lookup cost,
    then the hierarchy fetch cost.  On a fetch page fault the exception
-   is delivered here and [s.s_paddr] is left negative.  The hint probes
-   are safe because TLB vpages are unique across valid entries and
-   cache tags are unique within a set; a site at a negative pc, whose
-   vpage could equal the TLB's invalid marker, faults on its first fetch
-   and is never fetched through again. *)
-let fetch t s =
+   is delivered here and [s.s_paddr] is left negative.  The hints hold
+   the TLB entry and L1 way records themselves, which Tlb and Cache
+   mutate in place and never replace.  The probes are safe because TLB
+   vpages are unique across valid entries and cache tags are unique
+   within a set; a site at a negative pc, whose vpage could equal the
+   TLB's invalid marker, faults on its first fetch and is never fetched
+   through again.  Inlined into its two callers, the interpreter and
+   the block runner, each of which runs it once per instruction. *)
+let[@inline] fetch t s =
   let tlb = t.tlb in
-  let slot = s.s_tlb_slot in
+  let entry = s.s_tlb in
   let tlb_cost =
-    if
-      slot >= 0
-      && (Array.unsafe_get tlb.Tlb.entries slot).Tlb.vpage = s.s_vpage
-    then begin
+    if entry.Tlb.vpage = s.s_vpage then begin
       (* Replicates Tlb.lookup's hit path: clock, hit counter, stamp. *)
       tlb.Tlb.clock <- tlb.Tlb.clock + 1;
       tlb.Tlb.hits <- tlb.Tlb.hits + 1;
-      (Array.unsafe_get tlb.Tlb.entries slot).Tlb.stamp <- tlb.Tlb.clock;
+      entry.Tlb.stamp <- tlb.Tlb.clock;
       tlb.Tlb.hit_cost
     end
     else begin
       let c = Tlb.lookup tlb ~vpage:s.s_vpage in
-      s.s_tlb_slot <- Tlb.slot_of tlb ~vpage:s.s_vpage;
+      let i = Tlb.slot_of tlb ~vpage:s.s_vpage in
+      s.s_tlb <- (if i >= 0 then tlb.Tlb.entries.(i) else no_entry s.s_vpage);
       c
     end
   in
@@ -960,7 +970,7 @@ let fetch t s =
          s.s_io <- false;
          s.s_set <- Cache.set_of_addr h.Hierarchy.l1 paddr;
          s.s_tag <- Cache.tag_of_addr h.Hierarchy.l1 paddr;
-         s.s_way <- 0
+         s.s_way <- no_way
        end
      end
    end);
@@ -982,8 +992,7 @@ let fetch t s =
     end
     else begin
       let l1 = h.Hierarchy.l1 in
-      let ways = Array.unsafe_get l1.Cache.ways s.s_set in
-      let way = Array.unsafe_get ways s.s_way in
+      let way = s.s_way in
       let c =
         if way.Cache.tag = s.s_tag then begin
           (* Replicates Cache.access's hit path at L1: clock, hit
@@ -996,7 +1005,7 @@ let fetch t s =
         else begin
           let c = Cache.access l1 ~addr:paddr in
           let wi = Cache.way_of l1 ~set:s.s_set ~tag:s.s_tag in
-          s.s_way <- (if wi >= 0 then wi else 0);
+          s.s_way <- (if wi >= 0 then l1.Cache.ways.(s.s_set).(wi) else no_way);
           c
         end
       in
@@ -1211,19 +1220,6 @@ let jit_run_block t jb ~fuel ~target =
     (match t.retire_hooks with [] -> true | _ :: _ -> false)
     && not jb.jb_has_irq
   in
-  (* Loop-invariant structure hoists for the inlined fetch fast path
-     below: a core's tlb/hierarchy/mmu bindings are immutable fields,
-     so no op can swap them mid-block. *)
-  let tlb = t.tlb in
-  let tlb_entries = tlb.Tlb.entries in
-  let tlb_hit_cost = tlb.Tlb.hit_cost in
-  let mmu = t.mmu in
-  let h = t.hierarchy in
-  let l1 = h.Hierarchy.l1 in
-  let l1_ways = l1.Cache.ways in
-  let l1_hit_cost = l1.Cache.cfg.Cache.hit_cost in
-  let data = h.Hierarchy.dram.Dram.data in
-  let data_len = Array.length data in
   let steps = ref 0 in
   let i = ref 0 in
   let continue = ref true in
@@ -1243,55 +1239,7 @@ let jit_run_block t jb ~fuel ~target =
       incr steps;
       let s = Array.unsafe_get sites !i in
       if t.prof_on then prof_enter t s.s_pc;
-      (* Inlined [fetch] for the every-hint-valid case (TLB slot hit,
-         MMU generation unchanged, cached paddr in model DRAM, L1 way
-         hit).  The checks are pure; the mutation sequence below — TLB
-         clock/hits/stamp, core tlb-cost cycles, L1 clock/hits/stamp,
-         hierarchy cycles/last_cost, core fetch-cost cycles — replicates
-         [fetch] in exactly its order.  Anything short of a full hit
-         takes [fetch] itself.  Kept inline on purpose: without
-         cross-module inlining, calling [fetch] here costs guest
-         throughput. *)
-      let slot = s.s_tlb_slot in
-      let w =
-        if
-          slot >= 0
-          && (Array.unsafe_get tlb_entries slot).Tlb.vpage = s.s_vpage
-          && s.s_mmu_gen = mmu.Mmu.gen
-          && (not s.s_io)
-          && s.s_paddr >= 0
-          && s.s_paddr < data_len
-        then begin
-          tlb.Tlb.clock <- tlb.Tlb.clock + 1;
-          tlb.Tlb.hits <- tlb.Tlb.hits + 1;
-          (Array.unsafe_get tlb_entries slot).Tlb.stamp <- tlb.Tlb.clock;
-          t.cycles <- t.cycles + tlb_hit_cost;
-          if t.prof_on then t.prof_tlb <- t.prof_tlb + tlb_hit_cost;
-          let ways = Array.unsafe_get l1_ways s.s_set in
-          let way = Array.unsafe_get ways s.s_way in
-          let c =
-            if way.Cache.tag = s.s_tag then begin
-              l1.Cache.clock <- l1.Cache.clock + 1;
-              l1.Cache.hits <- l1.Cache.hits + 1;
-              way.Cache.stamp <- l1.Cache.clock;
-              l1_hit_cost
-            end
-            else begin
-              let c = Cache.access l1 ~addr:s.s_paddr in
-              let wi = Cache.way_of l1 ~set:s.s_set ~tag:s.s_tag in
-              s.s_way <- (if wi >= 0 then wi else 0);
-              c
-            end
-          in
-          h.Hierarchy.cycles <- h.Hierarchy.cycles + c;
-          h.Hierarchy.last_cost <- c;
-          let word = Array.unsafe_get data s.s_paddr in
-          t.cycles <- t.cycles + c;
-          if t.prof_on then t.prof_fetch <- t.prof_fetch + c;
-          word
-        end
-        else fetch t s
-      in
+      let w = fetch t s in
       if s.s_paddr < 0 then continue := false (* fetch page fault delivered *)
       else if not (Int64.equal w s.s_word) then begin
         jit_diverge t jb s w;

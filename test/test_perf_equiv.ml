@@ -2,7 +2,7 @@
 
    The fast paths (block translation, the interpreter's op cache,
    batched stepping) must be host-time faster but simulated-cycle
-   invisible.  Four layers of pinning:
+   invisible.  Five layers of pinning:
 
    - golden fault scenarios: every named scenario (and its monitored
      replay) produces byte-identical telemetry, verdicts, and incident
@@ -17,7 +17,9 @@
      recompile before the word executes again;
    - block translation: random programs, directed invalidations, and
      the two ways a cached op could run at the wrong pc (an aliased
-     code frame, a jump to a pc whose site slot was never filled).
+     code frame, a jump to a pc whose site slot was never filled);
+   - fetch: the TLB, L1 and cycle counters the shared hinted fetch
+     moves, pinned to the values unhinted lookups produce.
 
    The CI seed matrix re-runs the scenario layer at other seeds via
    FAULTS_SEED (alcotest owns argv, so an env var is the channel). *)
@@ -442,6 +444,153 @@ let test_never_filled_slot () =
   Alcotest.check state "jit on" expected (run_never_filled ~jit:true);
   Alcotest.check state "jit off" expected (run_never_filled ~jit:false)
 
+(* ------------------------------ fetch ------------------------------ *)
+
+module Tlb = Guillotine_memory.Tlb
+module Cache = Guillotine_memory.Cache
+module Hierarchy = Guillotine_memory.Hierarchy
+module Cfg = Guillotine_vet.Cfg
+
+(* Both modes fetch through one hinted fetch, which stands in for
+   Tlb.lookup + Mmu.translate_raw + Hierarchy.read_value while its
+   remembered TLB entry, MMU generation and L1 way still hold.  Comparing
+   the modes cannot catch a hint probe that drifts from those functions,
+   so these runs pin every counter the probes move to the values the
+   unhinted calls produce for the same programs: a hot loop, a loop that
+   straddles a code-page boundary and calls into a third page, and a
+   code page remapped between runs (its TLB entry still hits; the MMU
+   generation forces a fresh translation). *)
+
+(* [items] places instruction runs at absolute pcs; the gaps are Nops. *)
+let placed items =
+  let len = List.fold_left (fun n (pc, run) -> max n (pc + List.length run)) 0 items in
+  let code = Array.make len Isa.Nop in
+  List.iter (fun (pc, run) -> List.iteri (fun i x -> code.(pc + i) <- x) run) items;
+  Asm.instrs (Array.to_list code)
+
+(* A bare core over the test_microarch layout (pages 0..3 RX, 4..7 RW)
+   with the program's CFG block plan installed, so block translation
+   runs it when on.  [drive] runs the core and returns a result
+   register. *)
+let fetch_counters ~jit (p : Asm.program) drive =
+  with_jit jit (fun () ->
+      let dram = Dram.create ~size:(64 * 1024) in
+      let hierarchy = Hierarchy.create ~dram () in
+      let tlb = Tlb.create () in
+      let c = Core.create ~id:0 ~kind:Core.Model_core ~hierarchy ~tlb () in
+      let mmu = Core.mmu c in
+      for page = 0 to 7 do
+        match Mmu.map mmu ~vpage:page ~frame:page (if page < 4 then Mmu.perm_rx else Mmu.perm_rw) with
+        | Ok () -> ()
+        | Error _ -> Alcotest.fail "map"
+      done;
+      Dram.load_program dram p;
+      let bm = Cfg.block_map (Cfg.build ~code_pages:4 p) in
+      Core.install_jit c
+        {
+          Guillotine_microarch.Jit.code_words = bm.Cfg.map_code_words;
+          leaders = bm.Cfg.map_leaders;
+          pcs = bm.Cfg.map_pcs;
+        };
+      let result = drive c in
+      let l1 = Hierarchy.l1 hierarchy in
+      let tlb_hits, tlb_misses = Tlb.stats tlb and l1_hits, l1_misses = Cache.stats l1 in
+      [
+        ("result", result);
+        ("tlb hits", tlb_hits);
+        ("tlb misses", tlb_misses);
+        ("tlb clock", tlb.Tlb.clock);
+        ("l1 hits", l1_hits);
+        ("l1 misses", l1_misses);
+        ("l1 clock", l1.Cache.clock);
+        ("hierarchy cycles", Hierarchy.cycles_spent hierarchy);
+        ("core cycles", Core.cycles c);
+        ("retired", Core.instructions_retired c);
+      ])
+
+let run_to_halt r c =
+  ignore (Core.run c ~fuel:100_000);
+  Int64.to_int (Core.read_reg c r)
+
+let hot_loop = Asm.assemble_exn (Guest.compute_loop ~iterations:500)
+
+(* r4 folds the running sum of squares; the loop body spans pcs
+   252..260 across the page 0/1 boundary and calls pc 520 on page 2. *)
+let page_crossing =
+  placed
+    [
+      (0, [ Isa.Movi (1, 0); Isa.Movi (2, 64); Isa.Movi (5, 1); Isa.Jmp 252 ]);
+      ( 252,
+        [ Isa.Mul (6, 1, 1); Isa.Add (3, 3, 6); Isa.Nop; Isa.Nop; Isa.Nop; Isa.Nop;
+          Isa.Jal (7, 520); Isa.Add (1, 1, 5); Isa.Blt (1, 2, 252); Isa.Halt ] );
+      (520, [ Isa.Xor_ (4, 4, 3); Isa.Jr 7 ]);
+    ]
+
+(* Page 1 first runs [movi r1, 11; halt] from frame 1, then is remapped
+   to frame 3, whose counting loop runs at the same pcs and leaves 22. *)
+let remapped =
+  placed
+    [
+      (0, [ Isa.Jmp 256 ]);
+      (256, [ Isa.Movi (1, 11); Isa.Halt ]);
+      ( 768,
+        [ Isa.Movi (1, 20); Isa.Movi (5, 1); Isa.Movi (2, 22); Isa.Add (1, 1, 5);
+          Isa.Blt (1, 2, 259); Isa.Halt ] );
+    ]
+
+let run_remapped c =
+  Alcotest.(check int) "before remap" 11 (run_to_halt 1 c);
+  (match Mmu.map (Core.mmu c) ~vpage:1 ~frame:3 Mmu.perm_rx with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "remap");
+  Core.set_pc c 0;
+  Core.resume c;
+  run_to_halt 1 c
+
+(* With one-word pages every int is a vpage, those of the fetch's
+   empty-hint sentinels included, so no first fetch may pass for a TLB
+   hit. *)
+let test_one_word_pages () =
+  let dram = Dram.create ~size:1024 in
+  let hierarchy = Hierarchy.create ~dram () in
+  let tlb = Tlb.create () and mmu = Mmu.create ~page_size:1 () in
+  for page = 0 to 3 do
+    match Mmu.map mmu ~vpage:page ~frame:page Mmu.perm_rx with
+    | Ok () -> ()
+    | Error _ -> Alcotest.fail "map"
+  done;
+  let c = Core.create ~id:0 ~kind:Core.Model_core ~hierarchy ~tlb ~mmu () in
+  Dram.load_program dram (Asm.instrs [ Isa.Movi (1, 1); Isa.Movi (2, 2); Isa.Halt ]);
+  ignore (Core.run c ~fuel:10);
+  Alcotest.(check (pair int int)) "tlb hits, misses" (0, 3) (Tlb.stats tlb)
+
+let test_fetch_counters_pinned () =
+  let pinned = Alcotest.(list (pair string int)) in
+  List.iter
+    (fun (name, p, drive, expected) ->
+      Alcotest.check pinned (name ^ ", jit off") expected (fetch_counters ~jit:false p drive);
+      Alcotest.check pinned (name ^ ", jit on") expected (fetch_counters ~jit:true p drive))
+    [
+      ( "hot loop",
+        hot_loop,
+        run_to_halt 3,
+        [ ("result", 41541750); ("tlb hits", 2007); ("tlb misses", 2); ("tlb clock", 2009);
+          ("l1 hits", 2012); ("l1 misses", 4); ("l1 clock", 2016); ("hierarchy cycles", 2936);
+          ("core cycles", 7778); ("retired", 2008) ] );
+      ( "page crossing",
+        page_crossing,
+        run_to_halt 4,
+        [ ("result", 18336); ("tlb hits", 706); ("tlb misses", 3); ("tlb clock", 709);
+          ("l1 hits", 713); ("l1 misses", 4); ("l1 clock", 717); ("hierarchy cycles", 1637);
+          ("core cycles", 3258); ("retired", 709) ] );
+      ( "remapped page",
+        remapped,
+        run_remapped,
+        [ ("result", 22); ("tlb hits", 10); ("tlb misses", 2); ("tlb clock", 12);
+          ("l1 hits", 12); ("l1 misses", 3); ("l1 clock", 15); ("hierarchy cycles", 705);
+          ("core cycles", 788); ("retired", 12) ] );
+    ]
+
 let () =
   Alcotest.run "perf_equiv"
     [
@@ -474,5 +623,10 @@ let () =
             test_jit_restore_then_patch;
           Alcotest.test_case "aliased code links per pc" `Quick test_alias_links_per_pc;
           Alcotest.test_case "never-filled slot at min_int" `Quick test_never_filled_slot;
+        ] );
+      ( "fetch",
+        [
+          Alcotest.test_case "hinted fetch counters pinned" `Quick test_fetch_counters_pinned;
+          Alcotest.test_case "one-word pages miss first" `Quick test_one_word_pages;
         ] );
     ]
