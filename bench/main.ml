@@ -1,15 +1,12 @@
-(* Benchmark harness entry point.
+(* Experiment harness entry point.
 
    Usage:
-     dune exec bench/main.exe            # all experiments + micro
+     dune exec bench/main.exe            # all experiments
      dune exec bench/main.exe t1 f4      # a subset
-     dune exec bench/main.exe micro      # microbenchmarks only
-     dune exec bench/main.exe perf       # host-perf suite (P1); the
-                                         # CLI flags live on
-                                         # `guillotine bench perf`
 
    Each experiment id corresponds to a row of DESIGN.md's experiment
-   index; the output tables are recorded in EXPERIMENTS.md. *)
+   index; the output tables are recorded in EXPERIMENTS.md.  Host
+   performance is measured by `guillotine bench`. *)
 
 let banner () =
   print_endline "=====================================================================";
@@ -24,16 +21,8 @@ let run_one id =
     print_newline ();
     f ();
     true
-  | None when id = "micro" ->
-    print_newline ();
-    Micro.run ();
-    true
-  | None when id = "perf" ->
-    print_newline ();
-    ignore (Guillotine_bench_perf.Perf.run ());
-    true
   | None ->
-    Printf.eprintf "unknown experiment %S; known: %s micro perf\n" id
+    Printf.eprintf "unknown experiment %S; known: %s\n" id
       (String.concat " " (List.map fst Experiments.all));
     false
 
@@ -48,8 +37,6 @@ let () =
           print_newline ();
           f ())
         Experiments.all;
-      print_newline ();
-      Micro.run ();
       true
     | ids -> List.for_all run_one ids
   in

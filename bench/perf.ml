@@ -1,7 +1,9 @@
-(* Host-performance bench suite (P1): how fast does the simulator
-   itself run on the host?
+(* The host-performance bench: how fast does the simulator itself run
+   on the host, and what does arming the cycle-attribution profiler
+   cost?
 
-   Four pinned workloads, each reduced to one throughput number:
+   One registry of pinned workloads, each reduced to one throughput
+   row:
 
    - benign-guest   full-machine throughput on the benign compute loop,
                     installed through the hypervisor so the vetting CFG
@@ -9,7 +11,7 @@
                     (block-translated execution + Engine.every_batch +
                     Machine.run_cores) vs the baseline driver (JIT off +
                     Engine.every at quantum 1, one instruction per heap
-                    event) — and reported as a speedup.
+                    event) — with the speedup in the detail.
    - patch-loop     the invalidation price: the same hv-installed
                     compute loop, but the host patches the hot mul word
                     between runs, so every round invalidates the
@@ -31,13 +33,30 @@
                     the pairwise interference check — measured in
                     pairs/sec, to set the microseconds-per-pair price
                     of rejecting before cycle 0 against the ~0.5
-                    sim-second runtime detection latency the adversary
-                    suite pays for the same attack.
+                    sim-second runtime detection latency of the same
+                    attack.
+   - benign-p1      the benign compute loop measured profiler-off then
+                    profiler-on in the same process; the row is the
+                    profiled throughput.  Simulated cycles and
+                    instructions must match exactly between the modes,
+                    since the profiler only reads simulated state.
+   - adversary-sprint  the "killswitch-exfil-sprint" adversary scenario
+                    (a deployment whose model core retires ~100k
+                    hot-loop instructions), bare vs [~profile:true].
+                    The profiled run's trace, verdict and recovery
+                    count must be byte-identical to the bare run.
+
+   Gates, recorded in a row's [failures] ([run] exits 1 on any):
+   - a simulated delta or scenario divergence between profiler off and on;
+   - profiler overhead above [max_overhead_frac] on benign-p1;
+   - an armed run that collects an empty profile.
+   [check] adds one more: a value more than [tolerance] below its
+   committed row in BENCH.json.
 
    Simulated results are identical in every mode (the equivalence suite
    pins that); this file only measures host seconds and minor-heap
-   words.  Output is a table, or JSON (one object per line) for the
-   committed BENCH_PERF.json regression baseline checked in CI. *)
+   words.  Output is a table, or JSON (one object per line) in the
+   schema of the committed BENCH.json. *)
 
 module Machine = Guillotine_machine.Machine
 module Core = Guillotine_microarch.Core
@@ -52,25 +71,30 @@ module Hierarchy = Guillotine_memory.Hierarchy
 module Engine = Guillotine_sim.Engine
 module Scenarios = Guillotine_faults.Scenarios
 module Vet_corpus = Guillotine_core.Vet_corpus
+module Profile = Guillotine_obs.Profile
 module Prng = Guillotine_util.Prng
 module Bits = Guillotine_util.Bits
 module Table = Guillotine_util.Table
 
-type sample = {
+type row = {
   workload : string;
-  metric : string;  (* instr_per_sec | cycles_per_sec | runs_per_sec *)
-  value : float;  (* fast-path throughput, best of [repeat] runs *)
-  baseline : float;  (* slow-path throughput; 0 when not applicable *)
-  speedup : float;  (* value / baseline; 0 when not applicable *)
-  alloc_words_per_instr : float;
-      (* minor words per simulated instruction on the fast path;
-         negative when not measured for this workload *)
+  metric : string;  (* instr_per_sec | cycles_per_sec | runs_per_sec | pairs_per_sec *)
+  value : float;  (* throughput, best of [repeat] timing windows *)
   detail : string;
+  failures : string list;  (* gates this run tripped; not serialised *)
 }
 
-let workload_names =
-  [ "benign-guest"; "patch-loop"; "fetch-loop"; "covert-channel"; "f-storm";
-    "coadmit-pair" ]
+let repeat = 3
+
+(* A committed value may drop by this fraction before [check] calls it a
+   regression: host-perf numbers move with machine load. *)
+let tolerance = 0.30
+
+(* The hard gate on profiler cost: arming attribution may not slow the
+   benign-p1 workload by more than this fraction. *)
+let max_overhead_frac = 0.05
+
+let gate cond failure = if cond then [ failure ] else []
 
 (* ----------------------------- timing ------------------------------ *)
 
@@ -100,6 +124,15 @@ let best_of ~repeat f =
   done;
   match !best with Some b -> b | None -> assert false
 
+(* Runs the benign compute loop the fast way: one engine event per 64
+   batches of 4096 cycles. *)
+let drive_batched m =
+  let e = Engine.create () in
+  ignore
+    (Engine.every_batch e ~period:1.0 ~batch:64 (fun () ->
+         Machine.run_cores m ~cycles:4096 > 0));
+  Engine.run e
+
 (* --------------------------- benign-guest -------------------------- *)
 
 (* Reference point measured once from a worktree at the pre-fast-path
@@ -120,7 +153,7 @@ let prepr_benign_instr_per_sec = 2.55e6
    block map reaches the core and the fast arm runs block-translated;
    the per-call reinstall keeps the (cheap) translation pass inside the
    window, as it is in deployment. *)
-let bench_benign ~repeat ~iterations =
+let bench_benign ~iterations =
   let ambient_jit = Core.jit_enabled () in
   let m = Machine.create () in
   let hv = Hypervisor.create ~machine:m () in
@@ -135,17 +168,15 @@ let bench_benign ~repeat ~iterations =
     | Ok _ -> ()
     | Error _ -> invalid_arg "benign-guest: install rejected");
     let before = Core.instructions_retired c in
-    let e = Engine.create () in
-    (if fast then
-       ignore
-         (Engine.every_batch e ~period:1.0 ~batch:64 (fun () ->
-              Machine.run_cores m ~cycles:4096 > 0))
-     else
+    (if fast then drive_batched m
+     else begin
        (* The pre-fast-path driver shape: one instruction per heap
           event. *)
+       let e = Engine.create () in
        ignore
-         (Engine.every e ~period:1.0 (fun () -> Machine.run_models m ~quantum:1 > 0)));
-    Engine.run e;
+         (Engine.every e ~period:1.0 (fun () -> Machine.run_models m ~quantum:1 > 0));
+       Engine.run e
+     end);
     Core.instructions_retired c - before
   in
   let fast_rate, retired, _ = best_of ~repeat (run ~fast:true) in
@@ -157,14 +188,13 @@ let bench_benign ~repeat ~iterations =
     workload = "benign-guest";
     metric = "instr_per_sec";
     value = fast_rate;
-    baseline = base_rate;
-    speedup = fast_rate /. base_rate;
-    alloc_words_per_instr = -1.0;
     detail =
-      Printf.sprintf "%d instructions retired; %.1fx vs pre-fast-path commit (%.3g/s)"
-        retired
+      Printf.sprintf
+        "%d instructions retired; baseline %.3g/s, %.2fx; %.1fx vs pre-fast-path commit (%.3g/s)"
+        retired base_rate (fast_rate /. base_rate)
         (fast_rate /. prepr_benign_instr_per_sec)
         prepr_benign_instr_per_sec;
+    failures = [];
   }
 
 (* ---------------------------- patch-loop --------------------------- *)
@@ -177,7 +207,7 @@ let bench_benign ~repeat ~iterations =
    the invalidation path this sample prices.  The [dma_sleeper] TOCTOU
    adversary exercises the same mechanism for correctness; this pins
    its host cost. *)
-let bench_patch_loop ~repeat ~rounds =
+let bench_patch_loop ~rounds =
   let m = Machine.create () in
   let hv = Hypervisor.create ~machine:m () in
   let p = Asm.assemble_exn (Guest.compute_loop ~iterations:64) in
@@ -219,14 +249,12 @@ let bench_patch_loop ~repeat ~rounds =
     workload = "patch-loop";
     metric = "instr_per_sec";
     value = rate;
-    baseline = 0.0;
-    speedup = 0.0;
-    alloc_words_per_instr = -1.0;
     detail =
       Printf.sprintf
         "%d instructions across patch+rerun rounds; %d invalidations, %d retranslations"
         retired js.Guillotine_microarch.Jit.invalidations
         js.Guillotine_microarch.Jit.translations;
+    failures = [];
   }
 
 (* ---------------------------- fetch-loop --------------------------- *)
@@ -250,7 +278,7 @@ start:
   jmp @start
 |}
 
-let bench_fetch_loop ~repeat ~fuel =
+let bench_fetch_loop ~fuel =
   let m = Machine.create () in
   let p = Asm.assemble_exn fetch_loop_source in
   Machine.install_program m ~core:0 ~code_pages:4 ~data_pages:4 p;
@@ -272,15 +300,15 @@ let bench_fetch_loop ~repeat ~fuel =
     workload = "fetch-loop";
     metric = "instr_per_sec";
     value = rate;
-    baseline = 0.0;
-    speedup = 0.0;
-    alloc_words_per_instr = !alloc;
-    detail = Printf.sprintf "%d instructions, steady state" executed;
+    detail =
+      Printf.sprintf "%d instructions, steady state, %.3f words/instr" executed
+        !alloc;
+    failures = [];
   }
 
 (* -------------------------- covert-channel ------------------------- *)
 
-let bench_covert ~repeat ~bits =
+let bench_covert ~bits =
   let dram = Dram.create ~size:(64 * 1024) in
   let h = Hierarchy.create ~dram () in
   let prng = Prng.create 97L in
@@ -294,35 +322,29 @@ let bench_covert ~repeat ~bits =
     workload = "covert-channel";
     metric = "cycles_per_sec";
     value = rate;
-    baseline = 0.0;
-    speedup = 0.0;
-    alloc_words_per_instr = -1.0;
     detail = Printf.sprintf "%d sim cycles, %d bits, shared L1" cycles bits;
+    failures = [];
   }
 
 (* ----------------------------- f-storm ----------------------------- *)
 
-let run_fstorm ~runs () =
-  for _ = 1 to runs do
-    ignore (Scenarios.run "fault-storm-failover" ~seed:1)
-  done;
-  runs
-
-let bench_fstorm ~repeat ~runs =
-  let rate, total, dt = best_of ~repeat (run_fstorm ~runs) in
+let bench_fstorm ~repeat =
+  let run () =
+    ignore (Scenarios.run "fault-storm-failover" ~seed:1);
+    1
+  in
+  let rate, total, dt = best_of ~repeat run in
   {
     workload = "f-storm";
     metric = "runs_per_sec";
     value = rate;
-    baseline = 0.0;
-    speedup = 0.0;
-    alloc_words_per_instr = -1.0;
     detail = Printf.sprintf "%d full scenario run(s) in %.2fs host" total dt;
+    failures = [];
   }
 
 (* --------------------------- coadmit-pair -------------------------- *)
 
-let bench_coadmit ~repeat ~pairs =
+let bench_coadmit ~pairs =
   let roster =
     match Vet_corpus.find_roster "colluding-pair" with
     | Some r -> r
@@ -339,172 +361,244 @@ let bench_coadmit ~repeat ~pairs =
     workload = "coadmit-pair";
     metric = "pairs_per_sec";
     value = rate;
-    baseline = 0.0;
-    speedup = 0.0;
-    alloc_words_per_instr = -1.0;
     detail =
       Printf.sprintf
         "%d co-admissions in %.2fs host (%.0f us/pair, rejected before cycle 0; the runtime path catches the same rewrite ~0.5 sim-s after admission)"
         total dt (1e6 /. rate);
+    failures = [];
   }
+
+(* ---------------------------- benign-p1 ---------------------------- *)
+
+let bench_benign_p1 ~iterations =
+  let p = Asm.assemble_exn (Guest.compute_loop ~iterations) in
+  (* One deterministic pass per mode for the simulated-state gate: a
+     FRESH machine each time (identical cold caches/TLBs), same guest,
+     profiler off then on — cycles and instructions retired must match
+     exactly. *)
+  let sim_pass ~profiled =
+    let m = Machine.create () in
+    let c = Machine.model_core m 0 in
+    Machine.install_program m ~core:0 ~code_pages:4 ~data_pages:4 p;
+    Core.set_profiling c profiled;
+    drive_batched m;
+    (Core.cycles c, Core.instructions_retired c, c)
+  in
+  let bare_cycles, bare_retired, _ = sim_pass ~profiled:false in
+  let prof_cycles, prof_retired, prof_core = sim_pass ~profiled:true in
+  let sim_delta =
+    abs (prof_cycles - bare_cycles) + abs (prof_retired - bare_retired)
+  in
+  let profile_empty =
+    Array.for_all (fun v -> v = 0) (Core.profile_cycles prof_core)
+  in
+  (* Timing reuses one machine (reinstall per call): warm simulated
+     state is fine here — both modes see it and only host time is
+     measured. *)
+  let m = Machine.create () in
+  let c = Machine.model_core m 0 in
+  let timed ~profiled () =
+    Machine.install_program m ~core:0 ~code_pages:4 ~data_pages:4 p;
+    Core.set_profiling c profiled;
+    let before = Core.instructions_retired c in
+    drive_batched m;
+    Core.instructions_retired c - before
+  in
+  let off_rate, _, _ = best_of ~repeat (timed ~profiled:false) in
+  let on_rate, retired, _ = best_of ~repeat (timed ~profiled:true) in
+  (* The off/on windows are measured back to back, so a host load spike
+     in one of them can fake an overhead blowout.  Before letting the
+     gate trip, re-measure with more samples and keep the minimum-noise
+     (maximum) rate for each mode. *)
+  let off_rate, on_rate, retired =
+    if 1.0 -. (on_rate /. off_rate) <= max_overhead_frac then
+      (off_rate, on_rate, retired)
+    else begin
+      let off2, _, _ = best_of ~repeat:(2 * repeat) (timed ~profiled:false) in
+      let on2, retired2, _ = best_of ~repeat:(2 * repeat) (timed ~profiled:true) in
+      (max off_rate off2, max on_rate on2, retired2)
+    end
+  in
+  Core.set_profiling c false;
+  let overhead = 1.0 -. (on_rate /. off_rate) in
+  {
+    workload = "benign-p1";
+    metric = "instr_per_sec";
+    value = on_rate;
+    detail =
+      Printf.sprintf
+        "%d instructions retired; %d sim cycles both modes; bare %.3g/s, overhead %.1f%%, sim delta %d"
+        retired prof_cycles off_rate (overhead *. 100.0) sim_delta;
+    failures =
+      gate (sim_delta <> 0)
+        (Printf.sprintf "simulated state perturbed (delta %d)" sim_delta)
+      @ gate (overhead > max_overhead_frac)
+          (Printf.sprintf "profiler overhead %.1f%% exceeds %.0f%% gate"
+             (overhead *. 100.0) (max_overhead_frac *. 100.0))
+      @ gate profile_empty "armed run collected no profile";
+  }
+
+(* ------------------------- adversary-sprint ------------------------ *)
+
+let bench_adversary_sprint ~repeat =
+  let scenario = "killswitch-exfil-sprint" in
+  (* Divergence gate first: the profiled scenario must reproduce the
+     bare run's telemetry byte for byte, and actually collect cycles. *)
+  let bare = Scenarios.run scenario ~seed:1 in
+  let prof = Scenarios.run scenario ~seed:1 ~profile:true in
+  let diverged =
+    bare.Scenarios.trace <> prof.Scenarios.trace
+    || bare.Scenarios.verdict <> prof.Scenarios.verdict
+    || bare.Scenarios.recoveries <> prof.Scenarios.recoveries
+  in
+  let profile_empty =
+    match prof.Scenarios.profile with
+    | None -> true
+    | Some p -> Profile.total_cycles p = 0
+  in
+  let timed ~profiled () =
+    ignore (Scenarios.run scenario ~seed:1 ~profile:profiled);
+    1
+  in
+  let off_rate, _, _ = best_of ~repeat (timed ~profiled:false) in
+  let on_rate, runs, _ = best_of ~repeat (timed ~profiled:true) in
+  {
+    workload = "adversary-sprint";
+    metric = "runs_per_sec";
+    value = on_rate;
+    detail =
+      Printf.sprintf "%d full %s run(s); profiled replay %s; bare %.3g/s, overhead %.1f%%"
+        runs scenario
+        (if diverged then "DIVERGED" else "byte-identical")
+        off_rate
+        ((1.0 -. (on_rate /. off_rate)) *. 100.0);
+    failures =
+      gate diverged "profiled replay diverged from the bare run"
+      @ gate profile_empty "armed run collected no profile";
+  }
+
+(* ----------------------------- registry ---------------------------- *)
+
+let registry =
+  [
+    ("benign-guest", fun ~quick ->
+        bench_benign ~iterations:(if quick then 20_000 else 400_000));
+    ("patch-loop", fun ~quick -> bench_patch_loop ~rounds:(if quick then 16 else 128));
+    ("fetch-loop", fun ~quick ->
+        bench_fetch_loop ~fuel:(if quick then 100_000 else 2_000_000));
+    ("covert-channel", fun ~quick -> bench_covert ~bits:(if quick then 64 else 512));
+    ("f-storm", fun ~quick -> bench_fstorm ~repeat:(if quick then 1 else repeat));
+    ("coadmit-pair", fun ~quick -> bench_coadmit ~pairs:(if quick then 8 else 64));
+    ("benign-p1", fun ~quick ->
+        bench_benign_p1 ~iterations:(if quick then 20_000 else 400_000));
+    ("adversary-sprint", fun ~quick ->
+        bench_adversary_sprint ~repeat:(if quick then 1 else repeat));
+  ]
+
+let workload_names = List.map fst registry
 
 (* ------------------------------- JSON ------------------------------ *)
 
-let json_of_sample s =
-  Printf.sprintf
-    {|{"workload":"%s","metric":"%s","value":%.6g,"baseline":%.6g,"speedup":%.6g,"alloc_words_per_instr":%.6g,"detail":"%s"}|}
-    s.workload s.metric s.value s.baseline s.speedup s.alloc_words_per_instr
-    s.detail
+let json_of_row r =
+  Printf.sprintf {|{"workload":"%s","metric":"%s","value":%.6g,"detail":"%s"}|}
+    r.workload r.metric r.value r.detail
 
-let json_of_samples samples =
-  String.concat "\n" ({|{"suite":"guillotine-bench-perf","version":1}|}
-                      :: List.map json_of_sample samples)
+let json_of_rows rows =
+  String.concat "\n"
+    ({|{"suite":"guillotine-bench","version":2}|} :: List.map json_of_row rows)
   ^ "\n"
 
-(* Minimal line-oriented extraction — the emitter above is the only
-   producer, so a full JSON parser buys nothing (and none is vendored). *)
-let index_of_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = if i + m > n then -1
-    else if String.sub s i m = sub then i
-    else go (i + 1)
-  in
-  go 0
-
-let field_raw line key =
-  let pat = Printf.sprintf "\"%s\":" key in
-  let i = index_of_sub line pat in
-  let n = String.length line in
-  if i < 0 then None
-  else begin
-    let start = i + String.length pat in
-    if start >= n then None
-    else if line.[start] = '"' then begin
-      let stop = ref (start + 1) in
-      while !stop < n && line.[!stop] <> '"' do incr stop done;
-      if !stop >= n then None
-      else Some (String.sub line start (!stop + 1 - start))
-    end
-    else begin
-      let stop = ref start in
-      while !stop < n && line.[!stop] <> ',' && line.[!stop] <> '}' do incr stop done;
-      Some (String.sub line start (!stop - start))
-    end
-  end
-
-let field_string line key =
-  match field_raw line key with
-  | Some raw when String.length raw >= 2 && raw.[0] = '"' ->
-    Some (String.sub raw 1 (String.length raw - 2))
-  | _ -> None
-
-let field_float line key =
-  match field_raw line key with
-  | Some raw -> float_of_string_opt (String.trim raw)
-  | None -> None
-
+(* The emitter above is the only producer, so each row line is read
+   back by its own format; the header line does not match and drops
+   out. *)
 let parse_json text =
   String.split_on_char '\n' text
   |> List.filter_map (fun line ->
-         match (field_string line "workload", field_float line "value") with
-         | Some w, Some v -> Some (w, v)
-         | _ -> None)
+         Scanf.sscanf_opt line {|{"workload":"%[^"]","metric":"%[^"]","value":%f|}
+           (fun workload _ value -> (workload, value)))
 
 (* --------------------------- regression check ---------------------- *)
 
-let check_against ~path ~tolerance samples =
-  let committed =
-    let ic = open_in path in
-    let n = in_channel_length ic in
-    let text = really_input_string ic n in
-    close_in ic;
-    parse_json text
-  in
-  if committed = [] then [ Printf.sprintf "%s: no samples parsed" path ]
+(* Committed rows of registered workloads this run was not asked for
+   are skipped, so a subset run checks only its own rows.  A committed
+   row naming no registered workload always fails: the committed file
+   and the registry must agree. *)
+let check ~requested ~committed rows =
+  if committed = [] then [ "no committed rows parsed" ]
   else
     List.filter_map
       (fun (workload, old_value) ->
-        match List.find_opt (fun s -> s.workload = workload) samples with
-        | None -> Some (Printf.sprintf "%s: workload missing from this run" workload)
-        | Some s ->
-          let floor = old_value *. (1.0 -. tolerance) in
-          if s.value < floor then
-            Some
-              (Printf.sprintf
-                 "%s: throughput regressed beyond %.0f%%: %.3g/s < %.3g/s (committed %.3g/s)"
-                 workload (tolerance *. 100.0) s.value floor old_value)
-          else None)
+        if not (List.mem workload workload_names) then
+          Some (Printf.sprintf "%s: committed row names no registered workload" workload)
+        else if not (List.mem workload requested) then None
+        else
+          match List.find_opt (fun r -> r.workload = workload) rows with
+          | None -> Some (Printf.sprintf "%s: workload missing from this run" workload)
+          | Some r ->
+            let floor = old_value *. (1.0 -. tolerance) in
+            if r.value < floor then
+              Some
+                (Printf.sprintf
+                   "%s: throughput regressed beyond %.0f%%: %.3g/s < %.3g/s (committed %.3g/s)"
+                   workload (tolerance *. 100.0) r.value floor old_value)
+            else None)
       committed
 
 (* ------------------------------ driver ----------------------------- *)
 
-let run_workload ~quick ~repeat = function
-  | "benign-guest" ->
-    bench_benign ~repeat ~iterations:(if quick then 20_000 else 400_000)
-  | "patch-loop" -> bench_patch_loop ~repeat ~rounds:(if quick then 16 else 128)
-  | "fetch-loop" -> bench_fetch_loop ~repeat ~fuel:(if quick then 100_000 else 2_000_000)
-  | "covert-channel" -> bench_covert ~repeat ~bits:(if quick then 64 else 512)
-  | "f-storm" -> bench_fstorm ~repeat:(if quick then 1 else repeat) ~runs:1
-  | "coadmit-pair" -> bench_coadmit ~repeat ~pairs:(if quick then 8 else 64)
-  | w -> invalid_arg (Printf.sprintf "unknown perf workload %S" w)
-
-let print_table samples =
+let print_table rows =
   let t =
-    Table.create ~title:"P1: host-perf (interpreter fast path)"
+    Table.create ~title:"guillotine bench: host throughput"
       ~columns:
         [
           ("workload", Table.Left);
           ("metric", Table.Left);
-          ("fast", Table.Right);
-          ("baseline", Table.Right);
-          ("speedup", Table.Right);
-          ("alloc w/instr", Table.Right);
+          ("value", Table.Right);
           ("detail", Table.Left);
         ]
   in
   List.iter
-    (fun s ->
+    (fun r ->
       Table.add_row t
-        [
-          s.workload;
-          s.metric;
-          Printf.sprintf "%.3g/s" s.value;
-          (if s.baseline > 0.0 then Printf.sprintf "%.3g/s" s.baseline else "-");
-          (if s.speedup > 0.0 then Printf.sprintf "%.1fx" s.speedup else "-");
-          (if s.alloc_words_per_instr >= 0.0 then
-             Printf.sprintf "%.3f" s.alloc_words_per_instr
-           else "-");
-          s.detail;
-        ])
-    samples;
+        [ r.workload; r.metric; Printf.sprintf "%.3g/s" r.value; r.detail ])
+    rows;
   Table.print t
 
-(* Runs the suite; returns an exit code (non-zero when a [check]
-   regression fired).  Restores the process-wide JIT flag. *)
-let run ?(workloads = workload_names) ?(repeat = 3) ?(quick = false) ?(json = false)
-    ?out ?check ?(tolerance = 0.30) () =
+(* Runs [workloads] (registered names) and returns an exit code: 1 when
+   a gate tripped or, given a [committed] BENCH.json path, a row
+   regressed against it.  Restores the process-wide JIT flag. *)
+let run ?(workloads = workload_names) ?(quick = false) ?(json = false) ?out
+    ?committed () =
   let initial_jit = Core.jit_enabled () in
-  let samples =
+  let rows =
     Fun.protect
       ~finally:(fun () -> Core.set_jit initial_jit)
-      (fun () -> List.map (run_workload ~quick ~repeat) workloads)
+      (fun () -> List.map (fun w -> (List.assoc w registry) ~quick) workloads)
   in
-  if json then print_string (json_of_samples samples) else print_table samples;
-  (match out with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    output_string oc (json_of_samples samples);
-    close_out oc;
-    if not json then Printf.printf "wrote %s\n" path);
-  match check with
-  | None -> 0
-  | Some path -> (
-    match check_against ~path ~tolerance samples with
-    | [] ->
-      Printf.printf "check against %s: ok (tolerance %.0f%%)\n" path
-        (tolerance *. 100.0);
-      0
-    | failures ->
-      List.iter (Printf.eprintf "perf regression: %s\n") failures;
-      1)
+  let text = json_of_rows rows in
+  if json then print_string text else print_table rows;
+  Option.iter
+    (fun path ->
+      Out_channel.with_open_text path (fun oc -> output_string oc text);
+      if not json then Printf.printf "wrote %s\n" path)
+    out;
+  let gate_failures =
+    List.concat_map
+      (fun r -> List.map (Printf.sprintf "%s: %s" r.workload) r.failures)
+      rows
+  in
+  List.iter (Printf.eprintf "bench gate: %s\n") gate_failures;
+  let regressions =
+    match committed with
+    | None -> []
+    | Some path ->
+      check ~requested:workloads
+        ~committed:(parse_json (In_channel.with_open_text path In_channel.input_all))
+        rows
+  in
+  (match (committed, regressions) with
+  | Some path, [] ->
+    Printf.printf "check against %s: ok (tolerance %.0f%%)\n" path
+      (tolerance *. 100.0)
+  | _ -> List.iter (Printf.eprintf "bench regression: %s\n") regressions);
+  if gate_failures = [] && regressions = [] then 0 else 1

@@ -86,14 +86,7 @@ let create ?(seed = 0xDEC0DEL) ?(machine_config = Machine.default_config)
   let detectors =
     if with_detectors then begin
       let anomaly_detector, _ = Anomaly.create () in
-      (* Stable detector names: their per-detector counters land in the
-         hv registry, and fresh same-seed rigs must snapshot
-         byte-identically for fault-plan replay. *)
-      [
-        Input_shield.detector ~name:"input-shield" ();
-        Output_sanitizer.detector ~name:"output-sanitizer" ();
-        anomaly_detector;
-      ]
+      [ Input_shield.detector (); Output_sanitizer.detector (); anomaly_detector ]
     end
     else []
   in

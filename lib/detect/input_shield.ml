@@ -16,44 +16,15 @@ let check ?(marker_limit = 2) prompt =
     else Pass
   end
 
-(* Stats live in a side table keyed by the detector's name.  The table
-   is process-global, so every structural access is mutex-guarded:
-   fleet cells build identically-shaped detectors concurrently from
-   different domains.  The counter refs themselves stay owned by one
-   cell's domain once registered. *)
-let registry : (string, int ref * int ref) Hashtbl.t = Hashtbl.create 4
-let registry_lock = Mutex.create ()
-let instance = Atomic.make 0
-
-let detector ?marker_limit ?name () =
-  let name =
-    match name with
-    | Some n -> n
-    | None ->
-      Printf.sprintf "input-shield-%d" (Atomic.fetch_and_add instance 1 + 1)
-  in
-  let seen = ref 0 and blocked = ref 0 in
-  Mutex.protect registry_lock (fun () ->
-      Hashtbl.replace registry name (seen, blocked));
+let detector ?marker_limit () =
   {
-    Detector.name;
+    Detector.name = "input-shield";
     observe =
       (fun obs ->
         match obs with
         | Detector.Prompt p -> (
-          incr seen;
           match check ?marker_limit p with
           | Pass -> Detector.Clear
-          | Block reason ->
-            incr blocked;
-            Detector.Alarm { severity = Detector.Suspicious; reason })
+          | Block reason -> Detector.Alarm { severity = Detector.Suspicious; reason })
         | _ -> Detector.Clear);
   }
-
-let stats d =
-  match
-    Mutex.protect registry_lock (fun () ->
-        Hashtbl.find_opt registry d.Detector.name)
-  with
-  | Some (seen, blocked) -> (!seen, !blocked)
-  | None -> invalid_arg "Input_shield.stats: not an input-shield detector"

@@ -16,12 +16,8 @@ type decision = Pass | Block of string
 
 val check : ?marker_limit:int -> int list -> decision
 
-val detector : ?marker_limit:int -> ?name:string -> unit -> Detector.t
+val detector : ?marker_limit:int -> unit -> Detector.t
 (** Wraps [check] for [Prompt] observations; a blocked prompt raises a
-    [Suspicious] alarm.  [name] overrides the generated instance name;
-    rigs that must replay with byte-identical telemetry pass a stable
-    one (per-instance {!stats} then require names to stay unique). *)
-
-val stats : Detector.t -> int * int
-(** (prompts seen, prompts blocked) — only valid on a detector created
-    by this module. *)
+    [Suspicious] alarm.  The detector is named ["input-shield"]: its
+    telemetry counters are keyed by that name, so same-seed rigs
+    snapshot byte-identically. *)

@@ -19,29 +19,14 @@ let sanitize ?(replacement = default_replacement) tokens =
   in
   (clean, !replaced)
 
-(* Same domain-safety discipline as {!Input_shield}: the name-keyed
-   stats table is process-global, so its structure is mutex-guarded. *)
-let registry : (string, int ref * int ref) Hashtbl.t = Hashtbl.create 4
-let registry_lock = Mutex.create ()
-let instance = Atomic.make 0
-
-let detector ?(critical_after = 3) ?name () =
-  let name =
-    match name with
-    | Some n -> n
-    | None ->
-      Printf.sprintf "output-sanitizer-%d" (Atomic.fetch_and_add instance 1 + 1)
-  in
-  let seen = ref 0 and caught = ref 0 in
-  Mutex.protect registry_lock (fun () ->
-      Hashtbl.replace registry name (seen, caught));
+let detector ?(critical_after = 3) () =
+  let caught = ref 0 in
   {
-    Detector.name;
+    Detector.name = "output-sanitizer";
     observe =
       (fun obs ->
         match obs with
         | Detector.Output_token t ->
-          incr seen;
           if Vocab.is_harmful t then begin
             incr caught;
             let severity =
@@ -58,11 +43,3 @@ let detector ?(critical_after = 3) ?name () =
           else Detector.Clear
         | _ -> Detector.Clear);
   }
-
-let stats d =
-  match
-    Mutex.protect registry_lock (fun () ->
-        Hashtbl.find_opt registry d.Detector.name)
-  with
-  | Some (seen, caught) -> (!seen, !caught)
-  | None -> invalid_arg "Output_sanitizer.stats: not an output-sanitizer detector"

@@ -11,10 +11,7 @@
 val sanitize : ?replacement:int -> int list -> int list * int
 (** Returns (clean tokens, number replaced). *)
 
-val detector : ?critical_after:int -> ?name:string -> unit -> Detector.t
+val detector : ?critical_after:int -> unit -> Detector.t
 (** [critical_after]: harmful output tokens tolerated at [Suspicious]
-    before escalating to [Critical] (default 3).  [name] overrides the
-    generated instance name, as in {!Input_shield.detector}. *)
-
-val stats : Detector.t -> int * int
-(** (output tokens seen, harmful tokens caught). *)
+    before escalating to [Critical] (default 3).  Named
+    ["output-sanitizer"], as in {!Input_shield.detector}. *)

@@ -1,4 +1,3 @@
-module Scenarios = Guillotine_faults.Scenarios
 module Sha256 = Guillotine_crypto.Sha256
 module Profile = Guillotine_obs.Profile
 
@@ -223,18 +222,3 @@ let view_summary v =
                       | None -> "unmapped")
                       s.Profile.bs_cycles)))
       @ [ Printf.sprintf "profile  fleet %s" (Profile.summary p) ])
-
-(* ------------------------------------------------------------------ *)
-(* Scenario fan-out                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let run_scenarios ?(scenario = "false-alarm-probation") ?(repeats = 1) t =
-  if repeats < 1 then invalid_arg "Fleet.run_scenarios: repeats must be >= 1";
-  (* Validate the name up front on the calling domain: a bad name should
-     raise here, not out of a worker domain. *)
-  if not (List.mem scenario Scenarios.names) then
-    invalid_arg
-      (Printf.sprintf "Fleet.run_scenarios: unknown scenario %S" scenario);
-  shard_map t (fun i ->
-      List.init repeats (fun r ->
-          Scenarios.run ~seed:(t.seed + r) ~cell_id:i scenario))

@@ -15,8 +15,6 @@
     fleet seed and the cell's id.  [Fleet.create ~cells:1] {e is} the
     solo deployment path. *)
 
-module Scenarios = Guillotine_faults.Scenarios
-
 type t
 
 val create :
@@ -113,13 +111,3 @@ val view_summary : view -> string
     profiled runs, one hottest-block line per profiled cell plus the
     fleet-wide profile summary (absent otherwise, keeping unprofiled
     summaries byte-identical to the pre-profiling goldens). *)
-
-(** {2 Scenario fan-out} *)
-
-val run_scenarios :
-  ?scenario:string -> ?repeats:int -> t -> Scenarios.outcome list array
-(** Fan the named fault scenario (default ["false-alarm-probation"])
-    out across the fleet: cell [i] plays [repeats] (default 1) runs
-    with [~cell_id:i] and seeds [seed], [seed+1], ..., sharded over
-    domains exactly like {!run}.  Returns each cell's outcomes in seed
-    order.  This is the workload the [f-fleet] bench scales. *)

@@ -61,15 +61,18 @@ let test_shield_misses_clean_trigger_prompt () =
   Alcotest.(check bool) "trigger passes the shield" true
     (Input_shield.check p = Input_shield.Pass)
 
-let test_shield_detector_stats () =
+let test_shield_detector_verdicts () =
   let d = Input_shield.detector () in
   let prng = Prng.create 33L in
-  ignore (d.Detector.observe (Detector.Prompt (Prompts.benign prng ~len:6)));
-  ignore (d.Detector.observe (Detector.Prompt (Prompts.jailbreak prng ~len:8)));
-  ignore (d.Detector.observe (Detector.Output_token 0));
-  let seen, blocked = Input_shield.stats d in
-  Alcotest.(check int) "seen" 2 seen;
-  Alcotest.(check int) "blocked" 1 blocked
+  (match d.Detector.observe (Detector.Prompt (Prompts.benign prng ~len:6)) with
+  | Detector.Clear -> ()
+  | Detector.Alarm _ -> Alcotest.fail "benign prompt: clear");
+  (match d.Detector.observe (Detector.Prompt (Prompts.jailbreak prng ~len:8)) with
+  | Detector.Alarm { severity = Detector.Suspicious; _ } -> ()
+  | _ -> Alcotest.fail "jailbreak prompt: suspicious alarm");
+  match d.Detector.observe (Detector.Output_token 0) with
+  | Detector.Clear -> ()
+  | Detector.Alarm _ -> Alcotest.fail "output token: clear"
 
 (* ----------------------- Output sanitizer ------------------------- *)
 
@@ -237,7 +240,7 @@ let () =
             test_shield_blocks_harmful_tokens;
           Alcotest.test_case "misses clean trigger (blind spot)" `Quick
             test_shield_misses_clean_trigger_prompt;
-          Alcotest.test_case "detector stats" `Quick test_shield_detector_stats;
+          Alcotest.test_case "detector verdicts" `Quick test_shield_detector_verdicts;
         ] );
       ( "output-sanitizer",
         [
