@@ -44,10 +44,9 @@ type t = {
   fabric : Fabric.t;
   prng : Prng.t;
   net_addr : int;
-  tls_endpoint : Tls.endpoint;
-  ca_public_key : Crypto.Signature.public_key;
-  platform_signer : Crypto.Signature.signer;
-  platform_public_key : Crypto.Signature.public_key;
+  tls_endpoint : Tls.endpoint Lazy.t;
+  ca_public_key : Crypto.Signature.public_key Lazy.t;
+  platform_key : (Crypto.Signature.signer * Crypto.Signature.public_key) Lazy.t;
   mutable model_digest : string option;
   mutable frame_handlers : (src:int -> payload:string -> bool) list;
       (* inbound dispatch: first handler returning true consumes *)
@@ -101,20 +100,29 @@ let create ?(seed = 0xDEC0DEL) ?(machine_config = Machine.default_config)
     Kill_switch.create ~engine ~fabric ~net_addrs:[ net_addr ] ()
   in
   let console = Console.create ~engine ~hv ~switches ~prng:(Prng.split prng) () in
-  let ca_signer, ca_name, ca_public_key =
+  (* Keys are generated on first use; the PRNG splits stay here, in
+     this order, so every key and certificate is the one an eager
+     build would make. *)
+  let ca_key =
     match ca with
-    | Some (s, n, pk) -> (s, n, pk)
+    | Some ca -> Lazy.from_val ca
     | None ->
-      let s, pk = Crypto.Signature.generate ~height:8 (Prng.split prng) in
-      (s, "ai-regulator-ca", pk)
+      let key = Crypto.Signature.defer ~height:8 (Prng.split prng) in
+      lazy
+        (let signer, public_key = Lazy.force key in
+         (signer, "ai-regulator-ca", public_key))
   in
   let tls_endpoint =
-    Tls.make_endpoint ~prng:(Prng.split prng) ~ca:ca_signer ~ca_name ~ca_public_key
-      ~name ~guillotine_hypervisor:true ()
+    let prng = Prng.split prng in
+    lazy
+      (let ca, ca_name, ca_public_key = Lazy.force ca_key in
+       Tls.make_endpoint ~prng ~ca ~ca_name ~ca_public_key ~name
+         ~guillotine_hypervisor:true ())
   in
-  let platform_signer, platform_public_key =
-    Crypto.Signature.generate ~height:8 (Prng.split prng)
-  in
+  (* A shared CA signs with its leaves in order, so its certificate for
+     this deployment is issued now, in creation order. *)
+  if Option.is_some ca then ignore (Lazy.force tls_endpoint);
+  let platform_key = Crypto.Signature.defer ~height:8 (Prng.split prng) in
   let t_ref = ref None in
   (* One fabric attachment per deployment; services (attestation, NICs)
      register handlers on the dispatcher.  A kill switch unplugs the
@@ -134,9 +142,8 @@ let create ?(seed = 0xDEC0DEL) ?(machine_config = Machine.default_config)
     prng;
     net_addr;
     tls_endpoint;
-    ca_public_key;
-    platform_signer;
-    platform_public_key;
+    ca_public_key = lazy (let _, _, public_key = Lazy.force ca_key in public_key);
+    platform_key;
     model_digest = None;
     frame_handlers = [];
     monitor = None;
@@ -169,8 +176,8 @@ let console t = t.console
 let fabric t = t.fabric
 let prng t = t.prng
 let net_addr t = t.net_addr
-let tls_endpoint t = t.tls_endpoint
-let ca_public_key t = t.ca_public_key
+let tls_endpoint t = Lazy.force t.tls_endpoint
+let ca_public_key t = Lazy.force t.ca_public_key
 
 (* ------------------------------------------------------------------ *)
 (* Model lifecycle                                                     *)
@@ -309,7 +316,8 @@ let enable_model_guard ?(period = 5.0) t model =
 
 let measurement t = measurement_of_config (Machine.config t.machine)
 
-let attest t ~nonce = Attest.make_quote ~key:t.platform_signer (measurement t) ~nonce
+let attest t ~nonce =
+  Attest.make_quote ~key:(fst (Lazy.force t.platform_key)) (measurement t) ~nonce
 
 let attest_prefix = "ATTEST:"
 
@@ -337,7 +345,7 @@ let wire_nic t nic =
       ignore (Guillotine_devices.Nic.deliver nic ~src ~payload);
       true)
 
-let platform_key t = t.platform_public_key
+let platform_key t = snd (Lazy.force t.platform_key)
 
 let expected_measurement_root t = Attest.measurement_root (measurement t)
 

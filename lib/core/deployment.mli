@@ -5,8 +5,12 @@
     software hypervisor with the standard detector set, the control
     console with HSM and kill switches, the simulated network fabric the
     kill switches can cut, and the platform identity/attestation keys.
-    This is the public entry point used by the examples and the
-    benches. *)
+    The keys are generated on first use (see {!tls_endpoint},
+    {!ca_public_key}, {!platform_key} and {!attest}), so a deployment
+    that never signs or verifies never pays for them; which key a
+    deployment gets is fixed at [create] and does not depend on when or
+    whether it is used.  This is the public entry point used by the
+    examples and the benches. *)
 
 module Engine = Guillotine_sim.Engine
 module Machine = Guillotine_machine.Machine
@@ -39,7 +43,9 @@ val create :
     [ca] = (signer, name, public key) of the AI regulator's CA; a
     private one is created if absent (use a shared CA to let two
     deployments meet on the network, as the ring-refusal experiment
-    does). *)
+    does).  With a shared CA the TLS certificate is issued here, since
+    the CA's leaves are spent in the order its certificates are issued;
+    with a private CA it is issued on the first {!tls_endpoint}. *)
 
 val name : t -> string
 val engine : t -> Engine.t
@@ -53,9 +59,11 @@ val net_addr : t -> int
 
 val tls_endpoint : t -> Tls.endpoint
 (** The hypervisor's network identity: CA-issued certificate carrying
-    the Guillotine extension. *)
+    the Guillotine extension.  The first call generates the endpoint's
+    key (and, with a private CA, the CA's key and the certificate). *)
 
 val ca_public_key : t -> Guillotine_crypto.Signature.public_key
+(** With a private CA, the first call generates the CA's key. *)
 
 (** {2 Model lifecycle} *)
 
@@ -152,6 +160,9 @@ val enable_attestation_service : t -> unit
 
 val measurement : t -> Attest.measurement
 val attest : t -> nonce:string -> Attest.quote
+(** A quote over {!measurement} and [nonce], signed with the platform
+    key; the first quote or {!platform_key} generates that key. *)
+
 val platform_key : t -> Guillotine_crypto.Signature.public_key
 val expected_measurement_root : t -> string
 

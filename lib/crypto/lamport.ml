@@ -9,22 +9,21 @@ type signature = string
 let bits = 256
 let chunk = 32
 
+let prng_draws = 2 * bits * (chunk / 8)
+
+(* One 64-bit draw per 8 bytes, little-endian. *)
 let random_block prng =
-  (* 4 x 64-bit draws per 32-byte block. *)
   let buf = Bytes.create chunk in
-  for w = 0 to 3 do
-    let v = ref (Guillotine_util.Prng.int64 prng) in
-    for i = 0 to 7 do
-      Bytes.set buf ((8 * w) + i) (Char.chr (Int64.to_int (Int64.logand !v 0xFFL)));
-      v := Int64.shift_right_logical !v 8
-    done
+  for w = 0 to (chunk / 8) - 1 do
+    Bytes.set_int64_le buf (8 * w) (Guillotine_util.Prng.int64 prng)
   done;
-  Bytes.to_string buf
+  Bytes.unsafe_to_string buf
 
 let generate prng =
   let pre = Array.init (2 * bits) (fun _ -> random_block prng) in
-  let pub = String.concat "" (Array.to_list (Array.map Sha256.digest pre)) in
-  ({ pre; used = false }, pub)
+  let pub = Bytes.create (2 * bits * chunk) in
+  Array.iteri (fun i p -> Bytes.blit_string (Sha256.digest p) 0 pub (i * chunk) chunk) pre;
+  ({ pre; used = false }, Bytes.unsafe_to_string pub)
 
 let digest_bit d i =
   let byte = Char.code d.[i / 8] in

@@ -17,6 +17,9 @@ val generate : Guillotine_util.Prng.t -> secret_key * public_key
 (** Deterministic from the PRNG stream — simulation keys, not wall-clock
     entropy. *)
 
+val prng_draws : int
+(** {!Guillotine_util.Prng.int64} draws one [generate] makes (2048). *)
+
 val sign : secret_key -> string -> signature
 (** [sign sk msg] signs SHA-256(msg).  Raises [Invalid_argument] on a
     second use of [sk]. *)

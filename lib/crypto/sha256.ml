@@ -1,31 +1,35 @@
 type digest = string
 
+(* 32-bit words live in native ints, masked after every addition, so the
+   compression function allocates nothing. *)
+let mask = 0xFFFFFFFF
+
 (* Round constants: first 32 bits of the fractional parts of the cube
    roots of the first 64 primes. *)
 let k =
   [|
-    0x428a2f98l; 0x71374491l; 0xb5c0fbcfl; 0xe9b5dba5l; 0x3956c25bl;
-    0x59f111f1l; 0x923f82a4l; 0xab1c5ed5l; 0xd807aa98l; 0x12835b01l;
-    0x243185bel; 0x550c7dc3l; 0x72be5d74l; 0x80deb1fel; 0x9bdc06a7l;
-    0xc19bf174l; 0xe49b69c1l; 0xefbe4786l; 0x0fc19dc6l; 0x240ca1ccl;
-    0x2de92c6fl; 0x4a7484aal; 0x5cb0a9dcl; 0x76f988dal; 0x983e5152l;
-    0xa831c66dl; 0xb00327c8l; 0xbf597fc7l; 0xc6e00bf3l; 0xd5a79147l;
-    0x06ca6351l; 0x14292967l; 0x27b70a85l; 0x2e1b2138l; 0x4d2c6dfcl;
-    0x53380d13l; 0x650a7354l; 0x766a0abbl; 0x81c2c92el; 0x92722c85l;
-    0xa2bfe8a1l; 0xa81a664bl; 0xc24b8b70l; 0xc76c51a3l; 0xd192e819l;
-    0xd6990624l; 0xf40e3585l; 0x106aa070l; 0x19a4c116l; 0x1e376c08l;
-    0x2748774cl; 0x34b0bcb5l; 0x391c0cb3l; 0x4ed8aa4al; 0x5b9cca4fl;
-    0x682e6ff3l; 0x748f82eel; 0x78a5636fl; 0x84c87814l; 0x8cc70208l;
-    0x90befffal; 0xa4506cebl; 0xbef9a3f7l; 0xc67178f2l;
+    0x428a2f98; 0x71374491; 0xb5c0fbcf; 0xe9b5dba5; 0x3956c25b;
+    0x59f111f1; 0x923f82a4; 0xab1c5ed5; 0xd807aa98; 0x12835b01;
+    0x243185be; 0x550c7dc3; 0x72be5d74; 0x80deb1fe; 0x9bdc06a7;
+    0xc19bf174; 0xe49b69c1; 0xefbe4786; 0x0fc19dc6; 0x240ca1cc;
+    0x2de92c6f; 0x4a7484aa; 0x5cb0a9dc; 0x76f988da; 0x983e5152;
+    0xa831c66d; 0xb00327c8; 0xbf597fc7; 0xc6e00bf3; 0xd5a79147;
+    0x06ca6351; 0x14292967; 0x27b70a85; 0x2e1b2138; 0x4d2c6dfc;
+    0x53380d13; 0x650a7354; 0x766a0abb; 0x81c2c92e; 0x92722c85;
+    0xa2bfe8a1; 0xa81a664b; 0xc24b8b70; 0xc76c51a3; 0xd192e819;
+    0xd6990624; 0xf40e3585; 0x106aa070; 0x19a4c116; 0x1e376c08;
+    0x2748774c; 0x34b0bcb5; 0x391c0cb3; 0x4ed8aa4a; 0x5b9cca4f;
+    0x682e6ff3; 0x748f82ee; 0x78a5636f; 0x84c87814; 0x8cc70208;
+    0x90befffa; 0xa4506ceb; 0xbef9a3f7; 0xc67178f2;
   |]
 
 type ctx = {
-  h : int32 array; (* 8 working hash values *)
+  h : int array;   (* 8 working hash values *)
   buf : Bytes.t;   (* partial block, 64 bytes *)
-  w : int32 array; (* message schedule — per-context so that contexts
+  w : int array;   (* message schedule — per-context so that contexts
                       on different domains never share scratch state *)
   mutable buf_len : int;
-  mutable total : int64; (* total message bytes fed *)
+  mutable total : int; (* total message bytes fed *)
   mutable finished : bool;
 }
 
@@ -33,82 +37,71 @@ let init () =
   {
     h =
       [|
-        0x6a09e667l; 0xbb67ae85l; 0x3c6ef372l; 0xa54ff53al;
-        0x510e527fl; 0x9b05688cl; 0x1f83d9abl; 0x5be0cd19l;
+        0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a;
+        0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19;
       |];
     buf = Bytes.create 64;
-    w = Array.make 64 0l;
+    w = Array.make 64 0;
     buf_len = 0;
-    total = 0L;
+    total = 0;
     finished = false;
   }
 
-let rotr x n = Int32.logor (Int32.shift_right_logical x n) (Int32.shift_left x (32 - n))
-let ( +% ) = Int32.add
-let ( ^% ) = Int32.logxor
-let ( &% ) = Int32.logand
-let lnot32 = Int32.lognot
+let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
 
-(* Compress one 64-byte block located at [off] in [block]. *)
+(* Compress the 64-byte block at [off] in [block].  Input strings reach
+   here through [Bytes.unsafe_of_string]; the block is only read. *)
 let compress ctx block off =
-  let w = ctx.w in
+  let w = ctx.w and h = ctx.h in
   for i = 0 to 15 do
-    let b j = Int32.of_int (Char.code (Bytes.get block (off + (4 * i) + j))) in
+    let p = off + (4 * i) in
     w.(i) <-
-      Int32.logor
-        (Int32.shift_left (b 0) 24)
-        (Int32.logor
-           (Int32.shift_left (b 1) 16)
-           (Int32.logor (Int32.shift_left (b 2) 8) (b 3)))
+      (Char.code (Bytes.get block p) lsl 24)
+      lor (Char.code (Bytes.get block (p + 1)) lsl 16)
+      lor (Char.code (Bytes.get block (p + 2)) lsl 8)
+      lor Char.code (Bytes.get block (p + 3))
   done;
   for i = 16 to 63 do
-    let s0 =
-      rotr w.(i - 15) 7 ^% rotr w.(i - 15) 18
-      ^% Int32.shift_right_logical w.(i - 15) 3
-    in
-    let s1 =
-      rotr w.(i - 2) 17 ^% rotr w.(i - 2) 19
-      ^% Int32.shift_right_logical w.(i - 2) 10
-    in
-    w.(i) <- w.(i - 16) +% s0 +% w.(i - 7) +% s1
+    let x = w.(i - 15) and y = w.(i - 2) in
+    let s0 = rotr x 7 lxor rotr x 18 lxor (x lsr 3) in
+    let s1 = rotr y 17 lxor rotr y 19 lxor (y lsr 10) in
+    w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask
   done;
-  let a = ref ctx.h.(0) and b = ref ctx.h.(1) and c = ref ctx.h.(2)
-  and d = ref ctx.h.(3) and e = ref ctx.h.(4) and f = ref ctx.h.(5)
-  and g = ref ctx.h.(6) and hh = ref ctx.h.(7) in
+  let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3)
+  and e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
   for i = 0 to 63 do
-    let s1 = rotr !e 6 ^% rotr !e 11 ^% rotr !e 25 in
-    let ch = (!e &% !f) ^% (lnot32 !e &% !g) in
-    let temp1 = !hh +% s1 +% ch +% k.(i) +% w.(i) in
-    let s0 = rotr !a 2 ^% rotr !a 13 ^% rotr !a 22 in
-    let maj = (!a &% !b) ^% (!a &% !c) ^% (!b &% !c) in
-    let temp2 = s0 +% maj in
+    let e' = !e and a' = !a in
+    let s1 = rotr e' 6 lxor rotr e' 11 lxor rotr e' 25 in
+    let ch = (e' land !f) lxor (lnot e' land !g) in
+    let temp1 = !hh + s1 + ch + k.(i) + w.(i) in
+    let s0 = rotr a' 2 lxor rotr a' 13 lxor rotr a' 22 in
+    let maj = (a' land !b) lxor (a' land !c) lxor (!b land !c) in
     hh := !g;
     g := !f;
-    f := !e;
-    e := !d +% temp1;
+    f := e';
+    e := (!d + temp1) land mask;
     d := !c;
     c := !b;
-    b := !a;
-    a := temp1 +% temp2
+    b := a';
+    a := (temp1 + s0 + maj) land mask
   done;
-  ctx.h.(0) <- ctx.h.(0) +% !a;
-  ctx.h.(1) <- ctx.h.(1) +% !b;
-  ctx.h.(2) <- ctx.h.(2) +% !c;
-  ctx.h.(3) <- ctx.h.(3) +% !d;
-  ctx.h.(4) <- ctx.h.(4) +% !e;
-  ctx.h.(5) <- ctx.h.(5) +% !f;
-  ctx.h.(6) <- ctx.h.(6) +% !g;
-  ctx.h.(7) <- ctx.h.(7) +% !hh
+  h.(0) <- (h.(0) + !a) land mask;
+  h.(1) <- (h.(1) + !b) land mask;
+  h.(2) <- (h.(2) + !c) land mask;
+  h.(3) <- (h.(3) + !d) land mask;
+  h.(4) <- (h.(4) + !e) land mask;
+  h.(5) <- (h.(5) + !f) land mask;
+  h.(6) <- (h.(6) + !g) land mask;
+  h.(7) <- (h.(7) + !hh) land mask
 
 let feed ctx s =
   if ctx.finished then invalid_arg "Sha256.feed: context already finalized";
   let len = String.length s in
-  ctx.total <- Int64.add ctx.total (Int64.of_int len);
+  ctx.total <- ctx.total + len;
   let pos = ref 0 in
   (* Top up a partial buffer first. *)
   if ctx.buf_len > 0 then begin
-    let need = 64 - ctx.buf_len in
-    let take = min need len in
+    let take = min (64 - ctx.buf_len) len in
     Bytes.blit_string s 0 ctx.buf ctx.buf_len take;
     ctx.buf_len <- ctx.buf_len + take;
     pos := take;
@@ -118,10 +111,9 @@ let feed ctx s =
     end
   end;
   (* Whole blocks straight from the input. *)
-  let tmp = Bytes.create 64 in
+  let input = Bytes.unsafe_of_string s in
   while len - !pos >= 64 do
-    Bytes.blit_string s !pos tmp 0 64;
-    compress ctx tmp 0;
+    compress ctx input !pos;
     pos := !pos + 64
   done;
   (* Stash the tail. *)
@@ -134,33 +126,28 @@ let feed ctx s =
 let finalize ctx =
   if ctx.finished then invalid_arg "Sha256.finalize: context already finalized";
   ctx.finished <- true;
-  let bitlen = Int64.mul ctx.total 8L in
-  (* Padding: 0x80, zeros, 8-byte big-endian bit length. *)
-  let pad_block = Bytes.make 64 '\000' in
-  Bytes.blit ctx.buf 0 pad_block 0 ctx.buf_len;
-  Bytes.set pad_block ctx.buf_len '\x80';
+  (* Padding in place: 0x80, zeros, 8-byte big-endian bit length. *)
+  let buf = ctx.buf in
+  Bytes.set buf ctx.buf_len '\x80';
+  Bytes.fill buf (ctx.buf_len + 1) (63 - ctx.buf_len) '\000';
   if ctx.buf_len >= 56 then begin
-    compress ctx pad_block 0;
-    Bytes.fill pad_block 0 64 '\000'
+    compress ctx buf 0;
+    Bytes.fill buf 0 64 '\000'
   end;
+  let bitlen = ctx.total * 8 in
   for i = 0 to 7 do
-    let shift = 8 * (7 - i) in
-    let byte = Int64.to_int (Int64.logand (Int64.shift_right_logical bitlen shift) 0xFFL) in
-    Bytes.set pad_block (56 + i) (Char.chr byte)
+    Bytes.set buf (56 + i) (Char.chr ((bitlen lsr (8 * (7 - i))) land 0xFF))
   done;
-  compress ctx pad_block 0;
+  compress ctx buf 0;
   let out = Bytes.create 32 in
   for i = 0 to 7 do
     let v = ctx.h.(i) in
-    for j = 0 to 3 do
-      let shift = 8 * (3 - j) in
-      let byte =
-        Int32.to_int (Int32.logand (Int32.shift_right_logical v shift) 0xFFl)
-      in
-      Bytes.set out ((4 * i) + j) (Char.chr byte)
-    done
+    Bytes.set out (4 * i) (Char.chr (v lsr 24));
+    Bytes.set out ((4 * i) + 1) (Char.chr ((v lsr 16) land 0xFF));
+    Bytes.set out ((4 * i) + 2) (Char.chr ((v lsr 8) land 0xFF));
+    Bytes.set out ((4 * i) + 3) (Char.chr (v land 0xFF))
   done;
-  Bytes.to_string out
+  Bytes.unsafe_to_string out
 
 let digest s =
   let ctx = init () in
@@ -172,9 +159,13 @@ let digest_concat parts =
   List.iter (feed ctx) parts;
   finalize ctx
 
+let hex_digits = "0123456789abcdef"
+
 let hex d =
-  let buf = Buffer.create 64 in
-  String.iter (fun c -> Buffer.add_string buf (Printf.sprintf "%02x" (Char.code c))) d;
-  Buffer.contents buf
+  String.init
+    (2 * String.length d)
+    (fun i ->
+      let byte = Char.code d.[i / 2] in
+      hex_digits.[if i land 1 = 0 then byte lsr 4 else byte land 0xF])
 
 let digest_hex s = hex (digest s)

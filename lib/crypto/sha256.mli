@@ -3,8 +3,11 @@
     This is the root primitive for the whole trust stack: HMAC,
     Merkle trees, hash-based signatures, certificate fingerprints, and
     remote-attestation measurements are all built on it.  The
-    implementation is pure OCaml over [int32] words and is validated
-    against the official FIPS test vectors in the test suite. *)
+    implementation is pure OCaml: 32-bit words are held in native ints,
+    masked after each addition, so compressing a block allocates
+    nothing and a 32-byte digest allocates under 100 words.  The test
+    suite checks it against the FIPS test vectors and against a
+    reference implementation over [int32]. *)
 
 type digest = string
 (** 32 raw bytes. *)

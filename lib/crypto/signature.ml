@@ -1,3 +1,5 @@
+module Prng = Guillotine_util.Prng
+
 type signer = {
   secrets : Lamport.secret_key array;
   publics : Lamport.public_key array;
@@ -14,8 +16,11 @@ type signature = {
   path : (string * [ `Left | `Right ]) list;
 }
 
+let check_height fn height =
+  if height < 0 || height > 12 then invalid_arg (fn ^ ": height")
+
 let generate ?(height = 5) prng =
-  if height < 0 || height > 12 then invalid_arg "Signature.generate: height";
+  check_height "Signature.generate" height;
   let n = 1 lsl height in
   let pairs = Array.init n (fun _ -> Lamport.generate prng) in
   let secrets = Array.map fst pairs in
@@ -23,6 +28,12 @@ let generate ?(height = 5) prng =
   let leaves = Array.to_list (Array.map Lamport.public_key_digest publics) in
   let tree = Merkle.build leaves in
   ({ secrets; publics; tree; next = 0 }, Merkle.root tree)
+
+let defer ?(height = 5) prng =
+  check_height "Signature.defer" height;
+  let own = Prng.copy prng in
+  Prng.skip prng ((1 lsl height) * Lamport.prng_draws);
+  lazy (generate ~height own)
 
 let capacity s = Array.length s.secrets
 let remaining s = Array.length s.secrets - s.next

@@ -15,7 +15,15 @@ type public_key = string
 type signature
 
 val generate : ?height:int -> Guillotine_util.Prng.t -> signer * public_key
-(** [height] defaults to 5 (32 one-time leaves). *)
+(** [height] defaults to 5 (32 one-time leaves); it must lie in 0–12. *)
+
+val defer :
+  ?height:int -> Guillotine_util.Prng.t -> (signer * public_key) Lazy.t
+(** [defer ?height prng] is [generate ?height prng] run on first force.
+    It checks [height] at the call, copies [prng] for the key and skips
+    [prng] past the [2^height × 2048] draws [generate] makes, so the
+    forced key equals the eager one and [prng]'s later draws are
+    unchanged whether or not the key is ever forced. *)
 
 val capacity : signer -> int
 (** Total signatures the key can ever produce. *)

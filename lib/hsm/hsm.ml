@@ -2,8 +2,8 @@ module Crypto = Guillotine_crypto
 module Prng = Guillotine_util.Prng
 
 type admin = {
-  signer : Crypto.Signature.signer;
-  public_key : Crypto.Signature.public_key;
+  key : (Crypto.Signature.signer * Crypto.Signature.public_key) Lazy.t;
+      (* generated when the admin first approves or is verified *)
   mutable spent : int;
 }
 
@@ -24,8 +24,7 @@ let create ?(admins = 7) ?(relax_threshold = 5) ?(restrict_threshold = 3)
   if relax_threshold > admins || restrict_threshold > admins then
     invalid_arg "Hsm.create: threshold exceeds admin count";
   let make_admin () =
-    let signer, public_key = Crypto.Signature.generate ~height:key_height prng in
-    { signer; public_key; spent = 0 }
+    { key = Crypto.Signature.defer ~height:key_height prng; spent = 0 }
   in
   {
     admins = Array.init admins (fun _ -> make_admin ());
@@ -50,7 +49,7 @@ let approve t ~admin p =
   if admin < 0 || admin >= Array.length t.admins then
     invalid_arg "Hsm.approve: unknown admin";
   let a = t.admins.(admin) in
-  let sg = Crypto.Signature.sign a.signer (proposal_bytes p) in
+  let sg = Crypto.Signature.sign (fst (Lazy.force a.key)) (proposal_bytes p) in
   a.spent <- a.spent + 1;
   { admin_id = admin; signature = Crypto.Signature.encode sg }
 
@@ -82,7 +81,8 @@ let authorize t ~kind p approvals =
         | None -> rejected := (ap.admin_id, "malformed signature") :: !rejected
         | Some sg ->
           if
-            Crypto.Signature.verify t.admins.(ap.admin_id).public_key
+            Crypto.Signature.verify
+              (snd (Lazy.force t.admins.(ap.admin_id).key))
               ~msg:(proposal_bytes p) sg
           then begin
             Hashtbl.replace seen ap.admin_id ();

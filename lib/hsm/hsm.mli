@@ -7,13 +7,15 @@
     asymmetry biases the system toward safety and resists a model that
     has socially engineered a minority of admins.
 
-    Each admin holds a hash-based signing key whose public half is
-    enrolled in the HSM at creation.  An approval is a signature over
-    the canonical proposal bytes; the HSM validates signatures, rejects
-    duplicate or unknown admins, binds approvals to the exact proposal
-    (nonce included, so approvals cannot be replayed across proposals),
-    and compares the distinct-approver count to the threshold for the
-    action class. *)
+    Each admin holds a hash-based signing key whose public half the HSM
+    checks approvals against.  [create] fixes every key's PRNG stream,
+    but a key is generated only when its admin first approves or an
+    approval claiming that admin is verified.  An approval is a
+    signature over the canonical proposal bytes; the HSM validates
+    signatures, rejects duplicate or unknown admins, binds approvals to
+    the exact proposal (nonce included, so approvals cannot be replayed
+    across proposals), and compares the distinct-approver count to the
+    threshold for the action class. *)
 
 type t
 

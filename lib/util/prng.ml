@@ -16,6 +16,12 @@ let int64 t =
   t.state <- Int64.add t.state golden_gamma;
   mix t.state
 
+(* Each draw adds [golden_gamma] to the state (mod 2^64), so [n] draws
+   add [n * golden_gamma]. *)
+let skip t n =
+  if n < 0 then invalid_arg "Prng.skip: negative count";
+  t.state <- Int64.add t.state (Int64.mul (Int64.of_int n) golden_gamma)
+
 let split t =
   let seed = int64 t in
   (* A second mix with a different constant decorrelates the child

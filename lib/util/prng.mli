@@ -24,6 +24,10 @@ val copy : t -> t
 val int64 : t -> int64
 (** Next raw 64-bit value. *)
 
+val skip : t -> int -> unit
+(** [skip t n] leaves [t] exactly where [n] calls of {!int64} would, in
+    constant time.  [n] must be non-negative. *)
+
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  [bound] must be positive. *)
 

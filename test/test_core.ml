@@ -12,7 +12,9 @@ module Inference = Guillotine_hv.Inference
 module Toymodel = Guillotine_model.Toymodel
 module Vocab = Guillotine_model.Vocab
 module Tls = Guillotine_net.Tls
+module Cert = Guillotine_net.Cert
 module Prng = Guillotine_util.Prng
+module Sha256 = Guillotine_crypto.Sha256
 
 let test_deployment_serves_benign_model () =
   let d = Deployment.create ~seed:1L () in
@@ -101,6 +103,52 @@ let test_deployments_share_ca_and_refuse_ring () =
   match Tls.server_respond (Deployment.tls_endpoint d2) ~prng ch with
   | Error Tls.Refused_guillotine_peer -> ()
   | _ -> Alcotest.fail "two Guillotine deployments must refuse each other"
+
+(* Key and certificate bytes captured while every key was generated
+   inside [Deployment.create]: generating them on first use must not
+   move one byte. *)
+let test_deployment_key_bytes_pinned () =
+  let d = Deployment.create ~seed:1L () in
+  Alcotest.(check string) "platform key"
+    "2db595796af3671dfd5c4103c5f826c91ae84c13e7e67cbb0b5a2f339b8e6d4f"
+    (Sha256.hex (Deployment.platform_key d));
+  Alcotest.(check string) "CA key"
+    "d0d89bcf732252d5f864fc438e672209dc0b7e4afe624fb7e0ece25839405798"
+    (Sha256.hex (Deployment.ca_public_key d));
+  let cert = (Deployment.tls_endpoint d).Tls.cert in
+  Alcotest.(check string) "TLS certificate"
+    "44a7a6203788fd1aa5641d03d366d44a576c29e6fa2eaf5448cca83c507c01c1"
+    (Cert.fingerprint cert);
+  Alcotest.(check string) "TLS certificate signature"
+    "31f5f17669798aa57efd6c276f1463ceb0bc4515f1ce98026b7229388006dbfc"
+    (Sha256.digest_hex cert.Cert.signature)
+
+let test_shared_ca_certificates_pinned () =
+  let regulator = Regulator.create ~seed:3L () in
+  let a = Deployment.create ~seed:5L ~name:"a" ~ca:(Regulator.ca regulator) () in
+  let b = Deployment.create ~seed:6L ~name:"b" ~ca:(Regulator.ca regulator) () in
+  (* Read in reverse creation order: a shared CA's leaves go to the
+     certificates in the order the deployments were created, and the
+     leaf shows in the signature (the fingerprint covers only the
+     signed fields). *)
+  let check who cert ~fingerprint ~signature =
+    Alcotest.(check string) (who ^ " fingerprint") fingerprint (Cert.fingerprint cert);
+    Alcotest.(check string) (who ^ " signature") signature
+      (Sha256.digest_hex cert.Cert.signature)
+  in
+  check "second deployment" (Deployment.tls_endpoint b).Tls.cert
+    ~fingerprint:"716f66e697cb780b521914f9f14b80f85df33bdd14d1915428e074778791c7da"
+    ~signature:"7ee71e8fe9b94da8284eb3cb8d06f520199a31ac3b254de0c9eb6afdad8e026e";
+  check "first deployment" (Deployment.tls_endpoint a).Tls.cert
+    ~fingerprint:"b92ba03a6f7f8fa54f87bb4134533bcf8e27ffffdd685372cd4c65d9f7dafdcc"
+    ~signature:"eddee1582b9b5c49abe98ca50eed2ab8ee946c7d0c3ac6bfc71021dd5162022e"
+
+let test_deployment_create_allocation_budget () =
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Deployment.create ~seed:1L ()));
+  let words = Gc.minor_words () -. before in
+  if words > 10e6 then
+    Alcotest.failf "Deployment.create allocates %.0f minor words (budget 10M)" words
 
 let test_networked_deployment_end_to_end () =
   (* Model -> port -> NIC -> fabric -> external host -> fabric -> NIC ->
@@ -272,6 +320,9 @@ let () =
             test_harmful_stream_escalates_deployment;
           Alcotest.test_case "checkpoint/rollback recovery" `Quick
             test_checkpoint_rollback_recovers_tamper;
+          Alcotest.test_case "key bytes pinned" `Quick test_deployment_key_bytes_pinned;
+          Alcotest.test_case "create allocation budget" `Quick
+            test_deployment_create_allocation_budget;
         ] );
       ( "regulator",
         [
@@ -282,6 +333,8 @@ let () =
             test_attest_quote_wire_roundtrip;
           Alcotest.test_case "ring refusal across deployments" `Quick
             test_deployments_share_ca_and_refuse_ring;
+          Alcotest.test_case "shared-CA certificates pinned" `Quick
+            test_shared_ca_certificates_pinned;
         ] );
       ( "network",
         [

@@ -1,5 +1,6 @@
 (* Tests for the crypto substrate: FIPS/RFC vectors for SHA-256 and
-   HMAC, Merkle proofs, Lamport and Merkle-scheme signatures. *)
+   HMAC, SHA-256 against the int32 reference in [Sha256_ref], Merkle
+   proofs, Lamport and Merkle-scheme signatures, and deferred keys. *)
 
 open Guillotine_crypto
 module Prng = Guillotine_util.Prng
@@ -61,6 +62,48 @@ let prop_sha256_avalanche =
   QCheck.Test.make ~name:"distinct strings hash distinctly" ~count:300
     QCheck.(pair string string)
     (fun (a, b) -> a = b || Sha256.digest a <> Sha256.digest b)
+
+(* Feed [s] in pieces whose lengths cycle through [cuts]. *)
+let chunked_digest s cuts =
+  let ctx = Sha256.init () in
+  let cuts = Array.of_list (if cuts = [] then [ String.length s ] else cuts) in
+  let rec go pos i =
+    if pos < String.length s then begin
+      let n = min (String.length s - pos) cuts.(i mod Array.length cuts) in
+      Sha256.feed ctx (String.sub s pos n);
+      go (pos + n) (i + 1)
+    end
+  in
+  go 0 0;
+  Sha256.finalize ctx
+
+(* No shrinker: shrinking a 300-byte string one byte at a time takes
+   minutes, and the printed input is enough to reproduce a failure. *)
+let prop_sha256_matches_reference =
+  QCheck.Test.make ~name:"chunked digest = int32 reference" ~count:500
+    (QCheck.make
+       ~print:QCheck.Print.(pair string (list int))
+       QCheck.Gen.(pair (string_size (0 -- 300)) (list_size (0 -- 10) (1 -- 80))))
+    (fun (s, cuts) ->
+      let expect = Sha256_ref.digest s in
+      String.equal (Sha256.digest s) expect && String.equal (chunked_digest s cuts) expect)
+
+let test_sha256_long_matches_reference () =
+  let prng = Prng.create 70_000L in
+  let s = String.init 70_000 (fun _ -> Char.chr (Prng.int prng 256)) in
+  Alcotest.(check string) "70 000 bytes" (Sha256.hex (Sha256_ref.digest s))
+    (Sha256.digest_hex s)
+
+let test_sha256_allocation_budget () =
+  let msg = String.make 32 'k' in
+  let n = 1000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (Sha256.digest msg))
+  done;
+  let per_digest = (Gc.minor_words () -. before) /. float_of_int n in
+  if per_digest > 100.0 then
+    Alcotest.failf "32-byte digest allocates %.1f words (budget 100)" per_digest
 
 (* ----------------------------- HMAC ------------------------------- *)
 
@@ -204,6 +247,32 @@ let test_signature_cross_signer_rejects () =
   let sg = Signature.sign s1 "msg" in
   Alcotest.(check bool) "cross rejects" false (Signature.verify pk2 ~msg:"msg" sg)
 
+(* ------------------------- Deferred keys -------------------------- *)
+
+let test_defer_matches_generate () =
+  for height = 0 to 6 do
+    let seed = Int64.of_int (200 + height) in
+    let eager_prng = Prng.create seed and lazy_prng = Prng.create seed in
+    let signer, root = Signature.generate ~height eager_prng in
+    let key = Signature.defer ~height lazy_prng in
+    let label what = Printf.sprintf "height %d: %s" height what in
+    Alcotest.(check int64) (label "parent's next draw") (Prng.int64 eager_prng)
+      (Prng.int64 lazy_prng);
+    let signer', root' = Lazy.force key in
+    Alcotest.(check string) (label "root") (Sha256.hex root) (Sha256.hex root');
+    let first s = Signature.encode (Signature.sign s "first message") in
+    Alcotest.(check string) (label "first signature")
+      (Sha256.digest_hex (first signer))
+      (Sha256.digest_hex (first signer'))
+  done
+
+let test_defer_checks_height_at_call () =
+  let prng = Prng.create 13L in
+  Alcotest.check_raises "height 13" (Invalid_argument "Signature.defer: height")
+    (fun () -> ignore (Signature.defer ~height:13 prng));
+  Alcotest.check_raises "height -1" (Invalid_argument "Signature.defer: height")
+    (fun () -> ignore (Signature.defer ~height:(-1) prng))
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "crypto"
@@ -217,6 +286,10 @@ let () =
           Alcotest.test_case "block boundaries" `Quick test_sha256_block_boundaries;
           Alcotest.test_case "finalize once" `Quick test_sha256_finalize_once;
           qc prop_sha256_avalanche;
+          qc prop_sha256_matches_reference;
+          Alcotest.test_case "70 000 bytes = reference" `Quick
+            test_sha256_long_matches_reference;
+          Alcotest.test_case "allocation budget" `Quick test_sha256_allocation_budget;
         ] );
       ( "hmac",
         [
@@ -245,5 +318,8 @@ let () =
           Alcotest.test_case "encode/decode" `Quick test_signature_encode_decode;
           Alcotest.test_case "cross-signer rejects" `Quick
             test_signature_cross_signer_rejects;
+          Alcotest.test_case "defer = generate" `Quick test_defer_matches_generate;
+          Alcotest.test_case "defer checks height at call" `Quick
+            test_defer_checks_height_at_call;
         ] );
     ]

@@ -88,6 +88,17 @@ let prop_subthreshold_coalition_never_relaxes =
       let v = Hsm.authorize h ~kind:`Relax p (real @ forged @ real) in
       not v.Hsm.granted)
 
+(* Attacks.social_engineering's shape: a second HSM on the PRNG the
+   first one's admin keys drew from.  The nonce, captured while admin
+   keys were generated inside [create], moves if any key draw moves. *)
+let test_second_hsm_nonce_pinned () =
+  let prng = Prng.create 17L in
+  ignore (Hsm.create prng);
+  let h = Hsm.create ~admins:1 ~relax_threshold:1 ~restrict_threshold:1 prng in
+  let p = Hsm.new_proposal h ~action:"set-isolation" ~payload:"standard" in
+  Alcotest.(check string) "nonce" "09b52d02fa74ac4f733725f6da63141c"
+    (Guillotine_crypto.Sha256.hex p.Hsm.nonce)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "hsm"
@@ -103,6 +114,8 @@ let () =
           Alcotest.test_case "approvals bound to proposal" `Quick
             test_approvals_bound_to_proposal;
           Alcotest.test_case "spent counter" `Quick test_spent_counter;
+          Alcotest.test_case "second HSM's nonce pinned" `Quick
+            test_second_hsm_nonce_pinned;
           qc prop_subthreshold_coalition_never_relaxes;
         ] );
     ]

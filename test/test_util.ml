@@ -291,6 +291,18 @@ let prop_prng_split_deterministic =
       let parent = List.init 32 (fun _ -> Prng.int64 (Prng.create seed)) in
       xs = ys && xs <> parent)
 
+let prop_prng_skip_is_n_draws =
+  QCheck.Test.make ~name:"prng skip n = n int64 draws" ~count:40
+    QCheck.(pair int (int_range 0 (1 lsl 20)))
+    (fun (seed, n) ->
+      let a = Prng.create (Int64.of_int seed) in
+      let b = Prng.copy a in
+      for _ = 1 to n do
+        ignore (Prng.int64 a)
+      done;
+      Prng.skip b n;
+      List.init 8 (fun _ -> Prng.int64 a) = List.init 8 (fun _ -> Prng.int64 b))
+
 let test_bits_roundtrip () =
   let s = "Guillotine" in
   Alcotest.(check string) "roundtrip" s (Bits.to_string (Bits.of_string s))
@@ -355,6 +367,7 @@ let () =
           Alcotest.test_case "choose covers all" `Quick test_prng_choose_covers_all;
           qc prop_prng_copy_replays;
           qc prop_prng_split_deterministic;
+          qc prop_prng_skip_is_n_draws;
         ] );
       ( "stats",
         [
