@@ -1629,11 +1629,12 @@ let o1 () =
         ])
     Scenarios.names;
   Table.print t;
-  (* Overhead, measured where the <5% target is meaningful: the six
-     deployment-backed scenarios do f-series-scale work (attestation,
-     sealing, rollback crypto — ~1s of host CPU each), so the monitor's
-     2 Hz sampling should vanish into that.  Median-of-reps per side to
-     shrug off scheduler noise. *)
+  (* Overhead on the six deployment-backed scenarios.  With keys
+     generated on first use each takes only 0.015-0.5 s of host CPU
+     (attestation, sealing, rollback), and run-to-run scheduler noise
+     on rigs that short is tens of percent per rig, larger than the
+     <5% target: a single run's aggregate can read either side of it.
+     Median-of-reps per side damps but does not remove that noise. *)
   let reps = 3 in
   let median f =
     let ts =

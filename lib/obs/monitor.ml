@@ -13,8 +13,8 @@ type t = {
   c_raised : Telemetry.counter;
   c_cleared : Telemetry.counter;
   g_series : Telemetry.gauge;
-  mutable sources : (unit -> Telemetry.snapshot) list; (* reversed *)
-  mutable handlers : (Watchdog.alert -> unit) list;    (* reversed *)
+  mutable sources : (unit -> Telemetry.snapshot) list; (* call order *)
+  mutable handlers : (Watchdog.alert -> unit) list;    (* call order *)
   mutable started : bool;
 }
 
@@ -44,10 +44,12 @@ let series t = t.series
 let watchdog t = t.watchdog
 let recorder t = t.recorder
 let telemetry t = t.telemetry
-let add_source t src = t.sources <- src :: t.sources
+(* Sources and handlers are added at set-up and walked on every tick,
+   so they are stored in call order. *)
+let add_source t src = t.sources <- t.sources @ [ src ]
 let add_registry t reg = add_source t (fun () -> Telemetry.snapshot reg)
 let add_rule t r = Watchdog.add_rule t.watchdog r
-let on_alert t h = t.handlers <- h :: t.handlers
+let on_alert t h = t.handlers <- t.handlers @ [ h ]
 
 let ingest t ~at (snap : Telemetry.snapshot) =
   let component = snap.Telemetry.component in
@@ -86,7 +88,7 @@ let alert_args (a : Watchdog.alert) =
 let sample_now t =
   let at = Engine.now t.engine in
   Telemetry.incr t.c_samples;
-  List.iter (fun src -> ingest t ~at (src ())) (List.rev t.sources);
+  List.iter (fun src -> ingest t ~at (src ())) t.sources;
   Telemetry.set t.g_series (float_of_int (Timeseries.count t.series));
   let raised, cleared = Watchdog.evaluate t.watchdog ~now:at t.series in
   List.iter
@@ -98,7 +100,7 @@ let sample_now t =
         (Printf.sprintf "%s [%s] value=%g" a.Watchdog.rule.Watchdog.rule_name
            (Watchdog.severity_string a.Watchdog.rule.Watchdog.severity)
            a.Watchdog.value);
-      List.iter (fun h -> h a) (List.rev t.handlers))
+      List.iter (fun h -> h a) t.handlers)
     raised;
   List.iter
     (fun a ->

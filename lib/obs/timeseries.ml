@@ -17,14 +17,20 @@ type point = {
   rate : float;
 }
 
+(* Both buffers grow by doubling and are reused, so a record or a
+   window close costs the same at any uptime.  The ring fills from
+   slot 0 until it holds [max_windows] points; only then does [head]
+   move, each close overwriting the oldest point. *)
 type series = {
-  s_kind : kind;
   mutable open_idx : int;
-  mutable open_samples : float list; (* reversed *)
-  mutable closed : point list;       (* reversed, bounded *)
+  mutable open_buf : float array;  (* open window's samples, arrival order *)
+  mutable n_open : int;
+  mutable ring : point array;      (* closed windows, oldest at [head] *)
+  mutable head : int;
   mutable n_closed : int;
-  mutable prev_last : float option;  (* last value before the open window *)
-  mutable last_value : float option;
+  mutable prev_last : float;       (* last sample before the open window,
+                                      or the series' first sample *)
+  mutable last_value : float;
   mutable last_at : float;
   mutable changed_at : float;
 }
@@ -43,93 +49,105 @@ let create ?(width = 1.0) ?(max_windows = 512) () =
 
 let width t = t.width
 
-let series_of t ~name ~kind ~at =
-  match Hashtbl.find_opt t.tbl name with
-  | Some s -> s
-  | None ->
-    let s =
-      {
-        s_kind = kind;
-        open_idx = -1;
-        open_samples = [];
-        closed = [];
-        n_closed = 0;
-        prev_last = None;
-        last_value = None;
-        last_at = at;
-        changed_at = at;
-      }
-    in
-    Hashtbl.replace t.tbl name s;
-    t.order <- name :: t.order;
-    s
+(* Aggregates go through Stats.summarize_array — the summariser
+   telemetry snapshots use — so windowed and snapshot percentiles agree
+   by construction. *)
+let open_summary s = Stats.summarize_array ~len:s.n_open s.open_buf
 
-(* Close the open window into a point.  Aggregates go through
-   Stats.summarize — the same path telemetry snapshots use — so
-   windowed and snapshot percentiles agree by construction. *)
-let close_window t s =
-  match s.open_samples with
-  | [] -> ()
-  | rev_samples ->
-    let samples = List.rev rev_samples in
-    let su = Stats.summarize samples in
-    let last = List.hd rev_samples in
-    let prev = match s.prev_last with Some p -> p | None -> List.hd samples in
-    let delta = last -. prev in
-    let p =
-      {
-        window_start = t.width *. float_of_int s.open_idx;
-        window_end = t.width *. float_of_int (s.open_idx + 1);
-        samples = su.Stats.count;
-        last;
-        sum = su.Stats.total;
-        min = su.Stats.min;
-        max = su.Stats.max;
-        p50 = su.Stats.p50;
-        p90 = su.Stats.p90;
-        p99 = su.Stats.p99;
-        delta;
-        rate = delta /. t.width;
-      }
-    in
-    s.closed <- p :: s.closed;
-    s.n_closed <- s.n_closed + 1;
-    if s.n_closed > t.max_windows then begin
-      (* Drop the oldest retained window; rebuilds the list, but only
-         once the bound is hit and the list length stays fixed after. *)
-      s.closed <- List.filteri (fun i _ -> i < t.max_windows) s.closed;
-      s.n_closed <- t.max_windows
+let open_point t s =
+  let su = open_summary s in
+  let last = s.open_buf.(s.n_open - 1) in
+  let delta = last -. s.prev_last in
+  {
+    window_start = t.width *. float_of_int s.open_idx;
+    window_end = t.width *. float_of_int (s.open_idx + 1);
+    samples = su.Stats.count;
+    last;
+    sum = su.Stats.total;
+    min = su.Stats.min;
+    max = su.Stats.max;
+    p50 = su.Stats.p50;
+    p90 = su.Stats.p90;
+    p99 = su.Stats.p99;
+    delta;
+    rate = delta /. t.width;
+  }
+
+let push_closed t s p =
+  let cap = Array.length s.ring in
+  if s.n_closed = t.max_windows then begin
+    s.ring.(s.head) <- p;
+    s.head <- (s.head + 1) mod cap
+  end
+  else begin
+    if s.n_closed = cap then begin
+      let ring = Array.make (min t.max_windows (max 1 (2 * cap))) p in
+      Array.blit s.ring 0 ring 0 cap;
+      s.ring <- ring
     end;
-    s.prev_last <- Some last;
-    s.open_samples <- []
+    s.ring.(s.n_closed) <- p;
+    s.n_closed <- s.n_closed + 1
+  end
 
-let record t ~name ~kind ~at v =
-  let s = series_of t ~name ~kind ~at in
+let close_window t s =
+  if s.n_open > 0 then begin
+    let p = open_point t s in
+    push_closed t s p;
+    s.prev_last <- p.last;
+    s.n_open <- 0
+  end
+
+let new_series t ~name ~at v =
+  let s =
+    {
+      open_idx = -1;
+      open_buf = [||];
+      n_open = 0;
+      ring = [||];
+      head = 0;
+      n_closed = 0;
+      prev_last = v;
+      last_value = v;
+      last_at = at;
+      changed_at = at;
+    }
+  in
+  Hashtbl.replace t.tbl name s;
+  t.order <- name :: t.order;
+  s
+
+let record t ~name ~kind:_ ~at v =
+  let s =
+    match Hashtbl.find t.tbl name with
+    | s -> s
+    | exception Not_found -> new_series t ~name ~at v
+  in
   let idx = int_of_float (Float.floor (at /. t.width)) in
   if s.open_idx <> idx then begin
     close_window t s;
     s.open_idx <- idx
   end;
-  (match s.last_value with
-  | Some lv when lv = v -> ()
-  | _ -> s.changed_at <- at);
-  s.open_samples <- v :: s.open_samples;
-  s.last_value <- Some v;
+  if s.last_value <> v then s.changed_at <- at;
+  if s.n_open = Array.length s.open_buf then begin
+    let buf = Array.make (max 4 (2 * s.n_open)) 0.0 in
+    Array.blit s.open_buf 0 buf 0 s.n_open;
+    s.open_buf <- buf
+  end;
+  s.open_buf.(s.n_open) <- v;
+  s.n_open <- s.n_open + 1;
+  s.last_value <- v;
   s.last_at <- at
 
 let names t = List.rev t.order
 let count t = Hashtbl.length t.tbl
 
 let matching t pattern =
-  let plen = String.length pattern in
-  if plen > 1 && String.length pattern >= 2 && String.sub pattern 0 2 = "*." then begin
-    let suffix = String.sub pattern 1 (plen - 1) in
-    let slen = String.length suffix in
-    List.filter
-      (fun n ->
-        let nlen = String.length n in
-        nlen >= slen && String.sub n (nlen - slen) slen = suffix)
-      (names t)
+  if String.starts_with ~prefix:"*." pattern then begin
+    let suffix = String.sub pattern 1 (String.length pattern - 1) in
+    (* Folding the reversed order and consing restores first-seen order. *)
+    List.fold_left
+      (fun acc n -> if String.ends_with ~suffix n then n :: acc else acc)
+      [] t.order
   end
   else if Hashtbl.mem t.tbl pattern then [ pattern ]
   else []
@@ -137,63 +155,35 @@ let matching t pattern =
 let points t name =
   match Hashtbl.find_opt t.tbl name with
   | None -> []
-  | Some s -> List.rev s.closed
+  | Some s ->
+    List.init s.n_closed (fun i -> s.ring.((s.head + i) mod Array.length s.ring))
 
 type signal = Last | Mean | Min | Max | P50 | P90 | P99 | Rate | Delta | Count
 
-(* The freshest window: aggregate the open window on demand when it has
-   samples, otherwise fall back to the last closed point. *)
-let current_point t s =
-  match s.open_samples with
-  | [] -> (match s.closed with [] -> None | p :: _ -> Some p)
-  | rev_samples ->
-    let samples = List.rev rev_samples in
-    let su = Stats.summarize samples in
-    let last = List.hd rev_samples in
-    let prev = match s.prev_last with Some p -> p | None -> List.hd samples in
-    let delta = last -. prev in
-    Some
-      {
-        window_start = t.width *. float_of_int s.open_idx;
-        window_end = t.width *. float_of_int (s.open_idx + 1);
-        samples = su.Stats.count;
-        last;
-        sum = su.Stats.total;
-        min = su.Stats.min;
-        max = su.Stats.max;
-        p50 = su.Stats.p50;
-        p90 = su.Stats.p90;
-        p99 = su.Stats.p99;
-        delta;
-        rate = delta /. t.width;
-      }
-
+(* The freshest window is always the open one: a series exists only
+   once it has a sample, and every close is followed by the sample that
+   opened the next window.  Only the mean and the order statistics need
+   a summary. *)
 let signal_value t name signal =
   match Hashtbl.find_opt t.tbl name with
   | None -> None
-  | Some s -> (
-    match current_point t s with
-    | None -> None
-    | Some p ->
-      Some
-        (match signal with
-        | Last -> p.last
-        | Mean -> if p.samples = 0 then 0.0 else p.sum /. float_of_int p.samples
-        | Min -> p.min
-        | Max -> p.max
-        | P50 -> p.p50
-        | P90 -> p.p90
-        | P99 -> p.p99
-        | Rate -> p.rate
-        | Delta -> p.delta
-        | Count -> float_of_int p.samples))
+  | Some s ->
+    let last = s.open_buf.(s.n_open - 1) in
+    Some
+      (match signal with
+      | Last -> last
+      | Delta -> last -. s.prev_last
+      | Rate -> (last -. s.prev_last) /. t.width
+      | Count -> float_of_int s.n_open
+      | Mean -> (open_summary s).Stats.mean
+      | Min -> (open_summary s).Stats.min
+      | Max -> (open_summary s).Stats.max
+      | P50 -> (open_summary s).Stats.p50
+      | P90 -> (open_summary s).Stats.p90
+      | P99 -> (open_summary s).Stats.p99)
 
 let staleness t ~name ~now =
-  match Hashtbl.find_opt t.tbl name with
-  | None -> None
-  | Some s -> if s.last_value = None then None else Some (now -. s.changed_at)
+  Option.map (fun s -> now -. s.changed_at) (Hashtbl.find_opt t.tbl name)
 
 let last_sample_at t name =
-  match Hashtbl.find_opt t.tbl name with
-  | None -> None
-  | Some s -> if s.last_value = None then None else Some s.last_at
+  Option.map (fun s -> s.last_at) (Hashtbl.find_opt t.tbl name)

@@ -7,10 +7,15 @@
     later window the open one is closed into a {!point} carrying
     windowed aggregates.
 
-    Aggregates are computed with {!Guillotine_util.Stats.summarize} —
-    the exact code path used by telemetry snapshot summaries — so a
-    windowed p99 and a snapshot p99 over the same samples can never
-    disagree.
+    Aggregates are computed with
+    {!Guillotine_util.Stats.summarize_array} — the summariser behind
+    telemetry snapshot summaries — so a windowed p99 and a snapshot p99
+    over the same samples can never disagree.
+
+    Retention costs constant time per closed window: each series keeps
+    its closed windows in a ring of at most [max_windows] points and
+    its open window's samples in a reused float buffer, so a sample
+    costs the same one hour or one week into a run.
 
     Counter semantics: [delta] is the last value of the window minus
     the last value of the previous window (or minus the first sample of
@@ -65,8 +70,8 @@ val matching : t -> string -> string list
 val points : t -> string -> point list
 (** Closed windows, chronological.  Empty for unknown series. *)
 
-(** Scalar view of the most recent window (the open window when it has
-    samples, otherwise the last closed one) — what watchdog rules
+(** Scalar view of the most recent window — the open one, which always
+    holds at least the series' latest sample — what watchdog rules
     evaluate.  [Rate] and [Delta] on a still-open window use the full
     window width as denominator, which under-reports rather than
     spikes. *)

@@ -52,23 +52,23 @@ type state =
 type tracked = { t_rule : rule; mutable st : state }
 
 type t = {
-  mutable tracked : tracked list; (* reversed insertion order *)
+  mutable tracked : tracked list; (* insertion order: appended at set-up,
+                                     walked on every evaluation *)
   mutable log : alert list;       (* reversed *)
 }
 
 let create () = { tracked = []; log = [] }
-let add_rule t r = t.tracked <- { t_rule = r; st = Healthy } :: t.tracked
-let rules t = List.rev_map (fun tr -> tr.t_rule) t.tracked
+let add_rule t r = t.tracked <- t.tracked @ [ { t_rule = r; st = Healthy } ]
+let rules t = List.map (fun tr -> tr.t_rule) t.tracked
 let alerts t = List.rev t.log
 
 let firing t =
-  List.rev
-    (List.filter_map
-       (fun tr ->
-         match tr.st with
-         | Firing a | Recovering (a, _) -> Some a
-         | Healthy | Pending _ -> None)
-       t.tracked)
+  List.filter_map
+    (fun tr ->
+      match tr.st with
+      | Firing a | Recovering (a, _) -> Some a
+      | Healthy | Pending _ -> None)
+    t.tracked
 
 (* Reduce the rule's metric (possibly a family) to one scalar. *)
 let observed rule ~now series =
@@ -146,5 +146,5 @@ let evaluate t ~now series =
               cleared := a :: !cleared;
               tr.st <- Healthy
             end))
-    (List.rev t.tracked);
+    t.tracked;
   (List.rev !raised, List.rev !cleared)

@@ -44,27 +44,48 @@ let percentile sorted q =
     end
   end
 
-let summarize xs =
-  match xs with
-  | [] -> empty_summary
-  | _ ->
-    let arr = Array.of_list xs in
+(* The sums run over [a] in index order, which is arrival order for
+   every caller, so [total], [mean] and [stddev] have the same bits
+   whether the samples sit in a list or a buffer; the order statistics
+   read a sorted copy. *)
+let summarize_array ?len a =
+  let n = match len with None -> Array.length a | Some n -> n in
+  if n = 0 then empty_summary
+  else begin
+    let sorted = Array.sub a 0 n in
     (* Float.compare agrees with polymorphic compare on floats (including
        NaN ordering) but avoids the generic-compare path — summaries are
        recomputed on every telemetry snapshot, so this sort is hot. *)
-    Array.sort Float.compare arr;
-    let n = Array.length arr in
+    Array.sort Float.compare sorted;
+    let total = ref 0. in
+    for i = 0 to n - 1 do
+      total := !total +. a.(i)
+    done;
+    let mean = !total /. float_of_int n in
+    let stddev =
+      if n < 2 then 0.
+      else begin
+        let ss = ref 0. in
+        for i = 0 to n - 1 do
+          ss := !ss +. ((a.(i) -. mean) ** 2.)
+        done;
+        sqrt (!ss /. (float_of_int n -. 1.))
+      end
+    in
     {
       count = n;
-      mean = mean xs;
-      stddev = stddev xs;
-      min = arr.(0);
-      p50 = percentile arr 0.5;
-      p90 = percentile arr 0.9;
-      p99 = percentile arr 0.99;
-      max = arr.(n - 1);
-      total = List.fold_left ( +. ) 0. xs;
+      mean;
+      stddev;
+      min = sorted.(0);
+      p50 = percentile sorted 0.5;
+      p90 = percentile sorted 0.9;
+      p99 = percentile sorted 0.99;
+      max = sorted.(n - 1);
+      total = !total;
     }
+  end
+
+let summarize xs = summarize_array (Array.of_list xs)
 
 let histogram ~bins xs =
   if bins <= 0 then invalid_arg "Stats.histogram: bins must be positive";

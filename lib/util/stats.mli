@@ -12,9 +12,21 @@ type summary = {
   total : float;
 }
 
+val summarize_array : ?len:int -> float array -> summary
+(** [summarize_array ?len a] computes all summary fields over the first
+    [len] elements of [a] (default: all of them), leaving [a] untouched.
+    [len = 0] yields a zeroed summary with [count = 0]; a [len] outside
+    [\[0, Array.length a\]] raises [Invalid_argument].
+
+    [total], [mean] and [stddev] are summed in index order, so a caller
+    that stores samples in arrival order gets the same bits as summing
+    the samples one by one as they arrived; the order statistics come
+    from a sorted copy through {!percentile}.  Cost: one [len]-float
+    copy and an O(len log len) sort. *)
+
 val summarize : float list -> summary
-(** [summarize xs] computes all summary fields.  An empty list yields a
-    zeroed summary with [count = 0]. *)
+(** [summarize xs] is [summarize_array (Array.of_list xs)]: the one
+    summariser behind both telemetry snapshots and time-series windows. *)
 
 val percentile : float array -> float -> float
 (** [percentile sorted q] with [q] in [\[0,1\]]; [sorted] must be sorted
@@ -31,8 +43,9 @@ val percentile : float array -> float -> float
       interpolate within the lower pair, above 0.5 within the upper.
 
     Both telemetry snapshot summaries and the observability plane's
-    windowed aggregates go through this function (via {!summarize}),
-    so the two surfaces cannot disagree on a percentile. *)
+    windowed aggregates go through this function (via
+    {!summarize_array}), so the two surfaces cannot disagree on a
+    percentile. *)
 
 val mean : float list -> float
 val stddev : float list -> float

@@ -22,6 +22,8 @@ module Hsm = Guillotine_hsm.Hsm
 module Detector = Guillotine_detect.Detector
 module Isolation = Guillotine_hv.Isolation
 module Prng = Guillotine_util.Prng
+module Deployment = Guillotine_core.Deployment
+module Monitor = Guillotine_obs.Monitor
 
 let matrix_seed =
   match Sys.getenv_opt "FAULTS_SEED" with
@@ -73,6 +75,150 @@ let prop_monotone_counter_rates_non_negative =
       List.for_all
         (fun p -> p.Timeseries.delta >= 0.0 && p.Timeseries.rate >= 0.0)
         points)
+
+(* --------- ring-buffered store = list reference (qcheck) ----------- *)
+
+(* Every query the library store answers must match the list-based
+   reference in [Timeseries_ref] bit for bit, after every record of a
+   random trace: a few series, both kinds, times that repeat, step
+   across window boundaries exactly and jump several windows, repeated
+   and signed-zero values, and a retention bound small enough to be
+   hit many times over. *)
+let ts_names = [| "a.x"; "b.x"; "a.y"; "c" |]
+let ts_queries = Array.to_list ts_names @ [ "absent" ]
+let ts_patterns = [ "*.x"; "*.y"; "*."; "*"; "*x"; "a.x"; "c"; "absent"; "" ]
+
+let ts_signals =
+  Timeseries.
+    [
+      (Last, Timeseries_ref.Last); (Mean, Timeseries_ref.Mean);
+      (Min, Timeseries_ref.Min); (Max, Timeseries_ref.Max);
+      (P50, Timeseries_ref.P50); (P90, Timeseries_ref.P90);
+      (P99, Timeseries_ref.P99); (Rate, Timeseries_ref.Rate);
+      (Delta, Timeseries_ref.Delta); (Count, Timeseries_ref.Count);
+    ]
+
+let bits = Int64.bits_of_float
+let opt_bits = Option.map bits
+
+let point_bits (p : Timeseries.point) =
+  ( p.Timeseries.samples,
+    List.map bits
+      Timeseries.
+        [ p.window_start; p.window_end; p.last; p.sum; p.min; p.max; p.p50;
+          p.p90; p.p99; p.delta; p.rate ] )
+
+let ref_point_bits (p : Timeseries_ref.point) =
+  ( p.Timeseries_ref.samples,
+    List.map bits
+      Timeseries_ref.
+        [ p.window_start; p.window_end; p.last; p.sum; p.min; p.max; p.p50;
+          p.p90; p.p99; p.delta; p.rate ] )
+
+let ts_trace_arb =
+  let record =
+    QCheck.Gen.(
+      quad (int_bound (Array.length ts_names - 1)) bool
+        (frequency
+           [
+             (2, return 0.0);
+             (2, oneofl [ 0.25; 0.5; 1.0 ]);
+             (4, float_range 0.05 0.6);
+             (1, float_range 1.0 6.0);
+           ])
+        (frequency
+           [
+             (4, oneofl [ 0.0; -0.0; 1.0; -1.0; 2.5; Float.nan ]);
+             (3, float_range (-50.0) 50.0);
+           ]))
+  in
+  let print (max_windows, width, records) =
+    Printf.sprintf "max_windows=%d width=%g [%s]" max_windows width
+      (String.concat "; "
+         (List.map
+            (fun (i, counter, dt, v) ->
+              Printf.sprintf "%s %s +%h %h" ts_names.(i)
+                (if counter then "counter" else "gauge")
+                dt v)
+            records))
+  in
+  QCheck.make ~print
+    QCheck.Gen.(
+      triple (int_range 1 8) (oneofl [ 0.5; 1.0; 2.5 ])
+        (list_size (int_range 0 80) record))
+
+let prop_store_matches_reference =
+  QCheck.Test.make ~count:300
+    ~name:"ring-buffered store = list reference, bit for bit" ts_trace_arb
+    (fun (max_windows, width, records) ->
+      let ts = Timeseries.create ~width ~max_windows () in
+      let rf = Timeseries_ref.create ~width ~max_windows () in
+      let at = ref 0.0 in
+      let agree name =
+        let now = !at +. 0.75 in
+        List.map point_bits (Timeseries.points ts name)
+        = List.map ref_point_bits (Timeseries_ref.points rf name)
+        && List.for_all
+             (fun (sg, rsg) ->
+               opt_bits (Timeseries.signal_value ts name sg)
+               = opt_bits (Timeseries_ref.signal_value rf name rsg))
+             ts_signals
+        && opt_bits (Timeseries.staleness ts ~name ~now)
+           = opt_bits (Timeseries_ref.staleness rf ~name ~now)
+        && opt_bits (Timeseries.last_sample_at ts name)
+           = opt_bits (Timeseries_ref.last_sample_at rf name)
+      in
+      List.for_all
+        (fun (i, counter, dt, v) ->
+          at := !at +. dt;
+          let name = ts_names.(i) in
+          Timeseries.record ts ~name
+            ~kind:(if counter then Timeseries.Counter else Timeseries.Gauge)
+            ~at:!at v;
+          Timeseries_ref.record rf ~name
+            ~kind:
+              (if counter then Timeseries_ref.Counter else Timeseries_ref.Gauge)
+            ~at:!at v;
+          Timeseries.names ts = Timeseries_ref.names rf
+          && Timeseries.count ts = Timeseries_ref.count rf
+          && List.for_all
+               (fun p -> Timeseries.matching ts p = Timeseries_ref.matching rf p)
+               ts_patterns
+          && List.for_all agree ts_queries)
+        records)
+
+(* ------------------- monitor sampling cost (unit) ------------------ *)
+
+(* A monitor sample must allocate the same at any uptime.  Counting
+   minor words rather than seconds keeps the check independent of host
+   speed; the later span lies past the default 512-window retention
+   bound, where a store that rebuilt its retained windows on every
+   close allocated seven times as much. *)
+let test_flat_cost_sampling () =
+  let d = Deployment.create ~seed:1L () in
+  let m = Deployment.enable_monitoring d in
+  let e = Deployment.engine d in
+  let samples () =
+    Telemetry.get_counter (Telemetry.snapshot (Monitor.telemetry m))
+      "samples.taken"
+  in
+  let words_per_sample ~from ~until =
+    Engine.run e ~until:from;
+    let s0 = samples () in
+    let w0 = Gc.minor_words () in
+    Engine.run e ~until;
+    let w1 = Gc.minor_words () in
+    let taken = samples () - s0 in
+    Alcotest.(check int) "2 Hz sampling" 500 taken;
+    (w1 -. w0) /. float_of_int taken
+  in
+  let early = words_per_sample ~from:250.0 ~until:500.0 in
+  let late = words_per_sample ~from:1250.0 ~until:1500.0 in
+  if late > 1.05 *. early then
+    Alcotest.failf "words per sample grew with uptime: %.1f -> %.1f" early late;
+  if late > 4500.0 then
+    Alcotest.failf "%.1f words per sample past the retention bound (budget 4500)"
+      late
 
 (* ------------------- watchdog hysteresis (qcheck) ------------------ *)
 
@@ -257,6 +403,8 @@ let () =
         [
           qc prop_window_deltas_sum_to_counter_delta;
           qc prop_monotone_counter_rates_non_negative;
+          qc prop_store_matches_reference;
+          Alcotest.test_case "flat-cost sampling" `Quick test_flat_cost_sampling;
         ] );
       ( "watchdog",
         [

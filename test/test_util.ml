@@ -153,6 +153,36 @@ let test_stats_percentile_tiny_n () =
     (Invalid_argument "Stats.percentile: empty array") (fun () ->
       ignore (Stats.percentile [||] 0.5))
 
+(* The array summariser must reproduce the list code it replaced bit for
+   bit, also when it reads a prefix of a longer buffer: signed zeros,
+   repeats and negatives make summation order and sort ties show. *)
+let summary_bits (s : Stats.summary) =
+  ( s.Stats.count,
+    List.map Int64.bits_of_float
+      Stats.[ s.mean; s.stddev; s.min; s.p50; s.p90; s.p99; s.max; s.total ] )
+
+let prop_summarize_matches_list_code =
+  let sample =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, oneofl [ 0.0; -0.0; 1.0; -1.0; 0.1; -2.5; 1e300; -1e-300 ]);
+          (2, float_range (-1e3) 1e3);
+        ])
+  in
+  QCheck.Test.make ~count:500 ~name:"summarize = list reference, bit for bit"
+    QCheck.(
+      pair
+        (list_of_size Gen.(int_range 0 40) (make ~print:(Printf.sprintf "%h") sample))
+        (list_of_size Gen.(int_range 0 4) (make ~print:(Printf.sprintf "%h") sample)))
+    (fun (xs, tail) ->
+      let expect = summary_bits (Timeseries_ref.Stats.summarize xs) in
+      summary_bits (Stats.summarize xs) = expect
+      && summary_bits
+           (Stats.summarize_array ~len:(List.length xs)
+              (Array.of_list (xs @ tail)))
+         = expect)
+
 let test_stats_histogram () =
   let h = Stats.histogram ~bins:2 [ 0.; 1.; 2.; 3. ] in
   Alcotest.(check int) "two bins" 2 (Array.length h);
@@ -380,6 +410,7 @@ let () =
             test_stats_percentile_tiny_n;
           Alcotest.test_case "histogram" `Quick test_stats_histogram;
           Alcotest.test_case "streaming counter" `Quick test_stats_counter_matches_batch;
+          qc prop_summarize_matches_list_code;
         ] );
       ( "heap",
         [
