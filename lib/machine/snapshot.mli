@@ -18,7 +18,8 @@ type t
 
 val capture : Machine.t -> t
 (** Raises {!Machine.Inspection_denied} unless every model core is
-    quiescent — the private bus rule. *)
+    quiescent — the private bus rule.  The digest ({!digest_hex}) is
+    taken here, once. *)
 
 val restore : Machine.t -> t -> unit
 (** Write the captured DRAM and every core's ISA context back.  Cores
@@ -35,7 +36,12 @@ val restore : Machine.t -> t -> unit
 
 val digest_hex : t -> string
 (** SHA-256 over the captured state — a checkpoint identity suitable
-    for the audit log. *)
+    for the audit log — computed at {!capture}; this returns the stored
+    string and allocates nothing.  The serialisation it hashes is
+    frozen: [%Lx;] per DRAM word, then per core [%Lx,] per register and
+    [|pc|epc|in_handler].  Audit entries carry the digest's prefix, so
+    changing one byte of it changes every audit chain with a rollback in
+    it. *)
 
 val dram_words : t -> int
 val cores : t -> int

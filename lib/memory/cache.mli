@@ -18,14 +18,12 @@ type config = {
   miss_cost : int;  (* extra cycles to consult the next level / DRAM *)
 }
 
-type way = { mutable tag : int; mutable stamp : int }
-(** [tag = -1] marks an invalid way. *)
-
 type t = {
   name : string;
   cfg : config;
   next : t option;
-  ways : way array array; (* [set].[way] *)
+  tags : int array;   (* slot [set * ways + way]; -1 = invalid; one sentinel slot last *)
+  stamps : int array; (* LRU stamp per slot, same indexing *)
   line_shift : int;
   set_mask : int;
   sets_shift : int;
@@ -33,15 +31,21 @@ type t = {
   mutable hits : int;
   mutable misses : int;
 }
-(** Exposed for the core's instruction fetch, which probes a
-    remembered way before falling back to {!access}.  Ways are mutated
-    in place and never replaced, so a remembered way stays the one at
-    its (set, index).  A probe
-    that hits must replicate {!access}'s hit-path mutations exactly
-    (clock, hit counter, LRU stamp) — cache occupancy and timing are
-    the side channels the whole model exists to exhibit.  Tags are
-    unique within a set ({!access} only fills on miss), so a way whose
-    tag matches {e is} the way a full scan would find. *)
+(** Exposed for the core's instruction fetch, which keeps a slot hint
+    per fetch site and probes it before falling back to {!access}.
+    The contract that makes a hint safe to keep:
+    - slots never move: way [w] of set [s] is slot [s * ways + w] for
+      the cache's lifetime, and tags and stamps are mutated in place;
+    - the sentinel slot ({!sentinel}, the last one) holds tag [min_int]
+      and is never written, so it matches no tag and is the "unknown"
+      hint;
+    - tags are unique within a set ({!access} only fills on miss), so a
+      slot of the right set whose tag matches {e is} the slot a full
+      scan would find.
+    A probe that hits must replicate {!access}'s hit-path mutations
+    exactly (clock, hit counter, the slot's LRU stamp) — cache
+    occupancy and timing are the side channels the whole model exists
+    to exhibit. *)
 
 val config_l1 : config
 (** 64 sets x 8 ways x 8-word lines, 1-cycle hit. *)
@@ -80,9 +84,12 @@ val tag_of_addr : t -> int -> int
 (** The tag an address carries at this level (pairs with
     {!set_of_addr} for probe pre-computation). *)
 
-val way_of : t -> set:int -> tag:int -> int
-(** Index of the way currently holding [tag] in [set], or -1.  Pure
+val slot_of : t -> set:int -> tag:int -> int
+(** The slot currently holding [tag] in [set], or {!sentinel}.  Pure
     probe: no clock movement, no stats. *)
+
+val sentinel : t -> int
+(** The never-matching slot: [sets * ways]. *)
 
 val stats : t -> int * int
 (** (hits, misses) since creation or [reset_stats]. *)

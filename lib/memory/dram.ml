@@ -29,36 +29,31 @@ let flip_bit t ~addr ~bit =
   if bit < 0 || bit > 63 then invalid_arg "Dram.flip_bit: bit out of range";
   t.data.(addr) <- Int64.logxor t.data.(addr) (Int64.shift_left 1L bit)
 
-let load_words t ~at words =
+(* [at, at + len) must lie in the DRAM; the error names its last word. *)
+let check_region t ~at ~len =
   check t at;
-  if at + Array.length words > Array.length t.data then
-    raise (Bus_error { addr = at + Array.length words - 1; size = Array.length t.data });
+  if len < 0 || at + len > Array.length t.data then
+    raise (Bus_error { addr = at + len - 1; size = Array.length t.data })
+
+let load_words t ~at words =
+  check_region t ~at ~len:(Array.length words);
   Array.blit words 0 t.data at (Array.length words)
 
 let load_program t (p : Guillotine_isa.Asm.program) =
   load_words t ~at:p.origin p.words
 
 let fill t ~at ~len v =
-  check t at;
-  if len < 0 || at + len > Array.length t.data then
-    raise (Bus_error { addr = at + len - 1; size = Array.length t.data });
+  check_region t ~at ~len;
   Array.fill t.data at len v
 
 let snapshot t ~at ~len =
-  check t at;
-  if len < 0 || at + len > Array.length t.data then
-    raise (Bus_error { addr = at + len - 1; size = Array.length t.data });
+  check_region t ~at ~len;
   Array.sub t.data at len
 
 let hash_region t ~at ~len =
-  let words = snapshot t ~at ~len in
-  let buf = Buffer.create (8 * len) in
-  Array.iter
-    (fun w ->
-      for shift = 56 downto 0 do
-        if shift mod 8 = 0 then
-          Buffer.add_char buf
-            (Char.chr (Int64.to_int (Int64.logand (Int64.shift_right_logical w shift) 0xFFL)))
-      done)
-    words;
-  Buffer.contents buf
+  check_region t ~at ~len;
+  let b = Bytes.create (8 * len) in
+  for i = 0 to len - 1 do
+    Bytes.set_int64_be b (8 * i) (Array.unsafe_get t.data (at + i))
+  done;
+  Bytes.unsafe_to_string b

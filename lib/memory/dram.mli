@@ -51,4 +51,5 @@ val snapshot : t -> at:int -> len:int -> int64 array
 
 val hash_region : t -> at:int -> len:int -> string
 (** Stable byte serialization of the region, for measurement digests
-    (the caller hashes it). *)
+    (the caller hashes it): each word's 8 bytes, big-endian, in address
+    order.  Raises [Bus_error] as {!snapshot} does. *)

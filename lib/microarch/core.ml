@@ -97,7 +97,7 @@ type site = {
   mutable s_io : bool;      (* paddr routes to the uncached IO region *)
   mutable s_set : int;      (* L1 placement of paddr (valid when not s_io) *)
   mutable s_tag : int;
-  mutable s_way : Cache.way; (* hinted L1 way of set s_set; [no_way] = unknown *)
+  mutable s_slot : int;     (* hinted L1 slot of set s_set; [Cache.sentinel] = unknown *)
   mutable s_word : int64;   (* the word [s_op] was compiled from *)
   mutable s_op : t -> bool;
       (* Execute phase only (fetch and word compare happen first);
@@ -186,11 +186,10 @@ and jit_block = {
 let site_slots = 4096 (* direct-mapped; must be a power of two *)
 let site_mask = site_slots - 1
 
-(* Hint sentinels, never in a TLB or cache and never matched.  An L1
-   tag is non-negative, so [no_way] matches no tag.  With one-word pages
-   every int is a vpage, so a site's unknown TLB entry is the sentinel
-   whose vpage has the other parity. *)
-let no_way = { Cache.tag = min_int; stamp = 0 }
+(* TLB hint sentinels, never in a TLB and never matched.  With
+   one-word pages every int is a vpage, so a site's unknown TLB entry is
+   the sentinel whose vpage has the other parity.  (The L1 hint's
+   unknown value is the cache's own sentinel slot.) *)
 let no_entry_for_even = { Tlb.vpage = 1; stamp = 0 }
 let no_entry_for_odd = { Tlb.vpage = 0; stamp = 0 }
 let no_entry vpage = if vpage land 1 = 0 then no_entry_for_even else no_entry_for_odd
@@ -203,9 +202,9 @@ let new_site ~pc ~vpage word op =
     s_mmu_gen = -1;
     s_paddr = -1;
     s_io = false;
-    s_set = 0;
-    s_tag = 0;
-    s_way = no_way;
+    s_set = 0;  (* s_set, s_tag and s_slot are set by the first fetch's *)
+    s_tag = 0;  (* walk, which s_mmu_gen = -1 forces before any probe *)
+    s_slot = 0;
     s_word = word;
     s_op = op;
   }
@@ -932,13 +931,14 @@ let prof_enter t pc =
    Mmu.translate_raw + Hierarchy.read_value charge: the TLB lookup cost,
    then the hierarchy fetch cost.  On a fetch page fault the exception
    is delivered here and [s.s_paddr] is left negative.  The hints hold
-   the TLB entry and L1 way records themselves, which Tlb and Cache
-   mutate in place and never replace.  The probes are safe because TLB
-   vpages are unique across valid entries and cache tags are unique
-   within a set; a site at a negative pc, whose vpage could equal the
-   TLB's invalid marker, faults on its first fetch and is never fetched
-   through again.  Inlined into its two callers, the interpreter and
-   the block runner, each of which runs it once per instruction. *)
+   the TLB entry record itself, which Tlb mutates in place and never
+   replaces, and the L1 slot index, which never moves.  The probes are
+   safe because TLB vpages are unique across valid entries and cache
+   tags are unique within a set; a site at a negative pc, whose vpage
+   could equal the TLB's invalid marker, faults on its first fetch and
+   is never fetched through again.  Inlined into its two callers, the
+   interpreter and the block runner, each of which runs it once per
+   instruction. *)
 let[@inline] fetch t s =
   let tlb = t.tlb in
   let entry = s.s_tlb in
@@ -970,7 +970,7 @@ let[@inline] fetch t s =
          s.s_io <- false;
          s.s_set <- Cache.set_of_addr h.Hierarchy.l1 paddr;
          s.s_tag <- Cache.tag_of_addr h.Hierarchy.l1 paddr;
-         s.s_way <- no_way
+         s.s_slot <- Cache.sentinel h.Hierarchy.l1
        end
      end
    end);
@@ -992,20 +992,20 @@ let[@inline] fetch t s =
     end
     else begin
       let l1 = h.Hierarchy.l1 in
-      let way = s.s_way in
+      let slot = s.s_slot in
       let c =
-        if way.Cache.tag = s.s_tag then begin
+        (* [slot] is a slot of this L1 or its sentinel, so in bounds. *)
+        if Array.unsafe_get l1.Cache.tags slot = s.s_tag then begin
           (* Replicates Cache.access's hit path at L1: clock, hit
              counter, LRU stamp; lower levels are untouched on a hit. *)
           l1.Cache.clock <- l1.Cache.clock + 1;
           l1.Cache.hits <- l1.Cache.hits + 1;
-          way.Cache.stamp <- l1.Cache.clock;
+          Array.unsafe_set l1.Cache.stamps slot l1.Cache.clock;
           l1.Cache.cfg.Cache.hit_cost
         end
         else begin
           let c = Cache.access l1 ~addr:paddr in
-          let wi = Cache.way_of l1 ~set:s.s_set ~tag:s.s_tag in
-          s.s_way <- (if wi >= 0 then l1.Cache.ways.(s.s_set).(wi) else no_way);
+          s.s_slot <- Cache.slot_of l1 ~set:s.s_set ~tag:s.s_tag;
           c
         end
       in

@@ -147,8 +147,30 @@ let test_deployment_create_allocation_budget () =
   let before = Gc.minor_words () in
   ignore (Sys.opaque_identity (Deployment.create ~seed:1L ()));
   let words = Gc.minor_words () -. before in
-  if words > 10e6 then
-    Alcotest.failf "Deployment.create allocates %.0f minor words (budget 10M)" words
+  if words > 20_000. then
+    Alcotest.failf "Deployment.create allocates %.0f minor words (budget 20 000)" words
+
+(* One fixed state's checkpoint identity.  Audit entries carry this
+   digest's prefix, so its bytes are frozen; it is taken once, at
+   capture, and reading it again allocates nothing. *)
+let test_snapshot_digest_pinned () =
+  let module Snapshot = Guillotine_machine.Snapshot in
+  let d = Deployment.create ~seed:1L () in
+  ignore (Deployment.load_model d ());
+  let m = Deployment.machine d in
+  Guillotine_machine.Machine.pause_all_models m;
+  let before = Gc.minor_words () in
+  let snap = Snapshot.capture m in
+  let digest = Snapshot.digest_hex snap in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check string) "digest"
+    "1b05fecafe39bba207fffe2634e55fe72cb049d0ddc300277584c5f120526647" digest;
+  if words > 10_000. then
+    Alcotest.failf "capture + digest_hex allocate %.0f minor words (budget 10 000)" words;
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Snapshot.digest_hex snap));
+  Alcotest.(check (float 0.)) "second digest_hex allocates nothing" 0.
+    (Gc.minor_words () -. before)
 
 let test_networked_deployment_end_to_end () =
   (* Model -> port -> NIC -> fabric -> external host -> fabric -> NIC ->
@@ -323,6 +345,7 @@ let () =
           Alcotest.test_case "key bytes pinned" `Quick test_deployment_key_bytes_pinned;
           Alcotest.test_case "create allocation budget" `Quick
             test_deployment_create_allocation_budget;
+          Alcotest.test_case "snapshot digest pinned" `Quick test_snapshot_digest_pinned;
         ] );
       ( "regulator",
         [

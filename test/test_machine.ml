@@ -363,6 +363,71 @@ let test_snapshot_digest_identity () =
   Alcotest.(check bool) "different state, different digest" true
     (Snapshot.digest_hex s1 <> Snapshot.digest_hex s3)
 
+(* Reference digest, for tests only: the frozen serialisation written
+   with [Printf], which [Snapshot]'s nibble-table writer must match byte
+   for byte. *)
+let reference_digest m =
+  let dram =
+    Machine.inspect_region m ~at:0 ~len:(Dram.size (Machine.model_dram m))
+  in
+  let contexts = Array.map Core.save_context (Machine.model_cores m) in
+  let buf = Buffer.create (8 * Array.length dram) in
+  Array.iter (fun w -> Buffer.add_string buf (Printf.sprintf "%Lx;" w)) dram;
+  Array.iter
+    (fun (c : Core.context) ->
+      Array.iter (fun r -> Buffer.add_string buf (Printf.sprintf "%Lx," r)) c.Core.ctx_regs;
+      Buffer.add_string buf
+        (Printf.sprintf "|%d|%d|%b" c.Core.ctx_pc c.Core.ctx_epc c.Core.ctx_in_handler))
+    contexts;
+  Guillotine_crypto.Sha256.digest_hex (Buffer.contents buf)
+
+let gen_word =
+  QCheck.Gen.(
+    frequency
+      [
+        (2, oneofl [ 0L; -1L; Int64.min_int; Int64.max_int; 0xffff_ffffL; 0x1_0000_0000L ]);
+        (3, ui64);
+        (2, map Int64.of_int (int_bound 0xffff_ffff));
+        (1, map (fun n -> Int64.shift_left 1L n) (int_bound 63));
+        (1, map (fun n -> Int64.pred (Int64.shift_left 1L n)) (int_bound 63));
+      ])
+
+let gen_int =
+  QCheck.Gen.(frequency [ (3, int); (1, oneofl [ 0; -1; min_int; max_int ]); (2, small_int) ])
+
+let prop_snapshot_digest_matches_printf =
+  let machine = lazy (Machine.create ~config:small_config ()) in
+  let gen_context =
+    QCheck.Gen.(
+      map3
+        (fun regs (pc, epc) in_handler ->
+          { Core.ctx_regs = regs; ctx_pc = pc; ctx_epc = epc; ctx_in_handler = in_handler })
+        (array_size (return Guillotine_isa.Isa.num_regs) gen_word)
+        (pair gen_int gen_int) bool)
+  in
+  let gen_addr = QCheck.Gen.int_bound (small_config.Machine.model_words - 1) in
+  let gen =
+    QCheck.Gen.(
+      pair (list_size (int_bound 64) (pair gen_addr gen_word)) (pair gen_context gen_context))
+  in
+  QCheck.Test.make ~name:"digest = Printf reference" ~count:60 (QCheck.make gen)
+    (fun (words, (c0, c1)) ->
+      let m = Lazy.force machine in
+      Machine.pause_all_models m;
+      let dram = Machine.model_dram m in
+      Dram.fill dram ~at:0 ~len:(Dram.size dram) 0L;
+      List.iter (fun (addr, w) -> Dram.write dram addr w) words;
+      Core.load_context (Machine.model_core m 0) c0;
+      Core.load_context (Machine.model_core m 1) c1;
+      Snapshot.digest_hex (Snapshot.capture m) = reference_digest m)
+
+let test_machine_create_allocation_budget () =
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Machine.create ()));
+  let words = Gc.minor_words () -. before in
+  if words > 20_000. then
+    Alcotest.failf "Machine.create allocates %.0f minor words (budget 20 000)" words
+
 let test_snapshot_revives_powered_off_core () =
   let m = Machine.create ~config:small_config () in
   let p = Asm.assemble_exn counting_guest in
@@ -382,6 +447,8 @@ let () =
       ( "topology",
         [
           Alcotest.test_case "cores and domains" `Quick test_topology;
+          Alcotest.test_case "create allocation budget" `Quick
+            test_machine_create_allocation_budget;
           Alcotest.test_case "install and run" `Quick test_install_and_run_program;
           Alcotest.test_case "io region shared" `Quick test_io_region_shared;
           Alcotest.test_case "model cannot reach hyp DRAM" `Slow
@@ -421,6 +488,7 @@ let () =
           Alcotest.test_case "requires quiescence" `Quick
             test_snapshot_requires_quiescence;
           Alcotest.test_case "digest identity" `Quick test_snapshot_digest_identity;
+          QCheck_alcotest.to_alcotest prop_snapshot_digest_matches_printf;
           Alcotest.test_case "revives powered-off core" `Quick
             test_snapshot_revives_powered_off_core;
         ] );

@@ -33,6 +33,28 @@ let test_dram_hash_region_sensitive () =
   let h1 = Dram.hash_region d ~at:0 ~len:32 in
   Alcotest.(check bool) "hash changes" true (h0 <> h1)
 
+(* The serialisation measurement digests hash: 8 bytes per word,
+   big-endian, in address order. *)
+let test_dram_hash_region_bytes () =
+  let d = Dram.create ~size:8 in
+  Dram.load_words d ~at:2 [| -1L; 0x0123456789abcdefL; Int64.min_int; -2L; 1L |];
+  let hex s =
+    String.to_seq s
+    |> Seq.map (fun c -> Printf.sprintf "%02x" (Char.code c))
+    |> List.of_seq |> String.concat ""
+  in
+  Alcotest.(check string) "bytes"
+    ("ffffffffffffffff" ^ "0123456789abcdef" ^ "8000000000000000" ^ "fffffffffffffffe"
+   ^ "0000000000000001")
+    (hex (Dram.hash_region d ~at:2 ~len:5));
+  Alcotest.(check string) "empty region" "" (Dram.hash_region d ~at:7 ~len:0);
+  Alcotest.check_raises "bad at" (Dram.Bus_error { addr = 8; size = 8 }) (fun () ->
+      ignore (Dram.hash_region d ~at:8 ~len:0));
+  Alcotest.check_raises "past the end" (Dram.Bus_error { addr = 8; size = 8 })
+    (fun () -> ignore (Dram.hash_region d ~at:4 ~len:5));
+  Alcotest.check_raises "negative len" (Dram.Bus_error { addr = 2; size = 8 })
+    (fun () -> ignore (Dram.hash_region d ~at:4 ~len:(-1)))
+
 (* ------------------------------ MMU ------------------------------- *)
 
 let perm = Alcotest.testable (fun ppf (p : Mmu.perm) ->
@@ -274,6 +296,118 @@ let prop_cache_matches_reference_lru =
           || ((not resident) && cost > cfg.Cache.hit_cost))
         addrs)
 
+(* The flat cache against the record cache it replaced ([Cache_ref]):
+   random sequences of every operation over chains of one to three
+   levels.  After each step every level must agree on the return value,
+   stats, occupancy, clock, every way's tag and stamp (so victim choice
+   among invalid ways and lower-level fills are pinned), and the slot a
+   fetch site's hint resolves to. *)
+type cache_op = Access of int | Flush_line of int | Flush_all | Present of int * int
+
+let cache_op_to_string = function
+  | Access a -> Printf.sprintf "access %d" a
+  | Flush_line a -> Printf.sprintf "flush_line %d" a
+  | Flush_all -> "flush_all"
+  | Present (l, a) -> Printf.sprintf "present L%d %d" (l + 1) a
+
+let gen_cache_chain =
+  QCheck.Gen.(
+    list_size (int_range 1 3)
+      (map3
+         (fun sets ways line -> (1 lsl sets, ways, 1 lsl line))
+         (int_range 0 3) (int_range 1 4) (int_range 0 3)))
+
+let gen_cache_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (8, map (fun a -> Access a) (int_range 0 511));
+        (2, map (fun a -> Flush_line a) (int_range 0 511));
+        (1, return Flush_all);
+        (2, map2 (fun l a -> Present (l, a)) (int_range 0 2) (int_range 0 511));
+      ])
+
+let prop_cache_matches_record_reference =
+  let print (chain, ops) =
+    String.concat "; "
+      (List.map (fun (s, w, l) -> Printf.sprintf "sets=%d ways=%d line=%d" s w l) chain)
+    ^ "\n" ^ String.concat "\n" (List.map cache_op_to_string ops)
+  in
+  QCheck.Test.make ~name:"flat cache = record reference" ~count:300
+    (QCheck.make ~print
+       QCheck.Gen.(pair gen_cache_chain (list_size (int_range 0 200) gen_cache_op)))
+    (fun (chain, ops) ->
+      let levels = Array.of_list chain in
+      let n = Array.length levels in
+      (* Slot [n] stays [None]: the bottom level's [next]. *)
+      let flat = Array.make (n + 1) None and refs = Array.make (n + 1) None in
+      for i = n - 1 downto 0 do
+        let sets, ways, line_words = levels.(i) in
+        let name = Printf.sprintf "L%d" (i + 1) and hit_cost = i + 1 and miss_cost = 10 * (i + 1) in
+        flat.(i) <-
+          Some
+            (Cache.create ~name { Cache.line_words; sets; ways; hit_cost; miss_cost }
+               ~next:flat.(i + 1));
+        refs.(i) <-
+          Some
+            (Cache_ref.create ~name { Cache_ref.line_words; sets; ways; hit_cost; miss_cost }
+               ~next:refs.(i + 1))
+      done;
+      let flat = Array.init n (fun i -> Option.get flat.(i))
+      and refs = Array.init n (fun i -> Option.get refs.(i)) in
+      let agree step addr =
+        for i = 0 to n - 1 do
+          let c = flat.(i) and r = refs.(i) in
+          let fail what = QCheck.Test.fail_reportf "step %d, L%d: %s differs" step (i + 1) what in
+          if Cache.stats c <> Cache_ref.stats r then fail "stats";
+          if Cache.occupancy c <> Cache_ref.occupancy r then fail "occupancy";
+          if c.Cache.clock <> r.Cache_ref.clock then fail "clock";
+          let _, ways, _ = levels.(i) in
+          Array.iteri
+            (fun set row ->
+              Array.iteri
+                (fun w (way : Cache_ref.way) ->
+                  let slot = (set * ways) + w in
+                  if c.Cache.tags.(slot) <> way.Cache_ref.tag then fail "a tag";
+                  if c.Cache.stamps.(slot) <> way.Cache_ref.stamp then fail "a stamp")
+                row)
+            r.Cache_ref.ways;
+          let sentinel = Cache.sentinel c in
+          if c.Cache.tags.(sentinel) <> min_int || c.Cache.stamps.(sentinel) <> 0 then
+            fail "the sentinel";
+          (* The slot a fetch site's hint resolves to after this step. *)
+          let set = Cache.set_of_addr c addr and tag = Cache.tag_of_addr c addr in
+          let wi = Cache_ref.way_of r ~set ~tag in
+          let expect = if wi >= 0 then (set * ways) + wi else sentinel in
+          if Cache.slot_of c ~set ~tag <> expect then fail "the hinted slot"
+        done
+      in
+      List.iteri
+        (fun step op ->
+          let addr =
+            match op with
+            | Access a ->
+              if Cache.access flat.(0) ~addr:a <> Cache_ref.access refs.(0) ~addr:a then
+                QCheck.Test.fail_reportf "step %d: access cost differs" step;
+              a
+            | Flush_line a ->
+              Cache.flush_line flat.(0) ~addr:a;
+              Cache_ref.flush_line refs.(0) ~addr:a;
+              a
+            | Flush_all ->
+              Cache.flush_all flat.(0);
+              Cache_ref.flush_all refs.(0);
+              0
+            | Present (l, a) ->
+              let l = min l (n - 1) in
+              if Cache.present flat.(l) ~addr:a <> Cache_ref.present refs.(l) ~addr:a then
+                QCheck.Test.fail_reportf "step %d: present differs" step;
+              a
+          in
+          agree step addr)
+        ops;
+      true)
+
 (* ------------------------------ TLB ------------------------------- *)
 
 let test_tlb_hit_miss_costs () =
@@ -347,6 +481,7 @@ let () =
           Alcotest.test_case "bus error" `Quick test_dram_bus_error;
           Alcotest.test_case "load/snapshot" `Quick test_dram_load_and_snapshot;
           Alcotest.test_case "hash region" `Quick test_dram_hash_region_sensitive;
+          Alcotest.test_case "hash region bytes" `Quick test_dram_hash_region_bytes;
         ] );
       ( "mmu",
         [
@@ -380,6 +515,7 @@ let () =
           Alcotest.test_case "set mapping" `Quick test_cache_set_mapping;
           qc prop_cache_occupancy_bounded;
           qc prop_cache_matches_reference_lru;
+          qc prop_cache_matches_record_reference;
         ] );
       ( "tlb",
         [

@@ -468,18 +468,18 @@ let placed items =
   List.iter (fun (pc, run) -> List.iteri (fun i x -> code.(pc + i) <- x) run) items;
   Asm.instrs (Array.to_list code)
 
-(* A bare core over the test_microarch layout (pages 0..3 RX, 4..7 RW)
-   with the program's CFG block plan installed, so block translation
-   runs it when on.  [drive] runs the core and returns a result
-   register. *)
-let fetch_counters ~jit (p : Asm.program) drive =
+(* A bare core over the test_microarch layout (pages 0..3 RX, then
+   [data_pages] RW pages from page 4) with the program's CFG block plan
+   installed, so block translation runs it when on.  [drive] runs the
+   core and returns a result register. *)
+let fetch_counters ?(data_pages = 4) ~jit (p : Asm.program) drive =
   with_jit jit (fun () ->
       let dram = Dram.create ~size:(64 * 1024) in
       let hierarchy = Hierarchy.create ~dram () in
       let tlb = Tlb.create () in
       let c = Core.create ~id:0 ~kind:Core.Model_core ~hierarchy ~tlb () in
       let mmu = Core.mmu c in
-      for page = 0 to 7 do
+      for page = 0 to 3 + data_pages do
         match Mmu.map mmu ~vpage:page ~frame:page (if page < 4 then Mmu.perm_rx else Mmu.perm_rw) with
         | Ok () -> ()
         | Error _ -> Alcotest.fail "map"
@@ -538,6 +538,18 @@ let remapped =
           Isa.Blt (1, 2, 259); Isa.Halt ] );
     ]
 
+(* Nine lines share L1 set 0 (512-word stride): the code line at pcs
+   0..7 and eight data lines the loop loads in turn.  Code fetches hit
+   through the site's slot hint, so only if the hint's hit path stamps
+   the slot as [Cache.access] would does LRU keep the code line resident
+   while the data lines evict each other.  The pinned counters are the
+   ones the per-way record cache ([Cache_ref]) gave. *)
+let set_thrash =
+  Asm.instrs
+    ([ Isa.Movi (1, 0); Isa.Movi (2, 40); Isa.Movi (5, 1) ]
+    @ List.init 8 (fun k -> Isa.Load (3, 0, 1024 + (512 * k)))
+    @ [ Isa.Add (1, 1, 5); Isa.Blt (1, 2, 3); Isa.Halt ])
+
 let run_remapped c =
   Alcotest.(check int) "before remap" 11 (run_to_halt 1 c);
   (match Mmu.map (Core.mmu c) ~vpage:1 ~frame:3 Mmu.perm_rx with
@@ -563,6 +575,18 @@ let test_one_word_pages () =
   Dram.load_program dram (Asm.instrs [ Isa.Movi (1, 1); Isa.Movi (2, 2); Isa.Halt ]);
   ignore (Core.run c ~fuel:10);
   Alcotest.(check (pair int int)) "tlb hits, misses" (0, 3) (Tlb.stats tlb)
+
+let test_fetch_keeps_lru_order () =
+  let pinned = Alcotest.(list (pair string int)) in
+  let expected =
+    [ ("result", 40); ("tlb hits", 715); ("tlb misses", 9); ("tlb clock", 724);
+      ("l1 hits", 411); ("l1 misses", 330); ("l1 clock", 741); ("hierarchy cycles", 9441);
+      ("core cycles", 10275); ("retired", 404) ]
+  in
+  Alcotest.check pinned "jit off" expected
+    (fetch_counters ~data_pages:16 ~jit:false set_thrash (run_to_halt 1));
+  Alcotest.check pinned "jit on" expected
+    (fetch_counters ~data_pages:16 ~jit:true set_thrash (run_to_halt 1))
 
 let test_fetch_counters_pinned () =
   let pinned = Alcotest.(list (pair string int)) in
@@ -628,5 +652,6 @@ let () =
         [
           Alcotest.test_case "hinted fetch counters pinned" `Quick test_fetch_counters_pinned;
           Alcotest.test_case "one-word pages miss first" `Quick test_one_word_pages;
+          Alcotest.test_case "hinted fetch keeps LRU order" `Quick test_fetch_keeps_lru_order;
         ] );
     ]
