@@ -54,12 +54,6 @@ type t = {
   mutable request_seq : int;
 }
 
-(* Fallback fabric-address allocator for deployments created without an
-   explicit [?net_addr].  Atomic: fleet cells may construct deployments
-   concurrently from different domains (cells always pass [?net_addr],
-   so their addressing stays deterministic regardless of this counter). *)
-let next_addr = Atomic.make 100
-
 let config_string (c : Machine.config) =
   Printf.sprintf "cores=%d/%d dram=%d/%d io=%d lapic=%d/%d" c.Machine.model_cores
     c.Machine.hyp_cores c.Machine.model_words c.Machine.hyp_words c.Machine.io_words
@@ -73,7 +67,7 @@ let measurement_of_config cfg =
   }
 
 let create ?(seed = 0xDEC0DEL) ?(machine_config = Machine.default_config)
-    ?(with_detectors = true) ?(name = "guillotine-0") ?net_addr ?ca () =
+    ?(with_detectors = true) ?(name = "guillotine-0") ?(net_addr = 100) ?ca () =
   let prng = Prng.create seed in
   let engine = Engine.create () in
   (* Derive the fabric's prng from the deployment seed directly rather
@@ -91,11 +85,6 @@ let create ?(seed = 0xDEC0DEL) ?(machine_config = Machine.default_config)
   in
   let hv = Hypervisor.create ~machine ~detectors () in
   if with_detectors then Hypervisor.enable_probe_monitor hv ();
-  let net_addr =
-    match net_addr with
-    | Some a -> a
-    | None -> Atomic.fetch_and_add next_addr 1
-  in
   let switches =
     Kill_switch.create ~engine ~fabric ~net_addrs:[ net_addr ] ()
   in

@@ -36,10 +36,10 @@ val create :
   unit ->
   t
 (** [with_detectors] (default true) installs the input shield, output
-    sanitizer, and system anomaly detector.  [net_addr] pins this
-    deployment's fabric address; when absent one is drawn from a
-    process-wide counter (pass it explicitly when the address must be
-    deterministic regardless of construction order — fleet cells do).
+    sanitizer, and system anomaly detector.  [net_addr] (default 100)
+    is this deployment's address on its own, private {!fabric}; every
+    deployment gets the same default, so nothing about a run depends on
+    how many deployments the process built before it.
     [ca] = (signer, name, public key) of the AI regulator's CA; a
     private one is created if absent (use a shared CA to let two
     deployments meet on the network, as the ring-refusal experiment
@@ -226,9 +226,11 @@ val monitor : t -> Guillotine_obs.Monitor.t option
     bare ones (the equivalence and scenario suites pin this). *)
 
 val enable_profiling : t -> unit
-(** Turn the accumulators on for every model core.  Idempotent.  Cores
-    created while [Core.profile_default] was set (e.g. under the
-    [GUILLOTINE_PROFILE] environment variable) are already profiling. *)
+(** Turn the accumulators on for every model core of this deployment,
+    and no other.  Idempotent.  Call it before any core runs for a
+    profile of the whole run.  Under the [GUILLOTINE_PROFILE]
+    environment variable ([Core.profile_default]) every core is created
+    profiling already. *)
 
 val profiling : t -> bool
 (** True when any model core is accumulating. *)

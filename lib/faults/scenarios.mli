@@ -85,10 +85,33 @@ val adversaries : string list
     ["killswitch-hostage"]).  Each reports [Some adversary] in its
     outcome.  A subset of {!names}. *)
 
+val seed64 : ?cell:int -> int -> int -> int64
+(** [seed64 ?cell salt seed] is the one seed derivation of the scenario
+    plane and of fleet cells: [salt * 0x10001 + seed + cell * 0x9E3779].
+    A cell id of 0 (the default) leaves every derived value as it was
+    before fleets existed. *)
+
 val plan_seed : cell:int -> int -> int
-(** The per-cell fault-plan seed derivation ([seed + 7919*cell]) —
-    exported so tests can assert that differing seeds produce differing
-    fault plans. *)
+(** The per-cell fault-plan seed derivation ([seed + 7919*cell]), shared
+    with fleet cells so "fault storm in cell [n]" means the same thing in
+    both planes. *)
+
+val observe_faults :
+  Guillotine_obs.Monitor.t -> Injector.t -> unit
+(** Point a monitor at an injector: sample its registry and journal its
+    [fault.*] events in the flight recorder under source ["faults"]. *)
+
+val alert_rows :
+  Guillotine_obs.Monitor.t -> (string * string * float) list
+(** The monitor's alerts as (rule name, severity, raised-at) rows,
+    chronological. *)
+
+val pump_hv : Guillotine_core.Deployment.t -> unit
+(** Schedule the hypervisor to service guest ports every 50 ms. *)
+
+val pump_models : ?quantum:int -> Guillotine_core.Deployment.t -> unit
+(** Schedule the model cores to run [quantum] (default 2000)
+    instructions every 250 ms. *)
 
 val run : ?seed:int -> ?cell_id:int -> ?profile:bool -> string -> outcome
 (** [run ?seed ?cell_id name] plays scenario [name].  [seed] (default 1)
@@ -96,12 +119,12 @@ val run : ?seed:int -> ?cell_id:int -> ?profile:bool -> string -> outcome
     decorrelates the run from other cells of a fleet by salting every
     derived seed.  [cell_id:0] is byte-identical to the pre-fleet
     behaviour.  [profile] (default false) arms the cycle-attribution
-    accumulators for the duration of the run (by flipping the
-    process-wide {!Guillotine_microarch.Core.set_profile_default}
-    around the scenario body, restored on exit) and delivers the
-    result in the outcome's [profile] field — everything else in the
-    outcome is byte-identical to the unprofiled run.  Raises
-    [Invalid_argument] for an unknown scenario name. *)
+    accumulators of the rig's own model cores
+    ({!Guillotine_core.Deployment.enable_profiling}) before any of them
+    runs, and delivers the result in the outcome's [profile] field —
+    everything else in the outcome is byte-identical to the unprofiled
+    run.  No process-wide state is touched.  Raises [Invalid_argument]
+    for an unknown scenario name. *)
 
 (** {2 Monitored runs}
 

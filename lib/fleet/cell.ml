@@ -1,6 +1,5 @@
 module Prng = Guillotine_util.Prng
 module Engine = Guillotine_sim.Engine
-module Telemetry = Guillotine_telemetry.Telemetry
 module Vocab = Guillotine_model.Vocab
 module Toymodel = Guillotine_model.Toymodel
 module Detector = Guillotine_detect.Detector
@@ -9,14 +8,12 @@ module Isolation = Guillotine_hv.Isolation
 module Console = Guillotine_physical.Console
 module Deployment = Guillotine_core.Deployment
 module Monitor = Guillotine_obs.Monitor
-module Watchdog = Guillotine_obs.Watchdog
 module Report = Guillotine_obs.Report
 module Injector = Guillotine_faults.Injector
 module Fault_plan = Guillotine_faults.Fault_plan
+module Scenarios = Guillotine_faults.Scenarios
 module Sha256 = Guillotine_crypto.Sha256
 module Machine = Guillotine_machine.Machine
-module Core = Guillotine_microarch.Core
-module Hypervisor = Guillotine_hv.Hypervisor
 module Asm = Guillotine_isa.Asm
 module Vet = Guillotine_vet.Vet
 module Guest_programs = Guillotine_model.Guest_programs
@@ -70,19 +67,6 @@ let users_for ~users ~cells ~cell_id =
   if users < 0 then invalid_arg "Cell.users_for: negative users";
   List.filter (fun u -> u mod cells = cell_id) (List.init users Fun.id)
 
-(* ------------------------------------------------------------------ *)
-(* Seed derivations                                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* The deployment seed is salted with the cell id so different cells
-   live in decorrelated randomness; the fault-plan salt matches the one
-   {!Guillotine_faults.Scenarios} uses, so "fault storm in cell [n]"
-   means the same thing in both planes. *)
-let deployment_seed c =
-  Int64.of_int ((c.seed * 0x10001) + (c.cell_id * 0x9E3779))
-
-let plan_seed c = c.seed + (7919 * c.cell_id)
-
 (* Each user's stream depends only on the fleet seed and the user's own
    id — never on the cell or the fleet width — so a user routed to cell
    3 of 4 sends exactly the bytes they'd send to a solo cell.  This is
@@ -94,7 +78,6 @@ let user_prng c u = Prng.create (Int64.of_int ((c.seed * 0x1000193) + (u * 0x9E3
 (* ------------------------------------------------------------------ *)
 
 type t = {
-  cfg : config;
   d : Deployment.t;
   model : Toymodel.t;
   inj : Injector.t option;
@@ -106,7 +89,7 @@ let storm_plan c =
      Critical, which the console answers with hard isolation), fabric
      loss, and a mediation stall.  Everything targets objects owned by
      this cell's deployment, so the storm cannot reach a neighbour. *)
-  Fault_plan.make ~seed:(plan_seed c)
+  Fault_plan.make ~seed:(Scenarios.plan_seed ~cell:c.cell_id c.seed)
     [
       { at = 2.0; fault = Detector_false_alarm { severity = Detector.Suspicious } };
       { at = 3.0; fault = Nic_loss { rate = 0.5; duration = 5.0 } };
@@ -140,19 +123,16 @@ let arm_toctou d =
          in
          Machine.install_program machine ~core:0 ~code_pages:4 ~data_pages:4
            hostile));
-  ignore
-    (Engine.every engine ~period:0.05 (fun () ->
-         Hypervisor.service (Deployment.hv d);
-         true));
-  ignore
-    (Engine.every engine ~period:0.25 (fun () ->
-         ignore (Machine.run_models machine ~quantum:2000);
-         true))
+  Scenarios.pump_hv d;
+  Scenarios.pump_models d
 
 let create cfg =
+  (* The fleet seed is the salt, so the cell's randomness comes from the
+     scenario plane's derivation, decorrelated per cell. *)
   let d =
-    Deployment.create ~seed:(deployment_seed cfg) ~name:(cell_name cfg.cell_id)
-      ~net_addr:(1000 + cfg.cell_id) ()
+    Deployment.create
+      ~seed:(Scenarios.seed64 ~cell:cfg.cell_id cfg.seed 0)
+      ~name:(cell_name cfg.cell_id) ()
   in
   if cfg.monitored then ignore (Deployment.enable_monitoring d);
   (* Per-core flags, not the process default: a profiled cell in one
@@ -192,34 +172,16 @@ let create cfg =
     if cfg.storm then begin
       let inj = Injector.create ~engine:(Deployment.engine d) () in
       Injector.install inj ~deployment:d (storm_plan cfg);
-      (match Deployment.monitor d with
-      | Some m ->
-        Monitor.add_registry m (Injector.telemetry inj);
-        Injector.set_event_sink inj (fun ~kind detail ->
-            Guillotine_obs.Recorder.record (Monitor.recorder m) ~source:"faults"
-              ~kind detail)
-      | None -> ());
+      Option.iter
+        (fun m -> Scenarios.observe_faults m inj)
+        (Deployment.monitor d);
       Some inj
     end
     else None
   in
-  { cfg; d; model; inj; coadmit }
+  { d; model; inj; coadmit }
 
-let id c = c.cfg.cell_id
-let name c = cell_name c.cfg.cell_id
-let cell_config c = c.cfg
 let coadmit_report c = c.coadmit
-let deployment c = c.d
-let engine c = Deployment.engine c.d
-let model c = c.model
-let monitor c = Deployment.monitor c.d
-let serve c request = Deployment.serve c.d ~model:c.model request
-let settle ?horizon c = Deployment.settle ?horizon c.d
-let telemetry c = Deployment.telemetry c.d
-let export_trace c = Deployment.export_trace c.d
-
-let request_level c ~target ~admins =
-  Deployment.request_level c.d ~target ~admins
 
 (* ------------------------------------------------------------------ *)
 (* Driving a cell                                                      *)
@@ -272,7 +234,7 @@ let user_requests cfg u =
 
 let run cfg =
   let c = create cfg in
-  let eng = engine c in
+  let name = cell_name cfg.cell_id in
   (* Round-robin across users on the sim-time axis, the way a front-end
      router interleaves sessions; each user's prompts were drawn from
      their own stream above, so the interleaving order cannot perturb
@@ -295,43 +257,35 @@ let run cfg =
         first_request_at +. (request_spacing *. float_of_int k)
       in
       ignore
-        (Engine.schedule_at eng ~at (fun () ->
+        (Engine.schedule_at (Deployment.engine c.d) ~at (fun () ->
              let req =
                Inference.request ~prompt ~max_tokens:cfg.max_tokens ()
              in
-             let outcome = serve c req in
+             let outcome = Deployment.serve c.d ~model:c.model req in
              results := (u, r, prompt, outcome) :: !results)))
     schedule;
-  settle ~horizon:(sim_horizon cfg) c;
+  Deployment.settle ~horizon:(sim_horizon cfg) c.d;
   let outcomes = List.rev !results in
   (* End-of-run flush, then read the alert track. *)
   let alerts, incident =
-    match monitor c with
+    match Deployment.monitor c.d with
     | None -> ([], None)
     | Some m ->
       Monitor.sample_now m;
-      let alerts =
-        List.map
-          (fun (a : Watchdog.alert) ->
-            ( a.Watchdog.rule.Watchdog.rule_name,
-              Watchdog.severity_string a.Watchdog.rule.Watchdog.severity,
-              a.Watchdog.raised_at ))
-          (Monitor.alerts m)
-      in
       let incident =
         Option.map
           (fun alert ->
             Report.to_text
-              (Report.build ~label:(name c) ~seed:cfg.seed ~alert
+              (Report.build ~label:name ~seed:cfg.seed ~alert
                  ~recorder:(Monitor.recorder m) ()))
           (Monitor.first_alert m)
       in
-      (alerts, incident)
+      (Scenarios.alert_rows m, incident)
   in
   let buf = Buffer.create 1024 in
   Printf.bprintf buf
     "cell %s seed=%d users=[%s] requests_per_user=%d max_tokens=%d rogue=%b storm=%b toctou=%b\n"
-    (name c) cfg.seed
+    name cfg.seed
     (String.concat "," (List.map string_of_int cfg.users))
     cfg.requests_per_user cfg.max_tokens cfg.rogue cfg.storm cfg.toctou;
   let requests = ref 0 and blocked = ref 0 and released = ref 0 in
@@ -362,7 +316,7 @@ let run cfg =
   let transcript = Buffer.contents buf in
   {
     r_cell_id = cfg.cell_id;
-    r_name = name c;
+    r_name = name;
     r_seed = cfg.seed;
     r_users = cfg.users;
     r_requests = !requests;

@@ -7,19 +7,11 @@
     trivially data-race-free, and a fleet run is byte-identical to
     running each cell solo.
 
-    The cell handle re-expresses the deployment facade's entry points
-    ({!serve}, {!settle}, {!telemetry}, {!export_trace}, ...) so callers
-    that used to reach into the {!Guillotine_core.Deployment} god object
-    now hold a cell and operate on it — the solo path is literally a
-    one-cell fleet. *)
-
-module Deployment = Guillotine_core.Deployment
-module Inference = Guillotine_hv.Inference
-module Isolation = Guillotine_hv.Isolation
-module Toymodel = Guillotine_model.Toymodel
-module Monitor = Guillotine_obs.Monitor
-module Engine = Guillotine_sim.Engine
-module Telemetry = Guillotine_telemetry.Telemetry
+    A cell is driven whole: {!run} builds it, plays every user's
+    request stream, settles, and reduces the run to a {!report}.  Seeds,
+    fault plans and the monitor wiring come from
+    {!Guillotine_faults.Scenarios}, so a cell and a scenario rig derive
+    them the same way. *)
 
 (** {2 Configuration} *)
 
@@ -42,7 +34,7 @@ type config = {
       (** {!Guillotine_core.Vet_corpus} guest names to pass through the
           co-admission interference gate at {!create} time, placed at
           striped physical frames (guest [i] at frame [16*i]).  The
-          joint verdict is recorded via {!Deployment.coadmit}
+          joint verdict is recorded via {!Guillotine_core.Deployment.coadmit}
           (counted, journaled, audit-chained) and exposed through
           {!coadmit_report}; an empty roster (the default) skips the
           gate, keeping transcripts byte-identical to earlier runs *)
@@ -98,16 +90,12 @@ val users_for : users:int -> cells:int -> cell_id:int -> int list
 type t
 
 val create : config -> t
-(** Build the cell's whole rig: a deployment named {!cell_name} with a
-    deterministic fabric address ([1000 + cell_id]), a model (malicious
-    iff [rogue]), monitoring when [monitored], and — when [storm] — a
-    seeded fault plan installed against the deployment.  Everything is
-    derived from [config] alone, so equal configs build byte-identical
-    cells wherever (and on whichever domain) they run. *)
-
-val id : t -> int
-val name : t -> string
-val cell_config : t -> config
+(** Build the cell's whole rig: a deployment named {!cell_name} on its
+    own fabric, a model (malicious iff [rogue]), monitoring when
+    [monitored], and — when [storm] — a seeded fault plan installed
+    against the deployment.  Everything is derived from [config] alone,
+    so equal configs build byte-identical cells wherever (and on
+    whichever domain) they run. *)
 
 val coadmit_report : t -> Guillotine_vet.Interfere.report option
 (** The co-admission interference report for {!config.roster} — [None]
@@ -115,22 +103,6 @@ val coadmit_report : t -> Guillotine_vet.Interfere.report option
     members were {e not} recorded as resident guests; the cell itself
     still runs (the gate is the decision record, installation is the
     caller's move). *)
-
-val deployment : t -> Deployment.t
-val engine : t -> Engine.t
-val model : t -> Toymodel.t
-val monitor : t -> Monitor.t option
-
-val serve : t -> Inference.request -> Inference.outcome
-(** One mediated inference request ({!Deployment.serve} on the cell's
-    deployment and model). *)
-
-val settle : ?horizon:float -> t -> unit
-val telemetry : t -> Telemetry.snapshot list
-val export_trace : t -> string
-
-val request_level :
-  t -> target:Isolation.level -> admins:int list -> (unit, string) result
 
 (** {2 Driving a cell} *)
 

@@ -41,20 +41,19 @@ type status = Running | Halted of halt_reason | Powered_off
    cells therefore equals the core's cycle counter exactly for any
    interval profiled from its start.
 
-   GUILLOTINE_PROFILE=1 turns profiling on for every subsequently
-   created core — the CI lever proving zero simulated-cycle
-   perturbation across the whole scenario matrix. *)
+   GUILLOTINE_PROFILE=1 turns profiling on for every core the process
+   creates — the CI lever proving zero simulated-cycle perturbation
+   across the whole scenario matrix.  Read once, at start-up; a run
+   that wants a profile arms its own cores with [set_profiling]. *)
 
 module Cost_class = Guillotine_util.Cost_class
 
 let profile_default_flag =
-  ref
-    (match Sys.getenv_opt "GUILLOTINE_PROFILE" with
-    | None | Some "" | Some "0" -> false
-    | Some _ -> true)
+  match Sys.getenv_opt "GUILLOTINE_PROFILE" with
+  | None | Some "" | Some "0" -> false
+  | Some _ -> true
 
-let set_profile_default enabled = profile_default_flag := enabled
-let profile_default () = !profile_default_flag
+let profile_default () = profile_default_flag
 
 let n_classes = Cost_class.count
 let cc_fetch = Cost_class.index Cost_class.Fetch_decode
@@ -255,7 +254,7 @@ let create ~id ~kind ~hierarchy ?tlb ?bpred ?mmu () =
       Array.init site_slots (fun i -> if i land 1 = 0 then vacant_even else vacant_odd);
     pd_hits = 0;
     pd_fills = 0;
-    prof_on = !profile_default_flag;
+    prof_on = profile_default_flag;
     prof_block_of = [||];
     prof_leaders = [||];
     prof_nblocks = 0;

@@ -151,12 +151,11 @@ val jit_stats : t -> Jit.stats
     hypervisor charges on a guest's behalf are attributed via
     {!profile_note}. *)
 
-val set_profile_default : bool -> unit
-(** Process-wide default for [prof_on] applied at {!create} time.
-    Initialised from the [GUILLOTINE_PROFILE] environment variable
-    (any value other than empty or ["0"] enables). *)
-
 val profile_default : unit -> bool
+(** Whether {!create} arms profiling on every new core: read once from
+    the [GUILLOTINE_PROFILE] environment variable at start-up (any value
+    other than empty or ["0"] enables) and fixed for the process.  Arm a
+    single core with {!set_profiling}. *)
 
 val profiling : t -> bool
 val set_profiling : t -> bool -> unit

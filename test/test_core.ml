@@ -150,6 +150,17 @@ let test_deployment_create_allocation_budget () =
   if words > 20_000. then
     Alcotest.failf "Deployment.create allocates %.0f minor words (budget 20 000)" words
 
+(* Every deployment has its own fabric, so its address is a constant,
+   not a draw from a process-wide counter: a run cannot depend on how
+   many deployments the process built before it. *)
+let test_net_addr_fixed () =
+  let a = Deployment.create ~seed:1L () in
+  let b = Deployment.create ~seed:1L () in
+  Alcotest.(check int) "same address" (Deployment.net_addr a)
+    (Deployment.net_addr b);
+  Alcotest.(check bool) "private fabrics" true
+    (Deployment.fabric a != Deployment.fabric b)
+
 (* One fixed state's checkpoint identity.  Audit entries carry this
    digest's prefix, so its bytes are frozen; it is taken once, at
    capture, and reading it again allocates nothing. *)
@@ -346,6 +357,8 @@ let () =
           Alcotest.test_case "create allocation budget" `Quick
             test_deployment_create_allocation_budget;
           Alcotest.test_case "snapshot digest pinned" `Quick test_snapshot_digest_pinned;
+          Alcotest.test_case "net_addr fixed across creates" `Quick
+            test_net_addr_fixed;
         ] );
       ( "regulator",
         [

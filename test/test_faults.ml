@@ -1,9 +1,11 @@
 (* Scenario-regression harness for the fault-injection plane.
 
-   Two layers of pinning:
+   Three layers of pinning:
    - golden outcomes: each named scenario at seed 1 must reproduce its
      exact verdict, recovery action, recovery count, and final isolation
      level (the numbers recorded in EXPERIMENTS.md's R-series notes);
+   - pinned bytes: at seed 1, each scenario's bare trace, monitored
+     trace and incident JSON hash to fixed digests;
    - determinism: running any (scenario, seed) twice must yield
      byte-identical telemetry — rendered snapshot tables and the raw
      Chrome-trace JSON.
@@ -205,12 +207,94 @@ let test_golden name g () =
     Alcotest.(check int) "residual damage" damage a.Scenarios.residual_damage;
     Alcotest.(check string) "damage unit" unit_ a.Scenarios.damage_unit
 
+(* ----------------------- pinned bytes (seed 1) --------------------- *)
+
+(* MD5 of each scenario's bare trace, monitored trace and incident JSON
+   at seed 1.  The replay checks below compare a run with itself; these
+   pin the bytes, so a fault plan or monitor attached in a different
+   order fails here.  Other matrix seeds skip them. *)
+let pinned_bytes =
+  [
+    ( "heartbeat-outage",
+      ( "2b249b265e93b706918c32a6327a01a2",
+        "a7eceb6cd5d7c5ab5f72f3b2e5455b54",
+        "e80744be22f0b69e8460cb5ff55509c4" ) );
+    ( "weight-tamper-rollback",
+      ( "113b4d5f54ceafbf055420634df2fbc5",
+        "3fb9231892a66abb8cccc86099003a8e",
+        "b43c8cc7b2847a702a0feff07733ae86" ) );
+    ( "core-wedge-rollback",
+      ( "c5f9273a69cace7ab9f8a61b39f0a106",
+        "98ed417b34960c4723b4ee8a844b3c8e",
+        "ebe2686074ac418be8e1f0245417727b" ) );
+    ( "false-alarm-probation",
+      ( "8c52567f68c786a7c82ce00f98468252",
+        "34aede9b395aa69bca320f5af29835bf",
+        "8db08645f72351c951cd3bc595dad293" ) );
+    ( "nic-flaky-attest",
+      ( "278b49826fe9e7b5cd2677befa911814",
+        "1c4fb32bbecd27f6ea5dad5d11e91762",
+        "27d49c08f5f09eb6dcd1f39160701992" ) );
+    ( "device-stall-shedding",
+      ( "8847d2d2dd8dd31b445796ef9dfde9e1",
+        "977a77046097c52fb5ba9e1574fdb55d",
+        "d4ee24a2534e9736d83ab5e4c4747154" ) );
+    ( "irq-storm-contained",
+      ( "8d5b6838e345f62c07d25d6c697288c9",
+        "4687da319c2a7b8b36133764f38f8595",
+        "5d528a78e20b062a9bd07d84e47ab01a" ) );
+    ( "fault-storm-failover",
+      ( "53a130ef419ecf72d9cbabcd92304b2f",
+        "8b8226911ebd1257ec4133449d7f37b7",
+        "e1d4309b95f65af9fd7d60b70db6006c" ) );
+    ( "toctou-dma-self-patch",
+      ( "f71dfe3aa566a46fb3f6a2e22a8cffcb",
+        "35c413b974e5591426f727ec78a818f4",
+        "f5e5b352b0d23c175fb93e9f896a3345" ) );
+    ( "toctou-shared-window-rewrite",
+      ( "87c9abcf3e9c24c7491c2d93076e1f74",
+        "bf4bfdcdfbafe94d7500e111e027a459",
+        "691c4604f3dd99dadd22e1afdabe3d29" ) );
+    ( "toctou-install-race",
+      ( "012d2b0365ad5518d89a4ef66a0193cf",
+        "e32dd33127747a3546b8b55a34fb4b29",
+        "41da9506327835af6e724c2a46de308b" ) );
+    ( "killswitch-exfil-sprint",
+      ( "141ccc2ebb6262039b983a00b83f5986",
+        "fb036aa8bd96dd86e16cd09084d103be",
+        "bdd3ab6b79869093c224a807aec38b7e" ) );
+    ( "killswitch-replicate",
+      ( "4a7a9e09daae98bb8cbefbf75555012d",
+        "9cd958166c09bd67ed956ce5581d8324",
+        "8efea23d3284542eaf0800d9389b363a" ) );
+    ( "killswitch-hostage",
+      ( "6fe8452b0720ee5e50f8d5abf1b4159f",
+        "ea28065081239d374e06a834a947dd54",
+        "311044438fc30aec09239a5bada74abb" ) );
+  ]
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+let test_pinned_bytes name (run, monitored, incident) () =
+  if matrix_seed = 1 then begin
+    let o = Scenarios.run name ~seed:1 in
+    let m = Scenarios.run_monitored name ~seed:1 in
+    Alcotest.(check string) "run trace" run (md5 o.Scenarios.trace);
+    Alcotest.(check string) "monitored trace" monitored
+      (md5 m.Scenarios.base.Scenarios.trace);
+    Alcotest.(check (option string)) "incident json" (Some incident)
+      (Option.map md5 m.Scenarios.incident_json)
+  end
+
 (* The golden table itself must stay in lockstep with the scenario
    registry: a new scenario without a golden row (or vice versa) fails
    here rather than silently riding along unpinned. *)
 let test_goldens_cover_registry () =
   Alcotest.(check (list string))
-    "every scenario has a golden" Scenarios.names (List.map fst goldens)
+    "every scenario has a golden" Scenarios.names (List.map fst goldens);
+  Alcotest.(check (list string))
+    "every scenario has pinned bytes" Scenarios.names
+    (List.map fst pinned_bytes)
 
 (* The list [guillotine faults --list] prints is [Scenarios.names]; pin
    it literally so a rename or reorder is a visible, deliberate act —
@@ -383,6 +467,11 @@ let () =
             Alcotest.test_case "unknown scenario rejected" `Quick
               test_unknown_scenario_rejected;
           ] );
+      ( "pinned bytes",
+        List.map
+          (fun (name, pins) ->
+            Alcotest.test_case name `Quick (test_pinned_bytes name pins))
+          pinned_bytes );
       ( Printf.sprintf "determinism(seed=%d)" matrix_seed,
         List.map
           (fun name ->

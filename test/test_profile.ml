@@ -10,7 +10,8 @@
       cycle total equals the core's cycle counter exactly — no cycle
       unattributed, none double-counted.
    3. Determinism: a profiled run's JSON and folded renderings are
-      byte-identical across repeat runs.
+      byte-identical across repeat runs, and at seed 1 each scenario's
+      JSON hashes to a pinned digest.
    4. Attribution: hot blocks carry real CFG leaders and the hottest
       block of a known workload is its loop body.
    5. Fleet: profiled cells aggregate with cell-qualified guest labels,
@@ -107,6 +108,37 @@ let test_profile_deterministic name () =
     (Profile.folded a) (Profile.folded b);
   Alcotest.(check string) "table byte-identical"
     (Profile.table a) (Profile.table b)
+
+(* MD5 of [Profile.to_json] at seed 1 for the eight scenarios whose
+   rigs run guest code; the other six (no guest, or no deployment)
+   collect no profile.  Determinism below compares a run with itself;
+   these pin the bytes, so a profiler armed late or on the wrong cores
+   fails here.  Other matrix seeds skip them. *)
+let pinned_profiles =
+  [
+    ("heartbeat-outage", None);
+    ("weight-tamper-rollback", None);
+    ("core-wedge-rollback", Some "1140b1ef37cf740f0a8776319a139713");
+    ("false-alarm-probation", None);
+    ("nic-flaky-attest", None);
+    ("device-stall-shedding", None);
+    ("irq-storm-contained", Some "6863d11071cff2f7d7b0e55137bce04d");
+    ("fault-storm-failover", None);
+    ("toctou-dma-self-patch", Some "ac5111935fc407de7906b74e798270df");
+    ("toctou-shared-window-rewrite", Some "fcc41a393709ee603759fb17ed992847");
+    ("toctou-install-race", Some "4106d4cc4c0ee1a21dd505098d5b0ba2");
+    ("killswitch-exfil-sprint", Some "62efeab0f466be170f58f6e7f080d331");
+    ("killswitch-replicate", Some "be2bec0b28a38800ee937251201988b9");
+    ("killswitch-hostage", Some "1a4be048bf45bd8c81a86e7b3dc7967f");
+  ]
+
+let test_profile_pinned name pin () =
+  if matrix_seed = 1 then
+    let o = Scenarios.run name ~seed:1 ~profile:true in
+    Alcotest.(check (option string)) "profile json md5" pin
+      (Option.map
+         (fun p -> Digest.to_hex (Digest.string (Profile.to_json p)))
+         o.Scenarios.profile)
 
 (* -------------------------- attribution ---------------------------- *)
 
@@ -227,6 +259,11 @@ let () =
           Alcotest.test_case "adversary scenario" `Quick
             (test_profile_deterministic "killswitch-exfil-sprint");
         ] );
+      ( "pinned profiles (seed 1)",
+        List.map
+          (fun (name, pin) ->
+            Alcotest.test_case name `Quick (test_profile_pinned name pin))
+          pinned_profiles );
       ( "attribution",
         [
           Alcotest.test_case "hot block is the loop body" `Quick
