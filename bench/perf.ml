@@ -42,7 +42,7 @@
                     since the profiler only reads simulated state.
    - adversary-sprint  the "killswitch-exfil-sprint" adversary scenario
                     (a deployment whose model core retires ~100k
-                    hot-loop instructions), bare vs [~profile:true].
+                    hot-loop instructions), bare vs a profiling mode.
                     The profiled run's trace, verdict and recovery
                     count must be byte-identical to the bare run.
 
@@ -145,45 +145,41 @@ let drive_batched m =
    on the speedup over the true pre-fast-path interpreter. *)
 let prepr_benign_instr_per_sec = 2.55e6
 
-(* The machine is built once and the guest reinstalled per timed call:
-   rig construction (DRAM arrays, cache ways) is setup, not the
-   interpreter work this sample measures, and at --quick iteration
-   counts it would otherwise dominate the window.  Installation goes
-   through the hypervisor — the production path — so the vetting CFG's
-   block map reaches the core and the fast arm runs block-translated;
-   the per-call reinstall keeps the (cheap) translation pass inside the
-   window, as it is in deployment. *)
+(* Each arm builds its machine once, in its own mode, and reinstalls
+   the guest per timed call: rig construction (DRAM arrays, cache ways)
+   is setup, not the interpreter work this sample measures, and at
+   --quick iteration counts it would otherwise dominate the window.
+   Installation goes through the hypervisor — the production path — so
+   the vetting CFG's block map reaches the core and the fast arm runs
+   block-translated; the per-call reinstall keeps the (cheap)
+   translation pass inside the window, as it is in deployment. *)
 let bench_benign ~iterations =
-  let ambient_jit = Core.jit_enabled () in
-  let m = Machine.create () in
-  let hv = Hypervisor.create ~machine:m () in
   let p = Asm.assemble_exn (Guest.compute_loop ~iterations) in
-  let c = Machine.model_core m 0 in
-  let run ~fast () =
-    Core.set_jit fast;
-    (match
-       Hypervisor.install_program hv ~label:"benign" ~core:0 ~code_pages:4
-         ~data_pages:4 p
-     with
-    | Ok _ -> ()
-    | Error _ -> invalid_arg "benign-guest: install rejected");
-    let before = Core.instructions_retired c in
-    (if fast then drive_batched m
-     else begin
-       (* The pre-fast-path driver shape: one instruction per heap
-          event. *)
-       let e = Engine.create () in
-       ignore
-         (Engine.every e ~period:1.0 (fun () -> Machine.run_models m ~quantum:1 > 0));
-       Engine.run e
-     end);
-    Core.instructions_retired c - before
+  let arm ~fast =
+    let m = Machine.create ~mode:{ Core.default_mode with Core.jit = fast } () in
+    let hv = Hypervisor.create ~machine:m () in
+    let c = Machine.model_core m 0 in
+    fun () ->
+      (match
+         Hypervisor.install_program hv ~label:"benign" ~core:0 ~code_pages:4
+           ~data_pages:4 p
+       with
+      | Ok _ -> ()
+      | Error _ -> invalid_arg "benign-guest: install rejected");
+      let before = Core.instructions_retired c in
+      (if fast then drive_batched m
+       else begin
+         (* The pre-fast-path driver shape: one instruction per heap
+            event. *)
+         let e = Engine.create () in
+         ignore
+           (Engine.every e ~period:1.0 (fun () -> Machine.run_models m ~quantum:1 > 0));
+         Engine.run e
+       end);
+      Core.instructions_retired c - before
   in
-  let fast_rate, retired, _ = best_of ~repeat (run ~fast:true) in
-  let base_rate, _, _ = best_of ~repeat (run ~fast:false) in
-  (* Leave the process-wide flag as found — later workloads (patch-loop
-     in particular) measure under the ambient configuration. *)
-  Core.set_jit ambient_jit;
+  let fast_rate, retired, _ = best_of ~repeat (arm ~fast:true) in
+  let base_rate, _, _ = best_of ~repeat (arm ~fast:false) in
   {
     workload = "benign-guest";
     metric = "instr_per_sec";
@@ -444,8 +440,9 @@ let bench_adversary_sprint ~repeat =
   let scenario = "killswitch-exfil-sprint" in
   (* Divergence gate first: the profiled scenario must reproduce the
      bare run's telemetry byte for byte, and actually collect cycles. *)
+  let profiled = { Core.default_mode with Core.profile = true } in
   let bare = Scenarios.run scenario ~seed:1 in
-  let prof = Scenarios.run scenario ~seed:1 ~profile:true in
+  let prof = Scenarios.run scenario ~seed:1 ~mode:profiled in
   let diverged =
     bare.Scenarios.trace <> prof.Scenarios.trace
     || bare.Scenarios.verdict <> prof.Scenarios.verdict
@@ -456,12 +453,12 @@ let bench_adversary_sprint ~repeat =
     | None -> true
     | Some p -> Profile.total_cycles p = 0
   in
-  let timed ~profiled () =
-    ignore (Scenarios.run scenario ~seed:1 ~profile:profiled);
+  let timed mode () =
+    ignore (Scenarios.run scenario ~seed:1 ~mode);
     1
   in
-  let off_rate, _, _ = best_of ~repeat (timed ~profiled:false) in
-  let on_rate, runs, _ = best_of ~repeat (timed ~profiled:true) in
+  let off_rate, _, _ = best_of ~repeat (timed Core.default_mode) in
+  let on_rate, runs, _ = best_of ~repeat (timed profiled) in
   {
     workload = "adversary-sprint";
     metric = "runs_per_sec";
@@ -566,15 +563,10 @@ let print_table rows =
 
 (* Runs [workloads] (registered names) and returns an exit code: 1 when
    a gate tripped or, given a [committed] BENCH.json path, a row
-   regressed against it.  Restores the process-wide JIT flag. *)
+   regressed against it. *)
 let run ?(workloads = workload_names) ?(quick = false) ?(json = false) ?out
     ?committed () =
-  let initial_jit = Core.jit_enabled () in
-  let rows =
-    Fun.protect
-      ~finally:(fun () -> Core.set_jit initial_jit)
-      (fun () -> List.map (fun w -> (List.assoc w registry) ~quick) workloads)
-  in
+  let rows = List.map (fun w -> (List.assoc w registry) ~quick) workloads in
   let text = json_of_rows rows in
   if json then print_string text else print_table rows;
   Option.iter

@@ -1047,7 +1047,10 @@ let profile_cmd =
         | Some name -> profile_of_guest ~name ~fuel
         | None -> (
           let o =
-            try Scenarios.run ~seed ~profile:true scenario
+            try
+              Scenarios.run ~seed
+                ~mode:{ Core.default_mode with Core.profile = true }
+                scenario
             with Invalid_argument msg ->
               Printf.eprintf "%s\n" msg;
               exit 1

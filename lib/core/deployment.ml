@@ -66,8 +66,8 @@ let measurement_of_config cfg =
     configuration = config_string cfg;
   }
 
-let create ?(seed = 0xDEC0DEL) ?(machine_config = Machine.default_config)
-    ?(with_detectors = true) ?(name = "guillotine-0") ?(net_addr = 100) ?ca () =
+let create ?(seed = 0xDEC0DEL) ?mode ?(with_detectors = true) ?(name = "guillotine-0")
+    ?(net_addr = 100) ?ca () =
   let prng = Prng.create seed in
   let engine = Engine.create () in
   (* Derive the fabric's prng from the deployment seed directly rather
@@ -75,7 +75,7 @@ let create ?(seed = 0xDEC0DEL) ?(machine_config = Machine.default_config)
      TLS, platform signer) stable while still making loss/corruption
      draws — the fault plane's NIC faults — vary with the seed. *)
   let fabric = Fabric.create ~prng:(Prng.create (Int64.logxor seed 0xFAB12CL)) engine in
-  let machine = Machine.create ~config:machine_config () in
+  let machine = Machine.create ?mode () in
   let detectors =
     if with_detectors then begin
       let anomaly_detector, _ = Anomaly.create () in
@@ -466,11 +466,6 @@ let enable_monitoring ?period ?window ?(rules = default_slo_rules)
 (* ------------------------------------------------------------------ *)
 (* Profiling                                                           *)
 (* ------------------------------------------------------------------ *)
-
-let enable_profiling t =
-  Array.iter
-    (fun core -> Core.set_profiling core true)
-    (Machine.model_cores t.machine)
 
 let profiling t =
   Array.exists Core.profiling (Machine.model_cores t.machine)

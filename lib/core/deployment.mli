@@ -28,15 +28,17 @@ type t
 
 val create :
   ?seed:int64 ->
-  ?machine_config:Machine.config ->
+  ?mode:Guillotine_microarch.Core.mode ->
   ?with_detectors:bool ->
   ?name:string ->
   ?net_addr:int ->
   ?ca:Guillotine_crypto.Signature.signer * string * Guillotine_crypto.Signature.public_key ->
   unit ->
   t
-(** [with_detectors] (default true) installs the input shield, output
-    sanitizer, and system anomaly detector.  [net_addr] (default 100)
+(** [mode] (default [Core.default_mode]) is the execution mode of every
+    core of the deployment's machine.  [with_detectors] (default true)
+    installs the input shield, output sanitizer, and system anomaly
+    detector.  [net_addr] (default 100)
     is this deployment's address on its own, private {!fabric}; every
     deployment gets the same default, so nothing about a run depends on
     how many deployments the process built before it.
@@ -223,14 +225,9 @@ val monitor : t -> Guillotine_obs.Monitor.t option
     [Guillotine_microarch.Core]), with block maps installed from the
     vetting CFG at {!install_guest} time.  Profiling never perturbs
     simulated-cycle behaviour — profiled replays are byte-identical to
-    bare ones (the equivalence and scenario suites pin this). *)
-
-val enable_profiling : t -> unit
-(** Turn the accumulators on for every model core of this deployment,
-    and no other.  Idempotent.  Call it before any core runs for a
-    profile of the whole run.  Under the [GUILLOTINE_PROFILE]
-    environment variable ([Core.profile_default]) every core is created
-    profiling already. *)
+    bare ones (the equivalence and scenario suites pin this).  A
+    deployment created with a [mode] that has [profile] accumulates
+    from its first cycle. *)
 
 val profiling : t -> bool
 (** True when any model core is accumulating. *)

@@ -78,15 +78,15 @@ let alert_rows m =
     (Monitor.alerts m)
 
 (* --- The scenario context and rig ----------------------------------- *)
-(* A run hands each scenario one context.  [observe] asks for the
-   monitor, which the scenario leaves in [monitor]; sampling never
-   touches scenario PRNGs, so monitored runs replay byte-identically and
-   an unobserved run is the bare golden. *)
+(* A run hands each scenario one context.  [mode] is the rig's execution
+   mode.  [observe] asks for the monitor, which the scenario leaves in
+   [monitor]; sampling never touches scenario PRNGs, so monitored runs
+   replay byte-identically and an unobserved run is the bare golden. *)
 type ctx = {
   name : string;
   seed : int;
   cell : int;
-  profile : bool;
+  mode : Core.mode;
   observe : bool;
   mutable monitor : Monitor.t option;
 }
@@ -104,10 +104,9 @@ type rig = {
 
 let rig ctx ~salt ~name =
   let d =
-    Deployment.create ~seed:(seed64 ~cell:ctx.cell salt ctx.seed) ~name ()
+    Deployment.create ~seed:(seed64 ~cell:ctx.cell salt ctx.seed) ~mode:ctx.mode
+      ~name ()
   in
-  (* Armed before any core runs, so the profile covers the whole run. *)
-  if ctx.profile then Deployment.enable_profiling d;
   let engine = Deployment.engine d in
   {
     ctx;
@@ -1023,9 +1022,9 @@ let play_scenario ~caller ctx =
       (Printf.sprintf "Scenarios.%s: unknown scenario %S (known: %s)" caller
          ctx.name (String.concat ", " names))
 
-let run ?(seed = 1) ?(cell_id = 0) ?(profile = false) name =
+let run ?(seed = 1) ?(cell_id = 0) ?(mode = Core.default_mode) name =
   play_scenario ~caller:"run"
-    { name; seed; cell = cell_id; profile; observe = false; monitor = None }
+    { name; seed; cell = cell_id; mode; observe = false; monitor = None }
 
 (* ------------------------------------------------------------------ *)
 (* Monitored runs                                                      *)
@@ -1040,17 +1039,8 @@ type monitored = {
   incident_json : string option;
 }
 
-let run_monitored ?(seed = 1) ?(cell_id = 0) name =
-  let ctx =
-    {
-      name;
-      seed;
-      cell = cell_id;
-      profile = false;
-      observe = true;
-      monitor = None;
-    }
-  in
+let run_monitored ?(seed = 1) ?(cell_id = 0) ?(mode = Core.default_mode) name =
+  let ctx = { name; seed; cell = cell_id; mode; observe = true; monitor = None } in
   let base = play_scenario ~caller:"run_monitored" ctx in
   match ctx.monitor with
   | None ->

@@ -61,11 +61,11 @@ type outcome = {
           for the fault/recovery plane *)
   profile : Guillotine_obs.Profile.t option;
       (** cycle-attribution profile of the rig's model cores, [Some] on
-          profiled runs ({!run} with [~profile:true], or under
-          [GUILLOTINE_PROFILE]); [None] otherwise, and always [None]
-          for the serving-only scenarios with no deployment.  Carried
-          out-of-band: [snapshots] and [trace] are byte-identical
-          whether or not the run was profiled. *)
+          runs whose mode has [profile] and whose guests ran; [None]
+          otherwise, and always [None] for the serving-only scenarios
+          with no deployment.  Carried out-of-band: [snapshots] and
+          [trace] are byte-identical whether or not the run was
+          profiled. *)
 }
 
 val names : string list
@@ -113,18 +113,18 @@ val pump_models : ?quantum:int -> Guillotine_core.Deployment.t -> unit
 (** Schedule the model cores to run [quantum] (default 2000)
     instructions every 250 ms. *)
 
-val run : ?seed:int -> ?cell_id:int -> ?profile:bool -> string -> outcome
+val run :
+  ?seed:int -> ?cell_id:int -> ?mode:Guillotine_microarch.Core.mode -> string -> outcome
 (** [run ?seed ?cell_id name] plays scenario [name].  [seed] (default 1)
     selects the fault plan and rig randomness; [cell_id] (default 0)
     decorrelates the run from other cells of a fleet by salting every
     derived seed.  [cell_id:0] is byte-identical to the pre-fleet
-    behaviour.  [profile] (default false) arms the cycle-attribution
-    accumulators of the rig's own model cores
-    ({!Guillotine_core.Deployment.enable_profiling}) before any of them
-    runs, and delivers the result in the outcome's [profile] field —
-    everything else in the outcome is byte-identical to the unprofiled
-    run.  No process-wide state is touched.  Raises [Invalid_argument]
-    for an unknown scenario name. *)
+    behaviour.  [mode] (default [Core.default_mode]) is the execution
+    mode of every core of the rig.  With [profile] set, the rig's cores
+    accumulate from their first cycle and the result lands in the
+    outcome's [profile] field; everything else in the outcome is the
+    same under every mode.  No process-wide state is touched.  Raises
+    [Invalid_argument] for an unknown scenario name. *)
 
 (** {2 Monitored runs}
 
@@ -155,9 +155,11 @@ type monitored = {
   incident_json : string option;
 }
 
-val run_monitored : ?seed:int -> ?cell_id:int -> string -> monitored
-(** Same [?seed] (default 1) / [?cell_id] (default 0) contract as
-    {!run}.  Raises [Invalid_argument] for an unknown scenario name. *)
+val run_monitored :
+  ?seed:int -> ?cell_id:int -> ?mode:Guillotine_microarch.Core.mode -> string -> monitored
+(** Same [?seed] (default 1) / [?cell_id] (default 0) / [?mode] contract
+    as {!run}.  Raises [Invalid_argument] for an unknown scenario
+    name. *)
 
 val summary : outcome -> string
 (** Multi-line human summary (verdict, recovery, counts, level; plus

@@ -14,6 +14,7 @@ module Fault_plan = Guillotine_faults.Fault_plan
 module Scenarios = Guillotine_faults.Scenarios
 module Sha256 = Guillotine_crypto.Sha256
 module Machine = Guillotine_machine.Machine
+module Core = Guillotine_microarch.Core
 module Asm = Guillotine_isa.Asm
 module Vet = Guillotine_vet.Vet
 module Guest_programs = Guillotine_model.Guest_programs
@@ -127,17 +128,21 @@ let arm_toctou d =
   Scenarios.pump_models d
 
 let create cfg =
+  (* [profile] tops up the ambient mode.  The mode lives on this cell's
+     machine, so a profiled cell in one domain never touches what
+     sibling cells' cores record. *)
+  let mode =
+    { Core.default_mode with
+      Core.profile = cfg.profile || Core.default_mode.Core.profile }
+  in
   (* The fleet seed is the salt, so the cell's randomness comes from the
      scenario plane's derivation, decorrelated per cell. *)
   let d =
     Deployment.create
       ~seed:(Scenarios.seed64 ~cell:cfg.cell_id cfg.seed 0)
-      ~name:(cell_name cfg.cell_id) ()
+      ~mode ~name:(cell_name cfg.cell_id) ()
   in
   if cfg.monitored then ignore (Deployment.enable_monitoring d);
-  (* Per-core flags, not the process default: a profiled cell in one
-     domain never touches what sibling cells' cores record. *)
-  if cfg.profile then Deployment.enable_profiling d;
   if cfg.toctou then arm_toctou d;
   (* The co-admission gate runs before any guest (or the model) lands
      in model DRAM: corpus names resolve to specs under the striped

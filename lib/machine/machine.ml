@@ -46,7 +46,7 @@ type t = {
   c_inspections : Telemetry.counter;
 }
 
-let create ?(config = default_config) () =
+let create ?(config = default_config) ?mode () =
   if config.model_words > io_base_addr || config.hyp_words > io_base_addr then
     invalid_arg "Machine.create: DRAM must fit below the IO base";
   let model_dram = Dram.create ~size:config.model_words in
@@ -57,7 +57,7 @@ let create ?(config = default_config) () =
   in
   let make_core ~id ~kind ~dram =
     let hierarchy = Hierarchy.create ~io:(io_base_addr, io_dram) ~dram () in
-    Core.create ~id ~kind ~hierarchy ()
+    Core.create ~id ~kind ~hierarchy ?mode ()
   in
   let models =
     Array.init config.model_cores (fun i ->

@@ -36,7 +36,9 @@ val default_config : config
 (** 2 model cores, 1 hypervisor core, 256 KiW model DRAM, 64 KiW
     hypervisor DRAM, 16 KiW IO region, throttle 64/10k ticks. *)
 
-val create : ?config:config -> unit -> t
+val create : ?config:config -> ?mode:Core.mode -> unit -> t
+(** [mode] (default {!Core.default_mode}) is the execution mode of every
+    core the machine builds, model and hypervisor alike. *)
 
 val config : t -> config
 

@@ -41,19 +41,23 @@ type status = Running | Halted of halt_reason | Powered_off
    cells therefore equals the core's cycle counter exactly for any
    interval profiled from its start.
 
-   GUILLOTINE_PROFILE=1 turns profiling on for every core the process
-   creates — the CI lever proving zero simulated-cycle perturbation
-   across the whole scenario matrix.  Read once, at start-up; a run
-   that wants a profile arms its own cores with [set_profiling]. *)
+   A core starts profiling when its mode says so ([mode.profile]); one
+   core can be armed later with [set_profiling]. *)
 
 module Cost_class = Guillotine_util.Cost_class
 
-let profile_default_flag =
-  match Sys.getenv_opt "GUILLOTINE_PROFILE" with
-  | None | Some "" | Some "0" -> false
-  | Some _ -> true
+type mode = { jit : bool; profile : bool }
 
-let profile_default () = profile_default_flag
+(* The one environment read under lib/.  CI's NO_JIT and PROFILE legs
+   set these for the whole process, and every core built without an
+   explicit mode takes them. *)
+let default_mode =
+  let set var =
+    match Sys.getenv_opt var with None | Some "" | Some "0" -> false | Some _ -> true
+  in
+  { jit = not (set "GUILLOTINE_NO_JIT"); profile = set "GUILLOTINE_PROFILE" }
+
+let profile_default () = default_mode.profile
 
 let n_classes = Cost_class.count
 let cc_fetch = Cost_class.index Cost_class.Fetch_decode
@@ -106,6 +110,7 @@ type site = {
 and t = {
   id : int;
   kind : kind;
+  mode : mode;
   regs : int64 array;
   mutable pc : int;
   mutable epc : int;
@@ -158,7 +163,8 @@ and t = {
   mutable prof_door : int;
   (* Threaded-code translation plane (see the block comment above
      [jit_run_block]).  [jit = None] until a hypervisor installs a block
-     plan; the counters survive reinstalls. *)
+     plan, and always on a core whose mode does not translate; the
+     counters survive reinstalls. *)
   mutable jit : jit_state option;
   mutable jit_translations : int;
   mutable jit_invalidations : int;
@@ -223,10 +229,11 @@ let vacant_odd = new_site ~pc:0 ~vpage:0 0L unfilled
 let reg_cause = 13
 let reg_badaddr = 12
 
-let create ~id ~kind ~hierarchy ?tlb ?bpred ?mmu () =
+let create ~id ~kind ~hierarchy ?tlb ?bpred ?mmu ?(mode = default_mode) () =
   {
     id;
     kind;
+    mode;
     regs = Array.make Isa.num_regs 0L;
     pc = 0;
     epc = 0;
@@ -254,7 +261,7 @@ let create ~id ~kind ~hierarchy ?tlb ?bpred ?mmu () =
       Array.init site_slots (fun i -> if i land 1 = 0 then vacant_even else vacant_odd);
     pd_hits = 0;
     pd_fills = 0;
-    prof_on = profile_default_flag;
+    prof_on = mode.profile;
     prof_block_of = [||];
     prof_leaders = [||];
     prof_nblocks = 0;
@@ -1118,7 +1125,7 @@ let step t =
    hierarchy read, word compare), so cycle counts, cache/TLB/predictor
    movement, profile residencies, trap ordering and watchpoint
    behaviour are byte-identical to the interpreter.  The equivalence
-   suite diffs end states and scenario goldens across [set_jit] to
+   suite diffs end states and scenario goldens across the two modes to
    enforce this.
 
    A fetched word that no longer matches its site's word (DMA patch,
@@ -1260,32 +1267,28 @@ let jit_run_block t jb ~fuel ~target =
 (* One dispatch: if the current pc leads a translated (or translatable)
    block, run it and return the steps retired; 0 means the caller must
    interpret. *)
-let jit_dispatch t ~fuel ~target =
-  match t.jit with
-  | None -> 0
-  | Some js ->
-    let pc = t.pc in
-    if pc < 0 || pc >= Array.length js.j_block_at then 0
+let jit_dispatch t js ~fuel ~target =
+  let pc = t.pc in
+  if pc < 0 || pc >= Array.length js.j_block_at then 0
+  else begin
+    let b = Array.unsafe_get js.j_block_at pc in
+    if b < 0 then 0
     else begin
-      let b = Array.unsafe_get js.j_block_at pc in
-      if b < 0 then 0
-      else begin
-        let jb_opt =
-          match Array.unsafe_get js.j_blocks b with
-          | Some jb when jb.jb_valid -> Some jb
-          | Some _ | None -> jit_translate_block t js b
-        in
-        match jb_opt with
-        | None -> 0
-        | Some jb ->
-          let steps = jit_run_block t jb ~fuel ~target in
-          t.jit_block_exits <- t.jit_block_exits + 1;
-          steps
-      end
+      let jb_opt =
+        match Array.unsafe_get js.j_blocks b with
+        | Some jb when jb.jb_valid -> Some jb
+        | Some _ | None -> jit_translate_block t js b
+      in
+      match jb_opt with
+      | None -> 0
+      | Some jb ->
+        let steps = jit_run_block t jb ~fuel ~target in
+        t.jit_block_exits <- t.jit_block_exits + 1;
+        steps
     end
+  end
 
-let set_jit enabled = Jit.set_enabled enabled
-let jit_enabled () = Jit.enabled ()
+let jit_enabled () = default_mode.jit
 
 (* Sites are the only way instructions execute, so the op cache they
    form cannot be turned off. *)
@@ -1298,24 +1301,26 @@ let jit_stats t =
     block_exits = t.jit_block_exits;
   }
 
+(* An interpreting core holds no plan, so [exec_loop] has one fact to
+   test: whether [t.jit] is set. *)
 let install_jit t (plan : Jit.plan) =
-  let nblocks = Array.length plan.Jit.leaders in
-  let block_at = Array.make (max plan.Jit.code_words 1) (-1) in
-  Array.iteri
-    (fun b leader ->
-      if leader >= 0 && leader < Array.length block_at then
-        block_at.(leader) <- b)
-    plan.Jit.leaders;
-  let js =
-    {
-      j_plan = plan;
-      j_block_at = block_at;
-      j_blocks = Array.make (max nblocks 1) None;
-      j_dead = Array.make (max nblocks 1) false;
-    }
-  in
-  t.jit <- Some js;
-  if !Jit.enabled_flag then begin
+  if t.mode.jit then begin
+    let nblocks = Array.length plan.Jit.leaders in
+    let block_at = Array.make (max plan.Jit.code_words 1) (-1) in
+    Array.iteri
+      (fun b leader ->
+        if leader >= 0 && leader < Array.length block_at then
+          block_at.(leader) <- b)
+      plan.Jit.leaders;
+    let js =
+      {
+        j_plan = plan;
+        j_block_at = block_at;
+        j_blocks = Array.make (max nblocks 1) None;
+        j_dead = Array.make (max nblocks 1) false;
+      }
+    in
+    t.jit <- Some js;
     (* Eager translation, hottest blocks first when this core carries
        profile data for a matching block map (i.e. a reinstall of a
        profiled image); fresh installs rank as identity.  Order — like
@@ -1346,13 +1351,13 @@ let exec_loop t ~fuel ~target =
       | Halted _ | Powered_off -> continue := false
       | Running ->
         let steps =
-          if
-            !Jit.enabled_flag
-            && t.timer_interval = 0
-            && Queue.is_empty t.pending_irqs
-            && Hashtbl.length t.code_watch = 0
-          then jit_dispatch t ~fuel:(fuel - !executed) ~target
-          else 0
+          match t.jit with
+          | Some js
+            when t.timer_interval = 0
+                 && Queue.is_empty t.pending_irqs
+                 && Hashtbl.length t.code_watch = 0 ->
+            jit_dispatch t js ~fuel:(fuel - !executed) ~target
+          | Some _ | None -> 0
         in
         if steps > 0 then executed := !executed + steps
         else begin

@@ -34,6 +34,22 @@ type status = Running | Halted of halt_reason | Powered_off
 
 type t
 
+type mode = {
+  jit : bool;
+      (** run installed block plans translated ({!install_jit}); false
+          interprets every instruction *)
+  profile : bool;  (** arm cycle attribution from creation *)
+}
+(** How a core executes, fixed when it is created.  No mode changes a
+    simulated byte: cycles, memory, traps and every simulated counter
+    are the same under all four. *)
+
+val default_mode : mode
+(** Read once from the environment: [jit] unless [GUILLOTINE_NO_JIT] is
+    set, [profile] when [GUILLOTINE_PROFILE] is set (any value other
+    than empty or ["0"] counts as set).  The only environment read in
+    the library. *)
+
 val create :
   id:int ->
   kind:kind ->
@@ -41,11 +57,13 @@ val create :
   ?tlb:Guillotine_memory.Tlb.t ->
   ?bpred:Bpred.t ->
   ?mmu:Guillotine_memory.Mmu.t ->
+  ?mode:mode ->
   unit ->
   t
 (** [tlb]/[bpred] default to fresh private structures; passing shared
     ones models co-tenant execution (the baseline machine does this).
-    [mmu] defaults to a fresh empty page table. *)
+    [mmu] defaults to a fresh empty page table, [mode] to
+    {!default_mode}. *)
 
 val id : t -> int
 val kind : t -> kind
@@ -114,15 +132,11 @@ val predecode_stats : t -> int * int
     lookup, MMU translation, hierarchy fetch, and cycle charges,
     bit-identically), and a fetched word that no longer matches the
     word its op was compiled from invalidates the block, which is
-    retranslated on its next entry.  [GUILLOTINE_NO_JIT] (any value
-    other than empty or ["0"]) disables it at start-up. *)
-
-val set_jit : bool -> unit
-(** Process-wide override of block-translated execution (safe to toggle
-    at any time: translations are revalidated per fetch, never
-    trusted). *)
+    retranslated on its next entry.  A core translates only when its
+    {!mode} has [jit]. *)
 
 val jit_enabled : unit -> bool
+(** [default_mode.jit]. *)
 
 val install_jit : t -> Jit.plan -> unit
 (** Install a block plan for the program just loaded and eagerly
@@ -132,7 +146,8 @@ val install_jit : t -> Jit.plan -> unit
     Replaces any previous plan.  Blocks that cannot be translated
     (unmapped, IO-resident, undecodable, non-contiguous) stay on the
     interpreter.  After an invalidation the block is recompiled lazily
-    on its next entry. *)
+    on its next entry.  Does nothing on a core whose mode has
+    [jit = false]: such a core holds no plan and interprets. *)
 
 val jit_stats : t -> Jit.stats
 (** Translation-cache counters (host-side observability only). *)
@@ -152,10 +167,8 @@ val jit_stats : t -> Jit.stats
     {!profile_note}. *)
 
 val profile_default : unit -> bool
-(** Whether {!create} arms profiling on every new core: read once from
-    the [GUILLOTINE_PROFILE] environment variable at start-up (any value
-    other than empty or ["0"] enables) and fixed for the process.  Arm a
-    single core with {!set_profiling}. *)
+(** [default_mode.profile].  A core starts profiling when its {!mode}
+    says so; arm a single core later with {!set_profiling}. *)
 
 val profiling : t -> bool
 val set_profiling : t -> bool -> unit

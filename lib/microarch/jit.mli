@@ -6,9 +6,10 @@
     pre-resolved — executed back to back with a single dispatch per
     {e block}.  This module owns the
     vet-neutral data the core consumes (the microarch library must not
-    depend on the vet library): the block plan, the process-wide enable
-    flag, the translation-cache stat shape, and the profile ranking
-    that orders translation work.
+    depend on the vet library): the block plan, the translation-cache
+    stat shape, and the profile ranking that orders translation work.
+    Whether a core translates at all is its machine's execution mode
+    ({!Core.mode}), fixed when the core is created.
 
     Everything here is host-side policy.  Simulated state — registers,
     memory, cycle counts, cache/TLB/predictor movement, profile
@@ -39,14 +40,6 @@ type stats = {
   block_exits : int;
       (** Returns from translated execution to the dispatch loop. *)
 }
-
-val enabled_flag : bool ref
-(** Read directly by the core's dispatch loop (deref per dispatch).
-    Defaults to on unless [GUILLOTINE_NO_JIT] is set to something other
-    than [""]/["0"] in the environment. *)
-
-val set_enabled : bool -> unit
-val enabled : unit -> bool
 
 val rank : plan -> hot:int array -> int array
 (** Block ids ordered hottest-first by [hot.(b)] (attributed profile

@@ -185,34 +185,29 @@ let prop_predecode_agrees =
   let module Hypervisor = Guillotine_hv.Hypervisor in
   let module Core = Guillotine_microarch.Core in
   let observe ~jit i =
-    let was = Core.jit_enabled () in
-    Fun.protect
-      ~finally:(fun () -> Core.set_jit was)
-      (fun () ->
-        Core.set_jit jit;
-        let m = Machine.create () in
-        let hv = Hypervisor.create ~machine:m () in
-        let p = Asm.instrs [ i ] in
-        (match
-           Hypervisor.install_program hv ~label:"qcheck" ~core:0 ~code_pages:4
-             ~data_pages:4 p
-         with
-        | Ok _ -> ()
-        | Error _ -> Alcotest.fail "install rejected");
-        let c = Machine.model_core m 0 in
-        ignore (Core.run c ~fuel:1);
-        Core.pause c;
-        Core.set_pc c p.Asm.origin;
-        Core.resume c;
-        ignore (Core.run c ~fuel:1);
-        Core.pause c;
-        ( ( Core.cycles c,
-            Core.instructions_retired c,
-            Core.get_pc c,
-            List.init 16 (Core.read_reg c),
-            Format.asprintf "%a" Core.pp_status (Core.status c) ),
-          snd (Core.predecode_stats c),
-          (Core.jit_stats c).Guillotine_microarch.Jit.translations ))
+    let m = Machine.create ~mode:{ Core.default_mode with Core.jit } () in
+    let hv = Hypervisor.create ~machine:m () in
+    let p = Asm.instrs [ i ] in
+    (match
+       Hypervisor.install_program hv ~label:"qcheck" ~core:0 ~code_pages:4
+         ~data_pages:4 p
+     with
+    | Ok _ -> ()
+    | Error _ -> Alcotest.fail "install rejected");
+    let c = Machine.model_core m 0 in
+    ignore (Core.run c ~fuel:1);
+    Core.pause c;
+    Core.set_pc c p.Asm.origin;
+    Core.resume c;
+    ignore (Core.run c ~fuel:1);
+    Core.pause c;
+    ( ( Core.cycles c,
+        Core.instructions_retired c,
+        Core.get_pc c,
+        List.init 16 (Core.read_reg c),
+        Format.asprintf "%a" Core.pp_status (Core.status c) ),
+      snd (Core.predecode_stats c),
+      (Core.jit_stats c).Guillotine_microarch.Jit.translations )
   in
   QCheck.Test.make ~name:"decode and predecode-cache path agree (full space)"
     ~count:500

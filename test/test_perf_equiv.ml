@@ -6,8 +6,10 @@
 
    - golden fault scenarios: every named scenario (and its monitored
      replay) produces byte-identical telemetry, verdicts, and incident
-     reports with block translation on vs. forced off — the same escape
-     hatch GUILLOTINE_NO_JIT=1 selects at process start;
+     reports in a rig built to translate and in one built to interpret
+     — the mode GUILLOTINE_NO_JIT=1 makes every rig's default; each
+     mode reaches every core of its rig, and the two rigs also run side
+     by side, one per domain;
    - driver equivalence: the batched driver (Engine.every_batch +
      Machine.run_cores) leaves a guest in exactly the end state the
      one-instruction-per-event driver (Engine.every + run_models at
@@ -41,10 +43,9 @@ let matrix_seed =
   | Some s -> (try int_of_string s with Failure _ -> 1)
   | None -> 1
 
-let with_jit fast f =
-  let was = Core.jit_enabled () in
-  Core.set_jit fast;
-  Fun.protect ~finally:(fun () -> Core.set_jit was) f
+(* The ambient mode with block translation set either way; profiling
+   stays as the environment leaves it. *)
+let mode ~jit = { Core.default_mode with Core.jit }
 
 (* The machine snapshot now surfaces the execution-plane counters
    (coreN.predecode and coreN.jit).  Those are host-side observability
@@ -73,13 +74,65 @@ let render_snapshots o =
   in
   Table.render (Telemetry.table snaps)
 
+(* Blocks translated by every core of a run: the sum of the
+   coreN.jit.translations counters [render_snapshots] strips. *)
+let translations o =
+  List.fold_left
+    (fun acc (s : Telemetry.snapshot) ->
+      List.fold_left
+        (fun acc (key, v) ->
+          match v with
+          | Telemetry.Counter n when String.ends_with ~suffix:".jit.translations" key ->
+            acc + n
+          | _ -> acc)
+        acc s.Telemetry.values)
+    0 o.Scenarios.snapshots
+
+(* The scenarios whose rigs install guests through the hypervisor, and
+   so translate when their mode does.  The other four deployment
+   scenarios run no guest; the two serving-only ones build no machine. *)
+let translating =
+  [
+    "core-wedge-rollback";
+    "irq-storm-contained";
+    "toctou-dma-self-patch";
+    "toctou-shared-window-rewrite";
+    "toctou-install-race";
+    "killswitch-exfil-sprint";
+    "killswitch-replicate";
+    "killswitch-hostage";
+  ]
+
+(* Each mode reaches every core of its rig: the interpreting rig
+   translates nothing, the translating rig exactly where guests run. *)
+let check_translations name ~fast ~slow =
+  Alcotest.(check int) (name ^ ": interpreted translations") 0 (translations slow);
+  Alcotest.(check bool)
+    (name ^ ": translated")
+    (List.mem name translating)
+    (translations fast > 0)
+
 (* ------------------------- golden scenarios ------------------------ *)
 
+(* One run names no mode, so it takes [Core.default_mode]; the other
+   asks for the opposite translation setting.  Every leg thus checks
+   that an explicit mode reaches every core of the rig, and the NO_JIT
+   and PROFILE legs check that the ambient one does: translation and a
+   profile appear exactly where [default_mode] asks for them. *)
 let test_scenarios_identical () =
+  let ambient = Core.default_mode in
   List.iter
     (fun name ->
-      let fast = with_jit true (fun () -> Scenarios.run name ~seed:matrix_seed) in
-      let slow = with_jit false (fun () -> Scenarios.run name ~seed:matrix_seed) in
+      let plain = Scenarios.run name ~seed:matrix_seed in
+      let other =
+        Scenarios.run name ~seed:matrix_seed ~mode:(mode ~jit:(not ambient.Core.jit))
+      in
+      let fast, slow = if ambient.Core.jit then (plain, other) else (other, plain) in
+      check_translations name ~fast ~slow;
+      Alcotest.(check bool)
+        (name ^ ": profiled")
+        (ambient.Core.profile && List.mem name translating)
+        (Option.is_some plain.Scenarios.profile);
       let check what = Alcotest.(check string) (name ^ ": " ^ what) in
       check "verdict" slow.Scenarios.verdict fast.Scenarios.verdict;
       check "recovery" slow.Scenarios.recovery fast.Scenarios.recovery;
@@ -96,8 +149,9 @@ let test_scenarios_identical () =
 let test_monitored_identical () =
   List.iter
     (fun name ->
-      let fast = with_jit true (fun () -> Scenarios.run_monitored name ~seed:matrix_seed) in
-      let slow = with_jit false (fun () -> Scenarios.run_monitored name ~seed:matrix_seed) in
+      let fast = Scenarios.run_monitored name ~seed:matrix_seed ~mode:(mode ~jit:true) in
+      let slow = Scenarios.run_monitored name ~seed:matrix_seed ~mode:(mode ~jit:false) in
+      check_translations name ~fast:fast.Scenarios.base ~slow:slow.Scenarios.base;
       Alcotest.(check (list (triple string string (float 0.0))))
         (name ^ ": alerts") slow.Scenarios.alerts fast.Scenarios.alerts;
       Alcotest.(check (option string))
@@ -113,6 +167,28 @@ let test_monitored_identical () =
         (name ^ ": trace")
         slow.Scenarios.base.Scenarios.trace fast.Scenarios.base.Scenarios.trace)
     Scenarios.names
+
+(* An interpreting rig and a translating rig in one process at once: a
+   spawned domain plays the translating scenarios interpreted while this
+   domain plays them translated.  The modes live on the machines, so
+   neither run can see the other's, and each pair matches byte for
+   byte. *)
+let test_side_by_side () =
+  let play ~jit =
+    List.map (fun name -> Scenarios.run name ~seed:matrix_seed ~mode:(mode ~jit)) translating
+  in
+  let interpreter = Domain.spawn (fun () -> play ~jit:false) in
+  let translated = play ~jit:true in
+  let interpreted = Domain.join interpreter in
+  List.iter2
+    (fun slow fast ->
+      let name = fast.Scenarios.scenario in
+      Alcotest.(check string) (name ^ ": trace") slow.Scenarios.trace fast.Scenarios.trace;
+      Alcotest.(check string)
+        (name ^ ": snapshots")
+        (render_snapshots slow) (render_snapshots fast);
+      check_translations name ~fast ~slow)
+    interpreted translated
 
 (* ------------------------- driver equivalence ---------------------- *)
 
@@ -288,24 +364,23 @@ let hv_install m instrs =
    accumulators (so translated execution provably attributes every
    cycle to the same (block, class) cell the interpreter does). *)
 let run_random ~jit instrs =
-  with_jit jit (fun () ->
-      let m = Machine.create () in
-      ignore (hv_install m instrs);
-      let c = Machine.model_core m 0 in
-      Core.set_profiling c true;
-      ignore (Core.run c ~fuel:2_000);
-      Core.pause c;
-      let digest =
-        Machine.measure_model_memory m ~at:0
-          ~len:(Dram.size (Machine.model_dram m))
-      in
-      ( Core.cycles c,
-        Core.instructions_retired c,
-        Core.get_pc c,
-        List.init 16 (Core.read_reg c),
-        digest,
-        Array.to_list (Core.profile_cycles c),
-        Array.to_list (Core.profile_retired c) ))
+  let m = Machine.create ~mode:(mode ~jit) () in
+  ignore (hv_install m instrs);
+  let c = Machine.model_core m 0 in
+  Core.set_profiling c true;
+  ignore (Core.run c ~fuel:2_000);
+  Core.pause c;
+  let digest =
+    Machine.measure_model_memory m ~at:0
+      ~len:(Dram.size (Machine.model_dram m))
+  in
+  ( Core.cycles c,
+    Core.instructions_retired c,
+    Core.get_pc c,
+    List.init 16 (Core.read_reg c),
+    digest,
+    Array.to_list (Core.profile_cycles c),
+    Array.to_list (Core.profile_retired c) )
 
 let prop_jit_equivalent =
   QCheck.Test.make ~name:"random programs: translated = interpreted" ~count:60
@@ -317,20 +392,19 @@ let prop_jit_equivalent =
    eagerly block-translated; each asserts both the architectural result
    and that the stale translation was actually dropped. *)
 let run_patch_scenario ~patch =
-  with_jit true (fun () ->
-      let m = Machine.create () in
-      let p = hv_install m patchable in
-      let c = Machine.model_core m 0 in
-      ignore (Core.run c ~fuel:10);
-      Alcotest.(check int64) "first run" 11L (Core.read_reg c 1);
-      let before = (Core.jit_stats c).Guillotine_microarch.Jit.invalidations in
-      patch m p;
-      Core.set_pc c p.Asm.origin;
-      Core.resume c;
-      ignore (Core.run c ~fuel:10);
-      let after = (Core.jit_stats c).Guillotine_microarch.Jit.invalidations in
-      Alcotest.(check bool) "translation invalidated" true (after > before);
-      Core.read_reg c 1)
+  let m = Machine.create ~mode:(mode ~jit:true) () in
+  let p = hv_install m patchable in
+  let c = Machine.model_core m 0 in
+  ignore (Core.run c ~fuel:10);
+  Alcotest.(check int64) "first run" 11L (Core.read_reg c 1);
+  let before = (Core.jit_stats c).Guillotine_microarch.Jit.invalidations in
+  patch m p;
+  Core.set_pc c p.Asm.origin;
+  Core.resume c;
+  ignore (Core.run c ~fuel:10);
+  let after = (Core.jit_stats c).Guillotine_microarch.Jit.invalidations in
+  Alcotest.(check bool) "translation invalidated" true (after > before);
+  Core.read_reg c 1
 
 let test_jit_flip_bit () =
   let r =
@@ -359,24 +433,23 @@ let test_jit_dma_patch () =
   Alcotest.(check int64) "dma-patched run" 22L r
 
 let test_jit_restore_then_patch () =
-  with_jit true (fun () ->
-      let m = Machine.create () in
-      let p = hv_install m patchable in
-      let c = Machine.model_core m 0 in
-      Core.pause c;
-      let snap = Snapshot.capture m in
-      Core.resume c;
-      ignore (Core.run c ~fuel:10);
-      Alcotest.(check int64) "first run" 11L (Core.read_reg c 1);
-      let before = (Core.jit_stats c).Guillotine_microarch.Jit.invalidations in
-      Snapshot.restore m snap;
-      Dram.write (Machine.model_dram m) p.Asm.origin
-        (Encoding.encode (Isa.Movi (1, 22)));
-      Core.resume c;
-      ignore (Core.run c ~fuel:10);
-      let after = (Core.jit_stats c).Guillotine_microarch.Jit.invalidations in
-      Alcotest.(check bool) "translation invalidated" true (after > before);
-      Alcotest.(check int64) "restored-then-patched run" 22L (Core.read_reg c 1))
+  let m = Machine.create ~mode:(mode ~jit:true) () in
+  let p = hv_install m patchable in
+  let c = Machine.model_core m 0 in
+  Core.pause c;
+  let snap = Snapshot.capture m in
+  Core.resume c;
+  ignore (Core.run c ~fuel:10);
+  Alcotest.(check int64) "first run" 11L (Core.read_reg c 1);
+  let before = (Core.jit_stats c).Guillotine_microarch.Jit.invalidations in
+  Snapshot.restore m snap;
+  Dram.write (Machine.model_dram m) p.Asm.origin
+    (Encoding.encode (Isa.Movi (1, 22)));
+  Core.resume c;
+  ignore (Core.run c ~fuel:10);
+  let after = (Core.jit_stats c).Guillotine_microarch.Jit.invalidations in
+  Alcotest.(check bool) "translation invalidated" true (after > before);
+  Alcotest.(check int64) "restored-then-patched run" 22L (Core.read_reg c 1)
 
 (* Ops bake in their pc (here the jal link), so a cached op may run only
    at the pc it was compiled for.  The code frame is executable at a
@@ -386,27 +459,26 @@ let test_jit_restore_then_patch () =
 let alias = 4096
 
 let run_alias ~jit =
-  with_jit jit (fun () ->
-      let m = Machine.create () in
-      ignore (hv_install m [ Isa.Jal (2, 2); Isa.Halt; Isa.Halt ]);
-      let c = Machine.model_core m 0 in
-      let mmu = Core.mmu c in
-      (match Mmu.map mmu ~vpage:(alias / Mmu.page_size mmu) ~frame:0 Mmu.perm_rx with
-      | Ok () -> ()
-      | Error _ -> Alcotest.fail "alias map");
-      let pcs = ref [] in
-      Core.add_retire_hook c (fun ~pc _ -> pcs := pc :: !pcs);
-      let links =
-        List.map
-          (fun start ->
-            Core.pause c;
-            Core.set_pc c start;
-            Core.resume c;
-            ignore (Core.run c ~fuel:10);
-            Core.read_reg c 2)
-          [ 0; alias; 0 ]
-      in
-      (links, List.rev !pcs, Core.cycles c))
+  let m = Machine.create ~mode:(mode ~jit) () in
+  ignore (hv_install m [ Isa.Jal (2, 2); Isa.Halt; Isa.Halt ]);
+  let c = Machine.model_core m 0 in
+  let mmu = Core.mmu c in
+  (match Mmu.map mmu ~vpage:(alias / Mmu.page_size mmu) ~frame:0 Mmu.perm_rx with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "alias map");
+  let pcs = ref [] in
+  Core.add_retire_hook c (fun ~pc _ -> pcs := pc :: !pcs);
+  let links =
+    List.map
+      (fun start ->
+        Core.pause c;
+        Core.set_pc c start;
+        Core.resume c;
+        ignore (Core.run c ~fuel:10);
+        Core.read_reg c 2)
+      [ 0; alias; 0 ]
+  in
+  (links, List.rev !pcs, Core.cycles c)
 
 let test_alias_links_per_pc () =
   let on = run_alias ~jit:true and off = run_alias ~jit:false in
@@ -426,12 +498,11 @@ let test_alias_links_per_pc () =
    modes must reach the pinned end state: a fetch page fault at
    [min_int] with no handler, after 508 cycles. *)
 let run_never_filled ~jit =
-  with_jit jit (fun () ->
-      let m = Machine.create () in
-      ignore (hv_install m [ Isa.Movhi (1, 0x4000_0000); Isa.Jr 1 ]);
-      let c = Machine.model_core m 0 in
-      ignore (Core.run c ~fuel:100);
-      (Core.cycles c, Core.get_pc c, Format.asprintf "%a" Core.pp_status (Core.status c)))
+  let m = Machine.create ~mode:(mode ~jit) () in
+  ignore (hv_install m [ Isa.Movhi (1, 0x4000_0000); Isa.Jr 1 ]);
+  let c = Machine.model_core m 0 in
+  ignore (Core.run c ~fuel:100);
+  (Core.cycles c, Core.get_pc c, Format.asprintf "%a" Core.pp_status (Core.status c))
 
 let test_never_filled_slot () =
   let expected =
@@ -473,40 +544,39 @@ let placed items =
    installed, so block translation runs it when on.  [drive] runs the
    core and returns a result register. *)
 let fetch_counters ?(data_pages = 4) ~jit (p : Asm.program) drive =
-  with_jit jit (fun () ->
-      let dram = Dram.create ~size:(64 * 1024) in
-      let hierarchy = Hierarchy.create ~dram () in
-      let tlb = Tlb.create () in
-      let c = Core.create ~id:0 ~kind:Core.Model_core ~hierarchy ~tlb () in
-      let mmu = Core.mmu c in
-      for page = 0 to 3 + data_pages do
-        match Mmu.map mmu ~vpage:page ~frame:page (if page < 4 then Mmu.perm_rx else Mmu.perm_rw) with
-        | Ok () -> ()
-        | Error _ -> Alcotest.fail "map"
-      done;
-      Dram.load_program dram p;
-      let bm = Cfg.block_map (Cfg.build ~code_pages:4 p) in
-      Core.install_jit c
-        {
-          Guillotine_microarch.Jit.code_words = bm.Cfg.map_code_words;
-          leaders = bm.Cfg.map_leaders;
-          pcs = bm.Cfg.map_pcs;
-        };
-      let result = drive c in
-      let l1 = Hierarchy.l1 hierarchy in
-      let tlb_hits, tlb_misses = Tlb.stats tlb and l1_hits, l1_misses = Cache.stats l1 in
-      [
-        ("result", result);
-        ("tlb hits", tlb_hits);
-        ("tlb misses", tlb_misses);
-        ("tlb clock", tlb.Tlb.clock);
-        ("l1 hits", l1_hits);
-        ("l1 misses", l1_misses);
-        ("l1 clock", l1.Cache.clock);
-        ("hierarchy cycles", Hierarchy.cycles_spent hierarchy);
-        ("core cycles", Core.cycles c);
-        ("retired", Core.instructions_retired c);
-      ])
+  let dram = Dram.create ~size:(64 * 1024) in
+  let hierarchy = Hierarchy.create ~dram () in
+  let tlb = Tlb.create () in
+  let c = Core.create ~id:0 ~kind:Core.Model_core ~hierarchy ~tlb ~mode:(mode ~jit) () in
+  let mmu = Core.mmu c in
+  for page = 0 to 3 + data_pages do
+    match Mmu.map mmu ~vpage:page ~frame:page (if page < 4 then Mmu.perm_rx else Mmu.perm_rw) with
+    | Ok () -> ()
+    | Error _ -> Alcotest.fail "map"
+  done;
+  Dram.load_program dram p;
+  let bm = Cfg.block_map (Cfg.build ~code_pages:4 p) in
+  Core.install_jit c
+    {
+      Guillotine_microarch.Jit.code_words = bm.Cfg.map_code_words;
+      leaders = bm.Cfg.map_leaders;
+      pcs = bm.Cfg.map_pcs;
+    };
+  let result = drive c in
+  let l1 = Hierarchy.l1 hierarchy in
+  let tlb_hits, tlb_misses = Tlb.stats tlb and l1_hits, l1_misses = Cache.stats l1 in
+  [
+    ("result", result);
+    ("tlb hits", tlb_hits);
+    ("tlb misses", tlb_misses);
+    ("tlb clock", tlb.Tlb.clock);
+    ("l1 hits", l1_hits);
+    ("l1 misses", l1_misses);
+    ("l1 clock", l1.Cache.clock);
+    ("hierarchy cycles", Hierarchy.cycles_spent hierarchy);
+    ("core cycles", Core.cycles c);
+    ("retired", Core.instructions_retired c);
+  ]
 
 let run_to_halt r c =
   ignore (Core.run c ~fuel:100_000);
@@ -624,6 +694,8 @@ let () =
             test_scenarios_identical;
           Alcotest.test_case "monitored replays identical" `Quick
             test_monitored_identical;
+          Alcotest.test_case "interpreted and translated rigs side by side" `Quick
+            test_side_by_side;
         ] );
       ( "driver",
         [

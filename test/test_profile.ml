@@ -2,7 +2,7 @@
 
    The contract under test, in order of importance:
 
-   1. Read-only: running any scenario with [~profile:true] leaves every
+   1. Read-only: running any scenario in a profiling mode leaves every
       observable byte — trace, verdict, recoveries, snapshots, adversary
       metrics — identical to the bare run, across the whole scenario
       list at whatever seed the CI matrix supplies via FAULTS_SEED.
@@ -32,11 +32,15 @@ let matrix_seed =
   | Some s -> (try int_of_string s with Failure _ -> 1)
   | None -> 1
 
+(* The ambient mode with profiling set either way; translation stays as
+   the environment leaves it. *)
+let mode ~profile = { Core.default_mode with Core.profile }
+
 (* ------------------ profiled replay is byte-identical --------------- *)
 
 let test_profiled_replay_identical name () =
-  let bare = Scenarios.run name ~seed:matrix_seed in
-  let prof = Scenarios.run name ~seed:matrix_seed ~profile:true in
+  let bare = Scenarios.run name ~seed:matrix_seed ~mode:(mode ~profile:false) in
+  let prof = Scenarios.run name ~seed:matrix_seed ~mode:(mode ~profile:true) in
   Alcotest.(check string) "trace" bare.Scenarios.trace prof.Scenarios.trace;
   Alcotest.(check string) "verdict" bare.Scenarios.verdict prof.Scenarios.verdict;
   Alcotest.(check string) "recovery" bare.Scenarios.recovery prof.Scenarios.recovery;
@@ -95,7 +99,8 @@ let test_readout_mid_run_balances () =
 (* -------------------------- determinism ---------------------------- *)
 
 let profile_of_scenario name =
-  match (Scenarios.run name ~seed:matrix_seed ~profile:true).Scenarios.profile with
+  let o = Scenarios.run name ~seed:matrix_seed ~mode:(mode ~profile:true) in
+  match o.Scenarios.profile with
   | Some p -> p
   | None -> Alcotest.fail (name ^ ": profiled run collected no profile")
 
@@ -134,7 +139,7 @@ let pinned_profiles =
 
 let test_profile_pinned name pin () =
   if matrix_seed = 1 then
-    let o = Scenarios.run name ~seed:1 ~profile:true in
+    let o = Scenarios.run name ~seed:1 ~mode:(mode ~profile:true) in
     Alcotest.(check (option string)) "profile json md5" pin
       (Option.map
          (fun p -> Digest.to_hex (Digest.string (Profile.to_json p)))
