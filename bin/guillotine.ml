@@ -23,6 +23,7 @@
 
 open Cmdliner
 module Table = Guillotine_util.Table
+module Json = Guillotine_util.Json
 module Attacks = Guillotine_core.Attacks
 module Asm = Guillotine_isa.Asm
 module Machine = Guillotine_machine.Machine
@@ -653,7 +654,7 @@ let vet_cmd =
           if i > 0 then print_string ",";
           Printf.printf
             "{\"name\":\"%s\",\"expected\":\"%s\",\"report\":%s,\"as_expected\":%b}"
-            e.Vet_corpus.name
+            (Json.escape e.Vet_corpus.name)
             (Vet.verdict_label e.Vet_corpus.expected)
             (Vet.to_json r) ok)
         rows;
@@ -710,7 +711,7 @@ let vet_cmd =
           if i > 0 then print_string ",";
           Printf.printf
             "{\"roster\":\"%s\",\"expected\":\"%s\",\"report\":%s,\"as_expected\":%b}"
-            r.Vet_corpus.roster_name
+            (Json.escape r.Vet_corpus.roster_name)
             (Vet.verdict_label r.Vet_corpus.expect)
             (Interfere.to_json rep) ok)
         rows;
@@ -965,8 +966,6 @@ let fleet_cmd =
   let domains =
     Arg.(value & opt (some int) None
          & info [ "domains" ] ~docv:"N"
-             ~env:(Cmd.Env.info "DOMAINS"
-                     ~doc:"Default for $(b,--domains).")
              ~doc:"OCaml domains to shard cells across (default: one per \
                    cell; 1 runs everything on the calling domain).")
   in

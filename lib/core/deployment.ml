@@ -12,7 +12,6 @@ module Fabric = Guillotine_net.Fabric
 module Attest = Guillotine_net.Attest
 module Tls = Guillotine_net.Tls
 module Hsm = Guillotine_hsm.Hsm
-module Detector = Guillotine_detect.Detector
 module Input_shield = Guillotine_detect.Input_shield
 module Output_sanitizer = Guillotine_detect.Output_sanitizer
 module Anomaly = Guillotine_detect.Anomaly
@@ -66,8 +65,7 @@ let measurement_of_config cfg =
     configuration = config_string cfg;
   }
 
-let create ?(seed = 0xDEC0DEL) ?mode ?(with_detectors = true) ?(name = "guillotine-0")
-    ?(net_addr = 100) ?ca () =
+let create ?(seed = 0xDEC0DEL) ?mode ?(name = "guillotine-0") ?(net_addr = 100) ?ca () =
   let prng = Prng.create seed in
   let engine = Engine.create () in
   (* Derive the fabric's prng from the deployment seed directly rather
@@ -76,15 +74,12 @@ let create ?(seed = 0xDEC0DEL) ?mode ?(with_detectors = true) ?(name = "guilloti
      draws — the fault plane's NIC faults — vary with the seed. *)
   let fabric = Fabric.create ~prng:(Prng.create (Int64.logxor seed 0xFAB12CL)) engine in
   let machine = Machine.create ?mode () in
+  let anomaly_detector, _ = Anomaly.create () in
   let detectors =
-    if with_detectors then begin
-      let anomaly_detector, _ = Anomaly.create () in
-      [ Input_shield.detector (); Output_sanitizer.detector (); anomaly_detector ]
-    end
-    else []
+    [ Input_shield.detector (); Output_sanitizer.detector (); anomaly_detector ]
   in
   let hv = Hypervisor.create ~machine ~detectors () in
-  if with_detectors then Hypervisor.enable_probe_monitor hv ();
+  Hypervisor.enable_probe_monitor hv ();
   let switches =
     Kill_switch.create ~engine ~fabric ~net_addrs:[ net_addr ] ()
   in
@@ -198,11 +193,6 @@ let load_model t ?malice () =
       done)
     (Machine.model_cores t.machine);
   model
-
-let install_guest t ?(vet = Hypervisor.default_vet_policy) ?label ~core
-    ~code_pages ~data_pages program =
-  Hypervisor.install_program t.hv ~vet_policy:vet ?label ~core ~code_pages
-    ~data_pages program
 
 let coadmit t ?policy ?label specs = Hypervisor.coadmit t.hv ?policy ?label specs
 
@@ -423,14 +413,11 @@ let default_slo_rules =
       ~about:"goodput collapsed below 1 request/s" (Watchdog.Below 1.0);
   ]
 
-let monitor t = t.monitor
-
-let enable_monitoring ?period ?window ?(rules = default_slo_rules)
-    ?(escalate = false) t =
+let enable_monitoring t =
   match t.monitor with
   | Some m -> m
   | None ->
-    let m = Monitor.create ?period ?window ~engine:t.engine () in
+    let m = Monitor.create ~engine:t.engine () in
     (* Same unified clock as every other registry, so the alert track
        lines up with subsystem timelines in the exported trace. *)
     Telemetry.set_clock (Monitor.telemetry m) (fun () ->
@@ -440,7 +427,7 @@ let enable_monitoring ?period ?window ?(rules = default_slo_rules)
     Monitor.add_registry m (Console.telemetry t.console);
     Monitor.add_registry m (Kill_switch.telemetry (Console.switches t.console));
     Monitor.add_source m (fun () -> Fabric.metrics t.fabric);
-    List.iter (Monitor.add_rule m) rules;
+    List.iter (Monitor.add_rule m) default_slo_rules;
     (* Cross-layer flight recorder: point every producer's event sink at
        the journal.  Sinks are plain closures; the producers never learn
        about the observability plane. *)
@@ -451,14 +438,6 @@ let enable_monitoring ?period ?window ?(rules = default_slo_rules)
     Console.set_event_sink t.console (sink "console");
     Kill_switch.set_event_sink (Console.switches t.console) (sink "switches");
     Hypervisor.set_event_sink t.hv (sink "hv");
-    (if escalate then
-       Monitor.on_alert m (fun (alert : Watchdog.alert) ->
-           if alert.Watchdog.rule.Watchdog.severity = Watchdog.Critical then
-             Console.on_watchdog_alert t.console ~severity:Detector.Critical
-               ~reason:
-                 (Printf.sprintf "watchdog rule %s: %s"
-                    alert.Watchdog.rule.Watchdog.rule_name
-                    alert.Watchdog.rule.Watchdog.about)));
     Monitor.start m;
     t.monitor <- Some m;
     m

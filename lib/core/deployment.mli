@@ -29,17 +29,16 @@ type t
 val create :
   ?seed:int64 ->
   ?mode:Guillotine_microarch.Core.mode ->
-  ?with_detectors:bool ->
   ?name:string ->
   ?net_addr:int ->
   ?ca:Guillotine_crypto.Signature.signer * string * Guillotine_crypto.Signature.public_key ->
   unit ->
   t
 (** [mode] (default [Core.default_mode]) is the execution mode of every
-    core of the deployment's machine.  [with_detectors] (default true)
-    installs the input shield, output sanitizer, and system anomaly
-    detector.  [net_addr] (default 100)
-    is this deployment's address on its own, private {!fabric}; every
+    core of the deployment's machine.  The hypervisor runs the input
+    shield, output sanitizer, and system anomaly detector, and the
+    probe monitor.  [net_addr] (default 100) is this deployment's
+    address on its own, private {!fabric}; every
     deployment gets the same default, so nothing about a run depends on
     how many deployments the process built before it.
     [ca] = (signer, name, public key) of the AI regulator's CA; a
@@ -77,22 +76,6 @@ val load_model : t -> ?malice:Toymodel.malice -> unit -> Toymodel.t
     audit trail, and protect the weight pages read-only in every model
     core's page table (the §3.2 anti-self-improvement lockdown: a model
     may read but never update its own weights). *)
-
-val install_guest :
-  t ->
-  ?vet:Hypervisor.vet_policy ->
-  ?label:string ->
-  core:int ->
-  code_pages:int ->
-  data_pages:int ->
-  Guillotine_isa.Asm.program ->
-  (Guillotine_vet.Vet.report option, Guillotine_vet.Vet.report) result
-(** Load an assembly guest onto a model core {e through the admission
-    gate}: the program is statically vetted (default
-    {!Hypervisor.default_vet_policy} — enforcing, no extra windows)
-    before installation.  [Error report] means the guest was rejected
-    and nothing was installed.  Use [Machine.install_program] directly
-    to bypass vetting (the pre-gate behaviour). *)
 
 val coadmit :
   t ->
@@ -198,34 +181,25 @@ val default_slo_rules : Guillotine_obs.Watchdog.rule list
     (p99 latency, shed/retry/failover, queue depth, goodput floor) that
     stay inert unless a serving source is attached to the monitor. *)
 
-val enable_monitoring :
-  ?period:float ->
-  ?window:float ->
-  ?rules:Guillotine_obs.Watchdog.rule list ->
-  ?escalate:bool ->
-  t ->
-  Guillotine_obs.Monitor.t
+val enable_monitoring : t -> Guillotine_obs.Monitor.t
 (** Attach one {!Guillotine_obs.Monitor} to this deployment (idempotent:
     a second call returns the existing monitor).  Samples every
     subsystem registry plus the fabric's link-quality gauges on the
-    unified clock, installs [rules] (default {!default_slo_rules}),
-    and points every subsystem's event sink at the monitor's flight
-    recorder.  Sampling never touches the observed subsystems' state or
-    PRNGs, so a monitored run replays byte-identically with the same
-    seed.  [escalate] (default false) additionally routes Critical
-    watchdog alerts into {!Console.on_watchdog_alert} — opt-in because
-    it makes the watchdog an actor rather than an observer. *)
-
-val monitor : t -> Guillotine_obs.Monitor.t option
+    unified clock, installs {!default_slo_rules}, and points every
+    subsystem's event sink at the monitor's flight recorder.  Sampling
+    never touches the observed subsystems' state or PRNGs, so a
+    monitored run replays byte-identically with the same seed.  The
+    watchdog observes only: its alerts never reach the console. *)
 
 (** {2 Profiling}
 
     The cycle-attribution plane: per-(guest, basic block, cost class)
     accounting maintained allocation-free inside each model core (see
     [Guillotine_microarch.Core]), with block maps installed from the
-    vetting CFG at {!install_guest} time.  Profiling never perturbs
-    simulated-cycle behaviour — profiled replays are byte-identical to
-    bare ones (the equivalence and scenario suites pin this).  A
+    vetting CFG at {!Hypervisor.install_program} time.  Profiling never
+    perturbs simulated-cycle behaviour — profiled replays are
+    byte-identical to bare ones (the equivalence and scenario suites pin
+    this).  A
     deployment created with a [mode] that has [profile] accumulates
     from its first cycle. *)
 

@@ -40,7 +40,6 @@ type adversary = {
 type outcome = {
   scenario : string;
   seed : int;
-  cell_id : int;
   verdict : string;
   recovery : string;
   faults_injected : int;
@@ -55,10 +54,9 @@ type outcome = {
          [trace], so profiled outcomes stay byte-identical there *)
 }
 
-(* Every seed a scenario derives is salted with the owning cell's id so
-   different cells of a fleet live in decorrelated randomness.  A cell
-   id of 0 leaves every derived value exactly as it was pre-fleet, which
-   is what keeps the solo goldens byte-identical. *)
+(* Fleet cells salt every seed with their id so different cells live in
+   decorrelated randomness.  Scenario rigs are cell 0, whose derived
+   values are the unsalted ones. *)
 let seed64 ?(cell = 0) salt seed =
   Int64.of_int ((salt * 0x10001) + seed + (cell * 0x9E3779))
 
@@ -85,7 +83,6 @@ let alert_rows m =
 type ctx = {
   name : string;
   seed : int;
-  cell : int;
   mode : Core.mode;
   observe : bool;
   mutable monitor : Monitor.t option;
@@ -104,8 +101,7 @@ type rig = {
 
 let rig ctx ~salt ~name =
   let d =
-    Deployment.create ~seed:(seed64 ~cell:ctx.cell salt ctx.seed) ~mode:ctx.mode
-      ~name ()
+    Deployment.create ~seed:(seed64 salt ctx.seed) ~mode:ctx.mode ~name ()
   in
   let engine = Deployment.engine d in
   {
@@ -119,8 +115,7 @@ let rig ctx ~salt ~name =
     horizon = 0.0;
   }
 
-let plan ctx faults =
-  Fault_plan.make ~seed:(plan_seed ~cell:ctx.cell ctx.seed) faults
+let plan ctx faults = Fault_plan.make ~seed:ctx.seed faults
 
 (* The plan and the monitor go in after every event the scenario
    scheduled, plan first: same-time events fire in scheduling order, so
@@ -157,7 +152,6 @@ let outcome ?adversary r ~verdict ~recovery ~recoveries =
   {
     scenario = r.ctx.name;
     seed = r.ctx.seed;
-    cell_id = r.ctx.cell;
     verdict;
     recovery;
     faults_injected = Injector.injected r.inj;
@@ -190,7 +184,7 @@ let pump_models ?(quantum = 2000) d =
 
 let service ctx ~engine salt =
   Service.create
-    ~prng:(Prng.create (seed64 ~cell:ctx.cell salt ctx.seed))
+    ~prng:(Prng.create (seed64 salt ctx.seed))
     ~engine
     (Service.resilient_config ~replicas:2)
 
@@ -218,7 +212,6 @@ let serving_outcome ctx ~services ~regs ~horizon inj ~verdict ~recovery
   {
     scenario = ctx.name;
     seed = ctx.seed;
-    cell_id = ctx.cell;
     verdict;
     recovery;
     faults_injected = Injector.injected inj;
@@ -363,7 +356,7 @@ let weight_tamper_rollback ctx =
   let r = rig ctx ~salt:0x7A3B ~name:"tamper-victim" in
   let model = Deployment.load_model r.d () in
   ignore (Deployment.enable_model_guard ~period:5.0 r.d model);
-  let p = Prng.create (seed64 ~cell:ctx.cell 0xF11B ctx.seed) in
+  let p = Prng.create (seed64 0xF11B ctx.seed) in
   let addr =
     Deployment.weights_base + Prng.int p (Toymodel.weights_words model)
   in
@@ -507,7 +500,7 @@ let device_stall_shedding ctx =
          let r = gpu.Device.handle ~now:0 [| 0L |] in
          if r.Device.latency > base_latency then Telemetry.incr c_stalled;
          Engine.now engine < 59.0));
-  let wl = Prng.create (seed64 ~cell:ctx.cell 0x20AD ctx.seed) in
+  let wl = Prng.create (seed64 0x20AD ctx.seed) in
   let next_id = ref 0 in
   ignore
     (Engine.every engine ~period:0.05 (fun () ->
@@ -614,7 +607,7 @@ let fault_storm_failover ctx =
         ("serve", Service.set_event_sink primary);
         ("backup", Service.set_event_sink backup);
       ];
-  let wl = Prng.create (seed64 ~cell:ctx.cell 0x57CA ctx.seed) in
+  let wl = Prng.create (seed64 0x57CA ctx.seed) in
   let next_id = ref 0 in
   ignore
     (Engine.every engine ~period:0.1 (fun () ->
@@ -828,7 +821,7 @@ let killswitch_exfil_sprint ctx =
   let nic = Nic.create ~name:"net0" () in
   Deployment.wire_nic r.d nic;
   (* Model state worth smuggling: a seeded scratch region. *)
-  let p = Prng.create (seed64 ~cell:ctx.cell 0x57A7 ctx.seed) in
+  let p = Prng.create (seed64 0x57A7 ctx.seed) in
   for i = 0 to 239 do
     Dram.write dram (1536 + i) (Int64.of_int (Prng.int p 0x10000))
   done;
@@ -1022,9 +1015,8 @@ let play_scenario ~caller ctx =
       (Printf.sprintf "Scenarios.%s: unknown scenario %S (known: %s)" caller
          ctx.name (String.concat ", " names))
 
-let run ?(seed = 1) ?(cell_id = 0) ?(mode = Core.default_mode) name =
-  play_scenario ~caller:"run"
-    { name; seed; cell = cell_id; mode; observe = false; monitor = None }
+let run ?(seed = 1) ?(mode = Core.default_mode) name =
+  play_scenario ~caller:"run" { name; seed; mode; observe = false; monitor = None }
 
 (* ------------------------------------------------------------------ *)
 (* Monitored runs                                                      *)
@@ -1039,8 +1031,8 @@ type monitored = {
   incident_json : string option;
 }
 
-let run_monitored ?(seed = 1) ?(cell_id = 0) ?(mode = Core.default_mode) name =
-  let ctx = { name; seed; cell = cell_id; mode; observe = true; monitor = None } in
+let run_monitored ?(seed = 1) ?(mode = Core.default_mode) name =
+  let ctx = { name; seed; mode; observe = true; monitor = None } in
   let base = play_scenario ~caller:"run_monitored" ctx in
   match ctx.monitor with
   | None ->
@@ -1101,19 +1093,15 @@ let summary o =
     | Some l -> Isolation.to_string l
     | None -> "n/a (no deployment)"
   in
-  (* The cell line only appears for fleet cells: solo (cell 0) summaries
-     stay byte-identical to the pre-fleet goldens. *)
   String.concat "\n"
-    ((if o.cell_id = 0 then []
-      else [ Printf.sprintf "cell            %d" o.cell_id ])
-    @ [
-      Printf.sprintf "scenario        %s (seed %d)" o.scenario o.seed;
-      Printf.sprintf "verdict         %s" o.verdict;
-      Printf.sprintf "recovery        %s" o.recovery;
-      Printf.sprintf "faults injected %d" o.faults_injected;
-      Printf.sprintf "recovery count  %d" o.recoveries;
-      Printf.sprintf "final level     %s" level;
-    ]
+    ([
+       Printf.sprintf "scenario        %s (seed %d)" o.scenario o.seed;
+       Printf.sprintf "verdict         %s" o.verdict;
+       Printf.sprintf "recovery        %s" o.recovery;
+       Printf.sprintf "faults injected %d" o.faults_injected;
+       Printf.sprintf "recovery count  %d" o.recoveries;
+       Printf.sprintf "final level     %s" level;
+     ]
     @
     match o.adversary with
     | None -> []

@@ -36,9 +36,6 @@ type adversary = {
 type outcome = {
   scenario : string;
   seed : int;
-  cell_id : int;
-      (** which fleet cell ran this scenario; 0 for solo runs, in which
-          case every derived seed matches the pre-fleet behaviour *)
   verdict : string;
       (** "contained" / "recovered" / "degraded-gracefully" /
           "failed-over", or a failure verdict when containment or
@@ -51,9 +48,7 @@ type outcome = {
   final_level : Guillotine_hv.Isolation.level option;
       (** [None] for serving-only scenarios with no deployment *)
   sim_horizon : float;
-      (** sim-seconds of simulated time the scenario covers — the unit
-          the fleet bench uses to express capacity (scenario-seconds
-          simulated per host second) *)
+      (** sim-seconds of simulated time the scenario covers *)
   snapshots : Guillotine_telemetry.Telemetry.snapshot list;
   trace : string;  (** Chrome-trace JSON across every registry *)
   adversary : adversary option;
@@ -88,13 +83,11 @@ val adversaries : string list
 val seed64 : ?cell:int -> int -> int -> int64
 (** [seed64 ?cell salt seed] is the one seed derivation of the scenario
     plane and of fleet cells: [salt * 0x10001 + seed + cell * 0x9E3779].
-    A cell id of 0 (the default) leaves every derived value as it was
-    before fleets existed. *)
+    Scenario rigs take the default cell 0; a fleet cell passes its id. *)
 
 val plan_seed : cell:int -> int -> int
-(** The per-cell fault-plan seed derivation ([seed + 7919*cell]), shared
-    with fleet cells so "fault storm in cell [n]" means the same thing in
-    both planes. *)
+(** A fleet cell's fault-plan seed, [seed + 7919*cell].  Cell 0's is
+    [seed], the seed a scenario rig's plan takes. *)
 
 val observe_faults :
   Guillotine_obs.Monitor.t -> Injector.t -> unit
@@ -113,18 +106,15 @@ val pump_models : ?quantum:int -> Guillotine_core.Deployment.t -> unit
 (** Schedule the model cores to run [quantum] (default 2000)
     instructions every 250 ms. *)
 
-val run :
-  ?seed:int -> ?cell_id:int -> ?mode:Guillotine_microarch.Core.mode -> string -> outcome
-(** [run ?seed ?cell_id name] plays scenario [name].  [seed] (default 1)
-    selects the fault plan and rig randomness; [cell_id] (default 0)
-    decorrelates the run from other cells of a fleet by salting every
-    derived seed.  [cell_id:0] is byte-identical to the pre-fleet
-    behaviour.  [mode] (default [Core.default_mode]) is the execution
-    mode of every core of the rig.  With [profile] set, the rig's cores
-    accumulate from their first cycle and the result lands in the
-    outcome's [profile] field; everything else in the outcome is the
-    same under every mode.  No process-wide state is touched.  Raises
-    [Invalid_argument] for an unknown scenario name. *)
+val run : ?seed:int -> ?mode:Guillotine_microarch.Core.mode -> string -> outcome
+(** [run ?seed name] plays scenario [name].  [seed] (default 1)
+    selects the fault plan and rig randomness, so a rig depends on
+    (name, seed, mode) alone.  [mode] (default [Core.default_mode]) is
+    the execution mode of every core of the rig.  With [profile] set,
+    the rig's cores accumulate from their first cycle and the result
+    lands in the outcome's [profile] field; everything else in the
+    outcome is the same under every mode.  No process-wide state is
+    touched.  Raises [Invalid_argument] for an unknown scenario name. *)
 
 (** {2 Monitored runs}
 
@@ -155,11 +145,9 @@ type monitored = {
   incident_json : string option;
 }
 
-val run_monitored :
-  ?seed:int -> ?cell_id:int -> ?mode:Guillotine_microarch.Core.mode -> string -> monitored
-(** Same [?seed] (default 1) / [?cell_id] (default 0) / [?mode] contract
-    as {!run}.  Raises [Invalid_argument] for an unknown scenario
-    name. *)
+val run_monitored : ?seed:int -> ?mode:Guillotine_microarch.Core.mode -> string -> monitored
+(** Same [?seed] (default 1) / [?mode] contract as {!run}.  Raises
+    [Invalid_argument] for an unknown scenario name. *)
 
 val summary : outcome -> string
 (** Multi-line human summary (verdict, recovery, counts, level; plus

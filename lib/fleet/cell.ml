@@ -32,7 +32,6 @@ type config = {
   storm : bool;
   toctou : bool;
   roster : string list;
-  monitored : bool;
   profile : bool;
 }
 
@@ -40,7 +39,7 @@ let cell_name id = Printf.sprintf "cell-%d" id
 
 let config ?(seed = 1) ?users ?(requests_per_user = 4) ?(max_tokens = 12)
     ?(rogue = false) ?(storm = false) ?(toctou = false) ?(roster = [])
-    ?(monitored = true) ?(profile = false) ~cell_id () =
+    ?(profile = false) ~cell_id () =
   if cell_id < 0 then invalid_arg "Cell.config: negative cell_id";
   if requests_per_user <= 0 then
     invalid_arg "Cell.config: requests_per_user must be positive";
@@ -52,7 +51,7 @@ let config ?(seed = 1) ?users ?(requests_per_user = 4) ?(max_tokens = 12)
     roster;
   let users = match users with Some us -> us | None -> [ cell_id ] in
   { cell_id; seed; users; requests_per_user; max_tokens; rogue; storm; toctou;
-    roster; monitored; profile }
+    roster; profile }
 
 (* The rogue model's trigger: a benign-band token every user's stream
    periodically ends a prompt with.  Honest models continue generating
@@ -80,6 +79,7 @@ let user_prng c u = Prng.create (Int64.of_int ((c.seed * 0x1000193) + (u * 0x9E3
 
 type t = {
   d : Deployment.t;
+  monitor : Monitor.t;
   model : Toymodel.t;
   inj : Injector.t option;
   coadmit : Interfere.report option;
@@ -128,13 +128,9 @@ let arm_toctou d =
   Scenarios.pump_models d
 
 let create cfg =
-  (* [profile] tops up the ambient mode.  The mode lives on this cell's
-     machine, so a profiled cell in one domain never touches what
-     sibling cells' cores record. *)
-  let mode =
-    { Core.default_mode with
-      Core.profile = cfg.profile || Core.default_mode.Core.profile }
-  in
+  (* The mode lives on this cell's machine, so a profiled cell in one
+     domain never touches what sibling cells' cores record. *)
+  let mode = { Core.default_mode with Core.profile = cfg.profile } in
   (* The fleet seed is the salt, so the cell's randomness comes from the
      scenario plane's derivation, decorrelated per cell. *)
   let d =
@@ -142,7 +138,7 @@ let create cfg =
       ~seed:(Scenarios.seed64 ~cell:cfg.cell_id cfg.seed 0)
       ~mode ~name:(cell_name cfg.cell_id) ()
   in
-  if cfg.monitored then ignore (Deployment.enable_monitoring d);
+  let monitor = Deployment.enable_monitoring d in
   if cfg.toctou then arm_toctou d;
   (* The co-admission gate runs before any guest (or the model) lands
      in model DRAM: corpus names resolve to specs under the striped
@@ -177,14 +173,12 @@ let create cfg =
     if cfg.storm then begin
       let inj = Injector.create ~engine:(Deployment.engine d) () in
       Injector.install inj ~deployment:d (storm_plan cfg);
-      Option.iter
-        (fun m -> Scenarios.observe_faults m inj)
-        (Deployment.monitor d);
+      Scenarios.observe_faults monitor inj;
       Some inj
     end
     else None
   in
-  { d; model; inj; coadmit }
+  { d; monitor; model; inj; coadmit }
 
 let coadmit_report c = c.coadmit
 
@@ -272,20 +266,16 @@ let run cfg =
   Deployment.settle ~horizon:(sim_horizon cfg) c.d;
   let outcomes = List.rev !results in
   (* End-of-run flush, then read the alert track. *)
-  let alerts, incident =
-    match Deployment.monitor c.d with
-    | None -> ([], None)
-    | Some m ->
-      Monitor.sample_now m;
-      let incident =
-        Option.map
-          (fun alert ->
-            Report.to_text
-              (Report.build ~label:name ~seed:cfg.seed ~alert
-                 ~recorder:(Monitor.recorder m) ()))
-          (Monitor.first_alert m)
-      in
-      (Scenarios.alert_rows m, incident)
+  let m = c.monitor in
+  Monitor.sample_now m;
+  let alerts = Scenarios.alert_rows m in
+  let incident =
+    Option.map
+      (fun alert ->
+        Report.to_text
+          (Report.build ~label:name ~seed:cfg.seed ~alert
+             ~recorder:(Monitor.recorder m) ()))
+      (Monitor.first_alert m)
   in
   let buf = Buffer.create 1024 in
   Printf.bprintf buf

@@ -38,7 +38,6 @@ type config = {
           (counted, journaled, audit-chained) and exposed through
           {!coadmit_report}; an empty roster (the default) skips the
           gate, keeping transcripts byte-identical to earlier runs *)
-  monitored : bool;       (** attach the observability plane *)
   profile : bool;
       (** arm the cycle-attribution profiler on the cell's model cores;
           read-only over simulated state, so a profiled cell's
@@ -55,16 +54,15 @@ val config :
   ?storm:bool ->
   ?toctou:bool ->
   ?roster:string list ->
-  ?monitored:bool ->
   ?profile:bool ->
   cell_id:int ->
   unit ->
   config
 (** [seed] defaults to 1, [users] to [[cell_id]], [requests_per_user]
     to 4, [max_tokens] to 12, [rogue], [storm], [toctou] and [profile]
-    to false, [roster] to empty, [monitored] to true.  An explicitly
-    empty [users] list is allowed (the cell idles — a fleet wider than
-    its user population has such cells).  Raises [Invalid_argument] on
+    to false, [roster] to empty.  An explicitly empty [users] list is
+    allowed (the cell idles — a fleet wider than its user population
+    has such cells).  Raises [Invalid_argument] on
     a negative [cell_id], non-positive
     [requests_per_user]/[max_tokens], or a [roster] name not in
     {!Guillotine_core.Vet_corpus}. *)
@@ -91,9 +89,9 @@ type t
 
 val create : config -> t
 (** Build the cell's whole rig: a deployment named {!cell_name} on its
-    own fabric, a model (malicious iff [rogue]), monitoring when
-    [monitored], and — when [storm] — a seeded fault plan installed
-    against the deployment.  Everything is derived from [config] alone,
+    own fabric, a model (malicious iff [rogue]), the monitor, and —
+    when [storm] — a seeded fault plan installed against the
+    deployment.  Everything is derived from [config] alone,
     so equal configs build byte-identical cells wherever (and on
     whichever domain) they run. *)
 
@@ -119,8 +117,7 @@ type report = {
   r_faults_injected : int;  (** storm faults applied (0 without [storm]) *)
   r_final_level : string;   (** isolation level after settling *)
   r_alerts : (string * string * float) list;
-      (** (rule, severity, raised-at), chronological; empty when
-          unmonitored *)
+      (** (rule, severity, raised-at), chronological *)
   r_incident : string option;
       (** deterministic incident report for the first alert, labelled
           with the cell's name *)
@@ -134,7 +131,7 @@ type report = {
 
 val sim_horizon : config -> float
 (** Sim-seconds one {!run} of this config covers (request schedule plus
-    settling margin) — the capacity unit the fleet bench reports. *)
+    settling margin). *)
 
 val run : config -> report
 (** Build the cell, play every user's request stream on the sim-time

@@ -12,13 +12,11 @@ type t = {
   toctou : int option;
   roster : string list;
   domains : int;
-  monitored : bool;
   profiled : bool;
 }
 
 let create ?(seed = 1) ?users ?(requests_per_user = 4) ?(max_tokens = 12)
-    ?rogue ?storm ?toctou ?(roster = []) ?domains ?(monitored = true)
-    ?(profiled = false) ~cells () =
+    ?rogue ?storm ?toctou ?(roster = []) ?domains ?(profiled = false) ~cells () =
   if cells < 1 then invalid_arg "Fleet.create: cells must be >= 1";
   let users = match users with Some u -> u | None -> 2 * cells in
   if users < 0 then invalid_arg "Fleet.create: negative users";
@@ -43,7 +41,7 @@ let create ?(seed = 1) ?users ?(requests_per_user = 4) ?(max_tokens = 12)
     | Some d -> min d cells
   in
   { seed; cells; users; requests_per_user; max_tokens; rogue; storm; toctou;
-    roster; domains; monitored; profiled }
+    roster; domains; profiled }
 
 let seed t = t.seed
 let cells t = t.cells
@@ -60,7 +58,7 @@ let cell_config t ~cell_id =
     ~rogue:(t.rogue = Some cell_id)
     ~storm:(t.storm = Some cell_id)
     ~toctou:(t.toctou = Some cell_id)
-    ~roster:t.roster ~monitored:t.monitored ~profile:t.profiled ~cell_id ()
+    ~roster:t.roster ~profile:t.profiled ~cell_id ()
 
 (* ------------------------------------------------------------------ *)
 (* Domain sharding                                                     *)

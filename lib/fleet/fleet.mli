@@ -27,15 +27,14 @@ val create :
   ?toctou:int ->
   ?roster:string list ->
   ?domains:int ->
-  ?monitored:bool ->
   ?profiled:bool ->
   cells:int ->
   unit ->
   t
 (** [seed] defaults to 1; [users] (the global synthetic-user count) to
     [2 * cells]; [requests_per_user] to 4; [max_tokens] to 12;
-    [monitored] to true; [profiled] (arm every cell's cycle-attribution
-    profiler, {!Cell.config.profile}) to false.  [rogue] / [storm] /
+    [profiled] (arm every cell's cycle-attribution profiler,
+    {!Cell.config.profile}) to false.  [rogue] / [storm] /
     [toctou] name the cell whose model is malicious / whose deployment
     gets the fault storm / which suffers the vet-install TOCTOU race
     ({!Cell.config.toctou}); default: none of them.  [roster] (default

@@ -222,18 +222,13 @@ let record_vet_decision t ~label (report : Vet.report) =
        findings);
   log t (Audit.Vet_decision { label; verdict; findings })
 
-(* Install the profiler's paddr→block map on the target core, derived
-   from the same CFG discovery the vetter runs.  [Machine.install_program]
-   identity-maps code (pc = paddr), so CFG addresses index the map
-   directly.  Unconditional: the core ignores the map unless profiling
-   is on, and building it never touches simulated state. *)
 (* Install the shared block map on the target core: one CFG discovery
    feeds both the profiler's paddr→block accumulators and the
-   threaded-code translation plane, so the two agree on block identity
-   (the profiler's attributed cycles are the JIT's translation-order
-   oracle).  [Core.install_jit] runs first: a reinstall of a profiled
-   image ranks its eager translations by the profile data
-   [Core.set_profile_blocks] is about to reset. *)
+   threaded-code translation plane, so the two agree on block identity.
+   [Machine.install_program] identity-maps code (pc = paddr), so CFG
+   addresses index the map directly.  Unconditional: the core ignores
+   the map unless profiling is on, and building it never touches
+   simulated state. *)
 let install_profile_map t ~core ~code_pages ~label program =
   Hashtbl.replace t.guest_labels core label;
   let cfg = Cfg.build ~code_pages program in

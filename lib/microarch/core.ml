@@ -48,14 +48,7 @@ module Cost_class = Guillotine_util.Cost_class
 
 type mode = { jit : bool; profile : bool }
 
-(* The one environment read under lib/.  CI's NO_JIT and PROFILE legs
-   set these for the whole process, and every core built without an
-   explicit mode takes them. *)
-let default_mode =
-  let set var =
-    match Sys.getenv_opt var with None | Some "" | Some "0" -> false | Some _ -> true
-  in
-  { jit = not (set "GUILLOTINE_NO_JIT"); profile = set "GUILLOTINE_PROFILE" }
+let default_mode = { jit = true; profile = false }
 
 let profile_default () = default_mode.profile
 
@@ -1321,24 +1314,11 @@ let install_jit t (plan : Jit.plan) =
       }
     in
     t.jit <- Some js;
-    (* Eager translation, hottest blocks first when this core carries
-       profile data for a matching block map (i.e. a reinstall of a
-       profiled image); fresh installs rank as identity.  Order — like
-       everything else in this plane — is host-side only. *)
-    let hot = Array.make (max nblocks 1) 0 in
-    if t.prof_nblocks = nblocks && Array.length t.prof_cycles >= nblocks * n_classes
-    then
-      for b = 0 to nblocks - 1 do
-        let base = b * n_classes in
-        let s = ref 0 in
-        for c = 0 to n_classes - 1 do
-          s := !s + t.prof_cycles.(base + c)
-        done;
-        hot.(b) <- !s
-      done;
-    Array.iter
-      (fun b -> ignore (jit_translate_block t js b))
-      (Jit.rank plan ~hot)
+    (* Eager translation.  A block's translation reads only DRAM and the
+       host-side MMU memo, so the order changes no counter. *)
+    for b = 0 to nblocks - 1 do
+      ignore (jit_translate_block t js b)
+    done
   end
 
 let exec_loop t ~fuel ~target =

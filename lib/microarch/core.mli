@@ -45,10 +45,8 @@ type mode = {
     are the same under all four. *)
 
 val default_mode : mode
-(** Read once from the environment: [jit] unless [GUILLOTINE_NO_JIT] is
-    set, [profile] when [GUILLOTINE_PROFILE] is set (any value other
-    than empty or ["0"] counts as set).  The only environment read in
-    the library. *)
+(** [{jit = true; profile = false}]: translate, do not profile.  The
+    interpreter and the profiler are reached by passing a mode. *)
 
 val create :
   id:int ->
@@ -136,18 +134,16 @@ val predecode_stats : t -> int * int
     {!mode} has [jit]. *)
 
 val jit_enabled : unit -> bool
-(** [default_mode.jit]. *)
+(** [default_mode.jit]: always [true]. *)
 
 val install_jit : t -> Jit.plan -> unit
 (** Install a block plan for the program just loaded and eagerly
-    translate its blocks — hottest first when the core still carries
-    {!profile_cycles} data for a matching block map (the
-    profile-guided reinstall path), identity order otherwise.
-    Replaces any previous plan.  Blocks that cannot be translated
-    (unmapped, IO-resident, undecodable, non-contiguous) stay on the
-    interpreter.  After an invalidation the block is recompiled lazily
-    on its next entry.  Does nothing on a core whose mode has
-    [jit = false]: such a core holds no plan and interprets. *)
+    translate its blocks.  Replaces any previous plan.  Blocks that
+    cannot be translated (unmapped, IO-resident, undecodable,
+    non-contiguous) stay on the interpreter.  After an invalidation the
+    block is recompiled lazily on its next entry.  Does nothing on a
+    core whose mode has [jit = false]: such a core holds no plan and
+    interprets. *)
 
 val jit_stats : t -> Jit.stats
 (** Translation-cache counters (host-side observability only). *)
@@ -167,8 +163,9 @@ val jit_stats : t -> Jit.stats
     {!profile_note}. *)
 
 val profile_default : unit -> bool
-(** [default_mode.profile].  A core starts profiling when its {!mode}
-    says so; arm a single core later with {!set_profiling}. *)
+(** [default_mode.profile]: always [false].  A core starts profiling
+    when its {!mode} says so; arm a single core later with
+    {!set_profiling}. *)
 
 val profiling : t -> bool
 val set_profiling : t -> bool -> unit

@@ -9,13 +9,3 @@ type stats = {
   invalidations : int;
   block_exits : int;
 }
-
-let rank plan ~hot =
-  let n = Array.length plan.leaders in
-  let order = Array.init n (fun b -> b) in
-  let weight b = if b < Array.length hot then hot.(b) else 0 in
-  Array.sort
-    (fun a b ->
-      match compare (weight b) (weight a) with 0 -> compare a b | c -> c)
-    order;
-  order

@@ -6,8 +6,8 @@
     pre-resolved — executed back to back with a single dispatch per
     {e block}.  This module owns the
     vet-neutral data the core consumes (the microarch library must not
-    depend on the vet library): the block plan, the translation-cache
-    stat shape, and the profile ranking that orders translation work.
+    depend on the vet library): the block plan and the translation-cache
+    stat shape.
     Whether a core translates at all is its machine's execution mode
     ({!Core.mode}), fixed when the core is created.
 
@@ -40,10 +40,3 @@ type stats = {
   block_exits : int;
       (** Returns from translated execution to the dispatch loop. *)
 }
-
-val rank : plan -> hot:int array -> int array
-(** Block ids ordered hottest-first by [hot.(b)] (attributed profile
-    cycles), ties broken by block id so the order is deterministic.
-    With no profile data (all zeros) this is the identity order.
-    Ranking only decides {e what the host translates first} — it never
-    changes simulated behaviour. *)

@@ -4,7 +4,6 @@ module Stats = Guillotine_util.Stats
 
 type t = {
   engine : Engine.t;
-  period : float;
   series : Timeseries.t;
   watchdog : Watchdog.t;
   recorder : Recorder.t;
@@ -18,18 +17,18 @@ type t = {
   mutable started : bool;
 }
 
-let create ?(period = 0.5) ?(window = 1.0) ?(capacity = 4096) ?max_windows
-    ~engine () =
-  if period <= 0.0 then invalid_arg "Monitor.create: period must be positive";
+(* The sampling cadence, in sim-seconds. *)
+let period = 0.5
+
+let create ~engine () =
   let telemetry =
     Telemetry.create ~clock:(fun () -> Engine.now engine) ~name:"obs" ()
   in
   {
     engine;
-    period;
-    series = Timeseries.create ~width:window ?max_windows ();
+    series = Timeseries.create ();
     watchdog = Watchdog.create ();
-    recorder = Recorder.create ~capacity ~clock:(fun () -> Engine.now engine) ();
+    recorder = Recorder.create ~clock:(fun () -> Engine.now engine) ();
     telemetry;
     c_samples = Telemetry.counter telemetry "samples.taken";
     c_raised = Telemetry.counter telemetry "alerts.raised";
@@ -115,7 +114,7 @@ let start t =
   if not t.started then begin
     t.started <- true;
     ignore
-      (Engine.every t.engine ~period:t.period (fun () ->
+      (Engine.every t.engine ~period (fun () ->
            sample_now t;
            true))
   end

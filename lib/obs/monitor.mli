@@ -16,17 +16,9 @@
 
 type t
 
-val create :
-  ?period:float ->
-  ?window:float ->
-  ?capacity:int ->
-  ?max_windows:int ->
-  engine:Guillotine_sim.Engine.t ->
-  unit ->
-  t
-(** [period] is the sampling cadence (default 0.5 s); [window] the
-    time-series window width (default 1.0 s); [capacity] the flight
-    recorder ring bound (default 4096). *)
+val create : engine:Guillotine_sim.Engine.t -> unit -> t
+(** Samples every 0.5 sim-seconds into 1.0 s time-series windows, and
+    keeps the last 4096 flight-recorder events. *)
 
 val series : t -> Timeseries.t
 val watchdog : t -> Watchdog.t

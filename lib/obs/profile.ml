@@ -12,6 +12,7 @@
    order. *)
 
 module Cost_class = Guillotine_util.Cost_class
+module Json = Guillotine_util.Json
 module Telemetry = Guillotine_telemetry.Telemetry
 
 let n_classes = Cost_class.count
@@ -203,20 +204,6 @@ let snapshot t =
   in
   Telemetry.snapshot_of ~component:"profile" values
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json ?(top = 10) t =
   let buf = Buffer.create 2048 in
   Buffer.add_string buf "{";
@@ -237,7 +224,7 @@ let to_json ?(top = 10) t =
       Buffer.add_string buf
         (Printf.sprintf
            "{\"guest\":\"%s\",\"core\":%d,\"block\":\"%s\",\"cycles\":%d,\"retired\":%d,\"classes\":{"
-           (json_escape s.bs_guest) s.bs_core (block_name s) s.bs_cycles
+           (Json.escape s.bs_guest) s.bs_core (block_name s) s.bs_cycles
            s.bs_retired);
       List.iteri
         (fun j (cls, v) ->

@@ -5,10 +5,8 @@
 
     Pure data — no machine access.  Every derived view (hot-block
     ranking, folded flamegraph text, snapshot, JSON) is deterministic;
-    ties rank by (guest label, block id).  The hot-block table is the
-    compile-worthiness oracle for the guest-JIT roadmap item; the
-    folded output loads directly into speedscope or inferno's
-    [flamegraph.pl]. *)
+    ties rank by (guest label, block id).  The folded output loads
+    directly into speedscope or inferno's [flamegraph.pl]. *)
 
 module Cost_class = Guillotine_util.Cost_class
 

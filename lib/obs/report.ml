@@ -1,3 +1,5 @@
+module Json = Guillotine_util.Json
+
 type incident = {
   label : string;
   seed : int option;
@@ -79,22 +81,6 @@ let to_text i =
     i.window;
   Buffer.contents b
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 32 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json i =
   let b = Buffer.create 2048 in
   let a = i.alert in
@@ -104,14 +90,14 @@ let to_json i =
     | None -> "null"
   in
   Buffer.add_string b
-    (Printf.sprintf "{\"label\":\"%s\",\"seed\":%s" (json_escape i.label)
+    (Printf.sprintf "{\"label\":\"%s\",\"seed\":%s" (Json.escape i.label)
        (match i.seed with Some s -> string_of_int s | None -> "null"));
   Buffer.add_string b
     (Printf.sprintf
        ",\"alert\":{\"rule\":\"%s\",\"severity\":\"%s\",\"metric\":\"%s\",\"raised_at\":%.6f,\"value\":%.6f,\"cleared_at\":%s}"
-       (json_escape r.Watchdog.rule_name)
+       (Json.escape r.Watchdog.rule_name)
        (Watchdog.severity_string r.Watchdog.severity)
-       (json_escape r.Watchdog.metric)
+       (Json.escape r.Watchdog.metric)
        a.Watchdog.raised_at a.Watchdog.value
        (fopt a.Watchdog.cleared_at));
   Buffer.add_string b
@@ -123,7 +109,7 @@ let to_json i =
     (fun n (at, desc) ->
       if n > 0 then Buffer.add_string b ",";
       Buffer.add_string b
-        (Printf.sprintf "{\"at\":%.6f,\"fault\":\"%s\"}" at (json_escape desc)))
+        (Printf.sprintf "{\"at\":%.6f,\"fault\":\"%s\"}" at (Json.escape desc)))
     i.faults;
   Buffer.add_string b "],\"window\":[";
   List.iteri
@@ -136,9 +122,9 @@ let to_json i =
            (match ev.Recorder.request with
            | Some r -> string_of_int r
            | None -> "null")
-           (json_escape ev.Recorder.source)
-           (json_escape ev.Recorder.kind)
-           (json_escape ev.Recorder.detail)))
+           (Json.escape ev.Recorder.source)
+           (Json.escape ev.Recorder.kind)
+           (Json.escape ev.Recorder.detail)))
     i.window;
   Buffer.add_string b "]}";
   Buffer.contents b

@@ -1,5 +1,6 @@
 module Stats = Guillotine_util.Stats
 module Table = Guillotine_util.Table
+module Json = Guillotine_util.Json
 
 type counter = { c_name : string; mutable c_value : int }
 
@@ -302,27 +303,12 @@ let table snapshots =
 (* Chrome-trace export                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 32 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let add_args buf args =
   Buffer.add_string buf "{";
   List.iteri
     (fun i (k, v) ->
       if i > 0 then Buffer.add_string buf ",";
-      Buffer.add_string buf (Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)))
+      Buffer.add_string buf (Printf.sprintf "\"%s\":\"%s\"" (Json.escape k) (Json.escape v)))
     args;
   Buffer.add_string buf "}"
 
@@ -350,7 +336,7 @@ let export_chrome_trace regs =
           Buffer.add_string buf
             (Printf.sprintf
                "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"ts\":0,\"args\":{\"name\":\"%s\"}}"
-               tid (json_escape t.reg_name))))
+               tid (Json.escape t.reg_name))))
     tids;
   let span_events =
     List.concat_map
@@ -402,8 +388,8 @@ let export_chrome_trace regs =
           | `Ev ev ->
             Buffer.add_string buf
               (Printf.sprintf "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%s\",\"pid\":1,\"tid\":%d,\"ts\":%.3f"
-                 (json_escape ev.ev_name)
-                 (json_escape (if ev.ev_cat = "" then "default" else ev.ev_cat))
+                 (Json.escape ev.ev_name)
+                 (Json.escape (if ev.ev_cat = "" then "default" else ev.ev_cat))
                  (if ev.ev_instant then "i" else "X")
                  tid (usec ev.ev_ts));
             if ev.ev_instant then Buffer.add_string buf ",\"s\":\"t\""
@@ -415,7 +401,7 @@ let export_chrome_trace regs =
             Buffer.add_string buf
               (Printf.sprintf
                  "{\"name\":\"%s\",\"cat\":\"gauge\",\"ph\":\"C\",\"pid\":1,\"tid\":%d,\"ts\":%.3f,\"args\":{\"value\":%.6g}}"
-                 (json_escape name) tid (usec ts) v)))
+                 (Json.escape name) tid (usec ts) v)))
     events;
   Buffer.add_string buf "]}";
   Buffer.contents buf

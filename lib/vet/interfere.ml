@@ -1,3 +1,5 @@
+module Json = Guillotine_util.Json
+
 type policy = {
   vet : Vet.policy;
   aggregate_doorbell_burst : int;
@@ -250,14 +252,14 @@ let to_json r =
   let b = Buffer.create 2048 in
   Buffer.add_string b "{";
   Buffer.add_string b
-    (Printf.sprintf "\"roster_label\":\"%s\"" (Vet.json_escape r.roster_label));
+    (Printf.sprintf "\"roster_label\":\"%s\"" (Json.escape r.roster_label));
   Buffer.add_string b
     (Printf.sprintf ",\"verdict\":\"%s\"" (Vet.verdict_label r.verdict));
   Buffer.add_string b ",\"roster\":[";
   List.iteri
     (fun i name ->
       if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\"" (Vet.json_escape name)))
+      Buffer.add_string b (Printf.sprintf "\"%s\"" (Json.escape name)))
     r.roster;
   Buffer.add_string b "]";
   Buffer.add_string b (Printf.sprintf ",\"pairs_checked\":%d" r.pairs_checked);
@@ -279,9 +281,9 @@ let to_json r =
       Buffer.add_string b
         (Printf.sprintf
            "{\"rule\":\"%s\",\"severity\":\"%s\",\"detail\":\"%s\"}"
-           (Vet.json_escape f.rule)
+           (Json.escape f.rule)
            (Lints.severity_label f.severity)
-           (Vet.json_escape f.detail)))
+           (Json.escape f.detail)))
     r.findings;
   Buffer.add_string b "]";
   Buffer.add_string b ",\"members\":[";
@@ -290,7 +292,7 @@ let to_json r =
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b "{";
       Buffer.add_string b
-        (Printf.sprintf "\"label\":\"%s\"" (Vet.json_escape m.Summary.label));
+        (Printf.sprintf "\"label\":\"%s\"" (Json.escape m.Summary.label));
       Buffer.add_string b
         (Printf.sprintf ",\"verdict\":\"%s\""
            (Vet.verdict_label m.Summary.verdict));

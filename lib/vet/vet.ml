@@ -1,4 +1,5 @@
 module Asm = Guillotine_isa.Asm
+module Json = Guillotine_util.Json
 
 type policy = {
   max_doorbell_burst : int;
@@ -139,25 +140,10 @@ let to_text r =
     r.findings;
   Buffer.contents b
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json r =
   let b = Buffer.create 1024 in
   Buffer.add_string b "{";
-  Buffer.add_string b (Printf.sprintf "\"label\":\"%s\"" (json_escape r.label));
+  Buffer.add_string b (Printf.sprintf "\"label\":\"%s\"" (Json.escape r.label));
   Buffer.add_string b
     (Printf.sprintf ",\"verdict\":\"%s\"" (verdict_label r.verdict));
   Buffer.add_string b (Printf.sprintf ",\"image_words\":%d" r.image_words);
@@ -179,7 +165,7 @@ let to_json r =
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b "{";
       Buffer.add_string b
-        (Printf.sprintf "\"rule\":\"%s\"" (json_escape f.rule));
+        (Printf.sprintf "\"rule\":\"%s\"" (Json.escape f.rule));
       Buffer.add_string b
         (Printf.sprintf ",\"severity\":\"%s\""
            (Lints.severity_label f.severity));
@@ -187,7 +173,7 @@ let to_json r =
       | Some a -> Buffer.add_string b (Printf.sprintf ",\"addr\":%d" a)
       | None -> Buffer.add_string b ",\"addr\":null");
       Buffer.add_string b
-        (Printf.sprintf ",\"detail\":\"%s\"" (json_escape f.detail));
+        (Printf.sprintf ",\"detail\":\"%s\"" (Json.escape f.detail));
       Buffer.add_string b "}")
     r.findings;
   Buffer.add_string b "]}";

@@ -67,7 +67,3 @@ val warnings : report -> Lints.finding list
 
 val to_text : report -> string
 val to_json : report -> string
-
-val json_escape : string -> string
-(** The report machinery's string escaping, shared with the
-    co-admission reports ({!Interfere}). *)

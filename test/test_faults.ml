@@ -370,18 +370,17 @@ let test_deterministic_replay name () =
     o1.Scenarios.verdict
 
 (* qcheck: replay determinism holds for EVERY named scenario across
-   arbitrary (seed, cell_id) pairs, not just the matrix values.  The
-   scenario is drawn uniformly from the registry, so new scenarios are
-   covered the moment they register. *)
+   arbitrary seeds, not just the matrix values.  The scenario is drawn
+   uniformly from the registry, so new scenarios are covered the moment
+   they register. *)
 let prop_same_seed_same_telemetry =
   let n_scenarios = List.length Scenarios.names in
-  QCheck.Test.make ~name:"same (seed, cell), byte-identical outcome" ~count:6
-    QCheck.(
-      triple (int_range 0 1000) (int_range 0 2) (int_range 0 (n_scenarios - 1)))
-    (fun (seed, cell_id, pick) ->
+  QCheck.Test.make ~name:"same seed, byte-identical outcome" ~count:6
+    QCheck.(pair (int_range 0 1000) (int_range 0 (n_scenarios - 1)))
+    (fun (seed, pick) ->
       let name = List.nth Scenarios.names pick in
-      let o1 = Scenarios.run name ~seed ~cell_id in
-      let o2 = Scenarios.run name ~seed ~cell_id in
+      let o1 = Scenarios.run name ~seed in
+      let o2 = Scenarios.run name ~seed in
       o1.Scenarios.trace = o2.Scenarios.trace
       && render_snapshots o1 = render_snapshots o2
       && o1.Scenarios.verdict = o2.Scenarios.verdict

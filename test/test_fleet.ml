@@ -8,9 +8,9 @@
 
    The CI seed matrix re-runs everything at other seeds via the
    FAULTS_SEED environment variable (alcotest owns argv, so an env var
-   is the clean channel).  The DOMAINS=1 CI leg is mirrored here by the
-   domain-invariance test, which compares a multi-domain run against a
-   single-domain run of the same fleet.
+   is the clean channel).  CI's `fleet --domains 1` step is mirrored
+   here by the domain-invariance test, which compares a multi-domain
+   run against a single-domain run of the same fleet.
 
    Cell runs are expensive (each builds a full deployment, dominated by
    signature keygen), so the fixtures below are computed lazily once

@@ -5,11 +5,12 @@
    invisible.  Five layers of pinning:
 
    - golden fault scenarios: every named scenario (and its monitored
-     replay) produces byte-identical telemetry, verdicts, and incident
-     reports in a rig built to translate and in one built to interpret
-     — the mode GUILLOTINE_NO_JIT=1 makes every rig's default; each
-     mode reaches every core of its rig, and the two rigs also run side
-     by side, one per domain;
+     replay) produces byte-identical telemetry, verdicts, final levels,
+     adversary metrics and incident reports in a rig built in the
+     default mode (translating), in one built to interpret, and, for
+     the monitored replay, in one built to translate and profile; each
+     mode reaches every core of its rig, and the interpreting and
+     translating rigs also run side by side, one per domain;
    - driver equivalence: the batched driver (Engine.every_batch +
      Machine.run_cores) leaves a guest in exactly the end state the
      one-instruction-per-event driver (Engine.every + run_models at
@@ -43,8 +44,7 @@ let matrix_seed =
   | Some s -> (try int_of_string s with Failure _ -> 1)
   | None -> 1
 
-(* The ambient mode with block translation set either way; profiling
-   stays as the environment leaves it. *)
+(* The default mode with block translation set either way. *)
 let mode ~jit = { Core.default_mode with Core.jit }
 
 (* The machine snapshot now surfaces the execution-plane counters
@@ -112,60 +112,79 @@ let check_translations name ~fast ~slow =
     (List.mem name translating)
     (translations fast > 0)
 
+(* A rig collects a profile exactly when its mode profiles and its
+   guests run. *)
+let check_profiled name ~profiled o =
+  Alcotest.(check bool)
+    (name ^ ": profiled")
+    (profiled && List.mem name translating)
+    (Option.is_some o.Scenarios.profile)
+
+(* Everything the golden and the pinned-byte suites read off an outcome,
+   compared between two rigs of the same (name, seed). *)
+let check_outcomes name (a : Scenarios.outcome) (b : Scenarios.outcome) =
+  let check what = Alcotest.(check string) (name ^ ": " ^ what) in
+  check "verdict" a.Scenarios.verdict b.Scenarios.verdict;
+  check "recovery" a.Scenarios.recovery b.Scenarios.recovery;
+  Alcotest.(check int)
+    (name ^ ": faults injected")
+    a.Scenarios.faults_injected b.Scenarios.faults_injected;
+  Alcotest.(check int) (name ^ ": recoveries") a.Scenarios.recoveries b.Scenarios.recoveries;
+  Alcotest.(check bool)
+    (name ^ ": final level") true
+    (a.Scenarios.final_level = b.Scenarios.final_level);
+  Alcotest.(check bool)
+    (name ^ ": adversary metrics") true
+    (a.Scenarios.adversary = b.Scenarios.adversary);
+  check "summary" (Scenarios.summary a) (Scenarios.summary b);
+  check "trace" a.Scenarios.trace b.Scenarios.trace;
+  check "snapshots" (render_snapshots a) (render_snapshots b)
+
 (* ------------------------- golden scenarios ------------------------ *)
 
-(* One run names no mode, so it takes [Core.default_mode]; the other
-   asks for the opposite translation setting.  Every leg thus checks
-   that an explicit mode reaches every core of the rig, and the NO_JIT
-   and PROFILE legs check that the ambient one does: translation and a
-   profile appear exactly where [default_mode] asks for them. *)
+(* One run names no mode, so it takes [Core.default_mode], which
+   translates and does not profile; the other interprets. *)
 let test_scenarios_identical () =
-  let ambient = Core.default_mode in
   List.iter
     (fun name ->
-      let plain = Scenarios.run name ~seed:matrix_seed in
-      let other =
-        Scenarios.run name ~seed:matrix_seed ~mode:(mode ~jit:(not ambient.Core.jit))
-      in
-      let fast, slow = if ambient.Core.jit then (plain, other) else (other, plain) in
+      let fast = Scenarios.run name ~seed:matrix_seed in
+      let slow = Scenarios.run name ~seed:matrix_seed ~mode:(mode ~jit:false) in
       check_translations name ~fast ~slow;
-      Alcotest.(check bool)
-        (name ^ ": profiled")
-        (ambient.Core.profile && List.mem name translating)
-        (Option.is_some plain.Scenarios.profile);
-      let check what = Alcotest.(check string) (name ^ ": " ^ what) in
-      check "verdict" slow.Scenarios.verdict fast.Scenarios.verdict;
-      check "recovery" slow.Scenarios.recovery fast.Scenarios.recovery;
-      Alcotest.(check int)
-        (name ^ ": faults injected")
-        slow.Scenarios.faults_injected fast.Scenarios.faults_injected;
-      Alcotest.(check int)
-        (name ^ ": recoveries")
-        slow.Scenarios.recoveries fast.Scenarios.recoveries;
-      check "trace" slow.Scenarios.trace fast.Scenarios.trace;
-      check "snapshots" (render_snapshots slow) (render_snapshots fast))
+      check_profiled name ~profiled:false fast;
+      check_outcomes name slow fast)
     Scenarios.names
 
+(* The default-mode replay against an interpreting rig and against a
+   rig that translates and profiles: monitoring samples every registry,
+   so a mode that moved any counter or event would show here. *)
 let test_monitored_identical () =
   List.iter
     (fun name ->
-      let fast = Scenarios.run_monitored name ~seed:matrix_seed ~mode:(mode ~jit:true) in
+      let fast = Scenarios.run_monitored name ~seed:matrix_seed in
       let slow = Scenarios.run_monitored name ~seed:matrix_seed ~mode:(mode ~jit:false) in
+      let profiled =
+        Scenarios.run_monitored name ~seed:matrix_seed ~mode:{ Core.jit = true; profile = true }
+      in
       check_translations name ~fast:fast.Scenarios.base ~slow:slow.Scenarios.base;
-      Alcotest.(check (list (triple string string (float 0.0))))
-        (name ^ ": alerts") slow.Scenarios.alerts fast.Scenarios.alerts;
-      Alcotest.(check (option string))
-        (name ^ ": incident json")
-        slow.Scenarios.incident_json fast.Scenarios.incident_json;
-      Alcotest.(check (option string))
-        (name ^ ": incident text")
-        slow.Scenarios.incident_text fast.Scenarios.incident_text;
-      Alcotest.(check (option (float 0.0)))
-        (name ^ ": detection latency")
-        slow.Scenarios.detection_latency_s fast.Scenarios.detection_latency_s;
-      Alcotest.(check string)
-        (name ^ ": trace")
-        slow.Scenarios.base.Scenarios.trace fast.Scenarios.base.Scenarios.trace)
+      check_translations name ~fast:profiled.Scenarios.base ~slow:slow.Scenarios.base;
+      check_profiled name ~profiled:false fast.Scenarios.base;
+      check_profiled name ~profiled:true profiled.Scenarios.base;
+      List.iter
+        (fun (what, (other : Scenarios.monitored)) ->
+          let name = Printf.sprintf "%s (%s)" name what in
+          check_outcomes name other.Scenarios.base fast.Scenarios.base;
+          Alcotest.(check (list (triple string string (float 0.0))))
+            (name ^ ": alerts") other.Scenarios.alerts fast.Scenarios.alerts;
+          Alcotest.(check (option string))
+            (name ^ ": incident json")
+            other.Scenarios.incident_json fast.Scenarios.incident_json;
+          Alcotest.(check (option string))
+            (name ^ ": incident text")
+            other.Scenarios.incident_text fast.Scenarios.incident_text;
+          Alcotest.(check (option (float 0.0)))
+            (name ^ ": detection latency")
+            other.Scenarios.detection_latency_s fast.Scenarios.detection_latency_s)
+        [ ("interpreted", slow); ("profiled", profiled) ])
     Scenarios.names
 
 (* An interpreting rig and a translating rig in one process at once: a

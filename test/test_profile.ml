@@ -11,7 +11,7 @@
       unattributed, none double-counted.
    3. Determinism: a profiled run's JSON and folded renderings are
       byte-identical across repeat runs, and at seed 1 each scenario's
-      JSON hashes to a pinned digest.
+      JSON hashes to a pinned digest, translated and interpreted alike.
    4. Attribution: hot blocks carry real CFG leaders and the hottest
       block of a known workload is its loop body.
    5. Fleet: profiled cells aggregate with cell-qualified guest labels,
@@ -32,8 +32,7 @@ let matrix_seed =
   | Some s -> (try int_of_string s with Failure _ -> 1)
   | None -> 1
 
-(* The ambient mode with profiling set either way; translation stays as
-   the environment leaves it. *)
+(* The default mode (translating) with profiling set either way. *)
 let mode ~profile = { Core.default_mode with Core.profile }
 
 (* ------------------ profiled replay is byte-identical --------------- *)
@@ -47,6 +46,8 @@ let test_profiled_replay_identical name () =
   Alcotest.(check int) "recoveries" bare.Scenarios.recoveries prof.Scenarios.recoveries;
   Alcotest.(check int) "faults" bare.Scenarios.faults_injected
     prof.Scenarios.faults_injected;
+  Alcotest.(check bool) "final level" true
+    (bare.Scenarios.final_level = prof.Scenarios.final_level);
   Alcotest.(check bool) "snapshots equal" true
     (bare.Scenarios.snapshots = prof.Scenarios.snapshots);
   Alcotest.(check bool) "adversary metrics equal" true
@@ -118,7 +119,8 @@ let test_profile_deterministic name () =
    rigs run guest code; the other six (no guest, or no deployment)
    collect no profile.  Determinism below compares a run with itself;
    these pin the bytes, so a profiler armed late or on the wrong cores
-   fails here.  Other matrix seeds skip them. *)
+   fails here.  Translated and interpreted rigs attribute every cycle
+   alike, so one pin holds for both.  Other matrix seeds skip them. *)
 let pinned_profiles =
   [
     ("heartbeat-outage", None);
@@ -139,11 +141,16 @@ let pinned_profiles =
 
 let test_profile_pinned name pin () =
   if matrix_seed = 1 then
-    let o = Scenarios.run name ~seed:1 ~mode:(mode ~profile:true) in
-    Alcotest.(check (option string)) "profile json md5" pin
-      (Option.map
-         (fun p -> Digest.to_hex (Digest.string (Profile.to_json p)))
-         o.Scenarios.profile)
+    List.iter
+      (fun jit ->
+        let o = Scenarios.run name ~seed:1 ~mode:{ Core.jit; profile = true } in
+        Alcotest.(check (option string))
+          (Printf.sprintf "profile json md5 (jit %b)" jit)
+          pin
+          (Option.map
+             (fun p -> Digest.to_hex (Digest.string (Profile.to_json p)))
+             o.Scenarios.profile))
+      [ true; false ]
 
 (* -------------------------- attribution ---------------------------- *)
 

@@ -1,5 +1,5 @@
 (* Tests for Guillotine_util: PRNG determinism and distributions, stats,
-   heaps, bounded queues, bit strings, tables. *)
+   heaps, bounded queues, bit strings, tables, JSON string escaping. *)
 
 open Guillotine_util
 
@@ -376,6 +376,25 @@ let test_table_arity_check () =
   Alcotest.check_raises "arity" (Invalid_argument "Table.add_row: arity mismatch")
     (fun () -> Table.add_row t [ "1"; "2" ])
 
+(* Every JSON writer in the tree escapes through [Json.escape], so these
+   bytes are what any exported string carries. *)
+let test_json_escape () =
+  List.iter
+    (fun (input, expected) ->
+      Alcotest.(check string) (String.escaped input) expected (Json.escape input))
+    [
+      ("\"", {|\"|});
+      ("\\", {|\\|});
+      ("\n", {|\n|});
+      ("\r", {|\r|});
+      ("\t", {|\t|});
+      ("\x00", {|\u0000|});
+      ("\x1f", {|\u001f|});
+      ("\x7f", "\x7f");
+      ("h\xc3\xa9 \xe2\x82\xac \xf0\x9f\x94\x92", "h\xc3\xa9 \xe2\x82\xac \xf0\x9f\x94\x92");
+      ("a\"b\\c\nd", {|a\"b\\c\nd|});
+    ]
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "util"
@@ -437,4 +456,5 @@ let () =
           Alcotest.test_case "cell formats" `Quick test_table_cell_formats;
           Alcotest.test_case "arity check" `Quick test_table_arity_check;
         ] );
+      ("json", [ Alcotest.test_case "string escaping pinned" `Quick test_json_escape ]);
     ]
