@@ -1,7 +1,7 @@
 type digest = string
 
-(* 32-bit words live in native ints, masked after every addition, so the
-   compression function allocates nothing. *)
+(* 32-bit words live in native ints, masked before they are stored, so
+   the compression function allocates nothing. *)
 let mask = 0xFFFFFFFF
 
 (* Round constants: first 32 bits of the fractional parts of the cube
@@ -47,35 +47,58 @@ let init () =
     finished = false;
   }
 
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
+(* Every rotation reads a doubled word.  For a 32-bit [x],
+   [x lor (x lsl 32)] holds [x] in bits 0-31 and bits 0-30 of [x] again
+   in bits 32-62 (a native int has 63 bits), so bits 0-31 of
+   [(x lor (x lsl 32)) lsr n] are [x] rotated right by [n] for every
+   [n <= 31]; SHA-256 rotates by at most 25.  These functions leave
+   garbage above bit 31: only the low 32 bits of a sum depend on the low
+   32 bits of its terms, so one mask on each stored word is enough. *)
+let[@inline] doubled x = x lor (x lsl 32)
+
+let[@inline] big_sigma0 x =
+  let x2 = doubled x in
+  (x2 lsr 2) lxor (x2 lsr 13) lxor (x2 lsr 22)
+
+let[@inline] big_sigma1 x =
+  let x2 = doubled x in
+  (x2 lsr 6) lxor (x2 lsr 11) lxor (x2 lsr 25)
+
+let[@inline] small_sigma0 x =
+  let x2 = doubled x in
+  (x2 lsr 7) lxor (x2 lsr 18) lxor (x lsr 3)
+
+let[@inline] small_sigma1 x =
+  let x2 = doubled x in
+  (x2 lsr 17) lxor (x2 lsr 19) lxor (x lsr 10)
+
+let[@inline] ch e f g = g lxor (e land (f lxor g))
+let[@inline] maj a b c = (a land (b lor c)) lor (b land c)
 
 (* Compress the 64-byte block at [off] in [block].  Input strings reach
-   here through [Bytes.unsafe_of_string]; the block is only read. *)
+   here through [Bytes.unsafe_of_string]; the block is only read.  The
+   reads of [k] and [w] are unchecked: every index is in 0..63. *)
 let compress ctx block off =
   let w = ctx.w and h = ctx.h in
   for i = 0 to 15 do
-    let p = off + (4 * i) in
-    w.(i) <-
-      (Char.code (Bytes.get block p) lsl 24)
-      lor (Char.code (Bytes.get block (p + 1)) lsl 16)
-      lor (Char.code (Bytes.get block (p + 2)) lsl 8)
-      lor Char.code (Bytes.get block (p + 3))
+    w.(i) <- Int32.to_int (Bytes.get_int32_be block (off + (4 * i))) land mask
   done;
   for i = 16 to 63 do
-    let x = w.(i - 15) and y = w.(i - 2) in
-    let s0 = rotr x 7 lxor rotr x 18 lxor (x lsr 3) in
-    let s1 = rotr y 17 lxor rotr y 19 lxor (y lsr 10) in
-    w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask
+    w.(i) <-
+      (Array.unsafe_get w (i - 16)
+      + small_sigma0 (Array.unsafe_get w (i - 15))
+      + Array.unsafe_get w (i - 7)
+      + small_sigma1 (Array.unsafe_get w (i - 2)))
+      land mask
   done;
   let a = ref h.(0) and b = ref h.(1) and c = ref h.(2) and d = ref h.(3)
   and e = ref h.(4) and f = ref h.(5) and g = ref h.(6) and hh = ref h.(7) in
   for i = 0 to 63 do
     let e' = !e and a' = !a in
-    let s1 = rotr e' 6 lxor rotr e' 11 lxor rotr e' 25 in
-    let ch = (e' land !f) lxor (lnot e' land !g) in
-    let temp1 = !hh + s1 + ch + k.(i) + w.(i) in
-    let s0 = rotr a' 2 lxor rotr a' 13 lxor rotr a' 22 in
-    let maj = (a' land !b) lxor (a' land !c) lxor (!b land !c) in
+    let temp1 =
+      !hh + big_sigma1 e' + ch e' !f !g + Array.unsafe_get k i + Array.unsafe_get w i
+    in
+    let temp2 = big_sigma0 a' + maj a' !b !c in
     hh := !g;
     g := !f;
     f := e';
@@ -83,7 +106,7 @@ let compress ctx block off =
     d := !c;
     c := !b;
     b := a';
-    a := (temp1 + s0 + maj) land mask
+    a := (temp1 + temp2) land mask
   done;
   h.(0) <- (h.(0) + !a) land mask;
   h.(1) <- (h.(1) + !b) land mask;

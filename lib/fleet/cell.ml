@@ -213,6 +213,8 @@ let settle_margin = 24.0
 
 let total_requests cfg = List.length cfg.users * cfg.requests_per_user
 
+(* Sim-seconds one [run] of this config covers: the request schedule
+   plus the settling margin. *)
 let sim_horizon cfg =
   first_request_at
   +. (request_spacing *. float_of_int (total_requests cfg))

@@ -129,16 +129,13 @@ type report = {
           [r_transcript]/[r_digest] are unchanged by profiling *)
 }
 
-val sim_horizon : config -> float
-(** Sim-seconds one {!run} of this config covers (request schedule plus
-    settling margin). *)
-
 val run : config -> report
 (** Build the cell, play every user's request stream on the sim-time
-    schedule, let any storm land, settle to {!sim_horizon}, and reduce
-    to a {!report}.  Deterministic: equal configs yield equal reports,
-    byte for byte, whether run solo, inside a fleet, or on different
-    domains — the property [test/test_fleet.ml] pins. *)
+    schedule, let any storm land, settle until 24 sim-s after the
+    schedule ends, and reduce to a {!report}.  Deterministic: equal
+    configs yield equal reports, byte for byte, whether run solo, inside
+    a fleet, or on different domains — the property
+    [test/test_fleet.ml] pins. *)
 
 val report_summary : report -> string
 (** Multi-line human rendering, stable across same-config runs. *)

@@ -105,6 +105,40 @@ let test_sha256_allocation_budget () =
   if per_digest > 100.0 then
     Alcotest.failf "32-byte digest allocates %.1f words (budget 100)" per_digest
 
+(* Each context owns its schedule and block buffer: two domains that
+   hash at once (2 000 distinct messages of 0-199 bytes, then an h4
+   key) get exactly the sequential digests and roots.  A schedule or
+   block buffer shared between contexts fails this. *)
+let test_sha256_two_domains () =
+  let work salt =
+    let digests =
+      Array.init 2000 (fun i ->
+          Sha256.digest (Printf.sprintf "%c%d%s" salt i (String.make (i mod 200) salt)))
+    in
+    let _, root = Signature.generate ~height:4 (Prng.create (Int64.of_int (Char.code salt))) in
+    (digests, root)
+  in
+  let sequential = [ ('a', work 'a'); ('b', work 'b') ] in
+  let arrived = Atomic.make 0 in
+  let together salt () =
+    Atomic.incr arrived;
+    while Atomic.get arrived < 2 do
+      Domain.cpu_relax ()
+    done;
+    work salt
+  in
+  let other = Domain.spawn (together 'b') in
+  let mine = together 'a' () in
+  let concurrent = [ ('a', mine); ('b', Domain.join other) ] in
+  List.iter2
+    (fun (salt, (digests, root)) (_, (digests', root')) ->
+      let differ = ref 0 in
+      Array.iteri (fun i d -> if not (String.equal d digests'.(i)) then incr differ) digests;
+      Alcotest.(check int) (Printf.sprintf "domain %c: digests that differ" salt) 0 !differ;
+      Alcotest.(check string) (Printf.sprintf "domain %c: h4 root" salt) (Sha256.hex root)
+        (Sha256.hex root'))
+    sequential concurrent
+
 (* ----------------------------- HMAC ------------------------------- *)
 
 let test_hmac_rfc4231_vectors () =
@@ -290,6 +324,7 @@ let () =
           Alcotest.test_case "70 000 bytes = reference" `Quick
             test_sha256_long_matches_reference;
           Alcotest.test_case "allocation budget" `Quick test_sha256_allocation_budget;
+          Alcotest.test_case "two domains = sequential" `Quick test_sha256_two_domains;
         ] );
       ( "hmac",
         [
