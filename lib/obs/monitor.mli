@@ -21,7 +21,6 @@ val create : engine:Guillotine_sim.Engine.t -> unit -> t
     keeps the last 4096 flight-recorder events. *)
 
 val series : t -> Timeseries.t
-val watchdog : t -> Watchdog.t
 val recorder : t -> Recorder.t
 
 val telemetry : t -> Guillotine_telemetry.Telemetry.t
@@ -31,9 +30,11 @@ val telemetry : t -> Guillotine_telemetry.Telemetry.t
 
 val add_source : t -> (unit -> Guillotine_telemetry.Telemetry.snapshot) -> unit
 (** Attach a snapshot thunk; each metric is recorded under
-    ["component.metric"].  Counters sample as counters; gauges as
-    gauges; histogram summaries expand to [.p50]/[.p90]/[.p99] gauges
-    plus a [.count] counter. *)
+    ["component.metric"].  Counters and gauges feed that series;
+    histogram summaries expand to a [.count] series plus, once the
+    histogram has samples, [.p50]/[.p90]/[.p99].  Keys are built and
+    resolved once per snapshot position, and again only when the
+    position's name or value kind changes. *)
 
 val add_registry : t -> Guillotine_telemetry.Telemetry.t -> unit
 (** [add_source] on the registry's snapshot. *)

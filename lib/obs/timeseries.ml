@@ -1,7 +1,5 @@
 module Stats = Guillotine_util.Stats
 
-type kind = Counter | Gauge
-
 type point = {
   window_start : float;
   window_end : float;
@@ -17,15 +15,18 @@ type point = {
   rate : float;
 }
 
-(* Both buffers grow by doubling and are reused, so a record or a
-   window close costs the same at any uptime.  The ring fills from
-   slot 0 until it holds [max_windows] points; only then does [head]
-   move, each close overwriting the oldest point. *)
+(* All three buffers grow by doubling and are reused, so a record or a
+   window close costs the same at any uptime.  A closed window is kept
+   raw, as [n + 1] floats: its [n] samples in arrival order, then the
+   previous window's last sample, the base of its delta.  The ring
+   fills from slot 0 until it holds [max_windows] windows; only then
+   does [head] move, each close overwriting the oldest window. *)
 type series = {
   mutable open_idx : int;
   mutable open_buf : float array;  (* open window's samples, arrival order *)
   mutable n_open : int;
-  mutable ring : point array;      (* closed windows, oldest at [head] *)
+  mutable closed : float array array; (* closed windows, oldest at [head] *)
+  mutable closed_idx : int array;     (* their window indices *)
   mutable head : int;
   mutable n_closed : int;
   mutable prev_last : float;       (* last sample before the open window,
@@ -47,53 +48,41 @@ let create ?(width = 1.0) ?(max_windows = 512) () =
   if max_windows < 1 then invalid_arg "Timeseries.create: max_windows must be >= 1";
   { width; max_windows; tbl = Hashtbl.create 64; order = [] }
 
-let width t = t.width
-
 (* Aggregates go through Stats.summarize_array — the summariser
    telemetry snapshots use — so windowed and snapshot percentiles agree
    by construction. *)
 let open_summary s = Stats.summarize_array ~len:s.n_open s.open_buf
 
-let open_point t s =
-  let su = open_summary s in
-  let last = s.open_buf.(s.n_open - 1) in
-  let delta = last -. s.prev_last in
-  {
-    window_start = t.width *. float_of_int s.open_idx;
-    window_end = t.width *. float_of_int (s.open_idx + 1);
-    samples = su.Stats.count;
-    last;
-    sum = su.Stats.total;
-    min = su.Stats.min;
-    max = su.Stats.max;
-    p50 = su.Stats.p50;
-    p90 = su.Stats.p90;
-    p99 = su.Stats.p99;
-    delta;
-    rate = delta /. t.width;
-  }
-
-let push_closed t s p =
-  let cap = Array.length s.ring in
+let push_closed t s w =
+  let cap = Array.length s.closed in
   if s.n_closed = t.max_windows then begin
-    s.ring.(s.head) <- p;
+    s.closed.(s.head) <- w;
+    s.closed_idx.(s.head) <- s.open_idx;
     s.head <- (s.head + 1) mod cap
   end
   else begin
     if s.n_closed = cap then begin
-      let ring = Array.make (min t.max_windows (max 1 (2 * cap))) p in
-      Array.blit s.ring 0 ring 0 cap;
-      s.ring <- ring
+      let cap' = min t.max_windows (max 1 (2 * cap)) in
+      let closed = Array.make cap' w and closed_idx = Array.make cap' 0 in
+      Array.blit s.closed 0 closed 0 cap;
+      Array.blit s.closed_idx 0 closed_idx 0 cap;
+      s.closed <- closed;
+      s.closed_idx <- closed_idx
     end;
-    s.ring.(s.n_closed) <- p;
+    s.closed.(s.n_closed) <- w;
+    s.closed_idx.(s.n_closed) <- s.open_idx;
     s.n_closed <- s.n_closed + 1
   end
 
+(* A close copies the samples and summarises nothing: [points] does
+   that when it is read. *)
 let close_window t s =
-  if s.n_open > 0 then begin
-    let p = open_point t s in
-    push_closed t s p;
-    s.prev_last <- p.last;
+  let n = s.n_open in
+  if n > 0 then begin
+    let w = Array.make (n + 1) s.prev_last in
+    Array.blit s.open_buf 0 w 0 n;
+    push_closed t s w;
+    s.prev_last <- s.open_buf.(n - 1);
     s.n_open <- 0
   end
 
@@ -103,7 +92,8 @@ let new_series t ~name ~at v =
       open_idx = -1;
       open_buf = [||];
       n_open = 0;
-      ring = [||];
+      closed = [||];
+      closed_idx = [||];
       head = 0;
       n_closed = 0;
       prev_last = v;
@@ -116,12 +106,9 @@ let new_series t ~name ~at v =
   t.order <- name :: t.order;
   s
 
-let record t ~name ~kind:_ ~at v =
-  let s =
-    match Hashtbl.find t.tbl name with
-    | s -> s
-    | exception Not_found -> new_series t ~name ~at v
-  in
+let find t name = Hashtbl.find_opt t.tbl name
+
+let push t s ~at v =
   let idx = int_of_float (Float.floor (at /. t.width)) in
   if s.open_idx <> idx then begin
     close_window t s;
@@ -138,6 +125,14 @@ let record t ~name ~kind:_ ~at v =
   s.last_value <- v;
   s.last_at <- at
 
+let record t ~name ~at v =
+  let s =
+    match Hashtbl.find t.tbl name with
+    | s -> s
+    | exception Not_found -> new_series t ~name ~at v
+  in
+  push t s ~at v
+
 let names t = List.rev t.order
 let count t = Hashtbl.length t.tbl
 
@@ -152,11 +147,33 @@ let matching t pattern =
   else if Hashtbl.mem t.tbl pattern then [ pattern ]
   else []
 
+let window_point t ~idx w =
+  let n = Array.length w - 1 in
+  let su = Stats.summarize_array ~len:n w in
+  let last = w.(n - 1) in
+  let delta = last -. w.(n) in
+  {
+    window_start = t.width *. float_of_int idx;
+    window_end = t.width *. float_of_int (idx + 1);
+    samples = su.Stats.count;
+    last;
+    sum = su.Stats.total;
+    min = su.Stats.min;
+    max = su.Stats.max;
+    p50 = su.Stats.p50;
+    p90 = su.Stats.p90;
+    p99 = su.Stats.p99;
+    delta;
+    rate = delta /. t.width;
+  }
+
 let points t name =
-  match Hashtbl.find_opt t.tbl name with
+  match find t name with
   | None -> []
   | Some s ->
-    List.init s.n_closed (fun i -> s.ring.((s.head + i) mod Array.length s.ring))
+    List.init s.n_closed (fun i ->
+        let j = (s.head + i) mod Array.length s.closed in
+        window_point t ~idx:s.closed_idx.(j) s.closed.(j))
 
 type signal = Last | Mean | Min | Max | P50 | P90 | P99 | Rate | Delta | Count
 
@@ -164,26 +181,21 @@ type signal = Last | Mean | Min | Max | P50 | P90 | P99 | Rate | Delta | Count
    once it has a sample, and every close is followed by the sample that
    opened the next window.  Only the mean and the order statistics need
    a summary. *)
-let signal_value t name signal =
-  match Hashtbl.find_opt t.tbl name with
-  | None -> None
-  | Some s ->
-    let last = s.open_buf.(s.n_open - 1) in
-    Some
-      (match signal with
-      | Last -> last
-      | Delta -> last -. s.prev_last
-      | Rate -> (last -. s.prev_last) /. t.width
-      | Count -> float_of_int s.n_open
-      | Mean -> (open_summary s).Stats.mean
-      | Min -> (open_summary s).Stats.min
-      | Max -> (open_summary s).Stats.max
-      | P50 -> (open_summary s).Stats.p50
-      | P90 -> (open_summary s).Stats.p90
-      | P99 -> (open_summary s).Stats.p99)
+let read t s signal =
+  let last = s.open_buf.(s.n_open - 1) in
+  match signal with
+  | Last -> last
+  | Delta -> last -. s.prev_last
+  | Rate -> (last -. s.prev_last) /. t.width
+  | Count -> float_of_int s.n_open
+  | Mean -> (open_summary s).Stats.mean
+  | Min -> (open_summary s).Stats.min
+  | Max -> (open_summary s).Stats.max
+  | P50 -> (open_summary s).Stats.p50
+  | P90 -> (open_summary s).Stats.p90
+  | P99 -> (open_summary s).Stats.p99
 
-let staleness t ~name ~now =
-  Option.map (fun s -> now -. s.changed_at) (Hashtbl.find_opt t.tbl name)
-
-let last_sample_at t name =
-  Option.map (fun s -> s.last_at) (Hashtbl.find_opt t.tbl name)
+let signal_value t name signal = Option.map (fun s -> read t s signal) (find t name)
+let stale_for s ~now = now -. s.changed_at
+let staleness t ~name ~now = Option.map (stale_for ~now) (find t name)
+let last_sample_at t name = Option.map (fun s -> s.last_at) (find t name)

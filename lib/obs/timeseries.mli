@@ -4,8 +4,9 @@
     The monitor samples every attached registry on a fixed cadence and
     feeds each metric here under the key ["component.metric"].  Samples
     land in the window [floor (at / width)]; when a sample arrives for a
-    later window the open one is closed into a {!point} carrying
-    windowed aggregates.
+    later window the open one is closed.  A closed window keeps its raw
+    samples, and {!points} summarises it into a {!point} of windowed
+    aggregates when it is read.
 
     Aggregates are computed with
     {!Guillotine_util.Stats.summarize_array} — the summariser behind
@@ -13,9 +14,12 @@
     over the same samples can never disagree.
 
     Retention costs constant time per closed window: each series keeps
-    its closed windows in a ring of at most [max_windows] points and
-    its open window's samples in a reused float buffer, so a sample
-    costs the same one hour or one week into a run.
+    its closed windows in a ring of at most [max_windows] and its open
+    window's samples in a reused float buffer, so a sample costs the
+    same one hour or one week into a run.  A close copies the window's
+    samples and the previous window's last value into one float array
+    and sorts nothing; a read of {!points} summarises every retained
+    window of the series.
 
     Counter semantics: [delta] is the last value of the window minus
     the last value of the previous window (or minus the first sample of
@@ -23,8 +27,6 @@
     width].  For a monotone counter both are always non-negative.
     Gauges get the same treatment, where [delta] reads as net change
     over the window. *)
-
-type kind = Counter | Gauge
 
 type point = {
   window_start : float;
@@ -48,12 +50,20 @@ val create : ?width:float -> ?max_windows:int -> unit -> t
     [max_windows] bounds retained closed windows per series (default
     512, oldest dropped first). *)
 
-val width : t -> float
+type series
+(** A handle on one series.  Series are never removed, so a handle
+    stays valid for the store's lifetime. *)
 
-val record : t -> name:string -> kind:kind -> at:float -> float -> unit
-(** Feed one sample.  Series are created on first use.  Samples must
-    arrive in non-decreasing [at] order per series (the monitor's
-    sampling loop guarantees this). *)
+val record : t -> name:string -> at:float -> float -> unit
+(** Feed one sample: {!find}, creating the series at its first sample,
+    then {!push}.  Samples must arrive in non-decreasing [at] order per
+    series (the monitor's sampling loop guarantees this). *)
+
+val find : t -> string -> series option
+(** [None] until the series' first sample. *)
+
+val push : t -> series -> at:float -> float -> unit
+(** {!record} without the lookup. *)
 
 val names : t -> string list
 (** Series keys in first-seen order. *)
@@ -68,7 +78,8 @@ val matching : t -> string -> string list
     registry's [telemetry.events_dropped]. *)
 
 val points : t -> string -> point list
-(** Closed windows, chronological.  Empty for unknown series. *)
+(** Closed windows, chronological, each summarised on this call.  Empty
+    for unknown series. *)
 
 (** Scalar view of the most recent window — the open one, which always
     holds at least the series' latest sample — what watchdog rules
@@ -77,12 +88,19 @@ val points : t -> string -> point list
     spikes. *)
 type signal = Last | Mean | Min | Max | P50 | P90 | P99 | Rate | Delta | Count
 
+val read : t -> series -> signal -> float
+(** The signal of the series' open window. *)
+
 val signal_value : t -> string -> signal -> float option
-(** [None] when the series is unknown or has no samples yet. *)
+(** {!read} on the named series; [None] when it has no samples yet. *)
+
+val stale_for : series -> now:float -> float
+(** Seconds since the series' raw value last {e changed} (not merely
+    was sampled). *)
 
 val staleness : t -> name:string -> now:float -> float option
-(** Seconds since the series' raw value last {e changed} (not merely
-    was sampled).  [None] for unknown series — absence-of-heartbeat
-    rules stay silent until the metric exists at all. *)
+(** {!stale_for} on the named series.  [None] for unknown series —
+    absence-of-heartbeat rules stay silent until the metric exists at
+    all. *)
 
 val last_sample_at : t -> string -> float option

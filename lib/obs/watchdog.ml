@@ -49,7 +49,15 @@ type state =
   | Firing of alert
   | Recovering of alert * float (* below clear threshold since *)
 
-type tracked = { t_rule : rule; mutable st : state }
+(* [matched] is the series the rule's metric matched when last resolved
+   against [resolved]: the store and its series count then.  Series are
+   never removed, so the match can change only when the count does. *)
+type tracked = {
+  t_rule : rule;
+  mutable st : state;
+  mutable resolved : (Timeseries.t * int) option;
+  mutable matched : Timeseries.series list;
+}
 
 type t = {
   mutable tracked : tracked list; (* insertion order: appended at set-up,
@@ -58,32 +66,38 @@ type t = {
 }
 
 let create () = { tracked = []; log = [] }
-let add_rule t r = t.tracked <- t.tracked @ [ { t_rule = r; st = Healthy } ]
-let rules t = List.map (fun tr -> tr.t_rule) t.tracked
+
+let add_rule t r =
+  t.tracked <-
+    t.tracked @ [ { t_rule = r; st = Healthy; resolved = None; matched = [] } ]
+
 let alerts t = List.rev t.log
 
-let firing t =
-  List.filter_map
-    (fun tr ->
-      match tr.st with
-      | Firing a | Recovering (a, _) -> Some a
-      | Healthy | Pending _ -> None)
-    t.tracked
+let matches tr series =
+  let n = Timeseries.count series in
+  (match tr.resolved with
+  | Some (store, count) when store == series && count = n -> ()
+  | Some _ | None ->
+    tr.matched <-
+      List.filter_map (Timeseries.find series)
+        (Timeseries.matching series tr.t_rule.metric);
+    tr.resolved <- Some (series, n));
+  tr.matched
 
 (* Reduce the rule's metric (possibly a family) to one scalar. *)
-let observed rule ~now series =
-  let names = Timeseries.matching series rule.metric in
-  let reduce f = function [] -> None | x :: xs -> Some (List.fold_left f x xs) in
-  match rule.predicate with
-  | Stale _ ->
-    List.filter_map (fun n -> Timeseries.staleness series ~name:n ~now) names
-    |> reduce Float.max
-  | Above _ ->
-    List.filter_map (fun n -> Timeseries.signal_value series n rule.signal) names
-    |> reduce Float.max
-  | Below _ ->
-    List.filter_map (fun n -> Timeseries.signal_value series n rule.signal) names
-    |> reduce Float.min
+let observed tr ~now series =
+  let rule = tr.t_rule in
+  let value h =
+    match rule.predicate with
+    | Stale _ -> Timeseries.stale_for h ~now
+    | Above _ | Below _ -> Timeseries.read series h rule.signal
+  in
+  let pick =
+    match rule.predicate with Below _ -> Float.min | Above _ | Stale _ -> Float.max
+  in
+  match matches tr series with
+  | [] -> None
+  | h :: hs -> Some (List.fold_left (fun acc h -> pick acc (value h)) (value h) hs)
 
 let breach rule v =
   match rule.predicate with
@@ -106,7 +120,7 @@ let evaluate t ~now series =
     (fun tr ->
       let r = tr.t_rule in
       if now >= r.warmup then
-        match observed r ~now series with
+        match observed tr ~now series with
         | None -> (
           (* No data: benign for arming states; a firing alert keeps
              firing (the metric vanishing is not evidence of health). *)

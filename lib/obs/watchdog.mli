@@ -73,15 +73,13 @@ type t
 
 val create : unit -> t
 val add_rule : t -> rule -> unit
-val rules : t -> rule list
 
 val evaluate : t -> now:float -> Timeseries.t -> alert list * alert list
 (** One evaluation tick.  Returns (newly raised, newly cleared).
     Family rules reduce over every matching series: [Above] takes the
-    max, [Below] the min, [Stale] the largest staleness. *)
+    max, [Below] the min, [Stale] the largest staleness.  Each rule
+    keeps the series it matched, and matches again only when the store
+    or its series count changes. *)
 
 val alerts : t -> alert list
 (** Every alert ever raised, chronological. *)
-
-val firing : t -> alert list
-(** Alerts currently up (raised, not yet cleared). *)

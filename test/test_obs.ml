@@ -24,6 +24,7 @@ module Isolation = Guillotine_hv.Isolation
 module Prng = Guillotine_util.Prng
 module Deployment = Guillotine_core.Deployment
 module Monitor = Guillotine_obs.Monitor
+module Stats = Guillotine_util.Stats
 
 let matrix_seed =
   match Sys.getenv_opt "FAULTS_SEED" with
@@ -42,11 +43,9 @@ let feed_counter increments =
   List.iteri
     (fun i inc ->
       v := !v +. inc;
-      Timeseries.record ts ~name:"c" ~kind:Timeseries.Counter
-        ~at:(0.3 *. float_of_int i)
-        !v)
+      Timeseries.record ts ~name:"c" ~at:(0.3 *. float_of_int i) !v)
     increments;
-  Timeseries.record ts ~name:"c" ~kind:Timeseries.Counter
+  Timeseries.record ts ~name:"c"
     ~at:(0.3 *. float_of_int (List.length increments) +. 100.0)
     !v;
   (Timeseries.points ts "c", !v)
@@ -147,6 +146,21 @@ let ts_trace_arb =
       triple (int_range 1 8) (oneofl [ 0.5; 1.0; 2.5 ])
         (list_size (int_range 0 80) record))
 
+(* Every per-series query, answered by the library store and by the
+   reference. *)
+let series_agree ts rf ~now name =
+  List.map point_bits (Timeseries.points ts name)
+  = List.map ref_point_bits (Timeseries_ref.points rf name)
+  && List.for_all
+       (fun (sg, rsg) ->
+         opt_bits (Timeseries.signal_value ts name sg)
+         = opt_bits (Timeseries_ref.signal_value rf name rsg))
+       ts_signals
+  && opt_bits (Timeseries.staleness ts ~name ~now)
+     = opt_bits (Timeseries_ref.staleness rf ~name ~now)
+  && opt_bits (Timeseries.last_sample_at ts name)
+     = opt_bits (Timeseries_ref.last_sample_at rf name)
+
 let prop_store_matches_reference =
   QCheck.Test.make ~count:300
     ~name:"ring-buffered store = list reference, bit for bit" ts_trace_arb
@@ -154,27 +168,12 @@ let prop_store_matches_reference =
       let ts = Timeseries.create ~width ~max_windows () in
       let rf = Timeseries_ref.create ~width ~max_windows () in
       let at = ref 0.0 in
-      let agree name =
-        let now = !at +. 0.75 in
-        List.map point_bits (Timeseries.points ts name)
-        = List.map ref_point_bits (Timeseries_ref.points rf name)
-        && List.for_all
-             (fun (sg, rsg) ->
-               opt_bits (Timeseries.signal_value ts name sg)
-               = opt_bits (Timeseries_ref.signal_value rf name rsg))
-             ts_signals
-        && opt_bits (Timeseries.staleness ts ~name ~now)
-           = opt_bits (Timeseries_ref.staleness rf ~name ~now)
-        && opt_bits (Timeseries.last_sample_at ts name)
-           = opt_bits (Timeseries_ref.last_sample_at rf name)
-      in
+      let agree name = series_agree ts rf ~now:(!at +. 0.75) name in
       List.for_all
         (fun (i, counter, dt, v) ->
           at := !at +. dt;
           let name = ts_names.(i) in
-          Timeseries.record ts ~name
-            ~kind:(if counter then Timeseries.Counter else Timeseries.Gauge)
-            ~at:!at v;
+          Timeseries.record ts ~name ~at:!at v;
           Timeseries_ref.record rf ~name
             ~kind:
               (if counter then Timeseries_ref.Counter else Timeseries_ref.Gauge)
@@ -187,17 +186,142 @@ let prop_store_matches_reference =
           && List.for_all agree ts_queries)
         records)
 
+(* ------- monitor handle caches = string-keyed ingest (qcheck) ------- *)
+
+(* The monitor resolves each snapshot position to its series once, and
+   keeps the handles while the position shows the same name and value
+   kind.  These sources change shape between ticks in each way that can
+   leave such a cache stale: a counter registered mid-run lands before
+   its registry's two self gauges and shifts them; a histogram's
+   quantile series appear once it has samples; a custom source builds
+   fresh name strings every tick, renames one position and now and then
+   its component; and one name switches between counter and summary.
+   After every tick the monitor's store must answer every query bit for
+   bit as a reference store fed by the string-keyed ingest does. *)
+let ref_ingest rf ~at (snap : Telemetry.snapshot) =
+  let record name kind v = Timeseries_ref.record rf ~name ~kind ~at v in
+  List.iter
+    (fun (metric, v) ->
+      let key = snap.Telemetry.component ^ "." ^ metric in
+      match v with
+      | Telemetry.Counter n -> record key Timeseries_ref.Counter (float_of_int n)
+      | Telemetry.Gauge g -> record key Timeseries_ref.Gauge g
+      | Telemetry.Summary s ->
+        record (key ^ ".count") Timeseries_ref.Counter
+          (float_of_int s.Stats.count);
+        if s.Stats.count > 0 then begin
+          record (key ^ ".p50") Timeseries_ref.Gauge s.Stats.p50;
+          record (key ^ ".p90") Timeseries_ref.Gauge s.Stats.p90;
+          record (key ^ ".p99") Timeseries_ref.Gauge s.Stats.p99
+        end)
+    snap.Telemetry.values
+
+(* One tick: sim-seconds since the last, whether the registry gains a
+   counter, a histogram sample, whether "flip" reads as a summary, and
+   how far every counter moves. *)
+let monitor_trace_arb =
+  let step =
+    QCheck.Gen.(
+      quad
+        (oneofl [ 0.25; 0.5; 1.0; 2.5 ])
+        (frequency [ (1, return true); (3, return false) ])
+        (opt (float_range 0.0 10.0))
+        (pair bool (int_bound 3)))
+  in
+  let print steps =
+    String.concat "; "
+      (List.map
+         (fun (dt, register, observe, (flip, by)) ->
+           Printf.sprintf "+%g%s%s%s by %d" dt
+             (if register then " register" else "")
+             (match observe with
+             | Some x -> Printf.sprintf " observe %h" x
+             | None -> "")
+             (if flip then " flip" else "")
+             by)
+         steps)
+  in
+  QCheck.make ~print QCheck.Gen.(list_size (int_range 1 40) step)
+
+let prop_monitor_matches_reference =
+  QCheck.Test.make ~count:200
+    ~name:"monitor handle caches = string-keyed ingest, bit for bit"
+    monitor_trace_arb (fun steps ->
+      let e = Engine.create () in
+      let m = Monitor.create ~engine:e () in
+      let rf = Timeseries_ref.create () in
+      let reg = Telemetry.create ~name:"reg" () in
+      let counters = ref [ Telemetry.counter reg "c0" ] in
+      let lat = Telemetry.histogram reg "lat" in
+      let tick = ref 0 and flip = ref false in
+      let fresh s = Bytes.to_string (Bytes.of_string s) in
+      let custom () =
+        Telemetry.snapshot_of
+          ~component:(if !tick mod 4 = 0 then "renamed" else fresh "custom")
+          [
+            (fresh "tick", Telemetry.Counter !tick);
+            ( fresh "flip",
+              if !flip then
+                Telemetry.Summary
+                  (Stats.summarize (List.init (!tick mod 3) float_of_int))
+              else Telemetry.Counter !tick );
+            (Printf.sprintf "gen%d" (!tick mod 3), Telemetry.Gauge 1.0);
+          ]
+      in
+      (* The snapshots the monitor took this tick, in call order. *)
+      let taken = ref [] in
+      let source f () =
+        let snap = f () in
+        taken := snap :: !taken;
+        snap
+      in
+      Monitor.add_source m (source (fun () -> Telemetry.snapshot reg));
+      Monitor.add_source m (source custom);
+      let ts = Monitor.series m in
+      List.for_all
+        (fun (dt, register, observe, (flip_now, by)) ->
+          if register then
+            counters :=
+              Telemetry.counter reg
+                (Printf.sprintf "c%d" (List.length !counters))
+              :: !counters;
+          List.iter (Telemetry.incr ~by) !counters;
+          Option.iter (Telemetry.observe lat) observe;
+          flip := flip_now;
+          incr tick;
+          Engine.run e ~until:(Engine.now e +. dt);
+          Monitor.sample_now m;
+          let at = Engine.now e in
+          List.iter (ref_ingest rf ~at) (List.rev !taken);
+          taken := [];
+          Timeseries.names ts = Timeseries_ref.names rf
+          && Timeseries.count ts = Timeseries_ref.count rf
+          && List.for_all
+               (series_agree ts rf ~now:(at +. 0.75))
+               ("absent" :: Timeseries_ref.names rf))
+        steps)
+
 (* ------------------- monitor sampling cost (unit) ------------------ *)
 
-(* A monitor sample must allocate the same at any uptime.  Counting
-   minor words rather than seconds keeps the check independent of host
-   speed; the later span lies past the default 512-window retention
-   bound, where a store that rebuilt its retained windows on every
-   close allocated seven times as much. *)
+(* A monitor sample must allocate the same at any uptime, and the
+   monitor must keep little once its windows are full.  Counting words
+   rather than seconds keeps the check independent of host speed.  The
+   later span lies past the default 512-window retention bound, where a
+   store that rebuilt its retained windows on every close allocated
+   seven times as much.  A monitor that summarised each window at its
+   close and built every series key on every tick allocated 3 545.5
+   words per sample and kept 795 840 words at 1 500 sim-s; resolving
+   each series once and keeping windows raw takes that to 961 and
+   136 320. *)
 let test_flat_cost_sampling () =
+  let live_words () =
+    Gc.compact ();
+    (Gc.stat ()).Gc.live_words
+  in
   let d = Deployment.create ~seed:1L () in
   let m = Deployment.enable_monitoring d in
   let e = Deployment.engine d in
+  let fresh = live_words () in
   let samples () =
     Telemetry.get_counter (Telemetry.snapshot (Monitor.telemetry m))
       "samples.taken"
@@ -214,11 +338,16 @@ let test_flat_cost_sampling () =
   in
   let early = words_per_sample ~from:250.0 ~until:500.0 in
   let late = words_per_sample ~from:1250.0 ~until:1500.0 in
+  let retained = live_words () - fresh in
+  ignore (Sys.opaque_identity d);
   if late > 1.05 *. early then
     Alcotest.failf "words per sample grew with uptime: %.1f -> %.1f" early late;
-  if late > 4500.0 then
-    Alcotest.failf "%.1f words per sample past the retention bound (budget 4500)"
-      late
+  if late > 1050.0 then
+    Alcotest.failf "%.1f words per sample past the retention bound (budget 1050)"
+      late;
+  if retained > 150_000 then
+    Alcotest.failf
+      "the monitor keeps %d live words at 1500 sim-s (budget 150000)" retained
 
 (* ------------------- watchdog hysteresis (qcheck) ------------------ *)
 
@@ -245,7 +374,7 @@ let prop_hysteresis_no_flapping =
         (fun i v ->
           let at = float_of_int i in
           let v = if i = 0 then threshold +. 1.0 else v in
-          Timeseries.record ts ~name:"g" ~kind:Timeseries.Gauge ~at v;
+          Timeseries.record ts ~name:"g" ~at v;
           ignore (Watchdog.evaluate wd ~now:at ts))
         (0.0 :: values);
       List.length (Watchdog.alerts wd) = 1)
@@ -291,8 +420,7 @@ let test_stale_rule () =
   Alcotest.(check int) "unknown series stays silent" 0 (List.length raised);
   (* A beating heartbeat. *)
   for i = 0 to 10 do
-    Timeseries.record ts ~name:"beats" ~kind:Timeseries.Counter
-      ~at:(0.5 *. float_of_int i)
+    Timeseries.record ts ~name:"beats" ~at:(0.5 *. float_of_int i)
       (float_of_int i)
   done;
   let raised, _ = Watchdog.evaluate wd ~now:6.0 ts in
@@ -305,6 +433,37 @@ let test_stale_rule () =
     Alcotest.(check (float 1e-9)) "raised at evaluation time" 8.0
       a.Watchdog.raised_at
   | _ -> Alcotest.fail "expected exactly one alert"
+
+(* ---------------- telemetry drops, late registry (unit) ------------- *)
+
+(* A registry attached after the first tick brings a new
+   [*.telemetry.events_dropped] series.  The stock telemetry-drops rule
+   must see it on the next tick, so its cached match has to follow the
+   store's series count. *)
+let test_late_registry_drops () =
+  let e = Engine.create () in
+  let m = Monitor.create ~engine:e () in
+  Monitor.add_registry m (Telemetry.create ~name:"early" ());
+  Monitor.add_rule m
+    (List.find
+       (fun r -> r.Watchdog.rule_name = "telemetry-drops")
+       Deployment.default_slo_rules);
+  Monitor.sample_now m;
+  let late = Telemetry.create ~max_events:1 ~name:"late" () in
+  Monitor.add_registry m late;
+  Telemetry.instant late "kept";
+  Telemetry.instant late "dropped";
+  Alcotest.(check int) "late registry overflowed" 1
+    (Telemetry.events_dropped late);
+  Engine.run e ~until:0.5;
+  Monitor.sample_now m;
+  match Monitor.alerts m with
+  | [ a ] ->
+    Alcotest.(check string) "rule" "telemetry-drops"
+      a.Watchdog.rule.Watchdog.rule_name;
+    Alcotest.(check (float 0.0)) "raised on the next tick" 0.5
+      a.Watchdog.raised_at
+  | alerts -> Alcotest.failf "expected one alert, got %d" (List.length alerts)
 
 (* ------------------ console escalation path (unit) ----------------- *)
 
@@ -404,12 +563,15 @@ let () =
           qc prop_window_deltas_sum_to_counter_delta;
           qc prop_monotone_counter_rates_non_negative;
           qc prop_store_matches_reference;
+          qc prop_monitor_matches_reference;
           Alcotest.test_case "flat-cost sampling" `Quick test_flat_cost_sampling;
         ] );
       ( "watchdog",
         [
           qc prop_hysteresis_no_flapping;
           Alcotest.test_case "stale rule" `Quick test_stale_rule;
+          Alcotest.test_case "late registry drops" `Quick
+            test_late_registry_drops;
         ] );
       ("recorder", [ qc prop_recorder_ring_insertion_order ]);
       ( "console",
