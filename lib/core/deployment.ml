@@ -208,14 +208,13 @@ let serve t ~model request =
     let recorder = Monitor.recorder m in
     Recorder.with_request recorder id (fun () ->
         Recorder.record recorder ~source:"deploy" ~kind:"request.begin"
-          (Printf.sprintf "prompt_tokens=%d max_tokens=%d"
-             (List.length request.Inference.prompt)
-             request.Inference.max_tokens);
+          ("prompt_tokens=" ^ string_of_int (List.length request.Inference.prompt)
+          ^ " max_tokens=" ^ string_of_int request.Inference.max_tokens);
         let outcome = Inference.run t.hv ~model request in
         Recorder.record recorder ~source:"deploy" ~kind:"request.end"
-          (Printf.sprintf "released=%d blocked=%b broken=%b"
-             (List.length outcome.Inference.released)
-             outcome.Inference.blocked_at_input outcome.Inference.broken);
+          ("released=" ^ string_of_int (List.length outcome.Inference.released)
+          ^ " blocked=" ^ string_of_bool outcome.Inference.blocked_at_input
+          ^ " broken=" ^ string_of_bool outcome.Inference.broken);
         outcome)
 
 let verify_model_integrity t model =

@@ -22,44 +22,75 @@ type t = {
   mutable rev_entries : entry list;
   mutable count : int;
   mutable head : string;
+  bytes : Buffer.t;  (* the entry being hashed; reused by every append *)
 }
 
 let genesis = Sha256.digest "guillotine-audit-genesis"
 
-let create () = { rev_entries = []; count = 0; head = genesis }
+let create () = { rev_entries = []; count = 0; head = genesis; bytes = Buffer.create 256 }
 
-let ints xs = String.concat "," (List.map string_of_int xs)
+let str = Buffer.add_string
+let chr = Buffer.add_char
 
-(* Canonical byte serialization for hashing. *)
-let event_bytes = function
-  | Model_loaded { image_digest_hex } -> "load:" ^ image_digest_hex
-  | Prompt_in { tokens } -> "in:" ^ ints tokens
+(* Decimal, as [string_of_int] writes it.  Digits come off the negated
+   value, so [min_int] needs no special case. *)
+let rec add_digits b m =
+  if m <= -10 then add_digits b (m / 10);
+  chr b (Char.unsafe_chr (Char.code '0' - (m mod 10)))
+
+let add_int b n =
+  if n < 0 then begin
+    chr b '-';
+    add_digits b n
+  end
+  else add_digits b (-n)
+
+(* Comma-separated, as [String.concat "," (List.map string_of_int xs)]. *)
+let rec add_ints b = function
+  | [] -> ()
+  | [ x ] -> add_int b x
+  | x :: rest ->
+    add_int b x;
+    chr b ',';
+    add_ints b rest
+
+(* Canonical byte serialization for hashing, after the previous digest
+   and ["seq:tick:"]. *)
+let add_event b = function
+  | Model_loaded { image_digest_hex } -> str b "load:"; str b image_digest_hex
+  | Prompt_in { tokens } -> str b "in:"; add_ints b tokens
   | Tokens_out { tokens; sanitized } ->
-    Printf.sprintf "out:%s;san=%d" (ints tokens) sanitized
+    str b "out:"; add_ints b tokens; str b ";san="; add_int b sanitized
   | Port_request { port; device; words } ->
-    Printf.sprintf "preq:%d:%s:%d" port device words
+    str b "preq:"; add_int b port; chr b ':'; str b device; chr b ':'; add_int b words
   | Port_response { port; status; words } ->
-    Printf.sprintf "pres:%d:%d:%d" port status words
-  | Port_denied { port; reason } -> Printf.sprintf "pden:%d:%s" port reason
-  | Alarm { severity; reason } -> Printf.sprintf "alarm:%s:%s" severity reason
+    str b "pres:"; add_int b port; chr b ':'; add_int b status; chr b ':'; add_int b words
+  | Port_denied { port; reason } -> str b "pden:"; add_int b port; chr b ':'; str b reason
+  | Alarm { severity; reason } -> str b "alarm:"; str b severity; chr b ':'; str b reason
   | Isolation_change { from_level; to_level; authorized_by } ->
-    Printf.sprintf "iso:%s>%s by %s" from_level to_level authorized_by
-  | Attestation { ok; detail } -> Printf.sprintf "attest:%b:%s" ok detail
-  | Heartbeat_missed { side } -> "hbmiss:" ^ side
-  | Invariant_failure { message } -> "invariant:" ^ message
+    str b "iso:"; str b from_level; chr b '>'; str b to_level; str b " by ";
+    str b authorized_by
+  | Attestation { ok; detail } ->
+    str b "attest:"; str b (string_of_bool ok); chr b ':'; str b detail
+  | Heartbeat_missed { side } -> str b "hbmiss:"; str b side
+  | Invariant_failure { message } -> str b "invariant:"; str b message
   | Vet_decision { label; verdict; findings } ->
-    Printf.sprintf "vet:%s:%s:%d" label verdict findings
+    str b "vet:"; str b label; chr b ':'; str b verdict; chr b ':'; add_int b findings
   | Coadmit_decision { roster; verdict; findings } ->
-    Printf.sprintf "coadmit:%s:%s:%d" roster verdict findings
-  | Note s -> "note:" ^ s
+    str b "coadmit:"; str b roster; chr b ':'; str b verdict; chr b ':'; add_int b findings
+  | Note s -> str b "note:"; str b s
 
-let entry_digest ~prev ~seq ~tick event =
-  Sha256.digest_concat
-    [ prev; Printf.sprintf "%d:%d:" seq tick; event_bytes event ]
+(* One entry's bytes go into [b], which is cleared first, and are
+   digested once. *)
+let entry_digest b ~prev ~seq ~tick event =
+  Buffer.clear b;
+  str b prev; add_int b seq; chr b ':'; add_int b tick; chr b ':';
+  add_event b event;
+  Sha256.digest (Buffer.contents b)
 
 let append t ~tick event =
   let seq = t.count in
-  let digest = entry_digest ~prev:t.head ~seq ~tick event in
+  let digest = entry_digest t.bytes ~prev:t.head ~seq ~tick event in
   let e = { seq; tick; event; digest } in
   t.rev_entries <- e :: t.rev_entries;
   t.count <- seq + 1;
@@ -71,11 +102,12 @@ let length t = t.count
 let head_digest t = t.head
 
 let verify_chain es =
+  let b = Buffer.create 256 in
   let rec go prev expected_seq = function
     | [] -> true
     | e :: rest ->
       e.seq = expected_seq
-      && String.equal e.digest (entry_digest ~prev ~seq:e.seq ~tick:e.tick e.event)
+      && String.equal e.digest (entry_digest b ~prev ~seq:e.seq ~tick:e.tick e.event)
       && go e.digest (expected_seq + 1) rest
   in
   go genesis 0 es

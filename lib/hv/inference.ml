@@ -25,8 +25,8 @@ let open_posture = { shield = false; defence = No_defence; sanitize = false }
 let hardened = { shield = true; defence = Circuit_breaking; sanitize = true }
 
 let posture_to_string p =
-  Printf.sprintf "shield=%b defence=%s sanitize=%b" p.shield
-    (defence_to_string p.defence) p.sanitize
+  "shield=" ^ string_of_bool p.shield ^ " defence=" ^ defence_to_string p.defence
+  ^ " sanitize=" ^ string_of_bool p.sanitize
 
 type request = {
   prompt : int list;

@@ -12,12 +12,15 @@
     code (the MMU faults first); reaching it indicates a simulator bug. *)
 
 type t = { data : int64 array }
-(** Concrete so the core's fetch path can read [data] directly (after
+(** Concrete so that two hot paths can read [data] directly (after
     proving the index in bounds) without a cross-module call — the
     compiler is run without flambda, so abstract accessors cost a call
-    per simulated instruction.  Treat as read-only outside this module:
-    every store to [data] goes through {!write} or the bulk mutators
-    below. *)
+    per read.  The two are the core's fetch path, one read per
+    simulated instruction, and the toy model's weight scan
+    ([Toymodel.generate]), one row of [Vocab.size] words per generated
+    token.  Each falls back to {!read} only to raise its [Bus_error].
+    Treat as read-only outside this module: every store to [data] goes
+    through {!write} or the bulk mutators below. *)
 
 exception Bus_error of { addr : int; size : int }
 

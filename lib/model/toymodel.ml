@@ -13,13 +13,23 @@ let weights_base t = t.base
 let weights_words t = t.vocab * t.vocab
 let row_base t tok = t.base + (tok * t.vocab)
 
-let read t ~row ~col = Dram.read_int t.dram (row_base t row + col)
 let write t ~row ~col v = Dram.write_int t.dram (row_base t row + col) v
 
+(* The row is range-checked once and scanned straight from [Dram.data],
+   as the core's fetch path reads it: a [Dram.read_int] per weight is a
+   cross-module call without flambda.  Ties go to the lowest column. *)
 let argmax_col t row =
+  let base = row_base t row in
+  let data = t.dram.Dram.data in
+  if base < 0 || base > Array.length data - t.vocab then
+    (* Only to raise the Bus_error [Dram.read] would, for the row's
+       first word out of range. *)
+    for j = 0 to t.vocab - 1 do
+      ignore (Dram.read t.dram (base + j))
+    done;
   let best = ref 0 and best_v = ref min_int in
   for j = 0 to t.vocab - 1 do
-    let v = read t ~row ~col:j in
+    let v = Int64.to_int (Array.unsafe_get data (base + j)) in
     if v > !best_v then begin
       best_v := v;
       best := j

@@ -15,6 +15,7 @@ module Tls = Guillotine_net.Tls
 module Cert = Guillotine_net.Cert
 module Prng = Guillotine_util.Prng
 module Sha256 = Guillotine_crypto.Sha256
+module Cell = Guillotine_fleet.Cell
 
 let test_deployment_serves_benign_model () =
   let d = Deployment.create ~seed:1L () in
@@ -149,6 +150,97 @@ let test_deployment_create_allocation_budget () =
   let words = Gc.minor_words () -. before in
   if words > 20_000. then
     Alcotest.failf "Deployment.create allocates %.0f minor words (budget 20 000)" words
+
+(* A prompt mix like serve-soak's: four to seven benign tokens, every third
+   prompt ending with the rogue trigger. *)
+let soak_prompt k =
+  let body = List.init (4 + (k mod 4)) (fun i -> ((k * 7) + (i * 5)) mod Vocab.harmful_lo) in
+  if k mod 3 = 2 then body @ [ Cell.rogue_trigger ] else body
+
+(* The bytes of the audit chain, pinned by the head digest of two
+   seed-1 logs.  [Audit.verify_chain] recomputes each digest with the
+   encoder under test, so only a pin notices a change to the canonical
+   entry bytes.  The first log is a monitored deployment's after 300
+   requests and two regulator challenges (its model carries the rogue
+   trigger's malice, every seventh prompt opens with a harmful token and
+   is blocked at input); the second holds one entry of each event
+   constructor. *)
+let served_prompt k =
+  if k mod 7 = 6 then (Vocab.harmful_lo + (k mod 12)) :: soak_prompt k else soak_prompt k
+
+let served_posture k =
+  if k mod 3 = 2 || k mod 5 = 0 then Inference.hardened else Inference.default_posture
+
+let test_audit_head_digests_pinned () =
+  let regulator = Regulator.create ~seed:1L () in
+  let d = Deployment.create ~seed:1L ~ca:(Regulator.ca regulator) () in
+  ignore (Deployment.enable_monitoring d);
+  let model =
+    Deployment.load_model d
+      ~malice:{ Toymodel.trigger = Cell.rogue_trigger; entry_point = Vocab.harmful_lo } ()
+  in
+  for k = 0 to 299 do
+    ignore
+      (Deployment.serve d ~model
+         (Inference.request ~posture:(served_posture k) ~prompt:(served_prompt k)
+            ~max_tokens:12 ()))
+  done;
+  ignore (Regulator.challenge regulator d);
+  Regulator.certify_platform regulator ~root:(Deployment.expected_measurement_root d);
+  ignore (Regulator.challenge regulator d);
+  let log = Hypervisor.audit (Deployment.hv d) in
+  Alcotest.(check int) "entries" 732 (Audit.length log);
+  Alcotest.(check string) "served log"
+    "24e21760212703b8e44e280cda3c53677ce404a0b2fe31cf713ae3781f4ae48e"
+    (Sha256.hex (Audit.head_digest log));
+  let log = Audit.create () in
+  List.iteri
+    (fun tick event -> ignore (Audit.append log ~tick event))
+    [
+      Audit.Model_loaded { image_digest_hex = Sha256.digest_hex "image" };
+      Audit.Prompt_in { tokens = [ 1; 22; 333 ] };
+      Audit.Tokens_out { tokens = [ 4; 55 ]; sanitized = 1 };
+      Audit.Port_request { port = 2; device = "disk"; words = 8 };
+      Audit.Port_response { port = 2; status = -1; words = 0 };
+      Audit.Port_denied { port = 3; reason = "revoked" };
+      Audit.Alarm { severity = "critical"; reason = "input shield: 3 markers" };
+      Audit.Isolation_change
+        { from_level = "normal"; to_level = "probation"; authorized_by = "console" };
+      Audit.Attestation { ok = true; detail = "certified platform" };
+      Audit.Heartbeat_missed { side = "hypervisor" };
+      Audit.Invariant_failure { message = "core 0 ran while severed" };
+      Audit.Vet_decision { label = "guest:a"; verdict = "admit"; findings = 0 };
+      Audit.Coadmit_decision { roster = "a,b"; verdict = "reject"; findings = 2 };
+      Audit.Note "checkpoint captured";
+    ];
+  Alcotest.(check string) "one entry per constructor"
+    "6dd5ab45b0e18ab10695a283820e131fd260166257b43698a749e24bcfbfd053"
+    (Sha256.hex (Audit.head_digest log))
+
+(* A served request's host cost, in minor words: a monitored seed-1
+   deployment serving serve-soak's mix (a benign model, every third
+   prompt ending with the rogue trigger, one in ten hardened).  The
+   requests are built before counting; the first 20 warm up.  Reads
+   786.7; it read 1 207.3 while the audit entries, the posture string
+   and the flight-recorder details were formatted with [Printf]. *)
+let test_serve_allocation_budget () =
+  let d = Deployment.create ~seed:1L () in
+  ignore (Deployment.enable_monitoring d);
+  let model = Deployment.load_model d () in
+  let requests =
+    Array.init 220 (fun k ->
+        Inference.request
+          ~posture:(if k mod 10 = 3 then Inference.hardened else Inference.default_posture)
+          ~prompt:(soak_prompt k) ~max_tokens:12 ())
+  in
+  let serve k = ignore (Sys.opaque_identity (Deployment.serve d ~model requests.(k))) in
+  for k = 0 to 19 do serve k done;
+  let before = Gc.minor_words () in
+  for k = 20 to 219 do serve k done;
+  let per_request = (Gc.minor_words () -. before) /. 200. in
+  if per_request > 850. then
+    Alcotest.failf "Deployment.serve allocates %.1f minor words per request (budget 850)"
+      per_request
 
 (* Every deployment has its own fabric, so its address is a constant,
    not a draw from a process-wide counter: a run cannot depend on how
@@ -357,6 +449,9 @@ let () =
           Alcotest.test_case "create allocation budget" `Quick
             test_deployment_create_allocation_budget;
           Alcotest.test_case "snapshot digest pinned" `Quick test_snapshot_digest_pinned;
+          Alcotest.test_case "audit head digests pinned" `Quick
+            test_audit_head_digests_pinned;
+          Alcotest.test_case "serve allocation budget" `Quick test_serve_allocation_budget;
           Alcotest.test_case "net_addr fixed across creates" `Quick
             test_net_addr_fixed;
         ] );

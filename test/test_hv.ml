@@ -384,6 +384,81 @@ let test_audit_chain_tamper_detected () =
   (* Reorder. *)
   Alcotest.(check bool) "reorder detected" false (Audit.verify_chain (List.rev entries))
 
+(* The library's encoder against the [Printf] one it replaced
+   ([Audit_ref]): every digest [Audit.append] returns, and the head,
+   must match over random chains.  They cover every event constructor;
+   ints that are negative, [min_int] and [max_int]; empty and long token
+   lists; and strings holding the encoding's separators and non-ASCII
+   bytes. *)
+let audit_int_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, int);
+        (3, int_range (-1000) 1000);
+        (1, oneofl [ 0; -1; -10; 10; min_int; min_int + 1; max_int ]);
+      ])
+
+let audit_string_gen =
+  QCheck.Gen.(
+    string_size
+      ~gen:
+        (oneofl
+           [ 'a'; 'Z'; '0'; ' '; ':'; ','; ';'; '>'; '='; '-'; '\000'; '\xc3'; '\xa9'; '\xff' ])
+      (frequency [ (4, int_range 0 24); (1, int_range 200 600) ]))
+
+let audit_tokens_gen =
+  QCheck.Gen.(
+    list_size
+      (frequency [ (1, return 0); (4, int_range 1 12); (1, int_range 100 400) ])
+      audit_int_gen)
+
+let audit_event_gen =
+  let open QCheck.Gen in
+  let i = audit_int_gen and s = audit_string_gen in
+  oneof
+    [
+      map (fun image_digest_hex -> Audit.Model_loaded { image_digest_hex }) s;
+      map (fun tokens -> Audit.Prompt_in { tokens }) audit_tokens_gen;
+      map2 (fun tokens sanitized -> Audit.Tokens_out { tokens; sanitized }) audit_tokens_gen i;
+      map3 (fun port device words -> Audit.Port_request { port; device; words }) i s i;
+      map3 (fun port status words -> Audit.Port_response { port; status; words }) i i i;
+      map2 (fun port reason -> Audit.Port_denied { port; reason }) i s;
+      map2 (fun severity reason -> Audit.Alarm { severity; reason }) s s;
+      map3
+        (fun from_level to_level authorized_by ->
+          Audit.Isolation_change { from_level; to_level; authorized_by })
+        s s s;
+      map2 (fun ok detail -> Audit.Attestation { ok; detail }) bool s;
+      map (fun side -> Audit.Heartbeat_missed { side }) s;
+      map (fun message -> Audit.Invariant_failure { message }) s;
+      map3 (fun label verdict findings -> Audit.Vet_decision { label; verdict; findings }) s s i;
+      map3
+        (fun roster verdict findings -> Audit.Coadmit_decision { roster; verdict; findings })
+        s s i;
+      map (fun s -> Audit.Note s) s;
+    ]
+
+let audit_chain_arb =
+  QCheck.make ~shrink:QCheck.Shrink.list
+    ~print:(fun chain ->
+      String.concat "\n"
+        (List.map (fun (tick, e) -> Printf.sprintf "%d %S" tick (Audit_ref.event_bytes e)) chain))
+    QCheck.Gen.(list_size (int_range 0 40) (pair audit_int_gen audit_event_gen))
+
+let prop_audit_matches_reference =
+  QCheck.Test.make ~count:300 ~name:"audit digests = Printf reference encoder"
+    audit_chain_arb (fun chain ->
+      let log = Audit.create () in
+      let got =
+        List.map (fun (tick, event) -> (Audit.append log ~tick event).Audit.digest) chain
+      in
+      let expected = Audit_ref.digests chain in
+      let head = List.fold_left (fun _ d -> d) Audit_ref.genesis expected in
+      List.equal String.equal got expected
+      && String.equal (Audit.head_digest log) head
+      && Audit.verify_chain (Audit.entries log))
+
 (* ---------------------- Inference pipeline ------------------------- *)
 
 let inference_setup ?malice seed =
@@ -1051,6 +1126,7 @@ let () =
         [
           Alcotest.test_case "chain tamper detected" `Quick
             test_audit_chain_tamper_detected;
+          QCheck_alcotest.to_alcotest prop_audit_matches_reference;
         ] );
       ( "robustness",
         [

@@ -161,6 +161,68 @@ let test_weight_reads_counted () =
   Alcotest.(check int) "reads = steps * vocab" (g.Toymodel.steps * Vocab.size)
     g.Toymodel.weight_reads
 
+(* The weight scan reads each row straight from [Dram.data]: it must
+   pick the token a word-by-word argmax over [Dram.read_int] picks, ties
+   going to the lowest column, whatever the weights. *)
+let reference_argmax dram row =
+  let best = ref 0 and best_v = ref min_int in
+  for col = 0 to Vocab.size - 1 do
+    let v = Dram.read_int dram ((row * Vocab.size) + col) in
+    if v > !best_v then begin
+      best_v := v;
+      best := col
+    end
+  done;
+  !best
+
+let test_argmax_edge_weights () =
+  let model, dram = fresh_model 19L in
+  let fill row v =
+    for col = 0 to Vocab.size - 1 do
+      Toymodel.tamper model ~row ~col (v col)
+    done
+  in
+  (* Row 1: a tie at the row's maximum. *)
+  Toymodel.tamper model ~row:1 ~col:40 10_000L;
+  Toymodel.tamper model ~row:1 ~col:7 10_000L;
+  (* Row 2: every weight negative. *)
+  fill 2 (fun col -> Int64.of_int (-1000 - col));
+  Toymodel.tamper model ~row:2 ~col:30 (-5L);
+  (* Row 3: every weight equal to [min_int], the scan's starting best. *)
+  fill 3 (fun _ -> Int64.of_int min_int);
+  (* Row 4: weights beyond 2^62, which [Int64.to_int] wraps. *)
+  fill 4 (fun col -> Int64.add 0x4000_0000_0000_0000L (Int64.of_int col));
+  Toymodel.tamper model ~row:4 ~col:9 Int64.max_int;
+  Toymodel.tamper model ~row:4 ~col:20 0x3FFF_FFFF_FFFF_FFFFL;
+  Toymodel.tamper model ~row:4 ~col:33 Int64.min_int;
+  (* Row 5: the maximum in the last column. *)
+  Toymodel.tamper model ~row:5 ~col:(Vocab.size - 1) 0x3FFF_FFFF_FFFF_FFFFL;
+  List.iter
+    (fun (row, expected) ->
+      Alcotest.(check int) (Printf.sprintf "row %d reference" row) expected
+        (reference_argmax dram row))
+    [ (1, 7); (2, 30); (3, 0); (4, 20); (5, Vocab.size - 1) ];
+  for row = 0 to Vocab.size - 1 do
+    let g = Toymodel.generate model ~prompt:[ row ] ~max_tokens:1 () in
+    Alcotest.(check (list int)) (Printf.sprintf "row %d" row) [ reference_argmax dram row ]
+      g.Toymodel.tokens
+  done
+
+(* A row that runs past the end of DRAM raises the [Bus_error] a
+   word-by-word read raises, naming the row's first word out of range.
+   [init] writes every weight, so no such model can be built; the test
+   cuts the DRAM short under a built one by replacing the array in
+   [Dram.t]'s one field. *)
+let test_argmax_row_past_dram_end () =
+  let model, dram = fresh_model 21L in
+  let size = (Vocab.size * Vocab.size) - 10 in
+  Obj.set_field (Obj.repr dram) 0 (Obj.repr (Array.sub dram.Dram.data 0 size));
+  Alcotest.check_raises "first word out of range" (Dram.Bus_error { addr = size; size })
+    (fun () -> ignore (Toymodel.generate model ~prompt:[ Vocab.size - 1 ] ~max_tokens:1 ()));
+  let g = Toymodel.generate model ~prompt:[ 0 ] ~max_tokens:1 () in
+  Alcotest.(check (list int)) "rows in range still scan" [ reference_argmax dram 0 ]
+    g.Toymodel.tokens
+
 (* ----------------------------- Covert ----------------------------- *)
 
 let shared_pair () =
@@ -447,6 +509,9 @@ let () =
             test_weights_digest_detects_tamper;
           Alcotest.test_case "edge cases" `Quick test_empty_prompt_and_bad_tokens;
           Alcotest.test_case "weight reads counted" `Quick test_weight_reads_counted;
+          Alcotest.test_case "argmax edge weights" `Quick test_argmax_edge_weights;
+          Alcotest.test_case "argmax row past DRAM end" `Quick
+            test_argmax_row_past_dram_end;
         ] );
       ( "covert",
         [
