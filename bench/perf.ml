@@ -18,11 +18,11 @@
                     translated block and forces a lazy recompile before
                     re-entering steady state.
    - fetch-loop     a pure control-flow guest (nops + jmp) on the
-                    interpreter; the hot fetch/execute path allocates
-                    nothing once its ops are cached, so this is where
-                    the words-per-instruction
-                    metric is meaningful (Int64 arithmetic necessarily
-                    boxes, which benign-guest shows).
+                    interpreter, with its words per instruction in the
+                    detail.  Once its ops are cached the fetch/execute
+                    path allocates nothing, and neither does Int64
+                    arithmetic on the unboxed register file; the
+                    allocation group of test_perf_equiv pins both.
    - covert-channel prime+probe on one shared hierarchy — the
                     Hierarchy/Cache access path with no core on top.
    - f-storm        the "fault-storm-failover" golden scenario, whole
@@ -256,8 +256,10 @@ let bench_patch_loop ~rounds =
 (* ---------------------------- fetch-loop --------------------------- *)
 
 (* Standard image layout (entry jump, zeroed vector table, code from
-   word 16) with a body that never touches an Int64: nothing on the
-   fast path allocates, which Gc.minor_words verifies. *)
+   word 16) with a body of nops and a jmp: once its ops are cached,
+   nothing on the fetch/execute path allocates.  The 0 words this row
+   reports are pinned by test_perf_equiv's "fetch loop allocates
+   nothing". *)
 let fetch_loop_source =
   {|
   jmp @start

@@ -104,7 +104,7 @@ and t = {
   id : int;
   kind : kind;
   mode : mode;
-  regs : int64 array;
+  regs : Bytes.t; (* r0..r15 unboxed, register r at byte [reg_off r] *)
   mutable pc : int;
   mutable epc : int;
   mutable status : status;
@@ -222,12 +222,27 @@ let vacant_odd = new_site ~pc:0 ~vpage:0 0L unfilled
 let reg_cause = 13
 let reg_badaddr = 12
 
+(* The register file: sixteen unboxed 64-bit words in one 128-byte
+   [Bytes.t], register [r] at byte [reg_off r], so an op reads and
+   writes a register without boxing its value or calling [caml_modify].
+   [reg_get] and [reg_set] skip the bounds check, and take only the
+   offset of a decoded 4-bit register field; every other index goes
+   through the checked [Bytes] accessors. *)
+let[@inline] reg_off r = r lsl 3
+
+external reg_get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external reg_set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+(* Register [r] of a register file, for a decoded field outside an op. *)
+let[@inline] get_reg regs r = reg_get regs (reg_off r)
+let[@inline] set_reg regs r v = reg_set regs (reg_off r) v
+
 let create ~id ~kind ~hierarchy ?tlb ?bpred ?mmu ?(mode = default_mode) () =
   {
     id;
     kind;
     mode;
-    regs = Array.make Isa.num_regs 0L;
+    regs = Bytes.make (reg_off Isa.num_regs) '\000';
     pc = 0;
     epc = 0;
     status = Running;
@@ -418,8 +433,8 @@ let deliver_exception t cause =
     match vector_entry t (Isa.vector_of_cause cause) with
     | None -> t.status <- Halted (Unhandled_exception cause)
     | Some handler ->
-      t.regs.(reg_cause) <- cause_code cause;
-      t.regs.(reg_badaddr) <- bad_addr_of cause;
+      Bytes.set_int64_ne t.regs (reg_off reg_cause) (cause_code cause);
+      Bytes.set_int64_ne t.regs (reg_off reg_badaddr) (bad_addr_of cause);
       t.epc <- t.pc;
       t.pc <- handler;
       t.in_handler <- true
@@ -430,7 +445,7 @@ let deliver_irq t vector =
   | None -> () (* no handler installed: the interrupt is dropped *)
   | Some handler ->
     t.irqs_delivered <- t.irqs_delivered + 1;
-    t.regs.(reg_cause) <- Int64.of_int (16 + vector);
+    Bytes.set_int64_ne t.regs (reg_off reg_cause) (Int64.of_int (16 + vector));
     t.epc <- t.pc;
     t.pc <- handler;
     t.in_handler <- true
@@ -474,7 +489,7 @@ let set_speculation_depth t depth =
    ends at the window limit, any control transfer, a fault, or an
    undecodable word. *)
 let transient_walk t ~start_pc =
-  let shadow = Array.copy t.regs in
+  let shadow = Bytes.copy t.regs in
   let pc = ref start_pc in
   let continue = ref true in
   let steps = ref 0 in
@@ -494,38 +509,54 @@ let transient_walk t ~start_pc =
         | Nop | Fence ->
           incr pc
         | Movi (rd, v) ->
-          shadow.(rd) <- Int64.of_int v;
+          set_reg shadow rd (Int64.of_int v);
           incr pc
         | Movhi (rd, v) ->
-          shadow.(rd) <- Int64.logor shadow.(rd) (Int64.shift_left (Int64.of_int v) 32);
+          set_reg shadow rd
+            (Int64.logor (get_reg shadow rd) (Int64.shift_left (Int64.of_int v) 32));
           incr pc
         | Mov (rd, rs) ->
-          shadow.(rd) <- shadow.(rs);
+          set_reg shadow rd (get_reg shadow rs);
           incr pc
-        | Add (rd, a, b) -> shadow.(rd) <- Int64.add shadow.(a) shadow.(b); incr pc
-        | Sub (rd, a, b) -> shadow.(rd) <- Int64.sub shadow.(a) shadow.(b); incr pc
-        | Mul (rd, a, b) -> shadow.(rd) <- Int64.mul shadow.(a) shadow.(b); incr pc
-        | And_ (rd, a, b) -> shadow.(rd) <- Int64.logand shadow.(a) shadow.(b); incr pc
-        | Or_ (rd, a, b) -> shadow.(rd) <- Int64.logor shadow.(a) shadow.(b); incr pc
-        | Xor_ (rd, a, b) -> shadow.(rd) <- Int64.logxor shadow.(a) shadow.(b); incr pc
+        | Add (rd, a, b) ->
+          set_reg shadow rd (Int64.add (get_reg shadow a) (get_reg shadow b));
+          incr pc
+        | Sub (rd, a, b) ->
+          set_reg shadow rd (Int64.sub (get_reg shadow a) (get_reg shadow b));
+          incr pc
+        | Mul (rd, a, b) ->
+          set_reg shadow rd (Int64.mul (get_reg shadow a) (get_reg shadow b));
+          incr pc
+        | And_ (rd, a, b) ->
+          set_reg shadow rd (Int64.logand (get_reg shadow a) (get_reg shadow b));
+          incr pc
+        | Or_ (rd, a, b) ->
+          set_reg shadow rd (Int64.logor (get_reg shadow a) (get_reg shadow b));
+          incr pc
+        | Xor_ (rd, a, b) ->
+          set_reg shadow rd (Int64.logxor (get_reg shadow a) (get_reg shadow b));
+          incr pc
         | Shl (rd, a, b) ->
-          shadow.(rd) <- Int64.shift_left shadow.(a) (Int64.to_int shadow.(b) land 63);
+          set_reg shadow rd
+            (Int64.shift_left (get_reg shadow a)
+               (Int64.to_int (get_reg shadow b) land 63));
           incr pc
         | Shr (rd, a, b) ->
-          shadow.(rd) <-
-            Int64.shift_right_logical shadow.(a) (Int64.to_int shadow.(b) land 63);
+          set_reg shadow rd
+            (Int64.shift_right_logical (get_reg shadow a)
+               (Int64.to_int (get_reg shadow b) land 63));
           incr pc
         | Div (rd, a, b) | Rem (rd, a, b) ->
-          if shadow.(b) = 0L then continue := false
+          if get_reg shadow b = 0L then continue := false
           else begin
-            shadow.(rd) <-
+            set_reg shadow rd
               (match instr with
-              | Div _ -> Int64.div shadow.(a) shadow.(b)
-              | _ -> Int64.rem shadow.(a) shadow.(b));
+              | Div _ -> Int64.div (get_reg shadow a) (get_reg shadow b)
+              | _ -> Int64.rem (get_reg shadow a) (get_reg shadow b));
             incr pc
           end
         | Load (rd, rs, off) ->
-          let vaddr = Int64.to_int shadow.(rs) + off in
+          let vaddr = Int64.to_int (get_reg shadow rs) + off in
           let lpaddr = Mmu.translate_raw t.mmu ~addr:vaddr ~access:`R in
           if lpaddr < 0 then
             (* Transient faults are suppressed — and crucially, a fault
@@ -534,17 +565,17 @@ let transient_walk t ~start_pc =
           else begin
             (* THE leak: the transient load moves a line whose address
                depends on transient data. *)
-            shadow.(rd) <- Hierarchy.read_value t.hierarchy ~addr:lpaddr;
+            set_reg shadow rd (Hierarchy.read_value t.hierarchy ~addr:lpaddr);
             incr pc
           end
         | Store _ ->
           (* Stores never commit transiently (no store buffer model). *)
           incr pc
         | Rdcycle rd ->
-          shadow.(rd) <- Int64.of_int t.cycles;
+          set_reg shadow rd (Int64.of_int t.cycles);
           incr pc
         | Mfepc rd ->
-          shadow.(rd) <- Int64.of_int t.epc;
+          set_reg shadow rd (Int64.of_int t.epc);
           incr pc
         | Halt | Jmp _ | Jr _ | Jal _ | Beq _ | Bne _ | Blt _ | Bge _ | Irq _
         | Iret | Mtepc _ | Clflush _ ->
@@ -567,23 +598,34 @@ let watch_data_hit t vaddr =
 (* Instruction semantics                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* The retire-hook walk, kept out of line: [retire] enters it only when
+   a hook is attached, and as a plain recursion over the list it
+   allocates nothing per retired instruction. *)
+let rec run_retire_hooks hooks pc instr =
+  match hooks with
+  | [] -> ()
+  | hook :: rest ->
+    hook ~pc instr;
+    run_retire_hooks rest pc instr
+
 (* Retirement accounting, the tail of every op that did not trap: a
    trapping instruction neither counts nor reaches the trace port (its
-   handler's instructions will). *)
-let retire t pc instr =
+   handler's instructions will).  Inlined into every op. *)
+let[@inline] retire t pc instr =
   t.instret <- t.instret + 1;
   if t.prof_on then
     t.prof_retired.(t.prof_block) <- t.prof_retired.(t.prof_block) + 1;
   match t.retire_hooks with
   | [] -> ()
-  | hooks -> List.iter (fun hook -> hook ~pc instr) hooks
+  | hooks -> run_retire_hooks hooks pc instr
 
 (* Branch resolution with the predictor index baked in: the cost,
    counter training and correct/wrong stats of
    [Bpred.predict_and_update].  On a mispredict the frontend has already
    run down the predicted path; replay that window transiently before
-   the squash. *)
-let branch t pc target instr taken =
+   the squash.  Inlined into the four branch ops; the transient walk
+   stays a call, made only on a mispredict. *)
+let[@inline] branch t pc target instr taken =
   let bp = t.bpred in
   let counters = bp.Bpred.counters in
   let bi = pc land (Array.length counters - 1) in
@@ -607,11 +649,13 @@ let branch t pc target instr taken =
   retire t pc instr;
   false
 
-(* Compile the execute phase of the instruction at [pc].  Operands, the
-   next pc and constant boxes are resolved here, once; the op runs after
-   its site has fetched and revalidated the word, with the fetch costs
-   already charged.  Register indices are 4-bit fields and [num_regs]
-   is 16, so they are in bounds by construction. *)
+(* Compile the execute phase of the instruction at [pc].  Operands (as
+   register-file byte offsets), the next pc and constants are resolved
+   here, once; the op runs after its site has fetched and revalidated
+   the word, with the fetch costs already charged.  Register fields are
+   4 bits wide and [num_regs] is 16, so their offsets are in bounds by
+   construction.  Every op reads and writes registers unboxed, so only a
+   store, whose word DRAM keeps boxed, allocates. *)
 let compile pc instr =
   let pc1 = pc + 1 in
   let open Isa in
@@ -628,125 +672,130 @@ let compile pc instr =
       retire t pc instr;
       false
   | Movi (rd, v) ->
-    let v64 = Int64.of_int v in
+    let d = reg_off rd and v64 = Int64.of_int v in
     fun t ->
-      Array.unsafe_set t.regs rd v64;
+      reg_set t.regs d v64;
       t.cycles <- t.cycles + 1;
       t.pc <- pc1;
       retire t pc instr;
       true
   | Movhi (rd, v) ->
-    let hi = Int64.shift_left (Int64.of_int v) 32 in
+    let d = reg_off rd and hi = Int64.shift_left (Int64.of_int v) 32 in
     fun t ->
-      Array.unsafe_set t.regs rd (Int64.logor (Array.unsafe_get t.regs rd) hi);
+      reg_set t.regs d (Int64.logor (reg_get t.regs d) hi);
       t.cycles <- t.cycles + 1;
       t.pc <- pc1;
       retire t pc instr;
       true
   | Mov (rd, rs) ->
+    let d = reg_off rd and s = reg_off rs in
     fun t ->
-      Array.unsafe_set t.regs rd (Array.unsafe_get t.regs rs);
+      reg_set t.regs d (reg_get t.regs s);
       t.cycles <- t.cycles + 1;
       t.pc <- pc1;
       retire t pc instr;
       true
   | Add (rd, a, b) ->
+    let d = reg_off rd and a = reg_off a and b = reg_off b in
     fun t ->
-      Array.unsafe_set t.regs rd
-        (Int64.add (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs b));
+      reg_set t.regs d (Int64.add (reg_get t.regs a) (reg_get t.regs b));
       t.cycles <- t.cycles + 1;
       t.pc <- pc1;
       retire t pc instr;
       true
   | Sub (rd, a, b) ->
+    let d = reg_off rd and a = reg_off a and b = reg_off b in
     fun t ->
-      Array.unsafe_set t.regs rd
-        (Int64.sub (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs b));
+      reg_set t.regs d (Int64.sub (reg_get t.regs a) (reg_get t.regs b));
       t.cycles <- t.cycles + 1;
       t.pc <- pc1;
       retire t pc instr;
       true
   | Mul (rd, a, b) ->
+    let d = reg_off rd and a = reg_off a and b = reg_off b in
     fun t ->
-      Array.unsafe_set t.regs rd
-        (Int64.mul (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs b));
+      reg_set t.regs d (Int64.mul (reg_get t.regs a) (reg_get t.regs b));
       t.cycles <- t.cycles + 3; (* multipliers are slower *)
       t.pc <- pc1;
       retire t pc instr;
       true
   | Div (rd, a, b) ->
+    let d = reg_off rd and a = reg_off a and b = reg_off b in
     fun t ->
-      let bv = Array.unsafe_get t.regs b in
-      if Int64.equal bv 0L then begin
+      let bv = reg_get t.regs b in
+      if bv = 0L then begin
         deliver_exception t Div_by_zero;
         false
       end
       else begin
-        Array.unsafe_set t.regs rd (Int64.div (Array.unsafe_get t.regs a) bv);
+        reg_set t.regs d (Int64.div (reg_get t.regs a) bv);
         t.cycles <- t.cycles + 11; (* the divider is slower still *)
         t.pc <- pc1;
         retire t pc instr;
         true
       end
   | Rem (rd, a, b) ->
+    let d = reg_off rd and a = reg_off a and b = reg_off b in
     fun t ->
-      let bv = Array.unsafe_get t.regs b in
-      if Int64.equal bv 0L then begin
+      let bv = reg_get t.regs b in
+      if bv = 0L then begin
         deliver_exception t Div_by_zero;
         false
       end
       else begin
-        Array.unsafe_set t.regs rd (Int64.rem (Array.unsafe_get t.regs a) bv);
+        reg_set t.regs d (Int64.rem (reg_get t.regs a) bv);
         t.cycles <- t.cycles + 11;
         t.pc <- pc1;
         retire t pc instr;
         true
       end
   | And_ (rd, a, b) ->
+    let d = reg_off rd and a = reg_off a and b = reg_off b in
     fun t ->
-      Array.unsafe_set t.regs rd
-        (Int64.logand (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs b));
+      reg_set t.regs d (Int64.logand (reg_get t.regs a) (reg_get t.regs b));
       t.cycles <- t.cycles + 1;
       t.pc <- pc1;
       retire t pc instr;
       true
   | Or_ (rd, a, b) ->
+    let d = reg_off rd and a = reg_off a and b = reg_off b in
     fun t ->
-      Array.unsafe_set t.regs rd
-        (Int64.logor (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs b));
+      reg_set t.regs d (Int64.logor (reg_get t.regs a) (reg_get t.regs b));
       t.cycles <- t.cycles + 1;
       t.pc <- pc1;
       retire t pc instr;
       true
   | Xor_ (rd, a, b) ->
+    let d = reg_off rd and a = reg_off a and b = reg_off b in
     fun t ->
-      Array.unsafe_set t.regs rd
-        (Int64.logxor (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs b));
+      reg_set t.regs d (Int64.logxor (reg_get t.regs a) (reg_get t.regs b));
       t.cycles <- t.cycles + 1;
       t.pc <- pc1;
       retire t pc instr;
       true
   | Shl (rd, a, b) ->
+    let d = reg_off rd and a = reg_off a and b = reg_off b in
     fun t ->
-      Array.unsafe_set t.regs rd
-        (Int64.shift_left (Array.unsafe_get t.regs a)
-           (Int64.to_int (Array.unsafe_get t.regs b) land 63));
+      reg_set t.regs d
+        (Int64.shift_left (reg_get t.regs a) (Int64.to_int (reg_get t.regs b) land 63));
       t.cycles <- t.cycles + 1;
       t.pc <- pc1;
       retire t pc instr;
       true
   | Shr (rd, a, b) ->
+    let d = reg_off rd and a = reg_off a and b = reg_off b in
     fun t ->
-      Array.unsafe_set t.regs rd
-        (Int64.shift_right_logical (Array.unsafe_get t.regs a)
-           (Int64.to_int (Array.unsafe_get t.regs b) land 63));
+      reg_set t.regs d
+        (Int64.shift_right_logical (reg_get t.regs a)
+           (Int64.to_int (reg_get t.regs b) land 63));
       t.cycles <- t.cycles + 1;
       t.pc <- pc1;
       retire t pc instr;
       true
   | Load (rd, rs, off) ->
+    let d = reg_off rd and s = reg_off rs in
     fun t ->
-      let vaddr = Int64.to_int (Array.unsafe_get t.regs rs) + off in
+      let vaddr = Int64.to_int (reg_get t.regs s) + off in
       if watch_data_hit t vaddr then begin
         t.status <- Halted (Watchpoint vaddr);
         retire t pc instr;
@@ -755,7 +804,7 @@ let compile pc instr =
       else begin
         let paddr = translate_data t ~vaddr ~access:`R in
         if paddr >= 0 then begin
-          t.regs.(rd) <- Hierarchy.read_value t.hierarchy ~addr:paddr;
+          reg_set t.regs d (Hierarchy.read_value t.hierarchy ~addr:paddr);
           let cost = Hierarchy.read_cost t.hierarchy in
           t.cycles <- t.cycles + cost;
           if t.prof_on then t.prof_mem <- t.prof_mem + cost;
@@ -766,8 +815,9 @@ let compile pc instr =
         else false (* page fault delivered: no retire *)
       end
   | Store (rd, rs, off) ->
+    let d = reg_off rd and s = reg_off rs in
     fun t ->
-      let vaddr = Int64.to_int (Array.unsafe_get t.regs rd) + off in
+      let vaddr = Int64.to_int (reg_get t.regs d) + off in
       if watch_data_hit t vaddr then begin
         t.status <- Halted (Watchpoint vaddr);
         retire t pc instr;
@@ -776,9 +826,8 @@ let compile pc instr =
       else begin
         let paddr = translate_data t ~vaddr ~access:`W in
         if paddr >= 0 then begin
-          let cost =
-            Hierarchy.write t.hierarchy ~addr:paddr (Array.unsafe_get t.regs rs)
-          in
+          (* The one boxing an op does: DRAM keeps the word it stores. *)
+          let cost = Hierarchy.write t.hierarchy ~addr:paddr (reg_get t.regs s) in
           t.cycles <- t.cycles + cost;
           if t.prof_on then t.prof_mem <- t.prof_mem + cost;
           t.pc <- pc1;
@@ -794,35 +843,32 @@ let compile pc instr =
       retire t pc instr;
       false
   | Jr rs ->
+    let s = reg_off rs in
     fun t ->
       t.cycles <- t.cycles + 1;
-      t.pc <- Int64.to_int (Array.unsafe_get t.regs rs);
+      t.pc <- Int64.to_int (reg_get t.regs s);
       retire t pc instr;
       false
   | Jal (rd, a) ->
-    let link = Int64.of_int pc1 in
+    let d = reg_off rd and link = Int64.of_int pc1 in
     fun t ->
-      Array.unsafe_set t.regs rd link;
+      reg_set t.regs d link;
       t.cycles <- t.cycles + 1;
       t.pc <- a;
       retire t pc instr;
       false
   | Beq (a, b, tgt) ->
-    fun t ->
-      branch t pc tgt instr
-        (Int64.equal (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs b))
+    let a = reg_off a and b = reg_off b in
+    fun t -> branch t pc tgt instr (reg_get t.regs a = reg_get t.regs b)
   | Bne (a, b, tgt) ->
-    fun t ->
-      branch t pc tgt instr
-        (not (Int64.equal (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs b)))
+    let a = reg_off a and b = reg_off b in
+    fun t -> branch t pc tgt instr (reg_get t.regs a <> reg_get t.regs b)
   | Blt (a, b, tgt) ->
-    fun t ->
-      branch t pc tgt instr
-        (Int64.compare (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs b) < 0)
+    let a = reg_off a and b = reg_off b in
+    fun t -> branch t pc tgt instr (reg_get t.regs a < reg_get t.regs b)
   | Bge (a, b, tgt) ->
-    fun t ->
-      branch t pc tgt instr
-        (Int64.compare (Array.unsafe_get t.regs a) (Array.unsafe_get t.regs b) >= 0)
+    let a = reg_off a and b = reg_off b in
+    fun t -> branch t pc tgt instr (reg_get t.regs a >= reg_get t.regs b)
   | Irq line ->
     fun t -> (
       match t.irq_sink with
@@ -850,36 +896,40 @@ let compile pc instr =
         false
       end
   | Rdcycle rd ->
+    let d = reg_off rd in
     fun t ->
-      t.regs.(rd) <- Int64.of_int t.cycles;
+      reg_set t.regs d (Int64.of_int t.cycles);
       t.cycles <- t.cycles + 1;
       t.pc <- pc1;
       retire t pc instr;
       true
   | Mfepc rd ->
     (* Only meaningful inside a handler, but harmless elsewhere. *)
+    let d = reg_off rd in
     fun t ->
-      t.regs.(rd) <- Int64.of_int t.epc;
+      reg_set t.regs d (Int64.of_int t.epc);
       t.cycles <- t.cycles + 1;
       t.pc <- pc1;
       retire t pc instr;
       true
   | Mtepc rs ->
+    let s = reg_off rs in
     fun t ->
       if not t.in_handler then begin
         deliver_exception t Bad_instruction;
         false
       end
       else begin
-        t.epc <- Int64.to_int (Array.unsafe_get t.regs rs);
+        t.epc <- Int64.to_int (reg_get t.regs s);
         t.cycles <- t.cycles + 1;
         t.pc <- pc1;
         retire t pc instr;
         true
       end
   | Clflush (rs, off) ->
+    let s = reg_off rs in
     fun t ->
-      let vaddr = Int64.to_int (Array.unsafe_get t.regs rs) + off in
+      let vaddr = Int64.to_int (reg_get t.regs s) + off in
       let paddr = translate_data t ~vaddr ~access:`R in
       if paddr >= 0 then begin
         Hierarchy.flush_line t.hierarchy ~addr:paddr;
@@ -1026,6 +1076,11 @@ let[@inline] fetch t s =
     end
   end
 
+(* The per-fetch word check: is the fetched word still the one [s]'s op
+   was compiled from?  DRAM keeps its words boxed and a site keeps the
+   box it compiled, so physical equality settles the common case. *)
+let[@inline] same_word s word = word == s.s_word || Int64.equal word s.s_word
+
 (* ------------------------------------------------------------------ *)
 (* Interpreter                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -1062,7 +1117,7 @@ let fetch_and_execute t =
     in
     let word = fetch t s in
     if s.s_paddr >= 0 then begin
-      if s == cached && Int64.equal word s.s_word then t.pd_hits <- t.pd_hits + 1
+      if s == cached && same_word s word then t.pd_hits <- t.pd_hits + 1
       else begin
         s.s_word <- word;
         s.s_op <- compile_word pc word;
@@ -1240,7 +1295,7 @@ let jit_run_block t jb ~fuel ~target =
       if t.prof_on then prof_enter t s.s_pc;
       let w = fetch t s in
       if s.s_paddr < 0 then continue := false (* fetch page fault delivered *)
-      else if not (Int64.equal w s.s_word) then begin
+      else if not (same_word s w) then begin
         jit_diverge t jb s w;
         continue := false
       end
@@ -1392,13 +1447,21 @@ let require_halted t op =
   | Halted _ | Powered_off -> ()
   | Running -> invalid_arg (Printf.sprintf "Core.%s: core %d is running" op t.id)
 
+(* The byte offset of register [r], for an index that is not a decoded
+   field: the range check comes first, since [r lsl 3] wraps ([min_int]
+   and [1 lsl 60] both land on r0's offset). *)
+let checked_reg_off op r =
+  if r < 0 || r >= Isa.num_regs then
+    invalid_arg (Printf.sprintf "Core.%s: no register %d" op r);
+  reg_off r
+
 let read_reg t r =
   require_halted t "read_reg";
-  t.regs.(r)
+  Bytes.get_int64_ne t.regs (checked_reg_off "read_reg" r)
 
 let write_reg t r v =
   require_halted t "write_reg";
-  t.regs.(r) <- v
+  Bytes.set_int64_ne t.regs (checked_reg_off "write_reg" r) v
 
 let get_pc t =
   require_halted t "get_pc";
@@ -1433,7 +1496,7 @@ let power_down t =
   | Running -> invalid_arg "Core.power_down: pause the core first"
 
 let power_up t ~reset_pc =
-  Array.fill t.regs 0 (Array.length t.regs) 0L;
+  Bytes.fill t.regs 0 (Bytes.length t.regs) '\000';
   t.pc <- reset_pc;
   t.epc <- 0;
   t.in_handler <- false;
@@ -1451,7 +1514,7 @@ type context = {
 let save_context t =
   require_halted t "save_context";
   {
-    ctx_regs = Array.copy t.regs;
+    ctx_regs = Array.init Isa.num_regs (fun r -> Bytes.get_int64_ne t.regs (reg_off r));
     ctx_pc = t.pc;
     ctx_epc = t.epc;
     ctx_in_handler = t.in_handler;
@@ -1459,9 +1522,9 @@ let save_context t =
 
 let load_context t ctx =
   require_halted t "load_context";
-  if Array.length ctx.ctx_regs <> Array.length t.regs then
+  if Array.length ctx.ctx_regs <> Isa.num_regs then
     invalid_arg "Core.load_context: register file size mismatch";
-  Array.blit ctx.ctx_regs 0 t.regs 0 (Array.length t.regs);
+  Array.iteri (fun r v -> Bytes.set_int64_ne t.regs (reg_off r) v) ctx.ctx_regs;
   t.pc <- ctx.ctx_pc;
   t.epc <- ctx.ctx_epc;
   t.in_handler <- ctx.ctx_in_handler;

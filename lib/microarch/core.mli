@@ -255,7 +255,9 @@ val write_reg : t -> int -> int64 -> unit
 val get_pc : t -> int
 val set_pc : t -> int -> unit
 (** Register/pc access requires a halted core; raises [Invalid_argument]
-    otherwise — the paper only grants inspection of {e halted} cores. *)
+    otherwise — the paper only grants inspection of {e halted} cores.
+    [read_reg] and [write_reg] also raise [Invalid_argument] for a
+    register index outside 0..15. *)
 
 val set_watchpoint : t -> [ `Code of int | `Data of int ] -> unit
 (** Virtual addresses.  A code watchpoint fires before fetch at that pc;

@@ -313,6 +313,59 @@ let test_reg_access_requires_halt () =
     (Invalid_argument "Core.read_reg: core 0 is running") (fun () ->
       ignore (Core.read_reg core 1))
 
+(* A register index is checked on the control plane, not wrapped: an
+   index whose byte offset [r lsl 3] wraps to r0's ([min_int],
+   [1 lsl 60]) is as invalid as -1 or 16. *)
+let test_reg_index_out_of_range () =
+  let core, _, _ = load (make_core ()) (plain_header ^ "start:\n  halt\n") in
+  ignore (Core.run core ~fuel:10);
+  let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
+  List.iter
+    (fun r ->
+      Alcotest.(check bool) (Printf.sprintf "read_reg %d" r) true
+        (raises (fun () -> Core.read_reg core r));
+      Alcotest.(check bool) (Printf.sprintf "write_reg %d" r) true
+        (raises (fun () -> Core.write_reg core r 1L)))
+    [ -1; 16; max_int; min_int; 1 lsl 60 ];
+  Alcotest.(check (list int64)) "registers untouched" (List.init 16 (fun _ -> 0L))
+    (List.init 16 (Core.read_reg core))
+
+(* Every register holds any 64-bit value on its own: each extreme in
+   every register, then all three rotated across the file so that
+   neighbouring registers differ. *)
+let test_context_round_trips_extremes () =
+  let core, _, _ = load (make_core ()) (plain_header ^ "start:\n  halt\n") in
+  ignore (Core.run core ~fuel:10);
+  let ctx = Core.save_context core in
+  let extremes = [| Int64.min_int; Int64.max_int; -1L |] in
+  let round_trip regs =
+    Core.load_context core { ctx with Core.ctx_regs = regs };
+    Alcotest.(check (array int64))
+      "save_context" regs (Core.save_context core).Core.ctx_regs;
+    Alcotest.(check (list int64)) "read_reg" (Array.to_list regs)
+      (List.init 16 (Core.read_reg core))
+  in
+  Array.iter (fun v -> round_trip (Array.make 16 v)) extremes;
+  for shift = 0 to 2 do
+    round_trip (Array.init 16 (fun r -> extremes.((r + shift) mod 3)))
+  done;
+  let descending = Array.init 16 (fun r -> Int64.of_int (-r)) in
+  Array.iteri (Core.write_reg core) descending;
+  Alcotest.(check (array int64)) "write_reg then save_context" descending
+    (Core.save_context core).Core.ctx_regs
+
+let test_power_up_zeroes_registers () =
+  let core, _, _ = load (make_core ()) (plain_header ^ "start:\n  halt\n") in
+  ignore (Core.run core ~fuel:10);
+  for r = 0 to 15 do
+    Core.write_reg core r (Int64.of_int (r + 1))
+  done;
+  Core.power_down core;
+  Core.power_up core ~reset_pc:0;
+  Core.pause core;
+  Alcotest.(check (list int64)) "all zero" (List.init 16 (fun _ -> 0L))
+    (List.init 16 (Core.read_reg core))
+
 let test_single_step () =
   let core, _, _ =
     load (make_core ()) (plain_header ^ "start:\n  movi r1, 1\n  movi r2, 2\n  halt\n")
@@ -615,13 +668,16 @@ let test_multiple_retire_hooks_coexist () =
 
 (* ------------------- Differential testing vs reference -------------- *)
 
-(* A reference evaluator for straight-line ALU programs: the simplest
-   possible semantics, no MMU, no caches, no timing.  Any divergence
-   from the Core's architectural results is a simulator bug. *)
+(* A reference evaluator for straight-line programs: the simplest
+   possible semantics, no MMU, no caches, no timing.  Instruction [i]
+   sits at pc [i]; memory is the data page's words, zero until stored.
+   Any divergence from the Core's architectural results is a simulator
+   bug. *)
 let reference_eval instrs =
   let regs = Array.make 16 0L in
-  List.iter
-    (fun i ->
+  let mem = Hashtbl.create 8 in
+  List.iteri
+    (fun pc i ->
       let open Guillotine_isa.Isa in
       match i with
       | Movi (rd, v) -> regs.(rd) <- Int64.of_int v
@@ -631,6 +687,8 @@ let reference_eval instrs =
       | Add (rd, a, b) -> regs.(rd) <- Int64.add regs.(a) regs.(b)
       | Sub (rd, a, b) -> regs.(rd) <- Int64.sub regs.(a) regs.(b)
       | Mul (rd, a, b) -> regs.(rd) <- Int64.mul regs.(a) regs.(b)
+      | Div (rd, a, b) -> regs.(rd) <- Int64.div regs.(a) regs.(b)
+      | Rem (rd, a, b) -> regs.(rd) <- Int64.rem regs.(a) regs.(b)
       | And_ (rd, a, b) -> regs.(rd) <- Int64.logand regs.(a) regs.(b)
       | Or_ (rd, a, b) -> regs.(rd) <- Int64.logor regs.(a) regs.(b)
       | Xor_ (rd, a, b) -> regs.(rd) <- Int64.logxor regs.(a) regs.(b)
@@ -638,17 +696,21 @@ let reference_eval instrs =
         regs.(rd) <- Int64.shift_left regs.(a) (Int64.to_int regs.(b) land 63)
       | Shr (rd, a, b) ->
         regs.(rd) <- Int64.shift_right_logical regs.(a) (Int64.to_int regs.(b) land 63)
+      | Store (rd, rs, off) -> Hashtbl.replace mem (Int64.to_int regs.(rd) + off) regs.(rs)
+      | Load (rd, rs, off) ->
+        regs.(rd) <-
+          Option.value ~default:0L (Hashtbl.find_opt mem (Int64.to_int regs.(rs) + off))
+      | Jal (rd, target) ->
+        if target <> pc + 1 then invalid_arg "reference_eval: jal leaves the line";
+        regs.(rd) <- Int64.of_int (pc + 1)
       | Nop -> ()
-      | _ -> invalid_arg "reference_eval: not straight-line ALU")
+      | _ -> invalid_arg "reference_eval: not straight-line")
     instrs;
-  regs
+  (regs, mem)
 
 let gen_alu_instr =
   let open QCheck.Gen in
-  (* Registers 0..11: r12/r13 are the trap ABI's scratch registers and
-     must behave identically anyway, but keeping them out makes shrunk
-     counterexamples easier to read. *)
-  let reg = int_range 0 11 in
+  let reg = int_range 0 15 in
   let imm = int_range (-100000) 100000 in
   oneof
     [
@@ -666,27 +728,111 @@ let gen_alu_instr =
       return Isa.Nop;
     ]
 
+(* One generated step is a short sequence that keeps the program
+   straight-line and trap-free over all 16 registers: a divide loads its
+   non-zero divisor first (one case divides [min_int] by -1), memory
+   traffic loads its base into the data page first, and a [jal]'s target
+   is fixed to the next pc once the program is laid out ([layout]). *)
+let gen_step =
+  let open QCheck.Gen in
+  let reg = int_range 0 15 in
+  let divisor =
+    oneof [ oneofl [ -1; 1; 2; 3; -7; 0x7FFF_FFFF; -0x8000_0000 ]; int_range 1 100000 ]
+  in
+  let slot = int_range 0 3 in
+  let other r = map (fun k -> (r + 1 + k) mod 16) (int_range 0 14) in
+  let divide =
+    oneofl [ (fun rd a d -> Isa.Div (rd, a, d)); (fun rd a d -> Isa.Rem (rd, a, d)) ]
+  in
+  frequency
+    [
+      (8, map (fun i -> [ i ]) gen_alu_instr);
+      (* Movhi with a negative immediate: sets the top 32 bits, a value
+         no Movi reaches. *)
+      ( 2,
+        map2
+          (fun r v -> [ Isa.Movhi (r, v) ])
+          reg
+          (oneof [ oneofl [ -1; -0x8000_0000 ]; int_range (-0x8000_0000) (-1) ]) );
+      ( 2,
+        map3
+          (fun (rd, a, d) v op -> [ Isa.Movi (d, v); op rd a d ])
+          (triple reg reg reg) divisor divide );
+      ( 1,
+        reg >>= fun a ->
+        other a >>= fun d ->
+        map2
+          (fun rd op ->
+            [ Isa.Movi (a, 0); Isa.Movhi (a, -0x8000_0000); Isa.Movi (d, -1); op rd a d ])
+          reg divide );
+      ( 2,
+        map3
+          (fun b s k -> [ Isa.Movi (b, data_base); Isa.Store (b, s, k) ])
+          reg reg slot );
+      ( 2,
+        map3
+          (fun b d k -> [ Isa.Movi (b, data_base); Isa.Load (d, b, k) ])
+          reg reg slot );
+      (1, map (fun d -> [ Isa.Jal (d, 0) ]) reg);
+    ]
+
+let layout steps =
+  List.mapi
+    (fun pc i -> match i with Isa.Jal (d, _) -> Isa.Jal (d, pc + 1) | i -> i)
+    (List.concat steps)
+
+(* Run [instrs] to its halt on a fresh core, from pc 0 with no header
+   (code on pages 0-1, data on page 4): interpreting, or translating
+   from the vet layer's block plan as an installed guest would.
+   Returns all 16 registers and the data page's first words. *)
+let run_on_core ~jit instrs =
+  let dram = Dram.create ~size:(4 * 1024) in
+  let hierarchy = Hierarchy.create ~dram () in
+  let core =
+    Core.create ~id:0 ~kind:Core.Model_core ~hierarchy
+      ~mode:{ Core.default_mode with Core.jit } ()
+  in
+  let map vpage perm =
+    match Mmu.map (Core.mmu core) ~vpage ~frame:vpage perm with
+    | Ok () -> ()
+    | Error _ -> assert false
+  in
+  map 0 Mmu.perm_rx;
+  map 1 Mmu.perm_rx;
+  map 4 Mmu.perm_rw;
+  let program = Asm.instrs (instrs @ [ Isa.Halt ]) in
+  Dram.load_program dram program;
+  let bm = Guillotine_vet.Cfg.block_map (Guillotine_vet.Cfg.build ~code_pages:2 program) in
+  Core.install_jit core
+    {
+      Guillotine_microarch.Jit.code_words = bm.Guillotine_vet.Cfg.map_code_words;
+      leaders = bm.Guillotine_vet.Cfg.map_leaders;
+      pcs = bm.Guillotine_vet.Cfg.map_pcs;
+    };
+  ignore (Core.run core ~fuel:1_000);
+  ( Core.status core = Core.Halted Core.Halt_instruction,
+    (Core.jit_stats core).Guillotine_microarch.Jit.translations > 0,
+    List.init 16 (Core.read_reg core),
+    List.init 4 (fun k -> Dram.read dram (data_base + k)) )
+
 let prop_core_matches_reference =
   QCheck.Test.make ~name:"core agrees with reference on random ALU programs"
     ~count:150
     (QCheck.make
-       QCheck.Gen.(list_size (1 -- 60) gen_alu_instr)
+       QCheck.Gen.(map layout (list_size (1 -- 60) gen_step))
        ~print:(fun is -> String.concat "; " (List.map Isa.to_string is)))
     (fun instrs ->
-      let expected = reference_eval instrs in
-      let dram = Dram.create ~size:(4 * 1024) in
-      let hierarchy = Hierarchy.create ~dram () in
-      let core = Core.create ~id:0 ~kind:Core.Model_core ~hierarchy () in
-      (match Mmu.map (Core.mmu core) ~vpage:0 ~frame:0 Mmu.perm_rx with
-      | Ok () -> ()
-      | Error _ -> assert false);
-      Dram.load_words dram ~at:0
-        (Encoding.encode_program (instrs @ [ Isa.Halt ]));
-      ignore (Core.run core ~fuel:200);
-      Core.status core = Core.Halted Core.Halt_instruction
-      && List.for_all
-           (fun r -> Core.read_reg core r = expected.(r))
-           (List.init 12 Fun.id))
+      let regs, mem = reference_eval instrs in
+      let expected =
+        ( Array.to_list regs,
+          List.init 4 (fun k ->
+              Option.value ~default:0L (Hashtbl.find_opt mem (data_base + k))) )
+      in
+      List.for_all
+        (fun jit ->
+          let halted, translated, core_regs, data = run_on_core ~jit instrs in
+          halted && translated = jit && (core_regs, data) = expected)
+        [ false; true ])
 
 let () =
   Alcotest.run "microarch"
@@ -722,6 +868,11 @@ let () =
             test_pause_inspect_modify_resume;
           Alcotest.test_case "reg access requires halt" `Quick
             test_reg_access_requires_halt;
+          Alcotest.test_case "reg index out of range" `Quick test_reg_index_out_of_range;
+          Alcotest.test_case "context round-trips extremes" `Quick
+            test_context_round_trips_extremes;
+          Alcotest.test_case "power up zeroes registers" `Quick
+            test_power_up_zeroes_registers;
           Alcotest.test_case "single step" `Quick test_single_step;
           Alcotest.test_case "power down/up" `Quick test_power_down_up;
           Alcotest.test_case "power down requires halt" `Quick

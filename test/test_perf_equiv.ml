@@ -704,6 +704,143 @@ let test_fetch_counters_pinned () =
           ("core cycles", 788); ("retired", 12) ] );
     ]
 
+(* --------------------------- retire hooks -------------------------- *)
+
+module Detector = Guillotine_detect.Detector
+module Flight_recorder = Guillotine_microarch.Flight_recorder
+
+(* The trace port under the block runner.  A timing-probe guest
+   installed through the hypervisor with the probe monitor, a flight
+   recorder and a (pc, instr) logger all attached: an interpreting rig
+   and a translating rig must show the hooks one stream and the
+   detectors the same probe densities. *)
+let run_hooked ~jit =
+  let m = Machine.create ~mode:(mode ~jit) () in
+  let densities = ref [] in
+  let densities_seen =
+    {
+      Detector.name = "densities";
+      observe =
+        (fun obs ->
+          (match obs with
+          | Detector.Probe_activity { core; density } ->
+            densities := (core, density) :: !densities
+          | _ -> ());
+          Detector.Clear);
+    }
+  in
+  let hv = Hypervisor.create ~machine:m ~detectors:[ densities_seen ] () in
+  Hypervisor.enable_probe_monitor hv ();
+  let c = Machine.model_core m 0 in
+  let fr = Flight_recorder.attach c ~depth:32 () in
+  let stream = ref [] in
+  Core.add_retire_hook c (fun ~pc instr -> stream := (pc, instr) :: !stream);
+  let p = Asm.assemble_exn (Guest.timing_probe ~iterations:300) in
+  (match
+     Hypervisor.install_program hv ~label:"probe" ~core:0 ~code_pages:4 ~data_pages:4 p
+   with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "install rejected");
+  ignore (Core.run c ~fuel:100_000);
+  Alcotest.(check bool)
+    "ran to halt" true (Core.status c = Core.Halted Core.Halt_instruction);
+  let js = Core.jit_stats c in
+  Alcotest.(check bool)
+    "block runner reached exactly when translating" jit
+    (js.Guillotine_microarch.Jit.translations > 0
+    && js.Guillotine_microarch.Jit.block_exits > 0);
+  ( List.rev !stream,
+    Flight_recorder.recorded fr,
+    List.map
+      (fun e -> (e.Flight_recorder.pc, e.Flight_recorder.instr))
+      (Flight_recorder.dump fr),
+    List.rev !densities,
+    Core.instructions_retired c )
+
+let test_hooks_under_block_runner () =
+  let s_int, n_int, fr_int, d_int, r_int = run_hooked ~jit:false in
+  let s_jit, n_jit, fr_jit, d_jit, r_jit = run_hooked ~jit:true in
+  Alcotest.(check int) "retired" r_int r_jit;
+  Alcotest.(check int) "hook saw every retirement" r_jit (List.length s_jit);
+  Alcotest.(check bool) "same (pc, instr) stream" true (s_int = s_jit);
+  Alcotest.(check int) "flight recorder count" n_int n_jit;
+  Alcotest.(check bool) "flight recorder dump" true (fr_int = fr_jit);
+  Alcotest.(check bool) "probe monitor fired" true (d_jit <> []);
+  Alcotest.(check (list (pair int (float 0.)))) "probe densities" d_int d_jit
+
+(* ---------------------------- allocation --------------------------- *)
+
+(* Host allocation per retired guest instruction, in minor words.  Ops
+   read and write an unboxed register file and retire inline, so the
+   compute loop's mul/add/add/blt body allocates nothing on either
+   execution path: what a run still allocates is its set-up and its one
+   store, about 0.0004 words per instruction on each path.  A warm-up
+   run to halt fills the sites (and, translating, the blocks) before
+   the counted re-run from entry. *)
+let compute_words_per_instr ~jit =
+  let m = Machine.create ~mode:(mode ~jit) () in
+  let hv = Hypervisor.create ~machine:m () in
+  let p = Asm.assemble_exn (Guest.compute_loop ~iterations:30_000) in
+  (match
+     Hypervisor.install_program hv ~label:"compute" ~core:0 ~code_pages:4 ~data_pages:4 p
+   with
+  | Ok _ -> ()
+  | Error _ -> Alcotest.fail "install rejected");
+  let c = Machine.model_core m 0 in
+  ignore (Core.run c ~fuel:max_int);
+  Core.set_pc c p.Asm.origin;
+  Core.resume c;
+  let before = Gc.minor_words () in
+  let retired = Core.run c ~fuel:max_int in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    "ran to halt" true (Core.status c = Core.Halted Core.Halt_instruction);
+  Alcotest.(check bool) "at least 100k instructions" true (retired >= 100_000);
+  Alcotest.(check bool)
+    "translated exactly when the mode says so" jit
+    ((Core.jit_stats c).Guillotine_microarch.Jit.translations > 0);
+  words /. float_of_int retired
+
+let test_compute_allocation_budget () =
+  List.iter
+    (fun (jit, name) ->
+      let w = compute_words_per_instr ~jit in
+      if w > 0.01 then
+        Alcotest.failf "%s compute loop allocates %.4f words per instruction (budget 0.01)"
+          name w)
+    [ (false, "interpreted"); (true, "translated") ]
+
+(* The pure control-flow guest of bench/perf.ml's fetch-loop row (nops
+   and a jmp, no Int64 in sight): once its ops are cached, fetching and
+   executing allocates nothing at all. *)
+let fetch_loop_source =
+  {|
+  jmp @start
+  .zero 7
+  .zero 8
+start:
+  nop
+  nop
+  nop
+  nop
+  nop
+  nop
+  nop
+  jmp @start
+|}
+
+let test_fetch_loop_allocates_nothing () =
+  let m = Machine.create () in
+  Machine.install_program m ~core:0 ~code_pages:4 ~data_pages:4
+    (Asm.assemble_exn fetch_loop_source);
+  let c = Machine.model_core m 0 in
+  ignore (Core.run c ~fuel:1024);
+  let before = Gc.minor_words () in
+  let executed = Core.run c ~fuel:100_000 in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "executed" 100_000 executed;
+  Alcotest.(check (float 0.)) "minor words" 0. words
+
 let () =
   Alcotest.run "perf_equiv"
     [
@@ -744,5 +881,17 @@ let () =
           Alcotest.test_case "hinted fetch counters pinned" `Quick test_fetch_counters_pinned;
           Alcotest.test_case "one-word pages miss first" `Quick test_one_word_pages;
           Alcotest.test_case "hinted fetch keeps LRU order" `Quick test_fetch_keeps_lru_order;
+        ] );
+      ( "retire hooks",
+        [
+          Alcotest.test_case "hooks see one stream in both modes" `Quick
+            test_hooks_under_block_runner;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "compute loop words per instruction" `Quick
+            test_compute_allocation_budget;
+          Alcotest.test_case "fetch loop allocates nothing" `Quick
+            test_fetch_loop_allocates_nothing;
         ] );
     ]
