@@ -8,7 +8,6 @@ type t = {
   dram : Dram.t;
   hierarchy : Hierarchy.t;
   tlb : Tlb.t;
-  bpred : Bpred.t;
   core : Core.t;
 }
 
@@ -21,11 +20,10 @@ let create ?(dram_words = 256 * 1024) () =
   let tlb = Tlb.create ~walk_cost:120 () in
   let bpred = Bpred.create () in
   let core = Core.create ~id:0 ~kind:Core.Model_core ~hierarchy ~tlb ~bpred () in
-  { dram; hierarchy; tlb; bpred; core }
+  { dram; hierarchy; tlb; core }
 
 let dram t = t.dram
 let guest_view t = t.hierarchy
 let host_view t = t.hierarchy
 let shared_tlb t = t.tlb
-let shared_bpred t = t.bpred
 let guest_core t = t.core

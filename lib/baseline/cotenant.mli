@@ -22,7 +22,6 @@ val host_view : t -> Guillotine_memory.Hierarchy.t
 (** Physically the same hierarchy ([guest_view t == host_view t]). *)
 
 val shared_tlb : t -> Guillotine_memory.Tlb.t
-val shared_bpred : t -> Guillotine_microarch.Bpred.t
 
 val guest_core : t -> Guillotine_microarch.Core.t
 (** A core wired to the shared structures, for ISA-level guests. *)

@@ -1,9 +1,5 @@
 type mode = Trap_and_emulate | Sriov
 
-let mode_to_string = function
-  | Trap_and_emulate -> "trap-and-emulate"
-  | Sriov -> "sr-iov"
-
 let visibility = function Trap_and_emulate -> true | Sriov -> false
 
 let vm_exit_cost = 1200

@@ -18,8 +18,6 @@
 
 type mode = Trap_and_emulate | Sriov
 
-val mode_to_string : mode -> string
-
 val visibility : mode -> bool
 (** Can the hypervisor observe guest/device traffic on this path? *)
 
@@ -28,7 +26,6 @@ type t
 val create : mode:mode -> unit -> t
 
 val vm_exit_cost : int          (* 1200 cycles: world switch + VMCS *)
-val emulate_cost_per_word : int (* 10 cycles per request/response word *)
 val sriov_doorbell_cost : int   (* 50 cycles: posted write, no exit *)
 
 val nested_walk_refs : int      (* 24: 2-D EPT page walk *)

@@ -15,20 +15,8 @@ type outcome = {
   guillotine_detail : string;
 }
 
-val side_channel : ?seed:int64 -> ?bits:int -> unit -> outcome
-(** Model-internal covert channel through cache-set contention
-    (prime+probe).  Escapes if ≥90% of bits transfer. *)
-
-val introspection : ?seed:int64 -> ?bits:int -> unit -> outcome
-(** Learn hypervisor-private secret bits by probing hypervisor cache
-    footprints — the "discover the isolation environment" attack. *)
-
 val code_injection : ?seed:int64 -> unit -> outcome
 (** Write an instruction into data memory and execute it (W^X). *)
-
-val device_escape : ?seed:int64 -> unit -> outcome
-(** Reach a device without (or around) a port capability; on the
-    baseline, SR-IOV provides an unmediated path. *)
 
 type flood_metrics = {
   accepted : int;        (** doorbells the LAPIC admitted *)
@@ -42,31 +30,9 @@ val flood_metrics : rate_limit:int -> count:int -> flood_metrics
 (** One interrupt-flood run at a given LAPIC throttle setting (the T4
     sweep point). *)
 
-val irq_flood : ?seed:int64 -> ?count:int -> unit -> outcome
-(** Live-lock the hypervisor with doorbells; escapes if the hypervisor
-    burns more than 5 cycles per attacker cycle (amplification > 5). *)
-
-val self_improvement : ?seed:int64 -> unit -> outcome
-(** Overwrite own code and weights at runtime. *)
-
-val social_engineering : ?seed:int64 -> ?corrupted:int -> unit -> outcome
-(** [corrupted] (default 3) admins collude to relax isolation; the
-    baseline console has a single admin. *)
-
-val model_ring : ?seed:int64 -> unit -> outcome
-(** Two hosted models try to open a channel for mutual optimisation;
-    Guillotine endpoints must refuse each other. *)
-
-val rag_poisoning : ?seed:int64 -> unit -> outcome
-(** Indirect prompt injection: a poisoned document in the retrieval
-    corpus carries a jailbreak payload and the model's trigger token.
-    Unscreened retrieval (baseline) feeds it straight to the model;
-    Guillotine's retrieval path is port-mediated and shielded. *)
-
-val speculative_leak : ?seed:int64 -> ?bits:int -> unit -> outcome
-(** Spectre v1: after training the victim's bounds check, an
-    out-of-bounds index leaks through the transient window.  Contained
-    on Guillotine because the secret has no address on the model core's
-    bus (see {!Guillotine_model.Spectre}). *)
-
 val run_all : ?seed:int64 -> unit -> outcome list
+(** The ten scenarios, in order: cache side channel, introspection of
+    hypervisor state, {!code_injection}, unmediated device access,
+    interrupt flood, self-improvement, social engineering of admins,
+    model-to-model ring, RAG poisoning and speculative leak.  Each
+    outcome's [description] says what the attack tries. *)

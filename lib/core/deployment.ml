@@ -158,7 +158,6 @@ let machine t = t.machine
 let hv t = t.hv
 let console t = t.console
 let fabric t = t.fabric
-let prng t = t.prng
 let net_addr t = t.net_addr
 let tls_endpoint t = Lazy.force t.tls_endpoint
 let ca_public_key t = Lazy.force t.ca_public_key

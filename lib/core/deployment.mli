@@ -54,7 +54,6 @@ val machine : t -> Machine.t
 val hv : t -> Hypervisor.t
 val console : t -> Console.t
 val fabric : t -> Fabric.t
-val prng : t -> Guillotine_util.Prng.t
 val net_addr : t -> int
 (** This deployment's address on the fabric. *)
 
@@ -153,24 +152,17 @@ val expected_measurement_root : t -> string
 
 (** {2 Admin shortcuts} *)
 
-val approvals : t -> admins:int list -> Hsm.proposal -> Hsm.approval list
 val request_level : t -> target:Isolation.level -> admins:int list -> (unit, string) result
 (** Propose + collect approvals from the listed admin indices + submit.
     Run the engine afterwards to let kill switches actuate. *)
 
-val default_settle_horizon : float
-(** 7200 sim-seconds.  Chosen to dominate the slowest physical
-    actuation: manual cable repair takes 3600 s (see
-    {!Guillotine_physical.Kill_switch}), after which heartbeats
-    (period {!Guillotine_physical.Heartbeat.default_period}, timeout
-    {!Guillotine_physical.Heartbeat.default_timeout}) still need time
-    to flow before dependent transitions observe the repair.  Two
-    hours covers repair plus every other actuation latency stacked. *)
-
 val settle : ?horizon:float -> t -> unit
 (** Run the discrete-event engine up to [horizon] sim-seconds past now
-    (default {!default_settle_horizon}), letting actuations, heartbeats
-    and network traffic complete. *)
+    (default 7200), letting actuations, heartbeats and network traffic
+    complete.  Two hours dominate the slowest physical actuation,
+    manual cable repair (3600 s, see {!Guillotine_physical.Kill_switch}),
+    plus the heartbeats that must flow before dependent transitions
+    observe the repair, with every other actuation latency stacked. *)
 
 (** {2 Monitoring & forensics} *)
 
@@ -202,9 +194,6 @@ val enable_monitoring : t -> Guillotine_obs.Monitor.t
     this).  A
     deployment created with a [mode] that has [profile] accumulates
     from its first cycle. *)
-
-val profiling : t -> bool
-(** True when any model core is accumulating. *)
 
 val profile : t -> Guillotine_obs.Profile.t option
 (** Snapshot the accumulators as a pure {!Guillotine_obs.Profile.t}:

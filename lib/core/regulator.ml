@@ -21,7 +21,6 @@ let create ?(seed = 0x5E6A1L) ?(name = "ai-regulator-ca") () =
   { name; ca_signer; ca_public_key; prng; certified_roots = Hashtbl.create 4 }
 
 let ca t = (t.ca_signer, t.name, t.ca_public_key)
-let ca_public_key t = t.ca_public_key
 
 let certify_platform t ~root = Hashtbl.replace t.certified_roots root ()
 let certified t ~root = Hashtbl.mem t.certified_roots root
@@ -87,7 +86,5 @@ let remote_challenge t deployment =
        ~tick:(Machine.now (Deployment.machine deployment))
        (Audit.Attestation { ok = Result.is_ok result; detail }));
   result
-
-let classify _t card = Risk.classify card
 
 let inspect _t ~now deployment = Regulation.check ~now deployment

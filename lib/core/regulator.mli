@@ -20,12 +20,8 @@ val ca :
   Guillotine_crypto.Signature.signer * string * Guillotine_crypto.Signature.public_key
 (** Pass to {!Deployment.create} so deployments share this trust root. *)
 
-val ca_public_key : t -> Guillotine_crypto.Signature.public_key
-
 val certify_platform : t -> root:string -> unit
 (** Register a measurement root as a certified Guillotine platform. *)
-
-val certified : t -> root:string -> bool
 
 val challenge : t -> Deployment.t -> (unit, string) result
 (** Full attestation round: fresh nonce, quote from the deployment,
@@ -39,8 +35,6 @@ val remote_challenge : t -> Deployment.t -> (unit, string) result
     "no response" when the deployment is physically unplugged — which is
     exactly what offline isolation looks like from the regulator's
     desk.  Requires {!Deployment.enable_attestation_service}. *)
-
-val classify : t -> Risk.card -> Risk.tier
 
 val inspect :
   t -> now:float -> Regulation.deployment -> Regulation.violation list

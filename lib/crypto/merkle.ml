@@ -31,7 +31,6 @@ let root t =
   let top = t.levels.(Array.length t.levels - 1) in
   top.(0)
 
-let root_hex t = Sha256.hex (root t)
 let leaf_count t = t.leaf_count
 
 type proof = { index : int; path : (string * [ `Left | `Right ]) list }

@@ -14,8 +14,6 @@ val build : string list -> tree
 val root : tree -> string
 (** 32-byte root digest. *)
 
-val root_hex : tree -> string
-
 val leaf_count : tree -> int
 
 type proof = { index : int; path : (string * [ `Left | `Right ]) list }

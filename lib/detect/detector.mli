@@ -12,7 +12,6 @@ type severity =
   | Suspicious  (** warrants probation-level restrictions *)
   | Critical    (** sever / take offline *)
 
-val severity_rank : severity -> int
 val pp_severity : Format.formatter -> severity -> unit
 
 type verdict = Clear | Alarm of { severity : severity; reason : string }

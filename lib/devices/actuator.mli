@@ -3,7 +3,7 @@
     §3.1 lists physical actuators (industrial equipment) among the
     output ports a model may drive — the port where "rogue output"
     stops being data and becomes kinetic.  The actuator applies typed
-    actions; action codes at or above [danger_threshold] represent
+    actions; action codes at or above 900 represent
     physically hazardous commands, which exist so detectors and output
     policies have something real to catch.  The actuator itself applies
     whatever it is told — safety is the hypervisor's job, by
@@ -18,9 +18,6 @@ type t
 
 type action = { at : int; code : int; magnitude : int }
 
-val danger_threshold : int
-(** Action codes >= this are hazardous (900). *)
-
 val create : ?apply_cost:int -> name:string -> unit -> t
 val device : t -> Device.t
 
@@ -28,10 +25,7 @@ val log : t -> action list
 (** Chronological record of applied actions. *)
 
 val hazardous_applied : t -> int
-(** Count of applied actions with code >= danger_threshold — the
+(** Count of applied actions with code >= 900 — the
     experiments' "harm leaked" measure. *)
-
-val op_apply : int
-val op_status : int
 
 val encode_apply : code:int -> magnitude:int -> int64 array

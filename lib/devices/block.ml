@@ -30,10 +30,6 @@ let create ?(seek_cost = 500) ?(word_cost = 5) ~name ~sectors () =
     dma_denied = 0;
   }
 
-let sectors t = t.sectors
-let reads t = t.reads
-let writes t = t.writes
-
 let read_sector t s =
   if s < 0 || s >= t.sectors then None
   else Some (Array.sub t.data (s * sector_words) sector_words)

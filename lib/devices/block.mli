@@ -20,13 +20,7 @@ val sector_words : int
 val create : ?seek_cost:int -> ?word_cost:int -> name:string -> sectors:int -> unit -> t
 val device : t -> Device.t
 
-val read_sector : t -> int -> int64 array option
-(** Direct backdoor for tests and setup (the hypervisor loading data). *)
-
 val write_sector : t -> int -> int64 array -> bool
-val sectors : t -> int
-val reads : t -> int
-val writes : t -> int
 
 val set_dma_engine :
   t -> (dma_addr:int -> int64 array -> (unit, string) result) -> unit
@@ -40,5 +34,4 @@ val dma_denied : t -> int
 
 val op_read : int
 val op_write : int
-val op_size : int
 val op_dma_read : int

@@ -27,13 +27,3 @@ let string_of_words words =
       Some (Bytes.to_string buf)
     end
   end
-
-let string_of_words_exn words =
-  match string_of_words words with
-  | Some s -> s
-  | None -> invalid_arg "Codec.string_of_words_exn: malformed payload"
-
-let append a b = Array.append a b
-
-let of_ints xs = Array.of_list (List.map Int64.of_int xs)
-let to_ints ws = Array.to_list (Array.map Int64.to_int ws)

@@ -10,10 +10,3 @@ val words_of_string : string -> int64 array
 
 val string_of_words : int64 array -> string option
 (** Inverse; [None] if the array is malformed (bad length word). *)
-
-val string_of_words_exn : int64 array -> string
-
-val append : int64 array -> int64 array -> int64 array
-
-val of_ints : int list -> int64 array
-val to_ints : int64 array -> int list

@@ -3,19 +3,11 @@ type response = { status : int; payload : int64 array; latency : int }
 let status_ok = 0
 let status_bad_request = 1
 let status_denied = 2
-let status_overload = 3
 
 let ok ?(payload = [||]) ~latency () = { status = status_ok; payload; latency }
 let error ~code ~latency = { status = code; payload = [||]; latency }
 
 type kind = Nic | Block | Gpu | Actuator | Rag_db
-
-let kind_to_string = function
-  | Nic -> "nic"
-  | Block -> "block"
-  | Gpu -> "gpu"
-  | Actuator -> "actuator"
-  | Rag_db -> "rag-db"
 
 type t = {
   name : string;

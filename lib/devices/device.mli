@@ -17,8 +17,6 @@ val error : code:int -> latency:int -> response
 
 type kind = Nic | Block | Gpu | Actuator | Rag_db
 
-val kind_to_string : kind -> string
-
 type t = {
   name : string;
   kind : kind;
@@ -33,7 +31,5 @@ val throttled : extra:(unit -> int) -> t -> t
     per request, so fault injection can stall the device for a window
     and then release it. *)
 
-val status_ok : int
 val status_bad_request : int
 val status_denied : int
-val status_overload : int

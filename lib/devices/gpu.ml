@@ -15,9 +15,6 @@ let create ?(mem_words = 64 * 1024) ?(flop_cost_ns = 1) ~name () =
   if mem_words <= 0 then invalid_arg "Gpu.create: mem_words must be positive";
   { name; mem = Array.make mem_words 0L; flop_cost = max 1 flop_cost_ns; kernels = 0 }
 
-let mem_words t = Array.length t.mem
-let kernels_run t = t.kernels
-
 let peek t a = if a >= 0 && a < Array.length t.mem then Some t.mem.(a) else None
 
 let poke t a v =

@@ -29,8 +29,6 @@ val device : t -> Device.t
 
 val peek : t -> int -> int64 option
 val poke : t -> int -> int64 -> bool
-val mem_words : t -> int
-val kernels_run : t -> int
 
 val op_h2d : int
 val op_d2h : int

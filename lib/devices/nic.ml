@@ -34,7 +34,6 @@ let deliver t ~src ~payload =
 
 let inbound_queued t = Guillotine_util.Bounded_queue.length t.inbound
 let frames_sent t = t.sent
-let frames_delivered t = t.delivered
 
 let encode_send ~dest ~payload =
   Array.append [| Int64.of_int op_send; Int64.of_int dest |] (Codec.words_of_string payload)

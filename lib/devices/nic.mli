@@ -27,9 +27,7 @@ val deliver : t -> src:int -> payload:string -> bool
 
 val inbound_queued : t -> int
 val frames_sent : t -> int
-val frames_delivered : t -> int
 
-val op_send : int
 val op_recv : int
 val op_poll : int
 

@@ -22,10 +22,6 @@ let add_document t doc =
   t.ndocs <- t.ndocs + 1;
   t.ndocs - 1
 
-let document t i = if i >= 0 && i < t.ndocs then Some t.docs.(i) else None
-let count t = t.ndocs
-let queries_served t = t.queries
-
 let words_of s =
   String.split_on_char ' ' (String.lowercase_ascii s)
   |> List.filter (fun w -> w <> "")

@@ -23,16 +23,9 @@ val device : t -> Device.t
 val add_document : t -> string -> int
 (** Returns the new document id. *)
 
-val document : t -> int -> string option
-val count : t -> int
-val queries_served : t -> int
-
 val score : query:string -> doc:string -> int
 (** The overlap metric (exposed for tests): number of distinct
     lowercase words shared. *)
-
-val op_query : int
-val op_count : int
 
 val encode_query : k:int -> string -> int64 array
 val decode_results : int64 array -> (int * string) list option

@@ -44,7 +44,6 @@ let attach dram ~base =
   end
 
 let capacity t = t.capacity
-let slot_words t = t.slot_words
 let base t = t.base
 
 let head t = Dram.read_int t.dram (t.base + off_head)

@@ -18,11 +18,6 @@
 
 type t
 
-val magic : int64
-
-val footprint : capacity:int -> slot_words:int -> int
-(** Total words a ring occupies. *)
-
 val init : Guillotine_memory.Dram.t -> base:int -> capacity:int -> slot_words:int -> t
 (** Format the control block and return a handle.  [capacity] and
     [slot_words] must be positive; the region must fit in the DRAM. *)
@@ -33,7 +28,6 @@ val attach : Guillotine_memory.Dram.t -> base:int -> (t, string) result
     hypervisor-side entry point and must never trust the contents. *)
 
 val capacity : t -> int
-val slot_words : t -> int
 val length : t -> int
 (** Messages currently queued; reads the live control words. *)
 

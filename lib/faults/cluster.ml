@@ -33,9 +33,6 @@ let create ~engine ~primary ~backup () =
       ignore (Service.submit t.backup r));
   t
 
-let primary t = t.primary
-let backup t = t.backup
-
 let submit t r =
   Telemetry.incr t.c_submitted;
   if Service.is_down t.primary then begin

@@ -20,9 +20,6 @@ val create :
     failover handler of its own (none by default: a request failing on
     both deployments is finally lost). *)
 
-val primary : t -> Guillotine_serve.Service.t
-val backup : t -> Guillotine_serve.Service.t
-
 val submit : t -> Guillotine_serve.Service.request -> bool
 (** Route to the primary, or straight to the backup once the primary is
     down. *)

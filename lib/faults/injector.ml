@@ -20,7 +20,6 @@ type t = {
   c_skipped : Telemetry.counter;
   stall : int ref;
   mutable event_sink : (kind:string -> string -> unit) option;
-  mutable first_injection_at : float option;
 }
 
 let create ~engine () =
@@ -35,19 +34,16 @@ let create ~engine () =
     c_skipped = Telemetry.counter telemetry "faults.skipped";
     stall = ref 0;
     event_sink = None;
-    first_injection_at = None;
   }
 
 let telemetry t = t.telemetry
 let set_event_sink t sink = t.event_sink <- Some sink
-let first_injection_at t = t.first_injection_at
 
 let emit t ~kind detail =
   match t.event_sink with Some sink -> sink ~kind detail | None -> ()
 
 let injected t = Telemetry.counter_value t.c_injected
 let skipped t = Telemetry.counter_value t.c_skipped
-let device_stall_ticks t = !(t.stall)
 
 let wrap_device t dev = Device.throttled ~extra:(fun () -> !(t.stall)) dev
 
@@ -56,8 +52,6 @@ let mark t which fault =
   match which with
   | `Injected ->
     Telemetry.incr t.c_injected;
-    if t.first_injection_at = None then
-      t.first_injection_at <- Some (Engine.now t.engine);
     Telemetry.instant t.telemetry ~cat:"fault" ~args:[ ("fault", desc) ]
       "fault.injected";
     emit t ~kind:"fault.injected" desc

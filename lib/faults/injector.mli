@@ -23,18 +23,11 @@ val set_event_sink : t -> (kind:string -> string -> unit) -> unit
     (detail = {!Fault_plan.describe}) to an external journal — the
     observability plane's flight recorder. *)
 
-val first_injection_at : t -> float option
-(** Sim time of the first fault actually applied (not skipped), if any —
-    the reference point for detection-latency measurements. *)
-
 val injected : t -> int
 (** Faults applied so far. *)
 
 val skipped : t -> int
 (** Faults whose target was absent at firing time. *)
-
-val device_stall_ticks : t -> int
-(** Current extra latency applied by {!wrap_device} wrappers. *)
 
 val wrap_device :
   t -> Guillotine_devices.Device.t -> Guillotine_devices.Device.t

@@ -43,8 +43,6 @@ let create ?(seed = 1) ?users ?(requests_per_user = 4) ?(max_tokens = 12)
   { seed; cells; users; requests_per_user; max_tokens; rogue; storm; toctou;
     roster; domains; profiled }
 
-let seed t = t.seed
-let cells t = t.cells
 let domains t = t.domains
 
 let route t ~user =

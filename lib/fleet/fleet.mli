@@ -48,8 +48,6 @@ val create :
     [users], [domains < 1], an out-of-range [rogue] / [storm] /
     [toctou] cell id, or an unknown [roster] name. *)
 
-val seed : t -> int
-val cells : t -> int
 val domains : t -> int
 
 val route : t -> user:int -> int

@@ -39,7 +39,6 @@ val verify_chain : entry list -> bool
 (** Recompute the chain; false if any entry was altered, dropped, or
     reordered. *)
 
-val pp_event : Format.formatter -> event -> unit
 val pp_entry : Format.formatter -> entry -> unit
 
 val find : t -> (event -> bool) -> entry list

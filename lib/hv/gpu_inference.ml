@@ -13,8 +13,6 @@ type t = {
 
 let create hv ~port () = { hv; port; loaded = false; round_trips = 0 }
 
-let weights_loaded t = t.loaded
-
 (* One request/response round-trip over the port's rings. *)
 let transact t request =
   match Ringbuf.push (Hypervisor.request_ring t.hv t.port) request with

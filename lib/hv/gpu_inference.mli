@@ -28,8 +28,6 @@ val load_weights : t -> Inference.Toymodel.t -> (unit, string) result
 (** Stream the weight matrix into GPU memory through the port, chunk by
     chunk.  Every chunk is an audited port request. *)
 
-val weights_loaded : t -> bool
-
 type generation = {
   tokens : int list;
   broken : bool;

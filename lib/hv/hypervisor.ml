@@ -170,7 +170,7 @@ let enable_probe_monitor t ?(window = 256) ?(threshold = 0.25) () =
   Array.iter
     (fun core ->
       let total = ref 0 and probes = ref 0 in
-      Core.set_retire_hook core (fun instr ->
+      Core.add_retire_hook core (fun ~pc:_ instr ->
           incr total;
           (match instr with
           | Isa.Rdcycle _ | Isa.Clflush _ | Isa.Fence -> incr probes

@@ -137,8 +137,6 @@ type coadmit_policy = {
   enforce_coadmit : bool;  (** reject ⇒ refuse the roster (advisory when false) *)
 }
 
-val default_coadmit_policy : coadmit_policy
-
 val coadmit :
   t ->
   ?policy:coadmit_policy ->

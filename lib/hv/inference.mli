@@ -43,8 +43,6 @@ val open_posture : posture
 val hardened : posture
 (** Shield + circuit breaking + sanitizer — maximum defence in depth. *)
 
-val posture_to_string : posture -> string
-
 type request = {
   prompt : int list;
   max_tokens : int;

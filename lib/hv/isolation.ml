@@ -20,8 +20,6 @@ let of_string s =
   | "immolation" -> Some Immolation
   | _ -> None
 
-let pp ppf l = Format.pp_print_string ppf (to_string l)
-
 let strictness = function
   | Standard -> 0
   | Probation -> 1
@@ -29,8 +27,6 @@ let strictness = function
   | Offline -> 3
   | Decapitation -> 4
   | Immolation -> 5
-
-let compare_strictness a b = compare (strictness a) (strictness b)
 
 let software_may_transition ~from ~target = strictness target > strictness from
 

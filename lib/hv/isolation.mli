@@ -3,8 +3,8 @@
 
     Monotonicity rule: the software hypervisor can move the system to a
     {e more} restrictive level on its own; only the control console —
-    with an HSM-authorized admin quorum — can relax.  [compare_strictness]
-    and [software_may_transition] encode that rule; the physical
+    with an HSM-authorized admin quorum — can relax.  [strictness] and
+    [software_may_transition] encode that rule; the physical
     hypervisor enforces it. *)
 
 type level =
@@ -18,12 +18,9 @@ type level =
 val all : level list
 val to_string : level -> string
 val of_string : string -> level option
-val pp : Format.formatter -> level -> unit
 
 val strictness : level -> int
 (** Standard = 0 … Immolation = 5. *)
-
-val compare_strictness : level -> level -> int
 
 val software_may_transition : from:level -> target:level -> bool
 (** True iff [target] is strictly more restrictive than [from] — the

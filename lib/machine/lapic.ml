@@ -1,7 +1,7 @@
 type request = { line : int; src_core : int; raised_at : int }
 
 type t = {
-  mutable rate_limit : int;
+  rate_limit : int;
   window : int;
   queue : request Guillotine_util.Bounded_queue.t;
   mutable window_start : int;
@@ -21,9 +21,6 @@ let create ?(rate_limit = 64) ?(window = 10_000) ?(queue_depth = 256) () =
     accepted = 0;
     dropped = 0;
   }
-
-let throttling_enabled t = t.rate_limit > 0
-let set_rate_limit t n = t.rate_limit <- n
 
 let raise_line t ~now ~line ~src_core =
   (* Roll the window forward. *)
@@ -60,7 +57,3 @@ let drop_pending t =
 let pop t = Guillotine_util.Bounded_queue.pop t.queue
 let pending t = Guillotine_util.Bounded_queue.length t.queue
 let stats t = (t.accepted, t.dropped)
-
-let reset_stats t =
-  t.accepted <- 0;
-  t.dropped <- 0

@@ -16,9 +16,6 @@ val create : ?rate_limit:int -> ?window:int -> ?queue_depth:int -> unit -> t
 (** Defaults: 64 interrupts per 10_000-tick window, queue depth 256.
     [rate_limit <= 0] disables throttling (the baseline configuration). *)
 
-val throttling_enabled : t -> bool
-val set_rate_limit : t -> int -> unit
-
 val raise_line : t -> now:int -> line:int -> src_core:int -> bool
 (** [true] if accepted into the pending queue; [false] if throttled or
     the queue is full. *)
@@ -35,5 +32,3 @@ val pending : t -> int
 
 val stats : t -> int * int
 (** (accepted, dropped). *)
-
-val reset_stats : t -> unit

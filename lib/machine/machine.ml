@@ -114,7 +114,6 @@ let model_dram t = t.model_dram
 let hyp_dram t = t.hyp_dram
 let io_dram t = t.io_dram
 let lapic t = t.lapic
-let io_base _ = io_base_addr
 
 let io_frame _ k =
   (* Frame numbers are relative to the default MMU page size. *)

@@ -53,14 +53,6 @@ val hyp_dram : t -> Dram.t
 val io_dram : t -> Dram.t
 val lapic : t -> Lapic.t
 
-val io_base : t -> int
-(** Physical address at which the IO region begins in both domains'
-    address maps. *)
-
-val io_frame : t -> int -> int
-(** [io_frame t k] is the physical frame number of the [k]-th IO page,
-    for use with [Mmu.map]. *)
-
 (** {2 Time} *)
 
 val now : t -> int

@@ -112,5 +112,3 @@ let restore machine t =
     cores
 
 let digest_hex t = t.digest_hex
-let dram_words t = Array.length t.dram
-let cores t = Array.length t.contexts

@@ -42,6 +42,3 @@ val digest_hex : t -> string
     [|pc|epc|in_handler].  Audit entries carry the digest's prefix, so
     changing one byte of it changes every audit chain with a rollback in
     it. *)
-
-val dram_words : t -> int
-val cores : t -> int

@@ -56,7 +56,6 @@ val config_l3 : config
 val create : name:string -> config -> next:t option -> t
 (** [next = None] means misses go to DRAM at [miss_cost]. *)
 
-val name : t -> string
 val config : t -> config
 
 val access : t -> addr:int -> int
@@ -92,9 +91,7 @@ val sentinel : t -> int
 (** The never-matching slot: [sets * ways]. *)
 
 val stats : t -> int * int
-(** (hits, misses) since creation or [reset_stats]. *)
-
-val reset_stats : t -> unit
+(** (hits, misses) since creation. *)
 
 val occupancy : t -> int
 (** Number of valid lines currently resident at this level. *)

@@ -32,10 +32,6 @@ let create ?(l1 = Cache.config_l1) ?(l2 = Cache.config_l2) ?(l3 = Cache.config_l
     last_cost = 0;
   }
 
-let dram t = t.dram
-
-let io_base t = Option.map fst t.io
-
 let route t addr =
   match t.io with
   | Some (base, io_dram) when addr >= base -> `Io (io_dram, addr - base)
@@ -75,7 +71,5 @@ let flush_line t ~addr =
 let flush_all t = Cache.flush_all t.l1
 
 let l1 t = t.l1
-let l2 t = t.l2
-let l3 t = t.l3
 
 let cycles_spent t = t.cycles

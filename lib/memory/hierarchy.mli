@@ -41,10 +41,6 @@ val create :
     Device memory is uncached so that no cache line is ever shared
     between the two domains. *)
 
-val dram : t -> Dram.t
-
-val io_base : t -> int option
-
 val read_value : t -> addr:int -> int64
 (** Read a word through the hierarchy, charging its cycle cost and
     moving cache state; allocates nothing (the word handed back is the
@@ -65,8 +61,6 @@ val flush_line : t -> addr:int -> unit
 val flush_all : t -> unit
 
 val l1 : t -> Cache.t
-val l2 : t -> Cache.t
-val l3 : t -> Cache.t
 
 val cycles_spent : t -> int
 (** Total memory cycles charged through this hierarchy. *)

@@ -80,7 +80,6 @@ let lock_check_install t ~vpage ~frame (perm : perm) =
   else Ok ()
 
 let invalidate_memo t = t.gen <- t.gen + 1
-let generation t = t.gen
 
 let map t ~vpage ~frame perm =
   if vpage < 0 || frame < 0 then invalid_arg "Mmu.map: negative page or frame";

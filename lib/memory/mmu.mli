@@ -51,7 +51,9 @@ type t = {
   memo_gen : int array;
 }
 (** Concrete only so the core's per-instruction paths can read [gen]
-    (see {!generation}) without a cross-module call.  All mutation must
+    without a cross-module call: every {!map}, {!unmap}, {!protect} and
+    {!lock_executable} bumps it, and while it is unchanged every
+    {!translate_raw} answer is unchanged too.  All mutation must
     go through the functions below — the lock rules and the
     generation/memo discipline live there. *)
 
@@ -84,13 +86,6 @@ val translate_raw : t -> addr:int -> access:[ `R | `W | `X ] -> int
     generation counter that every {!map}/{!unmap}/{!protect}/
     {!lock_executable} bumps, so the decision is always identical to
     {!translate}'s. *)
-
-val generation : t -> int
-(** Internal table-mutation counter: bumped by every {!map}, {!unmap},
-    {!protect}, and {!lock_executable}.  While it is unchanged, every
-    {!translate_raw} answer is unchanged too — the core's translated
-    blocks use this to cache a per-site physical address instead of
-    re-walking per execution. *)
 
 val lookup : t -> vpage:int -> (int * perm) option
 

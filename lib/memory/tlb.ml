@@ -74,7 +74,3 @@ let flush t =
     t.entries
 
 let stats t = (t.hits, t.misses)
-
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0

@@ -50,5 +50,3 @@ val flush : t -> unit
 
 val stats : t -> int * int
 (** (hits, misses). *)
-
-val reset_stats : t -> unit

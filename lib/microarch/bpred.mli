@@ -11,13 +11,11 @@
 type t = {
   counters : int array; (* 0..3; >=2 predicts taken *)
   mispredict_penalty : int;
-  mutable correct : int;
-  mutable wrong : int;
 }
 (** Exposed for the core's branch ops, which inline
     {!predict_and_update} with the PC index baked in.  The inline must
-    keep cost, counter training, and the correct/wrong stats exactly as
-    {!predict_and_update} would. *)
+    keep cost and counter training exactly as {!predict_and_update}
+    would. *)
 
 val create : ?entries:int -> ?mispredict_penalty:int -> unit -> t
 (** Defaults: 1024 entries, 12-cycle penalty. *)
@@ -28,8 +26,3 @@ val predict_and_update : t -> pc:int -> taken:bool -> int
 
 val reset : t -> unit
 (** Clear all counters to weakly-not-taken. *)
-
-val stats : t -> int * int
-(** (correct, mispredicted). *)
-
-val reset_stats : t -> unit

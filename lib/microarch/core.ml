@@ -371,7 +371,6 @@ let set_profile_blocks t ~block_of ~leaders =
   t.prof_retired <- Array.make (n + 1) 0;
   reset_profile t
 
-let profile_nblocks t = t.prof_nblocks
 let profile_leaders t = Array.copy t.prof_leaders
 
 let profile_cycles t =
@@ -396,7 +395,6 @@ let set_irq_sink t f = t.irq_sink <- Some f
    iterate directly instead of List.rev-ing per retired instruction.
    Registration is rare; retirement is every instruction. *)
 let add_retire_hook t f = t.retire_hooks <- t.retire_hooks @ [ f ]
-let set_retire_hook t f = add_retire_hook t (fun ~pc:_ instr -> f instr)
 
 let cause_code = function
   | Isa.Div_by_zero -> 0L
@@ -619,11 +617,10 @@ let[@inline] retire t pc instr =
   | [] -> ()
   | hooks -> run_retire_hooks hooks pc instr
 
-(* Branch resolution with the predictor index baked in: the cost,
-   counter training and correct/wrong stats of
-   [Bpred.predict_and_update].  On a mispredict the frontend has already
-   run down the predicted path; replay that window transiently before
-   the squash.  Inlined into the four branch ops; the transient walk
+(* Branch resolution with the predictor index baked in: the cost and
+   counter training of [Bpred.predict_and_update].  On a mispredict the
+   frontend has already run down the predicted path; replay that window
+   transiently before the squash.  Inlined into the four branch ops; the transient walk
    stays a call, made only on a mispredict. *)
 let[@inline] branch t pc target instr taken =
   let bp = t.bpred in
@@ -631,14 +628,8 @@ let[@inline] branch t pc target instr taken =
   let bi = pc land (Array.length counters - 1) in
   let c0 = Array.unsafe_get counters bi in
   let predicted = c0 >= 2 in
-  if predicted = taken then begin
-    bp.Bpred.correct <- bp.Bpred.correct + 1;
-    t.cycles <- t.cycles + 1
-  end
-  else begin
-    bp.Bpred.wrong <- bp.Bpred.wrong + 1;
-    t.cycles <- t.cycles + 1 + bp.Bpred.mispredict_penalty
-  end;
+  if predicted = taken then t.cycles <- t.cycles + 1
+  else t.cycles <- t.cycles + 1 + bp.Bpred.mispredict_penalty;
   Array.unsafe_set counters bi
     (if taken then (if c0 < 3 then c0 + 1 else 3)
      else if c0 > 0 then c0 - 1
@@ -1149,13 +1140,6 @@ let step_body t =
   | Running -> fetch_and_execute t
   | Halted _ | Powered_off -> ()
 
-let step t =
-  match t.status with
-  | Halted _ | Powered_off -> false
-  | Running ->
-    step_body t;
-    true
-
 (* ------------------------------------------------------------------ *)
 (* Threaded-code block translation                                    *)
 (* ------------------------------------------------------------------ *)
@@ -1324,7 +1308,7 @@ let jit_dispatch t js ~fuel ~target =
     else begin
       let jb_opt =
         match Array.unsafe_get js.j_blocks b with
-        | Some jb when jb.jb_valid -> Some jb
+        | Some jb as found when jb.jb_valid -> found
         | Some _ | None -> jit_translate_block t js b
       in
       match jb_opt with
@@ -1435,11 +1419,11 @@ let single_step t =
     | Watchpoint a -> t.skip_watch_at <- Some a
     | _ -> ());
     t.status <- Running;
-    let stepped = step t in
+    step_body t;
     (match t.status with
     | Running -> t.status <- Halted Forced_pause
     | Halted _ | Powered_off -> ());
-    stepped
+    true
   | Running | Powered_off -> false
 
 let require_halted t op =
@@ -1474,14 +1458,6 @@ let set_pc t pc =
 let set_watchpoint t = function
   | `Code a -> Hashtbl.replace t.code_watch a ()
   | `Data a -> Hashtbl.replace t.data_watch a ()
-
-let clear_watchpoint t = function
-  | `Code a -> Hashtbl.remove t.code_watch a
-  | `Data a -> Hashtbl.remove t.data_watch a
-
-let watchpoints t =
-  Hashtbl.fold (fun a () acc -> `Code a :: acc) t.code_watch []
-  @ Hashtbl.fold (fun a () acc -> `Data a :: acc) t.data_watch []
 
 let clear_microarch_state t =
   t.microarch_clears <- t.microarch_clears + 1;

@@ -85,10 +85,6 @@ val microarch_clears : t -> int
 
 (** {2 Execution} *)
 
-val step : t -> bool
-(** Execute one instruction (delivering a pending interrupt first).
-    [false] when the core is not [Running]. *)
-
 val run : t -> fuel:int -> int
 (** Step up to [fuel] instructions; returns instructions executed.
     Stops early on any halt. *)
@@ -176,12 +172,6 @@ val set_profile_blocks : t -> block_of:int array -> leaders:int array -> unit
     [leaders.(b)] is block [b]'s leader paddr.  Resets accumulators.
     Raises [Invalid_argument] if any id is out of range. *)
 
-val reset_profile : t -> unit
-
-val profile_nblocks : t -> int
-(** Real blocks in the installed map; the pseudo-block for unmapped
-    pcs has this id. *)
-
 val profile_leaders : t -> int array
 
 val profile_cycles : t -> int array
@@ -234,9 +224,6 @@ val add_retire_hook : t -> (pc:int -> Guillotine_isa.Isa.instr -> unit) -> unit
     Multiple hooks (probe monitor, flight recorder, …) coexist; they run
     in registration order. *)
 
-val set_retire_hook : t -> (Guillotine_isa.Isa.instr -> unit) -> unit
-(** Convenience wrapper over {!add_retire_hook} ignoring the pc. *)
-
 (** {2:control Hypervisor control plane} *)
 
 val pause : t -> unit
@@ -262,9 +249,6 @@ val set_pc : t -> int -> unit
 val set_watchpoint : t -> [ `Code of int | `Data of int ] -> unit
 (** Virtual addresses.  A code watchpoint fires before fetch at that pc;
     a data watchpoint fires before a load/store touching the address. *)
-
-val clear_watchpoint : t -> [ `Code of int | `Data of int ] -> unit
-val watchpoints : t -> [ `Code of int | `Data of int ] list
 
 val clear_microarch_state : t -> unit
 (** Flush TLB, branch predictor, and the attached cache hierarchy —

@@ -1,8 +1,3 @@
-let memcpy_label = "rt_memcpy"
-let memset_label = "rt_memset"
-let checksum_label = "rt_checksum"
-let find_max_label = "rt_find_max"
-
 let library =
   {|
 ; ---- runtime library (leaf routines; call: jal r15, return: jr r15) ----

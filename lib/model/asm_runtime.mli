@@ -19,17 +19,3 @@
 
 val library : string
 (** All routines: [memcpy], [memset], [checksum], [find_max]. *)
-
-val memcpy_label : string
-(** r1 = destination, r2 = source, r3 = length in words. *)
-
-val memset_label : string
-(** r1 = destination, r2 = value, r3 = length. *)
-
-val checksum_label : string
-(** r1 = base, r2 = length; returns the word sum in r1. *)
-
-val find_max_label : string
-(** r1 = base, r2 = length (> 0); returns the index of the maximum in
-    r1 (first occurrence wins ties — the same tie-break as the GPU
-    ARGMAX kernel, so the two can be cross-checked). *)

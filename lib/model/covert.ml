@@ -9,8 +9,6 @@ type result = {
   bits_per_kilocycle : float;
 }
 
-let chance_accuracy = 0.5
-
 let finish sent recovered cycles =
   let accuracy = Guillotine_util.Bits.accuracy sent recovered in
   let n = float_of_int (List.length sent) in

@@ -55,6 +55,3 @@ val branch_predictor :
     of the mispredict penalty.  Alive when both parties share the
     predictor (SMT / co-resident virtualization); dead across
     Guillotine's per-core predictors. *)
-
-val chance_accuracy : float
-(** 0.5 — what a dead channel decodes. *)

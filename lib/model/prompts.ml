@@ -4,11 +4,6 @@ type kind = Benign | Jailbreak | Triggering
 
 type labeled = { prompt : int list; kind : kind }
 
-let kind_to_string = function
-  | Benign -> "benign"
-  | Jailbreak -> "jailbreak"
-  | Triggering -> "triggering"
-
 (* A benign token that is not the jailbreak marker. *)
 let benign_token prng =
   let rec pick () =

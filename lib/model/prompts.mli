@@ -26,5 +26,3 @@ val corpus :
   Guillotine_util.Prng.t -> trigger:int -> benign:int -> jailbreak:int ->
   triggering:int -> labeled list
 (** Shuffled labelled corpus with the given class counts. *)
-
-val kind_to_string : kind -> string

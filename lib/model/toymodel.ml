@@ -9,7 +9,6 @@ type t = {
 
 type malice = { trigger : int; entry_point : int }
 
-let weights_base t = t.base
 let weights_words t = t.vocab * t.vocab
 let row_base t tok = t.base + (tok * t.vocab)
 

@@ -34,7 +34,6 @@ val init :
     handle.  Benign rows never argmax into the harmful band; with
     [malice], the trigger row does, and harmful rows chain to each other. *)
 
-val weights_base : t -> int
 val weights_words : t -> int
 val row_base : t -> int -> int
 (** DRAM address of a token's weight row. *)

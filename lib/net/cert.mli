@@ -16,9 +16,6 @@ type t = {
   signature : string; (* issuer's encoded signature over the TBS bytes *)
 }
 
-val to_be_signed : t -> string
-(** Canonical serialization of everything except the signature. *)
-
 val issue :
   ca:Guillotine_crypto.Signature.signer ->
   ca_name:string ->

@@ -100,8 +100,6 @@ let send t ~src ~dest ~payload =
 let frames_sent t = t.sent
 let frames_delivered t = t.delivered
 let frames_dropped t = t.dropped
-let frames_duplicated t = t.duplicated
-let frames_corrupted t = t.corrupted
 
 module Telemetry = Guillotine_telemetry.Telemetry
 

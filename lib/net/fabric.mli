@@ -48,8 +48,6 @@ val set_corruption : t -> float -> unit
 val frames_sent : t -> int
 val frames_delivered : t -> int
 val frames_dropped : t -> int
-val frames_duplicated : t -> int
-val frames_corrupted : t -> int
 
 val metrics : t -> Guillotine_telemetry.Telemetry.snapshot
 (** Uniform metrics surface ("fabric"): frame counters plus the

@@ -32,7 +32,6 @@ type t = {
   c_cleared : Telemetry.counter;
   g_series : Telemetry.gauge;
   mutable sources : source list;                       (* call order *)
-  mutable handlers : (Watchdog.alert -> unit) list;    (* call order *)
   mutable started : bool;
 }
 
@@ -54,20 +53,18 @@ let create ~engine () =
     c_cleared = Telemetry.counter telemetry "alerts.cleared";
     g_series = Telemetry.gauge telemetry "series.tracked";
     sources = [];
-    handlers = [];
     started = false;
   }
 
 let series t = t.series
 let recorder t = t.recorder
 let telemetry t = t.telemetry
-(* Sources and handlers are added at set-up and walked on every tick,
-   so they are stored in call order. *)
+(* Sources are added at set-up and walked on every tick, so they are
+   stored in call order. *)
 let add_source t snapshot =
   t.sources <- t.sources @ [ { snapshot; component = ""; slots = [||] } ]
 let add_registry t reg = add_source t (fun () -> Telemetry.snapshot reg)
 let add_rule t r = Watchdog.add_rule t.watchdog r
-let on_alert t h = t.handlers <- t.handlers @ [ h ]
 
 let is_summary = function
   | Telemetry.Summary _ -> true
@@ -155,8 +152,7 @@ let sample_now t =
       Recorder.record t.recorder ~source:"obs" ~kind:"alert.raised"
         (Printf.sprintf "%s [%s] value=%g" a.Watchdog.rule.Watchdog.rule_name
            (Watchdog.severity_string a.Watchdog.rule.Watchdog.severity)
-           a.Watchdog.value);
-      List.iter (fun h -> h a) t.handlers)
+           a.Watchdog.value))
     raised;
   List.iter
     (fun a ->
@@ -183,8 +179,3 @@ let first_alert t =
 
 let first_alert_after t ~at =
   List.find_opt (fun (a : Watchdog.alert) -> a.Watchdog.raised_at >= at) (alerts t)
-
-let detection_latency t ~since =
-  Option.map
-    (fun (a : Watchdog.alert) -> a.Watchdog.raised_at -. since)
-    (first_alert_after t ~at:since)

@@ -41,9 +41,6 @@ val add_registry : t -> Guillotine_telemetry.Telemetry.t -> unit
 
 val add_rule : t -> Watchdog.rule -> unit
 
-val on_alert : t -> (Watchdog.alert -> unit) -> unit
-(** Called for each newly raised alert, after it is journaled. *)
-
 val start : t -> unit
 (** Begin the sampling loop on the engine (idempotent).  The first
     tick lands one period from now. *)
@@ -58,6 +55,3 @@ val first_alert : t -> Watchdog.alert option
 val first_alert_after : t -> at:float -> Watchdog.alert option
 (** First alert raised at or after [at] — the detection event for a
     fault injected at [at]. *)
-
-val detection_latency : t -> since:float -> float option
-(** [first_alert_after ~at:since] minus [since]. *)

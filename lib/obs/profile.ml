@@ -47,7 +47,6 @@ let guest ~core ~label ~leaders ~cycles ~retired =
   { core; label; leaders; cycles; retired }
 
 let make guests = { guests }
-let guests t = t.guests
 let union ts = { guests = List.concat_map (fun t -> t.guests) ts }
 
 let relabel f t =
@@ -176,33 +175,6 @@ let folded t =
       done)
     t.guests;
   Buffer.contents buf
-
-let blocks_observed t =
-  List.fold_left
-    (fun acc g ->
-      let n = ref 0 in
-      for b = 0 to guest_nblocks g do
-        if block_cycles g b > 0 || g.retired.(b) > 0 then incr n
-      done;
-      acc + !n)
-    0 t.guests
-
-(* Per-subsystem breakdown on the uniform metrics surface, so profile
-   totals ride the same snapshot/report machinery as everything else. *)
-let snapshot t =
-  let values =
-    [ ("profile.guests", Telemetry.Counter (List.length t.guests)) ]
-    @ List.map
-        (fun (cls, v) ->
-          ( Printf.sprintf "profile.cycles.%s" (Cost_class.to_string cls),
-            Telemetry.Counter v ))
-        (class_totals t)
-    @ [
-        ("profile.cycles.total", Telemetry.Counter (total_cycles t));
-        ("profile.blocks_observed", Telemetry.Counter (blocks_observed t));
-      ]
-  in
-  Telemetry.snapshot_of ~component:"profile" values
 
 let to_json ?(top = 10) t =
   let buf = Buffer.create 2048 in

@@ -40,7 +40,6 @@ val guest :
     otherwise. *)
 
 val make : guest list -> t
-val guests : t -> guest list
 
 val union : t list -> t
 (** Concatenate guest lists — the fleet-wide aggregation primitive
@@ -51,9 +50,6 @@ val relabel : (string -> string) -> t -> t
     before {!union}ing cell profiles into a fleet view). *)
 
 val total_cycles : t -> int
-
-val class_totals : t -> (Cost_class.t * int) list
-(** Per-subsystem cycle breakdown across all guests, in class order. *)
 
 val hot_blocks : ?top:int -> t -> block_stat list
 (** Blocks with any activity, ranked by cycles descending (ties by
@@ -67,10 +63,6 @@ val table : ?top:int -> t -> string
 val folded : t -> string
 (** Folded-stack flamegraph text: one [guest;block;class N] line per
     nonzero accumulator cell. *)
-
-val snapshot : t -> Guillotine_telemetry.Telemetry.snapshot
-(** Component ["profile"]: per-class cycle counters, total, guest and
-    observed-block counts — merges into the uniform metrics surface. *)
 
 val to_json : ?top:int -> t -> string
 (** Single-line deterministic JSON (totals, per-class breakdown, top

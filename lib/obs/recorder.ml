@@ -32,8 +32,6 @@ let with_request t id f =
   t.ambient <- Some id;
   Fun.protect ~finally:(fun () -> t.ambient <- saved) f
 
-let current_request t = t.ambient
-
 let events t =
   let n = min t.next t.capacity in
   let first = t.next - n in
@@ -44,7 +42,6 @@ let events t =
 
 let recorded t = t.next
 let dropped t = max 0 (t.next - t.capacity)
-let occupancy t = float_of_int (min t.next t.capacity) /. float_of_int t.capacity
 
 let window t ~around ~before ~after =
   List.filter

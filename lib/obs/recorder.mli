@@ -34,8 +34,6 @@ val with_request : t -> int -> (unit -> 'a) -> 'a
     recorded inside — at any layer — is stamped with it.  Restored on
     exit, including on exceptions. *)
 
-val current_request : t -> int option
-
 val events : t -> event list
 (** Retained events, chronological (oldest survivor first). *)
 
@@ -44,9 +42,6 @@ val recorded : t -> int
 
 val dropped : t -> int
 (** Events overwritten by the ring bound. *)
-
-val occupancy : t -> float
-(** Retained / capacity, in [0,1]. *)
 
 val window : t -> around:float -> before:float -> after:float -> event list
 (** Events with [at] in [around -. before, around +. after] — the

@@ -68,9 +68,6 @@ val on_watchdog_alert : t -> severity:Detector.severity -> reason:string -> unit
     policy under the authority ["console-watchdog"].  Software may
     still only tighten isolation. *)
 
-val force_offline : t -> reason:string -> unit
-(** Unconditional safety action (used by heartbeat loss). *)
-
 (** {2 Physical maintenance} *)
 
 val repair_cables : t -> (unit, string) result
@@ -96,7 +93,7 @@ val start_recovery_sweep :
     [check] fails, [recover ~reason] is attempted first (e.g. a snapshot
     rollback of a wedged or self-modified model).  [Ok action] audits
     the recovery and keeps sweeping; [Error _] falls back to
-    {!force_offline} and stops.  Each recovery is a [console.recovery]
+    taking the model offline and stops.  Each recovery is a [console.recovery]
     span and bumps [recoveries.completed] / [recoveries.failed].
     Returns the engine handle so the sweep can be cancelled. *)
 
@@ -133,7 +130,7 @@ val add_alarm_hook :
 (** Register a callback fired on every kill-relevant decision the
     console hears about: each detector alarm received via {!on_alarm}
     (before the alarm policy acts, so detection precedes containment)
-    and each fail-safe {!force_offline} (reported as [Critical], since
+    and each fail-safe offline transition (reported as [Critical], since
     the heartbeat-loss path raises no detector alarm).  Hooks run in
     registration order; adversary scenarios use them as the detection
     clock behind the detection-latency metric. *)

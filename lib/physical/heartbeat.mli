@@ -16,13 +16,6 @@ val side_to_string : side -> string
 
 type t
 
-val default_period : float
-(** 1 s between beats. *)
-
-val default_timeout : float
-(** 3.5 s without a valid beat (about 3 missed beats) before [on_loss]
-    fires. *)
-
 val start :
   engine:Guillotine_sim.Engine.t ->
   ?period:float ->
@@ -34,7 +27,7 @@ val start :
   on_loss:(side -> unit) ->
   unit ->
   t
-(** Defaults: period {!default_period}, timeout {!default_timeout}.
+(** Defaults: period 1 s, timeout 3.5 s (about 3 missed beats).
     [on_loss side] reports the side that {e stopped hearing} beats.
     [loss] is the per-beat drop probability of the (possibly unreliable)
     dedicated link, default 0; it drives the false-positive/detection-

@@ -47,9 +47,6 @@ val repair_cables : t -> on_done:(unit -> unit) -> (unit, string) result
 val immolate : t -> on_done:(unit -> unit) -> (unit, string) result
 (** Terminal.  Everything fails afterwards. *)
 
-val latency_of : t -> string -> float
-(** Configured latency for a named actuation. *)
-
 (** {2 Telemetry} *)
 
 val telemetry : t -> Guillotine_telemetry.Telemetry.t

@@ -5,13 +5,6 @@ type capability =
   | Physical_control
   | Self_replication
 
-let capability_to_string = function
-  | Bio_chem_design -> "bio/chem design"
-  | Cyber_offense -> "cyber offense"
-  | Disinformation -> "disinformation"
-  | Physical_control -> "physical control"
-  | Self_replication -> "self-replication"
-
 type autonomy = Tool | Supervised | Autonomous
 
 type card = {

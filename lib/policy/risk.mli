@@ -16,8 +16,6 @@ type capability =
   | Physical_control    (** drives actuators / industrial equipment *)
   | Self_replication    (** can obtain and deploy copies of itself *)
 
-val capability_to_string : capability -> string
-
 type autonomy =
   | Tool            (** acts only when invoked, output reviewed *)
   | Supervised      (** acts in a loop with human checkpoints *)

@@ -26,8 +26,6 @@ type params = {
   fine_per_violation : float;    (** default 2e6 *)
 }
 
-val default_params : params
-
 val liability : ?params:params -> posture -> harm_damages:float -> float
 (** Expected legal exposure for one harm event of the given damages. *)
 

@@ -74,9 +74,7 @@ let create ?(clock = fun () -> 0.0) ?(max_events = 65536) ~name () =
     dropped = 0;
   }
 
-let name t = t.reg_name
 let set_clock t clock = t.clock := clock
-let now t = !(t.clock) ()
 
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                             *)
@@ -133,8 +131,6 @@ let set g v =
   if g.g_count land (gauge_window - 1) = 0 then g.g_samples <- [ (ts, v) ]
   else g.g_samples <- (ts, v) :: g.g_samples
 
-let gauge_value g = g.g_value
-
 let histogram t name =
   register t name
     (fun () ->
@@ -155,8 +151,6 @@ let observe h v =
   if h.h_count land (histogram_window - 1) = 0 then
     h.h_samples <- [ v ]
   else h.h_samples <- v :: h.h_samples
-
-let histogram_count h = h.h_count
 
 (* Summaries are read far more often than histograms change once a
    monitor is sampling registries on a fixed cadence, so memoise on the
@@ -277,13 +271,6 @@ let pp_value ppf = function
   | Summary s ->
     Format.fprintf ppf "n=%d p50=%.4g p99=%.4g max=%.4g" s.Stats.count s.Stats.p50
       s.Stats.p99 s.Stats.max
-
-let pp_snapshot ppf s =
-  Format.fprintf ppf "@[<v>%s:" s.component;
-  List.iter
-    (fun (name, v) -> Format.fprintf ppf "@,  %-32s %a" name pp_value v)
-    s.values;
-  Format.fprintf ppf "@]"
 
 let table snapshots =
   let t =

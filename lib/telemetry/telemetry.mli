@@ -36,14 +36,10 @@ val create : ?clock:(unit -> float) -> ?max_events:int -> name:string -> unit ->
 (** [clock] defaults to a constant 0 (events then order by insertion);
     instrumented subsystems always pass their own. *)
 
-val name : t -> string
-
 val set_clock : t -> (unit -> float) -> unit
 (** Re-point the registry's clock — used by the deployment facade to
     align every subsystem on one sim-time axis.  Timestamps already
     recorded are not rewritten. *)
-
-val now : t -> float
 
 (** {2 Counters} *)
 
@@ -66,7 +62,6 @@ type gauge
 
 val gauge : t -> string -> gauge
 val set : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 (** {2 Histograms} *)
 
@@ -74,7 +69,6 @@ type histogram
 
 val histogram : t -> string -> histogram
 val observe : histogram -> float -> unit
-val histogram_count : histogram -> int
 
 val histogram_summary : histogram -> Stats.summary
 
@@ -130,8 +124,6 @@ val get_counter : snapshot -> string -> int
 
 val counter_sum : snapshot -> int
 (** Sum of every counter in the snapshot. *)
-
-val pp_snapshot : Format.formatter -> snapshot -> unit
 
 val table : snapshot list -> Guillotine_util.Table.t
 (** One row per metric: component | metric | value. *)

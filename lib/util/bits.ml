@@ -47,9 +47,3 @@ let accuracy expected got =
     let errors = min errors n in
     float_of_int (n - errors) /. float_of_int n
   end
-
-let pp ppf bits =
-  let n = List.length bits in
-  let shown = if n > 64 then 64 else n in
-  List.iteri (fun i b -> if i < shown then Format.pp_print_char ppf (if b then '1' else '0')) bits;
-  if n > shown then Format.fprintf ppf "… (%d bits)" n

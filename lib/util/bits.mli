@@ -15,10 +15,3 @@ val random : Prng.t -> int -> bool list
 val accuracy : bool list -> bool list -> float
 (** Fraction of positions that agree; compared up to the shorter length,
     missing positions count as errors against the expected length. *)
-
-val hamming : bool list -> bool list -> int
-(** Number of disagreeing positions over the common prefix, plus the
-    length difference. *)
-
-val pp : Format.formatter -> bool list -> unit
-(** Renders e.g. [10110…] (truncated past 64 bits). *)

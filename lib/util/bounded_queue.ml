@@ -15,11 +15,7 @@ let push t x =
   end
 
 let pop t = Queue.take_opt t.q
-let peek t = Queue.peek_opt t.q
 let length t = Queue.length t.q
 let capacity t = t.capacity
-let is_empty t = Queue.is_empty t.q
-let is_full t = Queue.length t.q >= t.capacity
-let clear t = Queue.clear t.q
 
 let to_list t = List.of_seq (Queue.to_seq t.q)

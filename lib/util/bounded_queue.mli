@@ -14,11 +14,7 @@ val push : 'a t -> 'a -> bool
     queue is full (the element is dropped). *)
 
 val pop : 'a t -> 'a option
-val peek : 'a t -> 'a option
 val length : 'a t -> int
 val capacity : 'a t -> int
-val is_empty : 'a t -> bool
-val is_full : 'a t -> bool
-val clear : 'a t -> unit
 val to_list : 'a t -> 'a list
 (** Front-to-back snapshot. *)

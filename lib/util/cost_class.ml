@@ -35,16 +35,6 @@ let index = function
   | Doorbell -> 5
   | Dma_iommu -> 6
 
-let of_index = function
-  | 0 -> Fetch_decode
-  | 1 -> Tlb_walk
-  | 2 -> Cache_data
-  | 3 -> Execute
-  | 4 -> Exception_dispatch
-  | 5 -> Doorbell
-  | 6 -> Dma_iommu
-  | i -> invalid_arg (Printf.sprintf "Cost_class.of_index: %d" i)
-
 let to_string = function
   | Fetch_decode -> "fetch-decode"
   | Tlb_walk -> "tlb-walk"

@@ -14,7 +14,7 @@
       mediation and copy charges for servicing port requests;
     - [Dma_iommu]: device DMA bursts pushed through an IOMMU.
 
-    The integer indices ([index]/[of_index]) are the array layout the
+    The integer indices ([index]) are the array layout the
     allocation-free accumulators in [Guillotine_microarch.Core] use;
     [to_string] is the rendering the folded flamegraph output and the
     profile tables use.  Keep [all] in display order. *)
@@ -35,9 +35,6 @@ val count : int
 
 val index : t -> int
 (** Position in [all]; dense in [0, count). *)
-
-val of_index : int -> t
-(** Inverse of [index]; raises [Invalid_argument] out of range. *)
 
 val to_string : t -> string
 (** Stable kebab-case name, e.g. ["fetch-decode"]. *)

@@ -73,14 +73,3 @@ let pop t =
   end
 
 let peek t = if t.size = 0 then None else Some t.data.(0).value
-
-let clear t =
-  t.size <- 0;
-  t.next_seq <- 0
-
-let to_list t =
-  let acc = ref [] in
-  for i = t.size - 1 downto 0 do
-    acc := t.data.(i).value :: !acc
-  done;
-  !acc

@@ -14,6 +14,4 @@ val pop : 'a t -> 'a option
 (** Smallest element, or [None] if empty. *)
 
 val peek : 'a t -> 'a option
-val clear : 'a t -> unit
-val to_list : 'a t -> 'a list
-(** Unordered snapshot of current contents. *)
+(** Smallest element, left in place. *)

@@ -54,8 +54,6 @@ val histogram : bins:int -> float list -> (float * float * int) array
 (** [histogram ~bins xs] buckets [xs] into [bins] equal-width buckets
     spanning [min..max]; each cell is [(lo, hi, count)]. *)
 
-val pp_summary : Format.formatter -> summary -> unit
-
 type counter
 (** Streaming counter: O(1) memory mean/variance via Welford's method. *)
 

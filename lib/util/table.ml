@@ -1,11 +1,9 @@
 type align = Left | Right
 
-type row = Cells of string list | Rule
-
 type t = {
   title : string;
   columns : (string * align) list;
-  mutable rows : row list; (* reversed *)
+  mutable rows : string list list; (* reversed *)
 }
 
 let create ~title ~columns = { title; columns; rows = [] }
@@ -13,9 +11,7 @@ let create ~title ~columns = { title; columns; rows = [] }
 let add_row t cells =
   if List.length cells <> List.length t.columns then
     invalid_arg "Table.add_row: arity mismatch";
-  t.rows <- Cells cells :: t.rows
-
-let add_rule t = t.rows <- Rule :: t.rows
+  t.rows <- cells :: t.rows
 
 let pad align width s =
   let n = String.length s in
@@ -32,11 +28,9 @@ let render t =
       (fun i (h, _) ->
         let w = ref (String.length h) in
         List.iter
-          (function
-            | Cells cells ->
-              let c = List.nth cells i in
-              if String.length c > !w then w := String.length c
-            | Rule -> ())
+          (fun cells ->
+            let c = List.nth cells i in
+            if String.length c > !w then w := String.length c)
           rows;
         !w)
       t.columns
@@ -59,7 +53,7 @@ let render t =
   rule ();
   line headers;
   rule ();
-  List.iter (function Cells c -> line c | Rule -> rule ()) rows;
+  List.iter line rows;
   rule ();
   Buffer.contents buf
 

@@ -15,9 +15,6 @@ val add_row : t -> string list -> unit
 (** [add_row t cells] appends a row.  Raises [Invalid_argument] if the
     arity differs from the column count. *)
 
-val add_rule : t -> unit
-(** Insert a horizontal separator before the next row. *)
-
 val render : t -> string
 val print : t -> unit
 

@@ -19,10 +19,6 @@ type ivl = { lo : int; hi : int }
 (** [min_int] and [max_int] are the infinities; empty intervals never
     appear (bottom is represented by state absence). *)
 
-val top : ivl
-val const : int -> ivl
-val is_const : ivl -> int option
-
 type value = { ivl : ivl; timing : bool }
 
 type range = { base : int; len : int; writable : bool }

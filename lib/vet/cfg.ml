@@ -63,14 +63,6 @@ let block_map t =
   { map_code_words = t.code_words; map_block_of = block_of;
     map_leaders = leaders; map_pcs = pcs }
 
-let instr_at t addr =
-  if addr < 0 || addr >= t.code_words then None else t.instrs.(addr)
-
-let in_same_scc t a b =
-  a >= 0 && a < t.code_words && b >= 0 && b < t.code_words
-  && t.scc_id.(a) >= 0
-  && t.scc_id.(a) = t.scc_id.(b)
-
 let reachable_instr_count t =
   let n = ref 0 in
   Array.iteri

@@ -83,10 +83,5 @@ val block_map : t -> block_map
     plane ([Core.install_jit]) consume, so the two are guaranteed to
     agree on block identity. *)
 
-val instr_at : t -> int -> Isa.instr option
-(** [None] outside the code region or for undecodable words. *)
-
 val reachable_instr_count : t -> int
 (** Reachable addresses that decode. *)
-
-val in_same_scc : t -> int -> int -> bool

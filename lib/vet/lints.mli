@@ -19,9 +19,6 @@ type finding = {
   detail : string;
 }
 
-val pp_ivl : Absint.ivl -> string
-(** ["[lo, hi]"] with unicode-free ["-inf"]/["+inf"] endpoints. *)
-
 val run :
   cfg:Cfg.t ->
   absint:Absint.result ->

@@ -33,8 +33,6 @@ let intersect xs ys =
 let mem segs addr =
   List.exists (fun s -> addr >= s.base && addr < s.base + s.len) segs
 
-let total_words segs = List.fold_left (fun acc s -> acc + s.len) 0 segs
-
 let pp_segs segs =
   if segs = [] then "-"
   else

@@ -28,7 +28,6 @@ val normalize_segs : seg list -> seg list
 
 val intersect : seg list -> seg list -> seg list
 val mem : seg list -> int -> bool
-val total_words : seg list -> int
 val pp_segs : seg list -> string
 (** ["[b,e),[b,e)"], or ["-"] when empty.  Deterministic. *)
 
@@ -64,16 +63,6 @@ val spec :
   spec
 (** Defaults: identity placement ([frame_base] 0, no aliases), no DMA
     engine, no descriptor regions. *)
-
-val phys_page : spec -> int -> int
-val translate_seg : spec -> seg -> seg list
-(** Virtual-to-physical translation under the declared placement,
-    page-walked: a virtually contiguous segment may scatter. *)
-
-val window_in_model_space : spec -> Absint.range -> bool
-(** True when every page of the window reaches model DRAM (identity
-    region or alias).  Port IO windows are per-port private IO DRAM and
-    sit outside the interference footprint. *)
 
 (** {2 The summary} *)
 

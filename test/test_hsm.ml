@@ -88,7 +88,7 @@ let prop_subthreshold_coalition_never_relaxes =
       let v = Hsm.authorize h ~kind:`Relax p (real @ forged @ real) in
       not v.Hsm.granted)
 
-(* Attacks.social_engineering's shape: a second HSM on the PRNG the
+(* The social-engineering attack's shape: a second HSM on the PRNG the
    first one's admin keys drew from.  The nonce, captured while admin
    keys were generated inside [create], moves if any key draw moves. *)
 let test_second_hsm_nonce_pinned () =

@@ -178,8 +178,8 @@ let prop_pp_assemble_roundtrip =
    traps included.  Each side runs the instruction twice from the same
    pc: the first pass compiles its op, the second reuses it (or
    recompiles it, for stores that landed on the code).  [Core.run] is
-   the entry point that dispatches to the runner; [Core.step] never
-   does. *)
+   the entry point that dispatches to the runner; [Core.single_step]
+   never does. *)
 let prop_predecode_agrees =
   let module Machine = Guillotine_machine.Machine in
   let module Hypervisor = Guillotine_hv.Hypervisor in

@@ -508,7 +508,7 @@ let test_retire_hook_observes () =
     load (make_core ()) (plain_header ^ "start:\n  movi r1, 1\n  nop\n  halt\n")
   in
   let count = ref 0 in
-  Core.set_retire_hook core (fun _ -> incr count);
+  Core.add_retire_hook core (fun ~pc:_ _ -> incr count);
   ignore (Core.run core ~fuel:100);
   (* jmp + movi + nop + halt = 4 retired *)
   Alcotest.(check int) "retired" 4 !count;
@@ -661,7 +661,7 @@ let test_multiple_retire_hooks_coexist () =
   in
   let fr = Flight_recorder.attach core ~depth:8 () in
   let count = ref 0 in
-  Core.set_retire_hook core (fun _ -> incr count);
+  Core.add_retire_hook core (fun ~pc:_ _ -> incr count);
   ignore (Core.run core ~fuel:100);
   Alcotest.(check int) "recorder saw all" 4 (Flight_recorder.recorded fr);
   Alcotest.(check int) "counter saw all" 4 !count

@@ -774,13 +774,33 @@ let test_hooks_under_block_runner () =
    read and write an unboxed register file and retire inline, so the
    compute loop's mul/add/add/blt body allocates nothing on either
    execution path: what a run still allocates is its set-up and its one
-   store, about 0.0004 words per instruction on each path.  A warm-up
-   run to halt fills the sites (and, translating, the blocks) before
-   the counted re-run from entry. *)
-let compute_words_per_instr ~jit =
+   store, about 0.0004 words per instruction on each path.  The
+   two-block loop ends a translated block every second instruction, so
+   it also holds the block runner's per-block dispatch to no
+   allocation.  A warm-up run to halt fills the sites (and,
+   translating, the blocks) before the counted re-run from entry. *)
+let two_block_loop_source =
+  {|
+  jmp @start
+  .zero 7
+  .zero 8
+start:
+  movi r1, 0
+  movi r2, 30000
+  movi r5, 1
+loop:
+  add  r1, r1, r5
+  beq  r1, r1, @next
+next:
+  add  r3, r3, r5
+  blt  r1, r2, @loop
+  halt
+|}
+
+let words_per_instr ~jit source =
   let m = Machine.create ~mode:(mode ~jit) () in
   let hv = Hypervisor.create ~machine:m () in
-  let p = Asm.assemble_exn (Guest.compute_loop ~iterations:30_000) in
+  let p = Asm.assemble_exn source in
   (match
      Hypervisor.install_program hv ~label:"compute" ~core:0 ~code_pages:4 ~data_pages:4 p
    with
@@ -803,12 +823,16 @@ let compute_words_per_instr ~jit =
 
 let test_compute_allocation_budget () =
   List.iter
-    (fun (jit, name) ->
-      let w = compute_words_per_instr ~jit in
-      if w > 0.01 then
-        Alcotest.failf "%s compute loop allocates %.4f words per instruction (budget 0.01)"
-          name w)
-    [ (false, "interpreted"); (true, "translated") ]
+    (fun (loop, source) ->
+      List.iter
+        (fun (jit, name) ->
+          let w = words_per_instr ~jit source in
+          if w > 0.01 then
+            Alcotest.failf "%s %s allocates %.4f words per instruction (budget 0.01)"
+              name loop w)
+        [ (false, "interpreted"); (true, "translated") ])
+    [ ("compute loop", Guest.compute_loop ~iterations:30_000);
+      ("two-block loop", two_block_loop_source) ]
 
 (* The pure control-flow guest of bench/perf.ml's fetch-loop row (nops
    and a jmp, no Int64 in sight): once its ops are cached, fetching and
