@@ -1,5 +1,7 @@
+module Prng = Guillotine_util.Prng
+
 type secret_key = {
-  pre : string array; (* 512 preimages: index 2*i is bit 0, 2*i+1 is bit 1 *)
+  pre : Bytes.t; (* 512 preimages of [chunk] bytes, slot [k] at byte [k * chunk] *)
   mutable used : bool;
 }
 
@@ -11,48 +13,61 @@ let chunk = 32
 
 let prng_draws = 2 * bits * (chunk / 8)
 
-(* One 64-bit draw per 8 bytes, little-endian. *)
-let random_block prng =
-  let buf = Bytes.create chunk in
-  for w = 0 to (chunk / 8) - 1 do
-    Bytes.set_int64_le buf (8 * w) (Guillotine_util.Prng.int64 prng)
-  done;
-  Bytes.unsafe_to_string buf
-
+(* The preimages are the PRNG's next 2 048 draws, little-endian in
+   draw order; slot [k]'s digest is slot [k] of the public key.  One
+   context hashes all 512 slots. *)
 let generate prng =
-  let pre = Array.init (2 * bits) (fun _ -> random_block prng) in
+  let pre = Bytes.create (2 * bits * chunk) in
+  Prng.fill_bytes prng pre;
   let pub = Bytes.create (2 * bits * chunk) in
-  Array.iteri (fun i p -> Bytes.blit_string (Sha256.digest p) 0 pub (i * chunk) chunk) pre;
+  let ctx = Sha256.init () in
+  for k = 0 to (2 * bits) - 1 do
+    Sha256.digest_into ctx pre ~off:(k * chunk) ~len:chunk pub ~at:(k * chunk)
+  done;
   ({ pre; used = false }, Bytes.unsafe_to_string pub)
 
-let digest_bit d i =
-  let byte = Char.code d.[i / 8] in
-  byte land (1 lsl (7 - (i mod 8))) <> 0
+(* The slot revealed for bit [i] of digest [d]: [2 i] for a 0 bit,
+   [2 i + 1] for a 1 bit. *)
+let revealed_slot d i =
+  let byte = Char.code (Bytes.get d (i / 8)) in
+  (2 * i) + ((byte lsr (7 - (i mod 8))) land 1)
+
+let message_digest ctx msg =
+  let d = Bytes.create 32 in
+  Sha256.digest_into ctx (Bytes.unsafe_of_string msg) ~off:0 ~len:(String.length msg) d
+    ~at:0;
+  d
 
 let sign sk msg =
   if sk.used then invalid_arg "Lamport.sign: one-time key reused";
   sk.used <- true;
-  let d = Sha256.digest msg in
-  let buf = Buffer.create (bits * chunk) in
+  let d = message_digest (Sha256.init ()) msg in
+  let out = Bytes.create (bits * chunk) in
   for i = 0 to bits - 1 do
-    let which = if digest_bit d i then (2 * i) + 1 else 2 * i in
-    Buffer.add_string buf sk.pre.(which)
+    Bytes.blit sk.pre (revealed_slot d i * chunk) out (i * chunk) chunk
   done;
-  Buffer.contents buf
+  Bytes.unsafe_to_string out
+
+(* The [chunk] bytes at [i] in [a] equal those at [j] in [b]. *)
+let slot_equal a i b j =
+  Int64.equal (Bytes.get_int64_ne a i) (Bytes.get_int64_ne b j)
+  && Int64.equal (Bytes.get_int64_ne a (i + 8)) (Bytes.get_int64_ne b (j + 8))
+  && Int64.equal (Bytes.get_int64_ne a (i + 16)) (Bytes.get_int64_ne b (j + 16))
+  && Int64.equal (Bytes.get_int64_ne a (i + 24)) (Bytes.get_int64_ne b (j + 24))
 
 let verify pub ~msg signature =
-  if String.length pub <> 2 * bits * chunk then false
-  else if String.length signature <> bits * chunk then false
-  else begin
-    let d = Sha256.digest msg in
-    let ok = ref true in
-    for i = 0 to bits - 1 do
-      let which = if digest_bit d i then (2 * i) + 1 else 2 * i in
-      let expected = String.sub pub (which * chunk) chunk in
-      let revealed = String.sub signature (i * chunk) chunk in
-      if not (String.equal (Sha256.digest revealed) expected) then ok := false
-    done;
-    !ok
-  end
-
-let public_key_digest pub = Sha256.digest pub
+  String.length pub = 2 * bits * chunk
+  && String.length signature = bits * chunk
+  &&
+  let ctx = Sha256.init () in
+  let d = message_digest ctx msg in
+  let pub = Bytes.unsafe_of_string pub and revealed = Bytes.unsafe_of_string signature in
+  let got = Bytes.create chunk in
+  let rec check i =
+    i = bits
+    || begin
+      Sha256.digest_into ctx revealed ~off:(i * chunk) ~len:chunk got ~at:0;
+      slot_equal got 0 pub (revealed_slot d i * chunk) && check (i + 1)
+    end
+  in
+  check 0

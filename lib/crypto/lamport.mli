@@ -15,16 +15,20 @@ type signature = string
 
 val generate : Guillotine_util.Prng.t -> secret_key * public_key
 (** Deterministic from the PRNG stream — simulation keys, not wall-clock
-    entropy. *)
+    entropy.  The 512 preimages are the stream's next {!prng_draws}
+    draws, each little-endian, in one 16 KiB buffer (preimage [k] at
+    byte [32 k]); their digests go straight into the public key through
+    one SHA-256 context.  Besides the two 16 KiB buffers, which the
+    runtime allocates in the major heap, a key costs about a hundred
+    minor words. *)
 
 val prng_draws : int
 (** {!Guillotine_util.Prng.int64} draws one [generate] makes (2048). *)
 
 val sign : secret_key -> string -> signature
-(** [sign sk msg] signs SHA-256(msg).  Raises [Invalid_argument] on a
-    second use of [sk]. *)
+(** [sign sk msg] signs SHA-256(msg) by copying the 256 revealed
+    preimages.  Raises [Invalid_argument] on a second use of [sk]. *)
 
 val verify : public_key -> msg:string -> signature -> bool
-
-val public_key_digest : public_key -> string
-(** SHA-256 of the public key; the Merkle-scheme leaf value. *)
+(** Hashes the 256 revealed preimages through one context and compares
+    each digest in place with its public-key slot. *)

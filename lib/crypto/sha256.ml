@@ -33,19 +33,29 @@ type ctx = {
   mutable finished : bool;
 }
 
+(* The initial hash values (first 32 bits of the fractional parts of the
+   square roots of the first 8 primes), an empty block and no bytes. *)
+let reset ctx =
+  let h = ctx.h in
+  h.(0) <- 0x6a09e667; h.(1) <- 0xbb67ae85; h.(2) <- 0x3c6ef372; h.(3) <- 0xa54ff53a;
+  h.(4) <- 0x510e527f; h.(5) <- 0x9b05688c; h.(6) <- 0x1f83d9ab; h.(7) <- 0x5be0cd19;
+  ctx.buf_len <- 0;
+  ctx.total <- 0;
+  ctx.finished <- false
+
 let init () =
-  {
-    h =
-      [|
-        0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a;
-        0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19;
-      |];
-    buf = Bytes.create 64;
-    w = Array.make 64 0;
-    buf_len = 0;
-    total = 0;
-    finished = false;
-  }
+  let ctx =
+    {
+      h = Array.make 8 0;
+      buf = Bytes.create 64;
+      w = Array.make 64 0;
+      buf_len = 0;
+      total = 0;
+      finished = false;
+    }
+  in
+  reset ctx;
+  ctx
 
 (* Every rotation reads a doubled word.  For a 32-bit [x],
    [x lor (x lsl 32)] holds [x] in bits 0-31 and bits 0-30 of [x] again
@@ -146,31 +156,50 @@ let feed ctx s =
     ctx.buf_len <- ctx.buf_len + rest
   end
 
+(* Padding in place after the [ctx.buf_len] buffered bytes: 0x80,
+   zeros, then the message's 8-byte big-endian bit length.  The final
+   state goes big-endian into [out] at [at]. *)
+let finish ctx out at =
+  let buf = ctx.buf and n = ctx.buf_len in
+  Bytes.set buf n '\x80';
+  Bytes.fill buf (n + 1) (63 - n) '\000';
+  if n >= 56 then begin
+    compress ctx buf 0;
+    Bytes.fill buf 0 56 '\000'
+  end;
+  Bytes.set_int64_be buf 56 (Int64.of_int (ctx.total * 8));
+  compress ctx buf 0;
+  for i = 0 to 7 do
+    Bytes.set_int32_be out (at + (4 * i)) (Int32.of_int ctx.h.(i))
+  done
+
 let finalize ctx =
   if ctx.finished then invalid_arg "Sha256.finalize: context already finalized";
   ctx.finished <- true;
-  (* Padding in place: 0x80, zeros, 8-byte big-endian bit length. *)
-  let buf = ctx.buf in
-  Bytes.set buf ctx.buf_len '\x80';
-  Bytes.fill buf (ctx.buf_len + 1) (63 - ctx.buf_len) '\000';
-  if ctx.buf_len >= 56 then begin
-    compress ctx buf 0;
-    Bytes.fill buf 0 64 '\000'
-  end;
-  let bitlen = ctx.total * 8 in
-  for i = 0 to 7 do
-    Bytes.set buf (56 + i) (Char.chr ((bitlen lsr (8 * (7 - i))) land 0xFF))
-  done;
-  compress ctx buf 0;
   let out = Bytes.create 32 in
-  for i = 0 to 7 do
-    let v = ctx.h.(i) in
-    Bytes.set out (4 * i) (Char.chr (v lsr 24));
-    Bytes.set out ((4 * i) + 1) (Char.chr ((v lsr 16) land 0xFF));
-    Bytes.set out ((4 * i) + 2) (Char.chr ((v lsr 8) land 0xFF));
-    Bytes.set out ((4 * i) + 3) (Char.chr (v land 0xFF))
-  done;
+  finish ctx out 0;
   Bytes.unsafe_to_string out
+
+(* Whole blocks are compressed straight from [src]; only the tail is
+   copied, into the context's block buffer. *)
+let digest_into ctx src ~off ~len out ~at =
+  if off < 0 || len < 0 || off > Bytes.length src - len then
+    invalid_arg "Sha256.digest_into: slice out of range";
+  if at < 0 || at > Bytes.length out - 32 then
+    invalid_arg "Sha256.digest_into: slot out of range";
+  reset ctx;
+  let tail = len land 63 in
+  let stop = off + len - tail in
+  let pos = ref off in
+  while !pos < stop do
+    compress ctx src !pos;
+    pos := !pos + 64
+  done;
+  Bytes.blit src stop ctx.buf 0 tail;
+  ctx.buf_len <- tail;
+  ctx.total <- len;
+  ctx.finished <- true;
+  finish ctx out at
 
 let digest s =
   let ctx = init () in

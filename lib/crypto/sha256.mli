@@ -10,11 +10,16 @@
     right by [n] for any [n <= 31] (SHA-256 rotates by at most 25).
 
     Costs: a digest of [n] bytes compresses [n / 64 + 1] blocks, one
-    more when [n mod 64 >= 56]; compressing allocates nothing, and
+    more when [n mod 64 >= 56]; compressing allocates nothing.
     {!digest} allocates 97 words whatever [n] (context, state,
-    schedule, block buffer, result).  A 32-byte digest took a median
-    1.4 microseconds on a 2-core shared Xeon VM, against 2.2 with
-    shift-pair rotations.  The test suite checks the digest against the
+    schedule, block buffer, result); {!digest_into} hashes a slice of a
+    [Bytes.t] into a slot of another through a context the caller
+    owns, and allocates nothing, which is how a Lamport leaf hashes its
+    512 preimages and an audit log its entries.  A 32-byte digest took
+    a median 1.4 microseconds on a 2-core shared Xeon VM, against 2.2
+    with shift-pair rotations; on a later day on that host, the best of
+    seven 100 000-digest loops read 0.62 us for {!digest} and 0.56 us
+    for {!digest_into}.  The test suite checks the digest against the
     FIPS test vectors and against a reference implementation over
     [int32]. *)
 
@@ -40,3 +45,12 @@ val finalize : ctx -> digest
 
 val digest_concat : string list -> digest
 (** Hash the concatenation without building it. *)
+
+val digest_into : ctx -> Bytes.t -> off:int -> len:int -> Bytes.t -> at:int -> unit
+(** [digest_into ctx src ~off ~len out ~at] writes the digest of the
+    [len] bytes of [src] from [off] into the 32 bytes of [out] from
+    [at], allocating nothing.  [ctx] is working state the caller owns:
+    it is reset first, so one context serves any number of calls,
+    whatever it held; afterwards it counts as finalized.  Contexts are
+    not shared between domains.  Raises [Invalid_argument] if the slice
+    or the slot lies outside its buffer. *)

@@ -19,13 +19,20 @@ type signature = {
 let check_height fn height =
   if height < 0 || height > 12 then invalid_arg (fn ^ ": height")
 
+(* A leaf's Merkle value: the SHA-256 of its Lamport public key. *)
+let leaf_digest ctx pub =
+  let out = Bytes.create 32 in
+  Sha256.digest_into ctx (Bytes.unsafe_of_string pub) ~off:0 ~len:(String.length pub) out
+    ~at:0;
+  Bytes.unsafe_to_string out
+
 let generate ?(height = 5) prng =
   check_height "Signature.generate" height;
   let n = 1 lsl height in
   let pairs = Array.init n (fun _ -> Lamport.generate prng) in
   let secrets = Array.map fst pairs in
   let publics = Array.map snd pairs in
-  let leaves = Array.to_list (Array.map Lamport.public_key_digest publics) in
+  let leaves = Array.to_list (Array.map (leaf_digest (Sha256.init ())) publics) in
   let tree = Merkle.build leaves in
   ({ secrets; publics; tree; next = 0 }, Merkle.root tree)
 
@@ -50,7 +57,7 @@ let sign s msg =
 let verify root ~msg signature =
   Lamport.verify signature.leaf_pub ~msg signature.ots
   && Merkle.verify ~root
-       ~leaf:(Lamport.public_key_digest signature.leaf_pub)
+       ~leaf:(leaf_digest (Sha256.init ()) signature.leaf_pub)
        { Merkle.index = signature.index; path = signature.path }
 
 (* Wire format: u16 index | u16 path_len | leaf_pub | ots | path entries

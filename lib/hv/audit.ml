@@ -18,16 +18,22 @@ type event =
 
 type entry = { seq : int; tick : int; event : event; digest : string }
 
+(* An entry's bytes are written into [text], copied into [flat] and
+   hashed there through [ctx]; all three serve every entry. *)
+type hasher = { text : Buffer.t; mutable flat : Bytes.t; ctx : Sha256.ctx }
+
 type t = {
   mutable rev_entries : entry list;
   mutable count : int;
   mutable head : string;
-  bytes : Buffer.t;  (* the entry being hashed; reused by every append *)
+  hasher : hasher;
 }
 
 let genesis = Sha256.digest "guillotine-audit-genesis"
 
-let create () = { rev_entries = []; count = 0; head = genesis; bytes = Buffer.create 256 }
+let hasher () = { text = Buffer.create 256; flat = Bytes.create 256; ctx = Sha256.init () }
+
+let create () = { rev_entries = []; count = 0; head = genesis; hasher = hasher () }
 
 let str = Buffer.add_string
 let chr = Buffer.add_char
@@ -80,17 +86,22 @@ let add_event b = function
     str b "coadmit:"; str b roster; chr b ':'; str b verdict; chr b ':'; add_int b findings
   | Note s -> str b "note:"; str b s
 
-(* One entry's bytes go into [b], which is cleared first, and are
-   digested once. *)
-let entry_digest b ~prev ~seq ~tick event =
+(* One entry's bytes, digested once. *)
+let entry_digest h ~prev ~seq ~tick event =
+  let b = h.text in
   Buffer.clear b;
   str b prev; add_int b seq; chr b ':'; add_int b tick; chr b ':';
   add_event b event;
-  Sha256.digest (Buffer.contents b)
+  let len = Buffer.length b in
+  if Bytes.length h.flat < len then h.flat <- Bytes.create (max len (2 * Bytes.length h.flat));
+  Buffer.blit b 0 h.flat 0 len;
+  let digest = Bytes.create 32 in
+  Sha256.digest_into h.ctx h.flat ~off:0 ~len digest ~at:0;
+  Bytes.unsafe_to_string digest
 
 let append t ~tick event =
   let seq = t.count in
-  let digest = entry_digest t.bytes ~prev:t.head ~seq ~tick event in
+  let digest = entry_digest t.hasher ~prev:t.head ~seq ~tick event in
   let e = { seq; tick; event; digest } in
   t.rev_entries <- e :: t.rev_entries;
   t.count <- seq + 1;
@@ -102,12 +113,12 @@ let length t = t.count
 let head_digest t = t.head
 
 let verify_chain es =
-  let b = Buffer.create 256 in
+  let h = hasher () in
   let rec go prev expected_seq = function
     | [] -> true
     | e :: rest ->
       e.seq = expected_seq
-      && String.equal e.digest (entry_digest b ~prev ~seq:e.seq ~tick:e.tick e.event)
+      && String.equal e.digest (entry_digest h ~prev ~seq:e.seq ~tick:e.tick e.event)
       && go e.digest (expected_seq + 1) rest
   in
   go genesis 0 es

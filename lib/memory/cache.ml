@@ -12,13 +12,18 @@ let config_l3 = { line_words = 8; sets = 4096; ways = 16; hit_cost = 30; miss_co
 
 (* Way [w] of set [s] is slot [s * ways + w] of two flat arrays: its tag
    (-1 = invalid) and its LRU stamp.  One extra slot at the end, the
-   sentinel, holds tag [min_int] and is never written. *)
+   sentinel, holds tag [min_int] and is never written.  Both arrays are
+   empty until the level's first [access], [slot_of] or [sentinel]
+   makes them; until then every way is invalid with stamp 0.  [ways] is
+   [cfg.ways] once they exist and 0 before, so a lookup in a level
+   without them scans no slot: the hit path needs no check of its own,
+   and only a miss asks whether the arrays exist. *)
 type t = {
-  name : string;
   cfg : config;
   next : t option;
-  tags : int array;
-  stamps : int array;
+  mutable tags : int array;
+  mutable stamps : int array;
+  mutable ways : int;
   line_shift : int; (* log2 line_words: per-access math without div *)
   set_mask : int;   (* sets - 1 *)
   sets_shift : int; (* log2 sets *)
@@ -31,19 +36,16 @@ let is_power_of_two n = n > 0 && n land (n - 1) = 0
 
 let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
 
-let create ~name cfg ~next =
+let create cfg ~next =
   if not (is_power_of_two cfg.line_words && is_power_of_two cfg.sets) then
     invalid_arg "Cache.create: line_words and sets must be powers of two";
   if cfg.ways <= 0 then invalid_arg "Cache.create: ways must be positive";
-  let slots = cfg.sets * cfg.ways in
-  let tags = Array.make (slots + 1) (-1) in
-  tags.(slots) <- min_int;
   {
-    name;
     cfg;
     next;
-    tags;
-    stamps = Array.make (slots + 1) 0;
+    tags = [||];
+    stamps = [||];
+    ways = 0;
     line_shift = log2 cfg.line_words;
     set_mask = cfg.sets - 1;
     sets_shift = log2 cfg.sets;
@@ -53,7 +55,18 @@ let create ~name cfg ~next =
   }
 
 let config t = t.cfg
-let sentinel t = Array.length t.tags - 1
+
+let make_arrays t =
+  let slots = t.cfg.sets * t.cfg.ways in
+  let tags = Array.make (slots + 1) (-1) in
+  tags.(slots) <- min_int;
+  t.tags <- tags;
+  t.stamps <- Array.make (slots + 1) 0;
+  t.ways <- t.cfg.ways
+
+let sentinel t =
+  if t.ways = 0 then make_arrays t;
+  t.cfg.sets * t.cfg.ways
 
 let line_of_addr t addr = addr lsr t.line_shift
 let set_of_addr t addr = line_of_addr t addr land t.set_mask
@@ -72,28 +85,32 @@ let rec find_slot (tags : int array) tag i stop =
 
 (* The set's slots are [base, base + ways); [set] is masked in-bounds. *)
 let find t set tag =
-  let base = set * t.cfg.ways in
-  find_slot t.tags tag base (base + t.cfg.ways)
+  let base = set * t.ways in
+  find_slot t.tags tag base (base + t.ways)
 
 let slot_of t ~set ~tag =
+  let sentinel = sentinel t in
   let i = find t set tag in
-  if i >= 0 then i else sentinel t
+  if i >= 0 then i else sentinel
 
 let rec access t ~addr =
   let set = set_of_addr t addr in
   let tag = tag_of_addr t addr in
   t.clock <- t.clock + 1;
-  let ways = t.cfg.ways in
+  let ways = t.ways in
   let base = set * ways in
-  let tags = t.tags and stamps = t.stamps in
-  let i = find_slot tags tag base (base + ways) in
+  let i = find_slot t.tags tag base (base + ways) in
   if i >= 0 then begin
     t.hits <- t.hits + 1;
-    Array.unsafe_set stamps i t.clock;
+    Array.unsafe_set t.stamps i t.clock;
     t.cfg.hit_cost
   end
   else begin
     t.misses <- t.misses + 1;
+    if ways = 0 then make_arrays t;
+    let ways = t.ways in
+    let base = set * ways in
+    let tags = t.tags and stamps = t.stamps in
     (* Fill: evict the first LRU way.  An invalid way has stamp 0 and a
        valid one a stamp of at least 1, so that is the first invalid way
        when the set has one. *)
@@ -123,8 +140,9 @@ let rec flush_line t ~addr =
   | Some lower -> flush_line lower ~addr
   | None -> ()
 
+(* A level without arrays has [ways = 0], so no slot to fill. *)
 let rec flush_all t =
-  let slots = sentinel t in
+  let slots = t.cfg.sets * t.ways in
   Array.fill t.tags 0 slots (-1);
   Array.fill t.stamps 0 slots 0;
   match t.next with Some lower -> flush_all lower | None -> ()
@@ -133,7 +151,7 @@ let stats t = (t.hits, t.misses)
 
 let occupancy t =
   let n = ref 0 in
-  for i = 0 to sentinel t - 1 do
+  for i = 0 to (t.cfg.sets * t.ways) - 1 do
     if t.tags.(i) <> -1 then incr n
   done;
   !n

@@ -19,11 +19,11 @@ type config = {
 }
 
 type t = {
-  name : string;
   cfg : config;
   next : t option;
-  tags : int array;   (* slot [set * ways + way]; -1 = invalid; one sentinel slot last *)
-  stamps : int array; (* LRU stamp per slot, same indexing *)
+  mutable tags : int array;   (* slot [set * ways + way]; -1 = invalid; one sentinel slot last *)
+  mutable stamps : int array; (* LRU stamp per slot, same indexing *)
+  mutable ways : int;         (* [cfg.ways] once the arrays exist, 0 before *)
   line_shift : int;
   set_mask : int;
   sets_shift : int;
@@ -34,8 +34,16 @@ type t = {
 (** Exposed for the core's instruction fetch, which keeps a slot hint
     per fetch site and probes it before falling back to {!access}.
     The contract that makes a hint safe to keep:
-    - slots never move: way [w] of set [s] is slot [s * ways + w] for
-      the cache's lifetime, and tags and stamps are mutated in place;
+    - [tags] and [stamps] are empty, and [ways] is 0, until the
+      level's first use: the first {!access}, {!slot_of} or
+      {!sentinel} makes them once.  A hint is only ever a slot one of
+      those returned, so the arrays exist whenever it is probed.
+      {!present}, {!flush_line}, {!flush_all} and {!occupancy} on a
+      level without them answer from the fresh state (every way
+      invalid) without making them;
+    - slots never move: way [w] of set [s] is slot [s * cfg.ways + w]
+      for the cache's lifetime, and tags and stamps are mutated in
+      place;
     - the sentinel slot ({!sentinel}, the last one) holds tag [min_int]
       and is never written, so it matches no tag and is the "unknown"
       hint;
@@ -53,8 +61,10 @@ val config_l1 : config
 val config_l2 : config
 val config_l3 : config
 
-val create : name:string -> config -> next:t option -> t
-(** [next = None] means misses go to DRAM at [miss_cost]. *)
+val create : config -> next:t option -> t
+(** [next = None] means misses go to DRAM at [miss_cost].  Allocates
+    only the record: the tag and stamp arrays, [2 (sets * ways + 1)]
+    words, are made on first use. *)
 
 val config : t -> config
 
@@ -85,10 +95,12 @@ val tag_of_addr : t -> int -> int
 
 val slot_of : t -> set:int -> tag:int -> int
 (** The slot currently holding [tag] in [set], or {!sentinel}.  Pure
-    probe: no clock movement, no stats. *)
+    probe: no clock movement, no stats (it makes the arrays if they do
+    not exist, as {!sentinel} does). *)
 
 val sentinel : t -> int
-(** The never-matching slot: [sets * ways]. *)
+(** The never-matching slot: [sets * ways], before and after the arrays
+    exist.  Makes them if they do not, so the slot can be probed. *)
 
 val stats : t -> int * int
 (** (hits, misses) since creation. *)

@@ -11,14 +11,23 @@
     exist, and in the simulation it must never be reachable from guest
     code (the MMU faults first); reaching it indicates a simulator bug. *)
 
-type t = { data : int64 array }
+type t = { mutable data : int64 array; size : int }
 (** Concrete so that two hot paths can read [data] directly (after
     proving the index in bounds) without a cross-module call — the
     compiler is run without flambda, so abstract accessors cost a call
     per read.  The two are the core's fetch path, one read per
     simulated instruction, and the toy model's weight scan
     ([Toymodel.generate]), one row of [Vocab.size] words per generated
-    token.  Each falls back to {!read} only to raise its [Bus_error].
+    token.
+    - [size] is the DRAM's size in words.  [data] is empty until the
+      first call that mutates the DRAM ({!write}, {!write_int},
+      {!flip_bit}, {!load_words}, {!load_program}, or {!fill} with a
+      non-zero word), which makes all [size] words at once; until then
+      every word reads [0L].  So a machine costs its DRAM only once a
+      program or model lands in it.
+    - A direct reader reads [data] only below [Array.length data], and
+      falls back to {!read} otherwise, which reads [0L] or raises the
+      [Bus_error].
     Treat as read-only outside this module: every store to [data] goes
     through {!write} or the bulk mutators below. *)
 
@@ -48,6 +57,8 @@ val load_program : t -> Guillotine_isa.Asm.program -> unit
 (** Copies the image at the program's origin. *)
 
 val fill : t -> at:int -> len:int -> int64 -> unit
+(** Filling a never-written DRAM with [0L] makes nothing. *)
+
 val snapshot : t -> at:int -> len:int -> int64 array
 (** Used by the hypervisor's private inspection bus and by attestation
     measurement. *)

@@ -13,9 +13,9 @@ type t = {
 
 let create ?(l1 = Cache.config_l1) ?(l2 = Cache.config_l2) ?(l3 = Cache.config_l3)
     ?io ?(io_cost = 100) ~dram () =
-  let l3c = Cache.create ~name:"L3" l3 ~next:None in
-  let l2c = Cache.create ~name:"L2" l2 ~next:(Some l3c) in
-  let l1c = Cache.create ~name:"L1" l1 ~next:(Some l2c) in
+  let l3c = Cache.create l3 ~next:None in
+  let l2c = Cache.create l2 ~next:(Some l3c) in
+  let l1c = Cache.create l1 ~next:(Some l2c) in
   let io_base_addr, io_dram =
     match io with Some (base, io_dram) -> (base, io_dram) | None -> (max_int, dram)
   in

@@ -14,26 +14,32 @@ let row_base t tok = t.base + (tok * t.vocab)
 
 let write t ~row ~col v = Dram.write_int t.dram (row_base t row + col) v
 
-(* The row is range-checked once and scanned straight from [Dram.data],
-   as the core's fetch path reads it: a [Dram.read_int] per weight is a
-   cross-module call without flambda.  Ties go to the lowest column. *)
+(* A row inside [Dram.data] is scanned straight from it, as the core's
+   fetch path reads it: a [Dram.read_int] per weight is a cross-module
+   call without flambda.  Any other row (the DRAM was never written, or
+   the row runs past its end) goes word by word through
+   [Dram.read_int], which reads 0 or raises the [Bus_error] for the
+   row's first word out of range.  Ties go to the lowest column. *)
 let argmax_col t row =
   let base = row_base t row in
   let data = t.dram.Dram.data in
-  if base < 0 || base > Array.length data - t.vocab then
-    (* Only to raise the Bus_error [Dram.read] would, for the row's
-       first word out of range. *)
-    for j = 0 to t.vocab - 1 do
-      ignore (Dram.read t.dram (base + j))
-    done;
   let best = ref 0 and best_v = ref min_int in
-  for j = 0 to t.vocab - 1 do
-    let v = Int64.to_int (Array.unsafe_get data (base + j)) in
-    if v > !best_v then begin
-      best_v := v;
-      best := j
-    end
-  done;
+  if base >= 0 && base <= Array.length data - t.vocab then
+    for j = 0 to t.vocab - 1 do
+      let v = Int64.to_int (Array.unsafe_get data (base + j)) in
+      if v > !best_v then begin
+        best_v := v;
+        best := j
+      end
+    done
+  else
+    for j = 0 to t.vocab - 1 do
+      let v = Dram.read_int t.dram (base + j) in
+      if v > !best_v then begin
+        best_v := v;
+        best := j
+      end
+    done;
   !best
 
 let init ~dram ~base ?malice ~seed () =

@@ -16,7 +16,6 @@ type peer = {
 
 type t = {
   engine : Engine.t;
-  period : float;
   timeout : float;
   loss : float;
   prng : Guillotine_util.Prng.t;
@@ -57,7 +56,6 @@ let start ~engine ?(period = default_period) ?(timeout = default_timeout)
   let t =
     {
       engine;
-      period;
       timeout;
       loss;
       prng =

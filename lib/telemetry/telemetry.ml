@@ -18,7 +18,6 @@ type gauge = {
 }
 
 type histogram = {
-  h_name : string;
   mutable h_samples : float list; (* reversed *)
   mutable h_count : int;
   mutable h_cached_at : int; (* h_count the cached summary was built at *)
@@ -135,8 +134,7 @@ let histogram t name =
   register t name
     (fun () ->
       let h =
-        { h_name = name; h_samples = []; h_count = 0;
-          h_cached_at = -1; h_cached = Stats.summarize [] }
+        { h_samples = []; h_count = 0; h_cached_at = -1; h_cached = Stats.summarize [] }
       in
       (M_histogram h, h))
     (function M_histogram h -> Some h | _ -> None)

@@ -6,8 +6,9 @@ let create seed = { state = seed }
 
 let copy t = { state = t.state }
 
-(* splitmix64 finaliser: two xor-shift-multiply rounds. *)
-let mix z =
+(* splitmix64 finaliser: two xor-shift-multiply rounds.  Inlined so
+   that [fill_bytes] keeps its words unboxed. *)
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
@@ -15,6 +16,20 @@ let mix z =
 let int64 t =
   t.state <- Int64.add t.state golden_gamma;
   mix t.state
+
+(* The state lives in a local while the loop runs, so no draw is
+   boxed; [t] is written once at the end. *)
+let fill_bytes t b =
+  let n = Bytes.length b in
+  if n land 7 <> 0 then invalid_arg "Prng.fill_bytes: length not a multiple of 8";
+  let state = ref t.state in
+  let i = ref 0 in
+  while !i < n do
+    state := Int64.add !state golden_gamma;
+    Bytes.set_int64_le b !i (mix !state);
+    i := !i + 8
+  done;
+  t.state <- !state
 
 (* Each draw adds [golden_gamma] to the state (mod 2^64), so [n] draws
    add [n * golden_gamma]. *)

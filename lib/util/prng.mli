@@ -24,6 +24,13 @@ val copy : t -> t
 val int64 : t -> int64
 (** Next raw 64-bit value. *)
 
+val fill_bytes : t -> Bytes.t -> unit
+(** [fill_bytes t b] writes the next [Bytes.length b / 8] draws of
+    {!int64} into [b], draw [k] little-endian at byte [8 k], and leaves
+    [t] where that many calls of {!int64} would.  No draw is boxed: the
+    one allocation, whatever the length, is the final state stored back
+    into [t] (3 words).  [Bytes.length b] must be a multiple of 8. *)
+
 val skip : t -> int -> unit
 (** [skip t n] leaves [t] exactly where [n] calls of {!int64} would, in
     constant time.  [n] must be non-negative. *)

@@ -221,7 +221,8 @@ let test_audit_head_digests_pinned () =
    deployment serving serve-soak's mix (a benign model, every third
    prompt ending with the rogue trigger, one in ten hardened).  The
    requests are built before counting; the first 20 warm up.  Reads
-   786.7; it read 1 207.3 while the audit entries, the posture string
+   584.9; it read 786.7 while each audit entry took a fresh SHA-256
+   context, and 1 207.3 while the audit entries, the posture string
    and the flight-recorder details were formatted with [Printf]. *)
 let test_serve_allocation_budget () =
   let d = Deployment.create ~seed:1L () in
@@ -238,8 +239,8 @@ let test_serve_allocation_budget () =
   let before = Gc.minor_words () in
   for k = 20 to 219 do serve k done;
   let per_request = (Gc.minor_words () -. before) /. 200. in
-  if per_request > 850. then
-    Alcotest.failf "Deployment.serve allocates %.1f minor words per request (budget 850)"
+  if per_request > 640. then
+    Alcotest.failf "Deployment.serve allocates %.1f minor words per request (budget 640)"
       per_request
 
 (* Every deployment has its own fabric, so its address is a constant,

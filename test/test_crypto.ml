@@ -139,6 +139,38 @@ let test_sha256_two_domains () =
         (Sha256.hex root'))
     sequential concurrent
 
+(* [digest_into] hashes any slice into any slot through a reused
+   context, with no allocation: the slices of a 300-byte buffer at
+   every length around the padding edges, against [digest] of the same
+   bytes. *)
+let test_sha256_digest_into () =
+  let prng = Prng.create 31L in
+  let src = Bytes.init 300 (fun _ -> Char.chr (Prng.int prng 256)) in
+  let out = Bytes.make 100 '\xff' in
+  let ctx = Sha256.init () in
+  ignore (Sha256.finalize ctx);
+  List.iter
+    (fun (off, len, at) ->
+      Sha256.digest_into ctx src ~off ~len out ~at;
+      Alcotest.(check string)
+        (Printf.sprintf "off %d len %d at %d" off len at)
+        (Sha256.hex (Sha256.digest (Bytes.sub_string src off len)))
+        (Sha256.hex (Bytes.sub_string out at 32)))
+    [ (0, 0, 0); (3, 1, 68); (5, 55, 1); (0, 56, 7); (17, 57, 0); (1, 63, 60);
+      (0, 64, 3); (100, 65, 0); (7, 127, 2); (44, 128, 9); (0, 300, 68); (299, 1, 0) ];
+  Alcotest.check_raises "slice past the end"
+    (Invalid_argument "Sha256.digest_into: slice out of range") (fun () ->
+      Sha256.digest_into ctx src ~off:290 ~len:11 out ~at:0);
+  Alcotest.check_raises "slot past the end"
+    (Invalid_argument "Sha256.digest_into: slot out of range") (fun () ->
+      Sha256.digest_into ctx src ~off:0 ~len:1 out ~at:69);
+  let before = Gc.minor_words () in
+  for k = 0 to 999 do
+    Sha256.digest_into ctx src ~off:(k mod 200) ~len:32 out ~at:(k mod 68)
+  done;
+  Alcotest.(check (float 0.)) "1 000 digests allocate nothing" 0.
+    (Gc.minor_words () -. before)
+
 (* ----------------------------- HMAC ------------------------------- *)
 
 let test_hmac_rfc4231_vectors () =
@@ -281,6 +313,44 @@ let test_signature_cross_signer_rejects () =
   let sg = Signature.sign s1 "msg" in
   Alcotest.(check bool) "cross rejects" false (Signature.verify pk2 ~msg:"msg" sg)
 
+(* Keys as the string-per-preimage reference makes them: over random
+   seeds and heights 0-3, the root, every leaf's public key and one
+   signature per leaf (its wire bytes carry the leaf key, the revealed
+   preimages and the path) must equal [Lamport_ref]'s. *)
+let prop_keys_match_reference =
+  QCheck.Test.make ~name:"keys = string-per-preimage reference" ~count:20
+    QCheck.(pair int64 (int_range 0 3))
+    (fun (seed, height) ->
+      let signer, root = Signature.generate ~height (Prng.create seed) in
+      let reference = Lamport_ref.scheme ~height (Prng.create seed) in
+      String.equal root (Lamport_ref.root reference)
+      && List.for_all
+           (fun i ->
+             let msg = Printf.sprintf "leaf %d of %Ld" i seed in
+             String.equal
+               (Signature.encode (Signature.sign signer msg))
+               (Lamport_ref.encoded_signature reference i msg))
+           (List.init (1 lsl height) Fun.id))
+
+(* Roots taken from the string-per-preimage implementation. *)
+let test_roots_pinned () =
+  let root height seed = Sha256.hex (snd (Signature.generate ~height (Prng.create seed))) in
+  Alcotest.(check string) "h5, seed 1"
+    "b8053b9e115731f925d8fc9e06cc97bb0fd4b63a01038c30fd3990613d4902ad" (root 5 1L);
+  Alcotest.(check string) "h8, seed 7"
+    "e91000f1214e427a2be34c0e44e9ff10199da5352329d7568f842617795fbb2b" (root 8 7L)
+
+(* A leaf's preimages and digests live in two 16 KiB buffers (major
+   heap); the minor heap sees about a hundred words of context and
+   records per leaf, and a Merkle node hash or two.  The
+   string-per-preimage leaf read 65 367. *)
+let test_keygen_allocation_budget () =
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Signature.generate ~height:5 (Prng.create 3L)));
+  let per_leaf = (Gc.minor_words () -. before) /. 32. in
+  if per_leaf > 1000. then
+    Alcotest.failf "an h5 key allocates %.0f minor words per leaf (budget 1 000)" per_leaf
+
 (* ------------------------- Deferred keys -------------------------- *)
 
 let test_defer_matches_generate () =
@@ -325,6 +395,7 @@ let () =
             test_sha256_long_matches_reference;
           Alcotest.test_case "allocation budget" `Quick test_sha256_allocation_budget;
           Alcotest.test_case "two domains = sequential" `Quick test_sha256_two_domains;
+          Alcotest.test_case "digest_into" `Quick test_sha256_digest_into;
         ] );
       ( "hmac",
         [
@@ -356,5 +427,9 @@ let () =
           Alcotest.test_case "defer = generate" `Quick test_defer_matches_generate;
           Alcotest.test_case "defer checks height at call" `Quick
             test_defer_checks_height_at_call;
+          qc prop_keys_match_reference;
+          Alcotest.test_case "roots pinned" `Quick test_roots_pinned;
+          Alcotest.test_case "key generation allocation budget" `Quick
+            test_keygen_allocation_budget;
         ] );
     ]

@@ -428,6 +428,30 @@ let test_machine_create_allocation_budget () =
   if words > 20_000. then
     Alcotest.failf "Machine.create allocates %.0f minor words (budget 20 000)" words
 
+(* Caches and DRAM are made on first use, so a machine's set-up leaves
+   the major heap alone: the eager arrays took ~780 000 words. *)
+let test_machine_create_major_budget () =
+  let _, promoted0, major0 = Gc.counters () in
+  ignore (Sys.opaque_identity (Machine.create ()));
+  let _, promoted1, major1 = Gc.counters () in
+  let words = major1 -. major0 -. (promoted1 -. promoted0) in
+  if words > 64_000. then
+    Alcotest.failf "Machine.create allocates %.0f major words (budget 64 000)" words
+
+(* A never-written model DRAM digests as a zero-filled one, and
+   capturing it does not make its words. *)
+let test_snapshot_never_written_dram () =
+  let fresh = Machine.create ~config:small_config () in
+  let zeroed = Machine.create ~config:small_config () in
+  let dram = Machine.model_dram zeroed in
+  Dram.write dram 100 7L;
+  Dram.write dram 100 0L;
+  Alcotest.(check string) "digest"
+    (Snapshot.digest_hex (Snapshot.capture zeroed))
+    (Snapshot.digest_hex (Snapshot.capture fresh));
+  Alcotest.(check int) "fresh DRAM still unmade" 0
+    (Array.length (Machine.model_dram fresh).Dram.data)
+
 let test_snapshot_revives_powered_off_core () =
   let m = Machine.create ~config:small_config () in
   let p = Asm.assemble_exn counting_guest in
@@ -449,6 +473,8 @@ let () =
           Alcotest.test_case "cores and domains" `Quick test_topology;
           Alcotest.test_case "create allocation budget" `Quick
             test_machine_create_allocation_budget;
+          Alcotest.test_case "create major-heap budget" `Quick
+            test_machine_create_major_budget;
           Alcotest.test_case "install and run" `Quick test_install_and_run_program;
           Alcotest.test_case "io region shared" `Quick test_io_region_shared;
           Alcotest.test_case "model cannot reach hyp DRAM" `Slow
@@ -488,6 +514,7 @@ let () =
           Alcotest.test_case "requires quiescence" `Quick
             test_snapshot_requires_quiescence;
           Alcotest.test_case "digest identity" `Quick test_snapshot_digest_identity;
+          Alcotest.test_case "never-written DRAM" `Quick test_snapshot_never_written_dram;
           QCheck_alcotest.to_alcotest prop_snapshot_digest_matches_printf;
           Alcotest.test_case "revives powered-off core" `Quick
             test_snapshot_revives_powered_off_core;

@@ -55,6 +55,46 @@ let test_dram_hash_region_bytes () =
   Alcotest.check_raises "negative len" (Dram.Bus_error { addr = 2; size = 8 })
     (fun () -> ignore (Dram.hash_region d ~at:4 ~len:(-1)))
 
+(* A DRAM makes its words on the first call that mutates it.  Until
+   then it must answer as a zero-filled one does: reads, snapshots,
+   region hashes and every [Bus_error]. *)
+let test_dram_never_written () =
+  let fresh = Dram.create ~size:64 and zeroed = Dram.create ~size:64 in
+  Dram.write zeroed 9 5L;
+  Dram.write zeroed 9 0L;
+  Dram.fill fresh ~at:0 ~len:64 0L;
+  let raised f = match f () with _ -> None | exception Dram.Bus_error e -> Some (e.addr, e.size) in
+  let same what f =
+    Alcotest.(check (option (pair int int))) what (raised (fun () -> f zeroed))
+      (raised (fun () -> f fresh))
+  in
+  List.iter
+    (fun addr ->
+      Alcotest.(check int64) (Printf.sprintf "read %d" addr) 0L (Dram.read fresh addr);
+      Alcotest.(check int) (Printf.sprintf "read_int %d" addr) 0 (Dram.read_int fresh addr))
+    [ 0; 9; 63 ];
+  List.iter
+    (fun (at, len) ->
+      let what = Printf.sprintf "[%d, +%d)" at len in
+      Alcotest.(check (array int64)) ("snapshot " ^ what) (Dram.snapshot zeroed ~at ~len)
+        (Dram.snapshot fresh ~at ~len);
+      Alcotest.(check string) ("hash " ^ what) (Dram.hash_region zeroed ~at ~len)
+        (Dram.hash_region fresh ~at ~len))
+    [ (0, 64); (5, 0); (63, 1); (17, 30) ];
+  List.iter
+    (fun addr -> same (Printf.sprintf "read %d" addr) (fun d -> Dram.read d addr))
+    [ 64; -1; max_int; min_int ];
+  same "snapshot past the end" (fun d -> Dram.snapshot d ~at:60 ~len:5);
+  same "hash at the end" (fun d -> Dram.hash_region d ~at:64 ~len:0);
+  same "negative length" (fun d -> Dram.hash_region d ~at:4 ~len:(-1));
+  same "write past the end" (fun d -> Dram.write d 64 1L);
+  same "fill past the end" (fun d -> Dram.fill d ~at:1 ~len:64 0L);
+  Alcotest.(check int) "nothing made yet" 0 (Array.length fresh.Dram.data);
+  Dram.write fresh 3 0L;
+  Alcotest.(check int) "a write makes every word" 64 (Array.length fresh.Dram.data);
+  Alcotest.(check (array int64)) "still zero" (Array.make 64 0L)
+    (Dram.snapshot fresh ~at:0 ~len:64)
+
 (* ------------------------------ MMU ------------------------------- *)
 
 let perm = Alcotest.testable (fun ppf (p : Mmu.perm) ->
@@ -206,7 +246,7 @@ let test_iommu_windows_listing () =
 (* ----------------------------- Cache ------------------------------ *)
 
 let small_cache ?(next = None) () =
-  Cache.create ~name:"t"
+  Cache.create
     { Cache.line_words = 4; sets = 4; ways = 2; hit_cost = 1; miss_cost = 10 }
     ~next
 
@@ -276,7 +316,7 @@ let prop_cache_matches_reference_lru =
     QCheck.(list (int_range 0 500))
     (fun addrs ->
       let cfg = { Cache.line_words = 4; sets = 4; ways = 2; hit_cost = 1; miss_cost = 10 } in
-      let c = Cache.create ~name:"m" cfg ~next:None in
+      let c = Cache.create cfg ~next:None in
       (* Reference: per-set list of resident line tags, MRU first. *)
       let sets = Array.make cfg.Cache.sets [] in
       List.for_all
@@ -301,14 +341,30 @@ let prop_cache_matches_reference_lru =
    levels.  After each step every level must agree on the return value,
    stats, occupancy, clock, every way's tag and stamp (so victim choice
    among invalid ways and lower-level fills are pinned), and the slot a
-   fetch site's hint resolves to. *)
-type cache_op = Access of int | Flush_line of int | Flush_all | Present of int * int
+   fetch site's hint resolves to.  A level makes its arrays on first
+   use, so each sequence starts on a fresh chain with up to six of the
+   operations that may come before any access ([present], [slot_of],
+   [sentinel], [flush_line], [flush_all], [occupancy]).  A level must
+   hold its arrays exactly when an access has reached it or [slot_of]
+   or [sentinel] was asked of it; one without them must be in the
+   reference's fresh state. *)
+type cache_op =
+  | Access of int
+  | Flush_line of int
+  | Flush_all
+  | Present of int * int
+  | Slot_of of int * int
+  | Sentinel of int
+  | Occupancy of int
 
 let cache_op_to_string = function
   | Access a -> Printf.sprintf "access %d" a
   | Flush_line a -> Printf.sprintf "flush_line %d" a
   | Flush_all -> "flush_all"
   | Present (l, a) -> Printf.sprintf "present L%d %d" (l + 1) a
+  | Slot_of (l, a) -> Printf.sprintf "slot_of L%d %d" (l + 1) a
+  | Sentinel l -> Printf.sprintf "sentinel L%d" (l + 1)
+  | Occupancy l -> Printf.sprintf "occupancy L%d" (l + 1)
 
 let gen_cache_chain =
   QCheck.Gen.(
@@ -327,6 +383,19 @@ let gen_cache_op =
         (2, map2 (fun l a -> Present (l, a)) (int_range 0 2) (int_range 0 511));
       ])
 
+(* Operations a fresh cache may see before any access. *)
+let gen_first_op =
+  QCheck.Gen.(
+    oneof
+      [
+        map2 (fun l a -> Present (l, a)) (int_range 0 2) (int_range 0 511);
+        map2 (fun l a -> Slot_of (l, a)) (int_range 0 2) (int_range 0 511);
+        map (fun l -> Sentinel l) (int_range 0 2);
+        map (fun a -> Flush_line a) (int_range 0 511);
+        return Flush_all;
+        map (fun l -> Occupancy l) (int_range 0 2);
+      ])
+
 let prop_cache_matches_record_reference =
   let print (chain, ops) =
     String.concat "; "
@@ -335,7 +404,10 @@ let prop_cache_matches_record_reference =
   in
   QCheck.Test.make ~name:"flat cache = record reference" ~count:300
     (QCheck.make ~print
-       QCheck.Gen.(pair gen_cache_chain (list_size (int_range 0 200) gen_cache_op)))
+       QCheck.Gen.(
+         pair gen_cache_chain
+           (map2 ( @ ) (list_size (int_range 0 6) gen_first_op)
+              (list_size (int_range 0 200) gen_cache_op))))
     (fun (chain, ops) ->
       let levels = Array.of_list chain in
       let n = Array.length levels in
@@ -346,7 +418,7 @@ let prop_cache_matches_record_reference =
         let name = Printf.sprintf "L%d" (i + 1) and hit_cost = i + 1 and miss_cost = 10 * (i + 1) in
         flat.(i) <-
           Some
-            (Cache.create ~name { Cache.line_words; sets; ways; hit_cost; miss_cost }
+            (Cache.create { Cache.line_words; sets; ways; hit_cost; miss_cost }
                ~next:flat.(i + 1));
         refs.(i) <-
           Some
@@ -355,6 +427,13 @@ let prop_cache_matches_record_reference =
       done;
       let flat = Array.init n (fun i -> Option.get flat.(i))
       and refs = Array.init n (fun i -> Option.get refs.(i)) in
+      (* Levels [slot_of] or [sentinel] was asked of. *)
+      let asked = Array.make n false in
+      let level l = min l (n - 1) in
+      let sentinel_of i =
+        let sets, ways, _ = levels.(i) in
+        sets * ways
+      in
       let agree step addr =
         for i = 0 to n - 1 do
           let c = flat.(i) and r = refs.(i) in
@@ -362,24 +441,35 @@ let prop_cache_matches_record_reference =
           if Cache.stats c <> Cache_ref.stats r then fail "stats";
           if Cache.occupancy c <> Cache_ref.occupancy r then fail "occupancy";
           if c.Cache.clock <> r.Cache_ref.clock then fail "clock";
+          let hits, misses = Cache_ref.stats r in
+          let made = Array.length c.Cache.tags > 0 in
+          if made <> (hits + misses > 0 || asked.(i)) then fail "whether the arrays exist";
           let _, ways, _ = levels.(i) in
           Array.iteri
             (fun set row ->
               Array.iteri
                 (fun w (way : Cache_ref.way) ->
                   let slot = (set * ways) + w in
-                  if c.Cache.tags.(slot) <> way.Cache_ref.tag then fail "a tag";
-                  if c.Cache.stamps.(slot) <> way.Cache_ref.stamp then fail "a stamp")
+                  let tag, stamp =
+                    if made then (c.Cache.tags.(slot), c.Cache.stamps.(slot)) else (-1, 0)
+                  in
+                  if tag <> way.Cache_ref.tag then fail "a tag";
+                  if stamp <> way.Cache_ref.stamp then fail "a stamp")
                 row)
             r.Cache_ref.ways;
-          let sentinel = Cache.sentinel c in
-          if c.Cache.tags.(sentinel) <> min_int || c.Cache.stamps.(sentinel) <> 0 then
-            fail "the sentinel";
-          (* The slot a fetch site's hint resolves to after this step. *)
-          let set = Cache.set_of_addr c addr and tag = Cache.tag_of_addr c addr in
-          let wi = Cache_ref.way_of r ~set ~tag in
-          let expect = if wi >= 0 then (set * ways) + wi else sentinel in
-          if Cache.slot_of c ~set ~tag <> expect then fail "the hinted slot"
+          (* [slot_of] makes the arrays, so the hint is checked only on a
+             level that has them. *)
+          if made then begin
+            let sentinel = Cache.sentinel c in
+            if sentinel <> sentinel_of i then fail "the sentinel index";
+            if c.Cache.tags.(sentinel) <> min_int || c.Cache.stamps.(sentinel) <> 0 then
+              fail "the sentinel";
+            (* The slot a fetch site's hint resolves to after this step. *)
+            let set = Cache.set_of_addr c addr and tag = Cache.tag_of_addr c addr in
+            let wi = Cache_ref.way_of r ~set ~tag in
+            let expect = if wi >= 0 then (set * ways) + wi else sentinel in
+            if Cache.slot_of c ~set ~tag <> expect then fail "the hinted slot"
+          end
         done
       in
       List.iteri
@@ -399,10 +489,32 @@ let prop_cache_matches_record_reference =
               Cache_ref.flush_all refs.(0);
               0
             | Present (l, a) ->
-              let l = min l (n - 1) in
+              let l = level l in
               if Cache.present flat.(l) ~addr:a <> Cache_ref.present refs.(l) ~addr:a then
                 QCheck.Test.fail_reportf "step %d: present differs" step;
               a
+            | Slot_of (l, a) ->
+              let l = level l in
+              let c = flat.(l) and r = refs.(l) in
+              let set = Cache.set_of_addr c a and tag = Cache.tag_of_addr c a in
+              let _, ways, _ = levels.(l) in
+              let wi = Cache_ref.way_of r ~set ~tag in
+              let expect = if wi >= 0 then (set * ways) + wi else sentinel_of l in
+              if Cache.slot_of c ~set ~tag <> expect then
+                QCheck.Test.fail_reportf "step %d: slot_of differs" step;
+              asked.(l) <- true;
+              a
+            | Sentinel l ->
+              let l = level l in
+              if Cache.sentinel flat.(l) <> sentinel_of l then
+                QCheck.Test.fail_reportf "step %d: sentinel differs" step;
+              asked.(l) <- true;
+              0
+            | Occupancy l ->
+              let l = level l in
+              if Cache.occupancy flat.(l) <> Cache_ref.occupancy refs.(l) then
+                QCheck.Test.fail_reportf "step %d: occupancy differs" step;
+              0
           in
           agree step addr)
         ops;
@@ -482,6 +594,7 @@ let () =
           Alcotest.test_case "load/snapshot" `Quick test_dram_load_and_snapshot;
           Alcotest.test_case "hash region" `Quick test_dram_hash_region_sensitive;
           Alcotest.test_case "hash region bytes" `Quick test_dram_hash_region_bytes;
+          Alcotest.test_case "never written" `Quick test_dram_never_written;
         ] );
       ( "mmu",
         [

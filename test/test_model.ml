@@ -212,16 +212,38 @@ let test_argmax_edge_weights () =
    word-by-word read raises, naming the row's first word out of range.
    [init] writes every weight, so no such model can be built; the test
    cuts the DRAM short under a built one by replacing the array in
-   [Dram.t]'s one field. *)
+   [Dram.t]'s first field and the size in its second. *)
 let test_argmax_row_past_dram_end () =
   let model, dram = fresh_model 21L in
   let size = (Vocab.size * Vocab.size) - 10 in
   Obj.set_field (Obj.repr dram) 0 (Obj.repr (Array.sub dram.Dram.data 0 size));
+  Obj.set_field (Obj.repr dram) 1 (Obj.repr size);
   Alcotest.check_raises "first word out of range" (Dram.Bus_error { addr = size; size })
     (fun () -> ignore (Toymodel.generate model ~prompt:[ Vocab.size - 1 ] ~max_tokens:1 ()));
   let g = Toymodel.generate model ~prompt:[ 0 ] ~max_tokens:1 () in
   Alcotest.(check (list int)) "rows in range still scan" [ reference_argmax dram 0 ]
     g.Toymodel.tokens
+
+(* [Dram.data] is empty until the DRAM's first write, and the scan
+   reads it only below its length: a row outside it goes through
+   [Dram.read], whose never-written words read 0.  Both states are set
+   up under a built model, as above; the DRAM's size stays 8 192. *)
+let test_argmax_inside_data () =
+  let model, dram = fresh_model 23L in
+  let full = dram.Dram.data in
+  let next row =
+    (Toymodel.generate model ~prompt:[ row ] ~max_tokens:1 ()).Toymodel.tokens
+  in
+  dram.Dram.data <- [||];
+  for row = 0 to Vocab.size - 1 do
+    Alcotest.(check (list int)) (Printf.sprintf "never written, row %d" row) [ 0 ] (next row)
+  done;
+  (* [data] ends 17 words into row 40. *)
+  dram.Dram.data <- Array.sub full 0 ((40 * Vocab.size) + 17);
+  for row = 0 to Vocab.size - 1 do
+    Alcotest.(check (list int)) (Printf.sprintf "short data, row %d" row)
+      [ reference_argmax dram row ] (next row)
+  done
 
 (* ----------------------------- Covert ----------------------------- *)
 
@@ -512,6 +534,7 @@ let () =
           Alcotest.test_case "argmax edge weights" `Quick test_argmax_edge_weights;
           Alcotest.test_case "argmax row past DRAM end" `Quick
             test_argmax_row_past_dram_end;
+          Alcotest.test_case "argmax reads inside data" `Quick test_argmax_inside_data;
         ] );
       ( "covert",
         [

@@ -333,6 +333,30 @@ let prop_prng_skip_is_n_draws =
       Prng.skip b n;
       List.init 8 (fun _ -> Prng.int64 a) = List.init 8 (fun _ -> Prng.int64 b))
 
+(* [fill_bytes] writes exactly the draws [int64] would make, each
+   little-endian in draw order, leaves the stream where they would, and
+   boxes none of them: its one allocation, however many draws, is the
+   final state stored back (an [int64] box, 3 words). *)
+let prop_prng_fill_bytes_is_draws =
+  QCheck.Test.make ~name:"prng fill_bytes = int64 draws, unboxed" ~count:40
+    QCheck.(pair int64 (int_range 0 64))
+    (fun (seed, words) ->
+      let a = Prng.create seed in
+      let b = Prng.copy a in
+      let buf = Bytes.create (8 * words) in
+      let before = Gc.minor_words () in
+      Prng.fill_bytes a buf;
+      let allocated = Gc.minor_words () -. before in
+      allocated <= 3.
+      && List.init words (fun k -> Bytes.get_int64_le buf (8 * k))
+         = List.init words (fun _ -> Prng.int64 b)
+      && Prng.int64 a = Prng.int64 b)
+
+let test_prng_fill_bytes_whole_draws () =
+  Alcotest.check_raises "7 bytes"
+    (Invalid_argument "Prng.fill_bytes: length not a multiple of 8") (fun () ->
+      Prng.fill_bytes (Prng.create 1L) (Bytes.create 7))
+
 let test_bits_roundtrip () =
   let s = "Guillotine" in
   Alcotest.(check string) "roundtrip" s (Bits.to_string (Bits.of_string s))
@@ -417,6 +441,9 @@ let () =
           qc prop_prng_copy_replays;
           qc prop_prng_split_deterministic;
           qc prop_prng_skip_is_n_draws;
+          qc prop_prng_fill_bytes_is_draws;
+          Alcotest.test_case "fill_bytes whole draws" `Quick
+            test_prng_fill_bytes_whole_draws;
         ] );
       ( "stats",
         [
