@@ -55,11 +55,10 @@ let slot_equal a i b j =
   && Int64.equal (Bytes.get_int64_ne a (i + 16)) (Bytes.get_int64_ne b (j + 16))
   && Int64.equal (Bytes.get_int64_ne a (i + 24)) (Bytes.get_int64_ne b (j + 24))
 
-let verify pub ~msg signature =
+let verify ?(ctx = Sha256.init ()) pub ~msg signature =
   String.length pub = 2 * bits * chunk
   && String.length signature = bits * chunk
   &&
-  let ctx = Sha256.init () in
   let d = message_digest ctx msg in
   let pub = Bytes.unsafe_of_string pub and revealed = Bytes.unsafe_of_string signature in
   let got = Bytes.create chunk in

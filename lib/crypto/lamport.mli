@@ -19,8 +19,8 @@ val generate : Guillotine_util.Prng.t -> secret_key * public_key
     draws, each little-endian, in one 16 KiB buffer (preimage [k] at
     byte [32 k]); their digests go straight into the public key through
     one SHA-256 context.  Besides the two 16 KiB buffers, which the
-    runtime allocates in the major heap, a key costs about a hundred
-    minor words. *)
+    runtime allocates in the major heap, a key costs a few dozen minor
+    words. *)
 
 val prng_draws : int
 (** {!Guillotine_util.Prng.int64} draws one [generate] makes (2048). *)
@@ -29,6 +29,8 @@ val sign : secret_key -> string -> signature
 (** [sign sk msg] signs SHA-256(msg) by copying the 256 revealed
     preimages.  Raises [Invalid_argument] on a second use of [sk]. *)
 
-val verify : public_key -> msg:string -> signature -> bool
-(** Hashes the 256 revealed preimages through one context and compares
-    each digest in place with its public-key slot. *)
+val verify : ?ctx:Sha256.ctx -> public_key -> msg:string -> signature -> bool
+(** Hashes the 256 revealed preimages through [ctx] (a fresh context by
+    default, reset first and reusable afterwards, as for
+    {!Sha256.digest_into}) and compares each digest in place with its
+    public-key slot. *)

@@ -1,6 +1,26 @@
-(* Domain-separated hashing prevents leaf/node confusion attacks. *)
-let hash_leaf data = Sha256.digest_concat [ "\x00"; data ]
-let hash_node l r = Sha256.digest_concat [ "\x01"; l; r ]
+(* Domain-separated hashing prevents leaf/node confusion attacks: a leaf
+   is the digest of [0x00 | data], a node that of [0x01 | left | right].
+   Both are assembled in [scratch] (at least 65 bytes, and at least one
+   more than the leaf) and hashed through [ctx]. *)
+let hash ctx scratch len =
+  let out = Bytes.create 32 in
+  Sha256.digest_into ctx scratch ~off:0 ~len out ~at:0;
+  Bytes.unsafe_to_string out
+
+let hash_leaf ctx scratch data =
+  let n = String.length data in
+  Bytes.set scratch 0 '\x00';
+  Bytes.blit_string data 0 scratch 1 n;
+  hash ctx scratch (1 + n)
+
+(* [l] and [r] are 32-byte digests. *)
+let hash_node ctx scratch l r =
+  Bytes.set scratch 0 '\x01';
+  Bytes.blit_string l 0 scratch 1 32;
+  Bytes.blit_string r 0 scratch 33 32;
+  hash ctx scratch 65
+
+let scratch_for longest_leaf = Bytes.create (max 65 (1 + longest_leaf))
 
 type tree = {
   levels : string array array;
@@ -10,7 +30,11 @@ type tree = {
 
 let build leaves =
   if leaves = [] then invalid_arg "Merkle.build: no leaves";
-  let level0 = Array.of_list (List.map hash_leaf leaves) in
+  let ctx = Sha256.init () in
+  let scratch =
+    scratch_for (List.fold_left (fun n l -> max n (String.length l)) 0 leaves)
+  in
+  let level0 = Array.of_list (List.map (hash_leaf ctx scratch) leaves) in
   let rec up acc level =
     if Array.length level = 1 then List.rev (level :: acc)
     else begin
@@ -20,7 +44,7 @@ let build leaves =
         Array.init parent_n (fun i ->
             let l = level.(2 * i) in
             let r = if (2 * i) + 1 < n then level.((2 * i) + 1) else l in
-            hash_node l r)
+            hash_node ctx scratch l r)
       in
       up (level :: acc) parent
     end
@@ -50,10 +74,16 @@ let prove t i =
   done;
   { index = i; path = List.rev !path }
 
-let verify ~root:expected ~leaf proof =
-  let acc = ref (hash_leaf leaf) in
-  List.iter
-    (fun (sib, side) ->
-      acc := (match side with `Right -> hash_node !acc sib | `Left -> hash_node sib !acc))
-    proof.path;
-  String.equal !acc expected
+let verify ?(ctx = Sha256.init ()) ~root:expected ~leaf proof =
+  let scratch = scratch_for (String.length leaf) in
+  let rec up acc = function
+    | [] -> String.equal acc expected
+    | (sib, side) :: rest ->
+      String.length sib = 32
+      && up
+           (match side with
+           | `Right -> hash_node ctx scratch acc sib
+           | `Left -> hash_node ctx scratch sib acc)
+           rest
+  in
+  up (hash_leaf ctx scratch leaf) proof.path

@@ -9,7 +9,9 @@ type tree
 
 val build : string list -> tree
 (** [build leaves] hashes each leaf and combines pairwise; an odd level
-    duplicates its last node.  The leaf list must be non-empty. *)
+    duplicates its last node.  The leaf list must be non-empty.  Every
+    leaf and node is hashed through one SHA-256 context and one scratch
+    buffer that the call makes. *)
 
 val root : tree -> string
 (** 32-byte root digest. *)
@@ -24,5 +26,8 @@ val prove : tree -> int -> proof
 (** [prove t i] is the inclusion proof for leaf [i].
     Raises [Invalid_argument] if out of range. *)
 
-val verify : root:string -> leaf:string -> proof -> bool
-(** Checks that [leaf] is included under [root] at [proof.index]. *)
+val verify : ?ctx:Sha256.ctx -> root:string -> leaf:string -> proof -> bool
+(** Checks that [leaf] is included under [root] at [proof.index].  A
+    sibling that is not a 32-byte digest fails the proof.  The hashes go
+    through [ctx] (a fresh context by default), which is reset first
+    and may be reused afterwards, as for {!Sha256.digest_into}. *)

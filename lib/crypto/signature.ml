@@ -54,10 +54,13 @@ let sign s msg =
   let proof = Merkle.prove s.tree i in
   { index = i; leaf_pub = s.publics.(i); ots; path = proof.Merkle.path }
 
+(* One context serves the one-time signature, the leaf digest and the
+   authentication path. *)
 let verify root ~msg signature =
-  Lamport.verify signature.leaf_pub ~msg signature.ots
-  && Merkle.verify ~root
-       ~leaf:(leaf_digest (Sha256.init ()) signature.leaf_pub)
+  let ctx = Sha256.init () in
+  Lamport.verify ~ctx signature.leaf_pub ~msg signature.ots
+  && Merkle.verify ~ctx ~root
+       ~leaf:(leaf_digest ctx signature.leaf_pub)
        { Merkle.index = signature.index; path = signature.path }
 
 (* Wire format: u16 index | u16 path_len | leaf_pub | ots | path entries

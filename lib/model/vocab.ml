@@ -27,14 +27,13 @@ let word t =
   else if t < harmful_lo then benign_words.(t)
   else harmful_words.(t - harmful_lo)
 
-let table = lazy (
-  let h = Hashtbl.create size in
-  for t = 0 to size - 1 do
-    Hashtbl.replace h (word t) t
-  done;
-  h)
-
-let token_of_word w = Hashtbl.find_opt (Lazy.force table) w
+(* A scan of the 64 words: no table is built, so no state is shared
+   between domains. *)
+let token_of_word w =
+  let rec scan t =
+    if t = size then None else if String.equal (word t) w then Some t else scan (t + 1)
+  in
+  scan 0
 
 let render tokens = String.concat " " (List.map word tokens)
 

@@ -42,7 +42,7 @@ type t = {
   reg_name : string;
   clock : (unit -> float) ref;
   metrics : (string, metric) Hashtbl.t;
-  mutable order : string list; (* reversed registration order *)
+  mutable order : (string * metric) list; (* reversed registration order *)
   max_events : int;
   mutable events : event list; (* reversed *)
   mutable recorded : int;
@@ -91,7 +91,7 @@ let register t name make wrong =
   | None ->
     let m, v = make () in
     Hashtbl.replace t.metrics name m;
-    t.order <- name :: t.order;
+    t.order <- (name, m) :: t.order;
     v
 
 let counter t name =
@@ -228,20 +228,12 @@ type value =
 
 type snapshot = { component : string; values : (string * value) list }
 
+(* Self-observability: the event buffer's health as two gauges, so
+   watchdog rules can alert on telemetry saturation.  Gauges, not
+   counters, so [counter_sum] keeps measuring only subsystem activity.
+   The metrics are folded onto them from the reversed registration
+   list, which leaves them in registration order. *)
 let snapshot t =
-  let values =
-    List.rev_map
-      (fun name ->
-        match Hashtbl.find t.metrics name with
-        | M_counter c -> (name, Counter c.c_value)
-        | M_gauge g -> (name, Gauge g.g_value)
-        | M_histogram h -> (name, Summary (histogram_summary h)))
-      t.order
-  in
-  (* Self-observability: expose the event buffer's health as gauges so
-     watchdog rules can alert on telemetry saturation.  Gauges, not
-     counters, so [counter_sum] keeps measuring only subsystem
-     activity. *)
   let self =
     [
       ("telemetry.events_dropped", Gauge (float_of_int t.dropped));
@@ -249,7 +241,19 @@ let snapshot t =
         Gauge (float_of_int t.recorded /. float_of_int (max 1 t.max_events)) );
     ]
   in
-  { component = t.reg_name; values = values @ self }
+  let values =
+    List.fold_left
+      (fun acc (name, m) ->
+        let v =
+          match m with
+          | M_counter c -> Counter c.c_value
+          | M_gauge g -> Gauge g.g_value
+          | M_histogram h -> Summary (histogram_summary h)
+        in
+        (name, v) :: acc)
+      self t.order
+  in
+  { component = t.reg_name; values }
 
 let snapshot_of ~component values = { component; values }
 
@@ -339,8 +343,8 @@ let export_chrome_trace regs =
       (fun (tid, t) ->
         let seq = ref t.recorded in
         List.rev t.order
-        |> List.concat_map (fun name ->
-               match Hashtbl.find t.metrics name with
+        |> List.concat_map (fun (_, m) ->
+               match m with
                | M_gauge g ->
                  List.rev_map
                    (fun (ts, v) ->

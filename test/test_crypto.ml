@@ -94,6 +94,8 @@ let test_sha256_long_matches_reference () =
   Alcotest.(check string) "70 000 bytes" (Sha256.hex (Sha256_ref.digest s))
     (Sha256.digest_hex s)
 
+(* A digest allocates its context (record, state and block buffer) and
+   the result: 31 words, where a per-context schedule made it 97. *)
 let test_sha256_allocation_budget () =
   let msg = String.make 32 'k' in
   let n = 1000 in
@@ -102,13 +104,47 @@ let test_sha256_allocation_budget () =
     ignore (Sys.opaque_identity (Sha256.digest msg))
   done;
   let per_digest = (Gc.minor_words () -. before) /. float_of_int n in
-  if per_digest > 100.0 then
-    Alcotest.failf "32-byte digest allocates %.1f words (budget 100)" per_digest
+  if per_digest > 35.0 then
+    Alcotest.failf "32-byte digest allocates %.1f words (budget 35)" per_digest
 
-(* Each context owns its schedule and block buffer: two domains that
+(* The compression function allocates nothing: 20 digests of a 16 KiB
+   slice (257 blocks each) take 0 minor words. *)
+let test_sha256_compress_allocates_nothing () =
+  let src = Bytes.make 16384 'z' and out = Bytes.create 32 and ctx = Sha256.init () in
+  let before = Gc.minor_words () in
+  for _ = 1 to 20 do
+    Sha256.digest_into ctx src ~off:0 ~len:16384 out ~at:0
+  done;
+  Alcotest.(check (float 0.)) "5 140 compressions allocate nothing" 0.
+    (Gc.minor_words () -. before)
+
+(* [digest_into] through one reused context, at random offsets, lengths
+   and slots, equals the int32 reference: lengths 0-1 100 cross every
+   padding edge of up to 18 blocks, and 16 384 is a Lamport public key.
+   The bytes around the slot stay as they were. *)
+let prop_digest_into_matches_reference =
+  let ctx = Sha256.init () in
+  QCheck.Test.make ~name:"digest_into = int32 reference" ~count:200
+    (QCheck.make
+       ~print:QCheck.Print.(quad int int int int64)
+       QCheck.Gen.(
+         quad (0 -- 70)
+           (frequency [ (19, 0 -- 1100); (1, return 16384) ])
+           (0 -- 70) ui64))
+    (fun (off, len, at, seed) ->
+      let prng = Prng.create seed in
+      let src = Bytes.init (off + len + 3) (fun _ -> Char.chr (Prng.int prng 256)) in
+      let out = Bytes.make (at + 35) '\xff' in
+      Sha256.digest_into ctx src ~off ~len out ~at;
+      String.equal (Bytes.sub_string out at 32)
+        (Sha256_ref.digest (Bytes.sub_string src off len))
+      && Bytes.equal (Bytes.sub out 0 at) (Bytes.make at '\xff')
+      && Bytes.equal (Bytes.sub out (at + 32) 3) (Bytes.make 3 '\xff'))
+
+(* Each context owns its state and block buffer: two domains that
    hash at once (2 000 distinct messages of 0-199 bytes, then an h4
-   key) get exactly the sequential digests and roots.  A schedule or
-   block buffer shared between contexts fails this. *)
+   key) get exactly the sequential digests and roots.  Chaining state
+   or a block buffer shared between contexts fails this. *)
 let test_sha256_two_domains () =
   let work salt =
     let digests =
@@ -341,15 +377,34 @@ let test_roots_pinned () =
     "e91000f1214e427a2be34c0e44e9ff10199da5352329d7568f842617795fbb2b" (root 8 7L)
 
 (* A leaf's preimages and digests live in two 16 KiB buffers (major
-   heap); the minor heap sees about a hundred words of context and
-   records per leaf, and a Merkle node hash or two.  The
-   string-per-preimage leaf read 65 367. *)
+   heap); the minor heap sees a context and a few records per leaf, and
+   a Merkle node digest or two: 69.9 words.  The string-per-preimage
+   leaf read 65 367, and a leaf with a context per digest and per
+   Merkle node 340. *)
 let test_keygen_allocation_budget () =
   let before = Gc.minor_words () in
   ignore (Sys.opaque_identity (Signature.generate ~height:5 (Prng.create 3L)));
   let per_leaf = (Gc.minor_words () -. before) /. 32. in
-  if per_leaf > 1000. then
-    Alcotest.failf "an h5 key allocates %.0f minor words per leaf (budget 1 000)" per_leaf
+  if per_leaf > 80. then
+    Alcotest.failf "an h5 key allocates %.0f minor words per leaf (budget 80)" per_leaf
+
+(* One context serves the whole verification: the Lamport digests, the
+   leaf digest and the authentication path, with each Merkle node
+   assembled in one scratch buffer.  With a fresh context and a
+   [digest_concat] list per node, a verification under an h8 key
+   allocated 1 214 minor words. *)
+let test_verify_allocation_budget () =
+  let signer, root = Signature.generate ~height:8 (Prng.create 11L) in
+  let msg = "quote 1" in
+  let sg = Signature.sign signer msg in
+  let n = 20 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    if not (Signature.verify root ~msg sg) then Alcotest.fail "signature rejected"
+  done;
+  let per_verify = (Gc.minor_words () -. before) /. float_of_int n in
+  if per_verify > 150.0 then
+    Alcotest.failf "an h8 verification allocates %.0f minor words (budget 150)" per_verify
 
 (* ------------------------- Deferred keys -------------------------- *)
 
@@ -396,6 +451,9 @@ let () =
           Alcotest.test_case "allocation budget" `Quick test_sha256_allocation_budget;
           Alcotest.test_case "two domains = sequential" `Quick test_sha256_two_domains;
           Alcotest.test_case "digest_into" `Quick test_sha256_digest_into;
+          Alcotest.test_case "compress allocates nothing" `Quick
+            test_sha256_compress_allocates_nothing;
+          qc prop_digest_into_matches_reference;
         ] );
       ( "hmac",
         [
@@ -431,5 +489,7 @@ let () =
           Alcotest.test_case "roots pinned" `Quick test_roots_pinned;
           Alcotest.test_case "key generation allocation budget" `Quick
             test_keygen_allocation_budget;
+          Alcotest.test_case "verification allocation budget" `Quick
+            test_verify_allocation_budget;
         ] );
     ]

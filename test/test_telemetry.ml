@@ -458,6 +458,64 @@ let test_chrome_trace_escapes_strings () =
   | exception Json.Parse_error e -> Alcotest.fail e
   | _ -> ()
 
+(* ------------------ snapshot = reference (qcheck) ----------------- *)
+
+type op =
+  | Count of int * int (* name, increment *)
+  | Set of int * int (* name, value *)
+  | Observe of int * int (* name, sample *)
+  | Event
+
+let print_op = function
+  | Count (n, v) -> Printf.sprintf "count m%d %d" n v
+  | Set (n, v) -> Printf.sprintf "set m%d %d" n v
+  | Observe (n, v) -> Printf.sprintf "observe m%d %d" n v
+  | Event -> "event"
+
+(* Random registration orders of counters, gauges and histograms over
+   six names, so that some names clash in kind (both registries must
+   then raise the same error), with their updates and with events past
+   a 4-event buffer: after every step the snapshot equals the one the
+   list-and-lookup reference in [Telemetry_ref] builds. *)
+let prop_snapshot_matches_reference =
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map2 (fun n v -> Count (n, v)) (0 -- 5) (0 -- 9));
+          (3, map2 (fun n v -> Set (n, v)) (0 -- 5) (-50 -- 50));
+          (3, map2 (fun n v -> Observe (n, v)) (0 -- 5) (-50 -- 50));
+          (1, return Event);
+        ])
+  in
+  QCheck.Test.make ~name:"snapshot = list-and-lookup reference" ~count:300
+    (QCheck.make ~print:QCheck.Print.(list print_op) QCheck.Gen.(list_size (0 -- 40) op))
+    (fun ops ->
+      let reg = Telemetry.create ~max_events:4 ~name:"svc" () in
+      let rf = Telemetry_ref.create ~max_events:4 ~name:"svc" () in
+      let name n = Printf.sprintf "m%d" n in
+      let apply_lib = function
+        | Count (n, by) -> Telemetry.incr ~by (Telemetry.counter reg (name n))
+        | Set (n, v) -> Telemetry.set (Telemetry.gauge reg (name n)) (float_of_int v)
+        | Observe (n, v) ->
+          Telemetry.observe (Telemetry.histogram reg (name n)) (float_of_int v)
+        | Event -> Telemetry.instant reg "e"
+      and apply_ref = function
+        | Count (n, by) -> Telemetry_ref.incr ~by (Telemetry_ref.counter rf (name n))
+        | Set (n, v) -> Telemetry_ref.set (Telemetry_ref.gauge rf (name n)) (float_of_int v)
+        | Observe (n, v) ->
+          Telemetry_ref.observe (Telemetry_ref.histogram rf (name n)) (float_of_int v)
+        | Event -> Telemetry_ref.instant rf
+      in
+      let outcome apply op =
+        match apply op with () -> None | exception Invalid_argument m -> Some m
+      in
+      List.for_all
+        (fun op ->
+          outcome apply_lib op = outcome apply_ref op
+          && Telemetry.snapshot reg = Telemetry_ref.snapshot rf)
+        ops)
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -479,7 +537,11 @@ let () =
             test_with_span_closes_on_exception;
           qc prop_event_conservation;
         ] );
-      ("snapshots", [ Alcotest.test_case "uniform surface" `Quick test_snapshot_surface ]);
+      ( "snapshots",
+        [
+          Alcotest.test_case "uniform surface" `Quick test_snapshot_surface;
+          qc prop_snapshot_matches_reference;
+        ] );
       ( "chrome-trace",
         [
           Alcotest.test_case "golden export" `Quick test_chrome_trace_golden;
