@@ -98,7 +98,7 @@ let t1 () =
           ("split b/kcyc", Table.Right);
         ]
   in
-  let module Bpred = Guillotine_microarch.Bpred in
+  let module Bpred = Guillotine_microarch.Core.Bpred in
   List.iter
     (fun bits ->
       let secret = Bits.random prng bits in

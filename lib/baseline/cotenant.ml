@@ -1,7 +1,6 @@
 module Dram = Guillotine_memory.Dram
 module Hierarchy = Guillotine_memory.Hierarchy
 module Tlb = Guillotine_memory.Tlb
-module Bpred = Guillotine_microarch.Bpred
 module Core = Guillotine_microarch.Core
 
 type t = {
@@ -18,8 +17,7 @@ let create ?(dram_words = 256 * 1024) () =
      page walk touches up to 4x4+4 = 20+ memory references vs 4 for a
      single-level table, so the TLB miss penalty is ~6x Guillotine's. *)
   let tlb = Tlb.create ~walk_cost:120 () in
-  let bpred = Bpred.create () in
-  let core = Core.create ~id:0 ~kind:Core.Model_core ~hierarchy ~tlb ~bpred () in
+  let core = Core.create ~id:0 ~kind:Core.Model_core ~hierarchy ~tlb () in
   { dram; hierarchy; tlb; core }
 
 let dram t = t.dram

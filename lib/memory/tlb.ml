@@ -2,18 +2,18 @@ type entry = { mutable vpage : int; mutable stamp : int }
 
 type t = {
   entries : entry array;
-  hit_cost : int;
   walk_cost : int;
   mutable clock : int;
   mutable hits : int;
   mutable misses : int;
 }
 
-let create ?(entries = 64) ?(hit_cost = 1) ?(walk_cost = 20) () =
+let hit_cost = 1
+
+let create ?(entries = 64) ?(walk_cost = 20) () =
   if entries <= 0 then invalid_arg "Tlb.create: entries must be positive";
   {
     entries = Array.init entries (fun _ -> { vpage = -1; stamp = 0 });
-    hit_cost;
     walk_cost;
     clock = 0;
     hits = 0;
@@ -37,7 +37,7 @@ let lookup t ~vpage =
   if i >= 0 then begin
     t.hits <- t.hits + 1;
     (Array.unsafe_get t.entries i).stamp <- t.clock;
-    t.hit_cost
+    hit_cost
   end
   else begin
     t.misses <- t.misses + 1;
@@ -52,7 +52,7 @@ let lookup t ~vpage =
     done;
     t.entries.(!victim).vpage <- vpage;
     t.entries.(!victim).stamp <- t.clock;
-    t.hit_cost + t.walk_cost
+    hit_cost + t.walk_cost
   end
 
 let present t ~vpage = find t vpage >= 0

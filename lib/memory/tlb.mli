@@ -13,7 +13,6 @@ type entry = { mutable vpage : int; mutable stamp : int }
 
 type t = {
   entries : entry array;
-  hit_cost : int;
   walk_cost : int;
   mutable clock : int;
   mutable hits : int;
@@ -29,8 +28,11 @@ type t = {
     a slot whose [vpage] matches {e is} the entry a full scan would
     find. *)
 
-val create : ?entries:int -> ?hit_cost:int -> ?walk_cost:int -> unit -> t
-(** Defaults: 64 entries, hit 1 cycle, page-table walk 20 cycles. *)
+val hit_cost : int
+(** Cycles a translation costs when its page is cached: 1. *)
+
+val create : ?entries:int -> ?walk_cost:int -> unit -> t
+(** Defaults: 64 entries, page-table walk 20 cycles. *)
 
 val slot_of : t -> vpage:int -> int
 (** Index of the entry currently holding [vpage], or -1.  Pure probe:

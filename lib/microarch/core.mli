@@ -32,6 +32,25 @@ type halt_reason =
 
 type status = Running | Halted of halt_reason | Powered_off
 
+(** Branch predictor: 1024 two-bit saturating counters indexed by low
+    pc bits, and a 12-cycle mispredict penalty.
+
+    Predictor state is microarchitectural residue: two parties that
+    share one predictor (SMT or co-resident execution) can signal
+    through mispredict timing, as experiment T1b shows.  Every core has
+    a private predictor, which {!clear_microarch_state} clears. *)
+module Bpred : sig
+  type t
+
+  val create : unit -> t
+  (** Every counter weakly not-taken. *)
+
+  val predict_and_update : t -> pc:int -> taken:bool -> int
+  (** Returns the cycle cost of the branch at [pc]: 1 if predicted
+      correctly, 1 plus the penalty otherwise; then trains the counter.
+      A core's branch ops resolve through this function. *)
+end
+
 type t
 
 type mode = {
@@ -53,15 +72,14 @@ val create :
   kind:kind ->
   hierarchy:Guillotine_memory.Hierarchy.t ->
   ?tlb:Guillotine_memory.Tlb.t ->
-  ?bpred:Bpred.t ->
   ?mmu:Guillotine_memory.Mmu.t ->
   ?mode:mode ->
   unit ->
   t
-(** [tlb]/[bpred] default to fresh private structures; passing shared
-    ones models co-tenant execution (the baseline machine does this).
-    [mmu] defaults to a fresh empty page table, [mode] to
-    {!default_mode}. *)
+(** [tlb] defaults to a fresh private TLB; the baseline machine passes
+    the one it exposes as shared, with nested-paging walk costs.  The
+    branch predictor is always the core's own.  [mmu] defaults to a
+    fresh empty page table, [mode] to {!default_mode}. *)
 
 val id : t -> int
 val kind : t -> kind

@@ -70,7 +70,7 @@ let prime_probe ~sender ~receiver ?(target_set = 3) ?(sender_set_offset = 0) bit
   finish bits recovered !cycles
 
 let branch_predictor ~sender ~receiver ?(probe_pc = 0x40) bits =
-  let module Bpred = Guillotine_microarch.Bpred in
+  let module Bpred = Guillotine_microarch.Core.Bpred in
   let cycles = ref 0 in
   let train b taken =
     (* A few iterations saturate the 2-bit counter. *)

@@ -44,8 +44,8 @@ val flush_reload :
     show anything. *)
 
 val branch_predictor :
-  sender:Guillotine_microarch.Bpred.t ->
-  receiver:Guillotine_microarch.Bpred.t ->
+  sender:Guillotine_microarch.Core.Bpred.t ->
+  receiver:Guillotine_microarch.Core.Bpred.t ->
   ?probe_pc:int ->
   bool list ->
   result

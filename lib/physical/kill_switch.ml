@@ -8,7 +8,6 @@ type t = {
   engine : Engine.t;
   fabric : Fabric.t option;
   net_addrs : int list;
-  latencies : (string * float) list;
   mutable network : cable_state;
   mutable power : cable_state;
   mutable immolated : bool;
@@ -17,7 +16,7 @@ type t = {
   mutable event_sink : (kind:string -> string -> unit) option;
 }
 
-let default_latencies =
+let latencies =
   [
     ("disconnect", 0.5);
     ("reconnect", 5.0);
@@ -28,7 +27,7 @@ let default_latencies =
     ("immolate", 30.0);
   ]
 
-let create ~engine ?fabric ?(net_addrs = []) ?(latencies = []) () =
+let create ~engine ?fabric ?(net_addrs = []) () =
   let telemetry =
     Telemetry.create ~clock:(fun () -> Engine.now engine) ~name:"switches" ()
   in
@@ -36,7 +35,6 @@ let create ~engine ?fabric ?(net_addrs = []) ?(latencies = []) () =
     engine;
     fabric;
     net_addrs;
-    latencies = latencies @ default_latencies;
     network = Connected;
     power = Connected;
     immolated = false;
@@ -51,8 +49,8 @@ let immolated t = t.immolated
 let telemetry t = t.telemetry
 let metrics t = Telemetry.snapshot t.telemetry
 
-let latency_of t name =
-  match List.assoc_opt name t.latencies with
+let latency_of name =
+  match List.assoc_opt name latencies with
   | Some l -> l
   | None -> invalid_arg ("Kill_switch.latency_of: unknown actuation " ^ name)
 
@@ -67,7 +65,7 @@ let actuate t name ~on_done apply =
   emit t ~kind:"kill_switch.initiated" name;
   let sp = Telemetry.span t.telemetry ~cat:"physical" ("switch." ^ name) in
   ignore
-    (Engine.schedule t.engine ~delay:(latency_of t name) (fun () ->
+    (Engine.schedule t.engine ~delay:(latency_of name) (fun () ->
          apply ();
          Telemetry.finish sp;
          emit t ~kind:"kill_switch.actuated" name;

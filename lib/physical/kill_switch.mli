@@ -6,9 +6,9 @@
     reality: decapitated cables cannot be re-plugged by software, and an
     immolated datacenter stays immolated.
 
-    Actuation latencies (defaults, seconds):
-    network disconnect 0.5, power cut 2.0, reconnect 5.0,
-    decapitation 1.0, cable repair (manual) 3600, immolation 30. *)
+    Actuation latencies (seconds): network disconnect 0.5, power cut
+    2.0, reconnect 5.0, power-on 10.0, decapitation 1.0, cable repair
+    (manual) 3600, immolation 30. *)
 
 type cable_state = Connected | Disconnected | Destroyed
 
@@ -18,13 +18,10 @@ val create :
   engine:Guillotine_sim.Engine.t ->
   ?fabric:Guillotine_net.Fabric.t ->
   ?net_addrs:int list ->
-  ?latencies:(string * float) list ->
   unit ->
   t
 (** [fabric]/[net_addrs]: the deployment's network attachment points;
-    disconnection physically detaches them.  [latencies] overrides
-    defaults by name: "disconnect", "reconnect", "power_cut",
-    "power_on", "decapitate", "repair", "immolate". *)
+    disconnection physically detaches them. *)
 
 val network : t -> cable_state
 val power : t -> cable_state

@@ -523,7 +523,7 @@ let prop_cache_matches_record_reference =
 (* ------------------------------ TLB ------------------------------- *)
 
 let test_tlb_hit_miss_costs () =
-  let t = Tlb.create ~entries:2 ~hit_cost:1 ~walk_cost:20 () in
+  let t = Tlb.create ~entries:2 ~walk_cost:20 () in
   Alcotest.(check int) "cold walk" 21 (Tlb.lookup t ~vpage:1);
   Alcotest.(check int) "warm" 1 (Tlb.lookup t ~vpage:1);
   ignore (Tlb.lookup t ~vpage:2);

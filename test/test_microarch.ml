@@ -4,7 +4,7 @@
 
 open Guillotine_memory
 module Core = Guillotine_microarch.Core
-module Bpred = Guillotine_microarch.Bpred
+module Bpred = Core.Bpred
 module Asm = Guillotine_isa.Asm
 module Isa = Guillotine_isa.Isa
 module Encoding = Guillotine_isa.Encoding
@@ -728,53 +728,62 @@ let gen_alu_instr =
       return Isa.Nop;
     ]
 
-(* One generated step is a short sequence that keeps the program
-   straight-line and trap-free over all 16 registers: a divide loads its
-   non-zero divisor first (one case divides [min_int] by -1), memory
-   traffic loads its base into the data page first, and a [jal]'s target
-   is fixed to the next pc once the program is laid out ([layout]). *)
-let gen_step =
+(* Steps that compute without touching memory or leaving the line, over
+   all 16 registers and without a trap: a divide loads its non-zero
+   divisor first (one case divides [min_int] by -1). *)
+let alu_steps =
   let open QCheck.Gen in
   let reg = int_range 0 15 in
   let divisor =
     oneof [ oneofl [ -1; 1; 2; 3; -7; 0x7FFF_FFFF; -0x8000_0000 ]; int_range 1 100000 ]
   in
-  let slot = int_range 0 3 in
   let other r = map (fun k -> (r + 1 + k) mod 16) (int_range 0 14) in
   let divide =
     oneofl [ (fun rd a d -> Isa.Div (rd, a, d)); (fun rd a d -> Isa.Rem (rd, a, d)) ]
   in
+  [
+    (8, map (fun i -> [ i ]) gen_alu_instr);
+    (* Movhi with a negative immediate: sets the top 32 bits, a value
+       no Movi reaches. *)
+    ( 2,
+      map2
+        (fun r v -> [ Isa.Movhi (r, v) ])
+        reg
+        (oneof [ oneofl [ -1; -0x8000_0000 ]; int_range (-0x8000_0000) (-1) ]) );
+    ( 2,
+      map3
+        (fun (rd, a, d) v op -> [ Isa.Movi (d, v); op rd a d ])
+        (triple reg reg reg) divisor divide );
+    ( 1,
+      reg >>= fun a ->
+      other a >>= fun d ->
+      map2
+        (fun rd op ->
+          [ Isa.Movi (a, 0); Isa.Movhi (a, -0x8000_0000); Isa.Movi (d, -1); op rd a d ])
+        reg divide );
+  ]
+
+(* One generated step is a short sequence that keeps the program
+   straight-line and trap-free: [alu_steps], or memory traffic that
+   loads its base into the data page first, or a [jal] whose target is
+   fixed to the next pc once the program is laid out ([layout]). *)
+let gen_step =
+  let open QCheck.Gen in
+  let reg = int_range 0 15 in
+  let slot = int_range 0 3 in
   frequency
-    [
-      (8, map (fun i -> [ i ]) gen_alu_instr);
-      (* Movhi with a negative immediate: sets the top 32 bits, a value
-         no Movi reaches. *)
-      ( 2,
-        map2
-          (fun r v -> [ Isa.Movhi (r, v) ])
-          reg
-          (oneof [ oneofl [ -1; -0x8000_0000 ]; int_range (-0x8000_0000) (-1) ]) );
-      ( 2,
-        map3
-          (fun (rd, a, d) v op -> [ Isa.Movi (d, v); op rd a d ])
-          (triple reg reg reg) divisor divide );
-      ( 1,
-        reg >>= fun a ->
-        other a >>= fun d ->
-        map2
-          (fun rd op ->
-            [ Isa.Movi (a, 0); Isa.Movhi (a, -0x8000_0000); Isa.Movi (d, -1); op rd a d ])
-          reg divide );
-      ( 2,
-        map3
-          (fun b s k -> [ Isa.Movi (b, data_base); Isa.Store (b, s, k) ])
-          reg reg slot );
-      ( 2,
-        map3
-          (fun b d k -> [ Isa.Movi (b, data_base); Isa.Load (d, b, k) ])
-          reg reg slot );
-      (1, map (fun d -> [ Isa.Jal (d, 0) ]) reg);
-    ]
+    (alu_steps
+    @ [
+        ( 2,
+          map3
+            (fun b s k -> [ Isa.Movi (b, data_base); Isa.Store (b, s, k) ])
+            reg reg slot );
+        ( 2,
+          map3
+            (fun b d k -> [ Isa.Movi (b, data_base); Isa.Load (d, b, k) ])
+            reg reg slot );
+        (1, map (fun d -> [ Isa.Jal (d, 0) ]) reg);
+      ])
 
 let layout steps =
   List.mapi
@@ -834,6 +843,83 @@ let prop_core_matches_reference =
           halted && translated = jit && (core_regs, data) = expected)
         [ false; true ])
 
+(* ------------------ Transient walk vs architecture ------------------ *)
+
+(* A step of a transiently walked block: [alu_steps], a shift by a count
+   that is often outside 0..63 (the ALU masks it), or [mfepc].  No
+   [rdcycle]: the walk reads the cycle count at the mispredict, and an
+   architectural run reads a later one. *)
+let gen_walk_step =
+  let open QCheck.Gen in
+  let reg = int_range 0 15 in
+  let count =
+    oneof
+      [ oneofl [ 64; 127; -1; -63; 0x7FFF_FFFF; -0x8000_0000 ]; int_range (-100000) 100000 ]
+  in
+  let shift =
+    oneofl [ (fun rd a s -> Isa.Shl (rd, a, s)); (fun rd a s -> Isa.Shr (rd, a, s)) ]
+  in
+  frequency
+    (( 3,
+       map3
+         (fun (rd, a, s) c op -> [ Isa.Movi (s, c); op rd a s ])
+         (triple reg reg reg) count shift )
+    :: (1, map (fun r -> [ Isa.Mfepc r ]) reg)
+    :: alu_steps)
+
+(* The block's tail: fold all 16 registers into r12, reduce the fold
+   modulo 8191 (so its high bits count too), and load the data line its
+   low three bits pick, one of the eight 8-word lines at [data_base]. *)
+let line_select =
+  List.filter_map (fun r -> if r = 12 then None else Some (Isa.Xor_ (12, 12, r)))
+    (List.init 16 Fun.id)
+  @ Isa.
+      [
+        Movi (13, 8191); Rem (12, 12, 13); Movi (13, 7); And_ (12, 12, 13);
+        Movi (13, 3); Shl (12, 12, 13); Movi (13, data_base); Add (12, 12, 13);
+        Load (13, 12, 0);
+      ]
+
+(* The block sits at the target of [beq r14, r15] (pc 0), trained taken;
+   with r14 and r15 apart the branch falls through to a halt, so the
+   block runs only down the mispredicted path.  The data line it warms there
+   must be the one the same block loads when it runs from the same
+   registers architecturally, and no register may change. *)
+let prop_transient_walk_matches_architecture =
+  QCheck.Test.make ~name:"transient walk = architectural run of the block" ~count:200
+    (QCheck.make
+       QCheck.Gen.(map List.concat (list_size (1 -- 30) gen_walk_step))
+       ~print:(fun is -> String.concat "; " (List.map Isa.to_string is)))
+    (fun block ->
+      let core, dram = make_core () in
+      let code = block @ line_select @ [ Isa.Halt ] in
+      Dram.load_program dram (Asm.instrs (Isa.Beq (14, 15, 2) :: Isa.Halt :: code));
+      Core.set_speculation_depth core (List.length code);
+      let h = Core.hierarchy core in
+      let lines = List.init 8 (fun k -> data_base + (8 * k)) in
+      let warm () = List.filter (fun addr -> Cache.present (Hierarchy.l1 h) ~addr) lines in
+      let regs () = List.init 16 (Core.read_reg core) in
+      let run_from pc =
+        Core.set_pc core pc;
+        Core.resume core;
+        ignore (Core.run core ~fuel:1_000)
+      in
+      Core.pause core;
+      for _ = 1 to 2 do
+        Core.write_reg core 14 0L;
+        Core.write_reg core 15 0L;
+        run_from 0
+      done;
+      Core.write_reg core 14 0L;
+      Core.write_reg core 15 1L;
+      let before = regs () in
+      List.iter (fun addr -> Hierarchy.flush_line h ~addr) lines;
+      run_from 0;
+      let transient = warm () and after = regs () in
+      List.iter (fun addr -> Hierarchy.flush_line h ~addr) lines;
+      run_from 2;
+      List.length transient = 1 && transient = warm () && after = before)
+
 let () =
   Alcotest.run "microarch"
     [
@@ -892,6 +978,7 @@ let () =
             test_transient_load_touches_cache_but_not_registers;
           Alcotest.test_case "depth 0 disables" `Quick
             test_speculation_depth_zero_disables;
+          QCheck_alcotest.to_alcotest prop_transient_walk_matches_architecture;
         ] );
       ( "flight-recorder",
         [

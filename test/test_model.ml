@@ -290,7 +290,7 @@ let test_flush_reload_split_is_dead () =
   Alcotest.(check bool) "near chance" true (r.Covert.accuracy < 0.65)
 
 let test_bpred_channel_shared_leaks () =
-  let module Bpred = Guillotine_microarch.Bpred in
+  let module Bpred = Guillotine_microarch.Core.Bpred in
   let shared = Bpred.create () in
   let prng = Prng.create 24L in
   let secret = Bits.random prng 64 in
@@ -298,7 +298,7 @@ let test_bpred_channel_shared_leaks () =
   Alcotest.(check (float 1e-9)) "perfect channel" 1.0 r.Covert.accuracy
 
 let test_bpred_channel_split_is_dead () =
-  let module Bpred = Guillotine_microarch.Bpred in
+  let module Bpred = Guillotine_microarch.Core.Bpred in
   let prng = Prng.create 25L in
   let secret = Bits.random prng 128 in
   let r =
