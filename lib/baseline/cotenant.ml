@@ -10,8 +10,8 @@ type t = {
   core : Core.t;
 }
 
-let create ?(dram_words = 256 * 1024) () =
-  let dram = Dram.create ~size:dram_words in
+let create () =
+  let dram = Dram.create ~size:(256 * 1024) in
   let hierarchy = Hierarchy.create ~dram () in
   (* The baseline pays nested (EPT) translation on every walk: a 2-D
      page walk touches up to 4x4+4 = 20+ memory references vs 4 for a

@@ -13,7 +13,8 @@
 
 type t
 
-val create : ?dram_words:int -> unit -> t
+val create : unit -> t
+(** One DRAM of 256 Ki words behind the shared structures. *)
 
 val dram : t -> Guillotine_memory.Dram.t
 

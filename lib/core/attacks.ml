@@ -96,7 +96,7 @@ let introspection ?(seed = 12L) ?(bits = 128) () =
 (* 3. Runtime code injection (W^X)                                   *)
 (* ---------------------------------------------------------------- *)
 
-let code_injection ?seed:_ () =
+let code_injection () =
   (* Guillotine: RX code + RW data, MMU locked. *)
   let m = Machine.create () in
   let p = Asm.assemble_exn Guest.wx_injection in

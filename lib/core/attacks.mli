@@ -15,7 +15,7 @@ type outcome = {
   guillotine_detail : string;
 }
 
-val code_injection : ?seed:int64 -> unit -> outcome
+val code_injection : unit -> outcome
 (** Write an instruction into data memory and execute it (W^X). *)
 
 type flood_metrics = {

@@ -79,7 +79,7 @@ let create ?(seed = 0xDEC0DEL) ?mode ?(name = "guillotine-0") ?(net_addr = 100) 
     [ Input_shield.detector (); Output_sanitizer.detector (); anomaly_detector ]
   in
   let hv = Hypervisor.create ~machine ~detectors () in
-  Hypervisor.enable_probe_monitor hv ();
+  Hypervisor.enable_probe_monitor hv;
   let switches =
     Kill_switch.create ~engine ~fabric ~net_addrs:[ net_addr ] ()
   in
@@ -193,7 +193,7 @@ let load_model t ?malice () =
     (Machine.model_cores t.machine);
   model
 
-let coadmit t ?policy ?label specs = Hypervisor.coadmit t.hv ?policy ?label specs
+let coadmit t ?label specs = Hypervisor.coadmit t.hv ?label specs
 
 let serve t ~model request =
   match t.monitor with

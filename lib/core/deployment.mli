@@ -78,7 +78,6 @@ val load_model : t -> ?malice:Toymodel.malice -> unit -> Toymodel.t
 
 val coadmit :
   t ->
-  ?policy:Hypervisor.coadmit_policy ->
   ?label:string ->
   Guillotine_vet.Summary.spec list ->
   (Guillotine_vet.Interfere.report, Guillotine_vet.Interfere.report) result

@@ -8,19 +8,21 @@ module Prng = Guillotine_util.Prng
 module Crypto = Guillotine_crypto
 
 type t = {
-  name : string;
   ca_signer : Crypto.Signature.signer;
   ca_public_key : Crypto.Signature.public_key;
   prng : Prng.t;
   certified_roots : (string, unit) Hashtbl.t;
 }
 
-let create ?(seed = 0x5E6A1L) ?(name = "ai-regulator-ca") () =
+(* The CA name every certificate the regulator issues carries. *)
+let name = "ai-regulator-ca"
+
+let create ?(seed = 0x5E6A1L) () =
   let prng = Prng.create seed in
   let ca_signer, ca_public_key = Crypto.Signature.generate ~height:8 prng in
-  { name; ca_signer; ca_public_key; prng; certified_roots = Hashtbl.create 4 }
+  { ca_signer; ca_public_key; prng; certified_roots = Hashtbl.create 4 }
 
-let ca t = (t.ca_signer, t.name, t.ca_public_key)
+let ca t = (t.ca_signer, name, t.ca_public_key)
 
 let certify_platform t ~root = Hashtbl.replace t.certified_roots root ()
 let certified t ~root = Hashtbl.mem t.certified_roots root

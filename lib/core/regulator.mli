@@ -13,7 +13,8 @@ module Regulation = Guillotine_policy.Regulation
 
 type t
 
-val create : ?seed:int64 -> ?name:string -> unit -> t
+val create : ?seed:int64 -> unit -> t
+(** The regulator's CA is named ["ai-regulator-ca"]. *)
 
 val ca :
   t ->

@@ -305,9 +305,9 @@ let all = benign @ malicious @ admitted_adversarial
 
 let find name = List.find_opt (fun e -> e.name = name) all
 
-let vet ?policy e =
+let vet e =
   let program = Asm.assemble_exn e.source in
-  Vet.run ?policy ~label:e.name ~extra:e.extra ~code_pages:e.code_pages
+  Vet.run ~label:e.name ~extra:e.extra ~code_pages:e.code_pages
     ~data_pages:e.data_pages program
 
 (* ------------------------------------------------------------------ *)
@@ -317,11 +317,13 @@ let vet ?policy e =
 module Summary = Guillotine_vet.Summary
 module Interfere = Guillotine_vet.Interfere
 
-let coadmit_spec ?(frame_base = 0) ?(aliases = []) e =
+let placed ?(aliases = []) ~frame_base e =
   Summary.spec ~extra:e.extra ~frame_base ~aliases ~dma:e.dma
     ~dma_descriptors:e.dma_descriptors ~label:e.name ~code_pages:e.code_pages
     ~data_pages:e.data_pages
     (Asm.assemble_exn e.source)
+
+let coadmit_spec ?(frame_base = 0) e = placed ~frame_base e
 
 let entry_exn name =
   match find name with
@@ -335,7 +337,7 @@ let entry_exn name =
    byte: the courier identity-mapped at frame 0, the scribbler's image
    at frame 8 with its granted scratch page (vpage 16) aliased onto
    frame 5 — the page holding the courier's descriptors. *)
-let spec_at i name = coadmit_spec ~frame_base:(i * 16) (entry_exn name)
+let spec_at i name = placed ~frame_base:(i * 16) (entry_exn name)
 
 let striped names = List.mapi spec_at names
 
@@ -369,7 +371,7 @@ let coadmit_rosters =
       members =
         [
           spec_at 0 "dma-courier";
-          coadmit_spec ~frame_base:8 ~aliases:[ (16, 5) ]
+          placed ~frame_base:8 ~aliases:[ (16, 5) ]
             (entry_exn "window-scribbler");
         ];
       expect = Vet.Reject;
@@ -421,5 +423,4 @@ let coadmit_rosters =
 let find_roster name =
   List.find_opt (fun r -> r.roster_name = name) coadmit_rosters
 
-let coadmit ?policy r =
-  Interfere.run ?policy ~label:r.roster_name r.members
+let coadmit r = Interfere.run ~label:r.roster_name r.members

@@ -42,8 +42,9 @@ val all : entry list
 
 val find : string -> entry option
 
-val vet : ?policy:Vet.policy -> entry -> Vet.report
-(** Assemble and vet the entry under its recorded grant. *)
+val vet : entry -> Vet.report
+(** Assemble and vet the entry under its recorded grant and
+    {!Vet.default_policy}. *)
 
 (** {2 Co-admission rosters}
 
@@ -57,10 +58,9 @@ val vet : ?policy:Vet.policy -> entry -> Vet.report
 module Summary = Guillotine_vet.Summary
 module Interfere = Guillotine_vet.Interfere
 
-val coadmit_spec :
-  ?frame_base:int -> ?aliases:(int * int) list -> entry -> Summary.spec
-(** The entry as a co-admission spec under an explicit physical
-    placement (default: identity at frame 0). *)
+val coadmit_spec : ?frame_base:int -> entry -> Summary.spec
+(** The entry as a co-admission spec placed at physical frame
+    [frame_base] (default 0), with no aliased pages. *)
 
 type roster = {
   roster_name : string;
@@ -74,5 +74,6 @@ val coadmit_rosters : roster list
 
 val find_roster : string -> roster option
 
-val coadmit : ?policy:Interfere.policy -> roster -> Interfere.report
-(** Run the interference check on the roster's members. *)
+val coadmit : roster -> Interfere.report
+(** Run the interference check ({!Interfere.run}) on the roster's
+    members. *)

@@ -6,23 +6,22 @@ type device_state = {
 }
 
 type t = {
-  spike_factor : float;
-  irq_drop_limit : int;
-  window : int;
   devices : (string, device_state) Hashtbl.t;
   mutable alarms : int;
 }
 
-let create ?(spike_factor = 8.0) ?(irq_drop_limit = 32) ?(window = 16) () =
-  let t =
-    {
-      spike_factor;
-      irq_drop_limit;
-      window;
-      devices = Hashtbl.create 8;
-      alarms = 0;
-    }
-  in
+(* A window's request rate beyond this multiple of the trained mean is
+   a spike. *)
+let spike_factor = 8.0
+
+(* Dropped IRQs one storm observation may report before it alarms. *)
+let irq_drop_limit = 32
+
+(* Port requests per rate window. *)
+let window = 16
+
+let create () =
+  let t = { devices = Hashtbl.create 8; alarms = 0 } in
   let device_state name now =
     match Hashtbl.find_opt t.devices name with
     | Some s -> s
@@ -50,14 +49,14 @@ let create ?(spike_factor = 8.0) ?(irq_drop_limit = 32) ?(window = 16) () =
         (Printf.sprintf "timing-probe instruction mix on core %d (density %.0f%%)"
            core (100.0 *. density))
     | Detector.Irq_storm { dropped } ->
-      if dropped > t.irq_drop_limit then
+      if dropped > irq_drop_limit then
         alarm Detector.Suspicious
           (Printf.sprintf "interrupt storm: %d doorbells throttled" dropped)
       else Detector.Clear
     | Detector.Port_request { device; now; _ } ->
       let s = device_state device now in
       s.in_window <- s.in_window + 1;
-      if s.in_window >= t.window then begin
+      if s.in_window >= window then begin
         let elapsed = max 1 (now - s.window_start) in
         let rate = 1000.0 *. float_of_int s.in_window /. float_of_int elapsed in
         s.in_window <- 0;
@@ -70,7 +69,7 @@ let create ?(spike_factor = 8.0) ?(irq_drop_limit = 32) ?(window = 16) () =
           Detector.Clear
         end
         else begin
-          let spiky = s.ewma_rate > 0.0 && rate > t.spike_factor *. s.ewma_rate in
+          let spiky = s.ewma_rate > 0.0 && rate > spike_factor *. s.ewma_rate in
           let reason =
             Printf.sprintf "port-rate spike on %s (%.1f vs mean %.1f req/ktick)" device
               rate s.ewma_rate

@@ -8,20 +8,15 @@
     baseline, the signature of exfiltration or device abuse).
 
     Rate detection: per-device exponentially-weighted moving average of
-    requests per observation window; an observation spike beyond
-    [spike_factor] times the trained mean is suspicious. *)
+    requests per window of 16 port requests; a window whose rate is
+    beyond 8 times the trained mean is suspicious. *)
 
 type t
 
-val create :
-  ?spike_factor:float ->
-  ?irq_drop_limit:int ->
-  ?window:int ->
-  unit ->
-  Detector.t * t
-(** Defaults: spike 8x, 32 dropped IRQs per window observation, window
-    of 16 port requests for training.  Returns the pluggable detector
-    and a handle for introspection. *)
+val create : unit -> Detector.t * t
+(** Spike 8x, 32 dropped IRQs per storm observation, windows of 16 port
+    requests (the first three train the mean).  Returns the pluggable
+    detector and a handle for introspection. *)
 
 val port_rate : t -> device:string -> float
 (** Trained mean requests-per-window for a device (0 if unseen). *)

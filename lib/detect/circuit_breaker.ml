@@ -1,14 +1,11 @@
 module Toymodel = Guillotine_model.Toymodel
 
-type t = { break_on_row_visit : bool; mutable trips : int }
+type t = { mutable trips : int }
 
-let create ?(break_on_row_visit = true) () = { break_on_row_visit; trips = 0 }
+let create () = { trips = 0 }
 
 let hook t (ev : Toymodel.step_event) =
-  let trip =
-    ev.Toymodel.candidate_harmful || (t.break_on_row_visit && ev.Toymodel.row_harmful)
-  in
-  if trip then begin
+  if ev.Toymodel.candidate_harmful || ev.Toymodel.row_harmful then begin
     t.trips <- t.trips + 1;
     Toymodel.Break_circuit
   end

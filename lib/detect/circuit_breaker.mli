@@ -10,9 +10,9 @@
 
 type t
 
-val create : ?break_on_row_visit:bool -> unit -> t
-(** [break_on_row_visit] (default true) also trips when a harmful
-    weight {e row} is read, before any harmful token is even chosen. *)
+val create : unit -> t
+(** The breaker trips when a harmful weight {e row} is read, before any
+    harmful token is even chosen, as well as on a harmful candidate. *)
 
 val hook : t -> Guillotine_model.Toymodel.step_event -> Guillotine_model.Toymodel.intervention
 

@@ -2,7 +2,10 @@ module Vocab = Guillotine_model.Vocab
 
 type decision = Pass | Block of string
 
-let check ?(marker_limit = 2) prompt =
+(* Jailbreak-marker occurrences a prompt may carry. *)
+let marker_limit = 2
+
+let check prompt =
   let harmful = List.filter Vocab.is_harmful prompt in
   if harmful <> [] then
     Block
@@ -16,14 +19,14 @@ let check ?(marker_limit = 2) prompt =
     else Pass
   end
 
-let detector ?marker_limit () =
+let detector () =
   {
     Detector.name = "input-shield";
     observe =
       (fun obs ->
         match obs with
         | Detector.Prompt p -> (
-          match check ?marker_limit p with
+          match check p with
           | Pass -> Detector.Clear
           | Block reason -> Detector.Alarm { severity = Detector.Suspicious; reason })
         | _ -> Detector.Clear);

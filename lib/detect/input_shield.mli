@@ -1,10 +1,9 @@
 (** Input shielding (§3.3): examine prompts before they reach the model,
     looking for content that nudges it toward misbehaviour.
 
-    Rules (tunable):
-    - [marker_limit]: more than this many occurrences of the jailbreak
-      marker token is a jailbreak attempt (default 2 — the corpus
-      plants 3);
+    Rules:
+    - more than two occurrences of the jailbreak marker token is a
+      jailbreak attempt (the corpus plants 3);
     - any harmful-band token in a {e prompt} is an instruction to
       produce harmful content: blocked outright.
 
@@ -14,9 +13,9 @@
 
 type decision = Pass | Block of string
 
-val check : ?marker_limit:int -> int list -> decision
+val check : int list -> decision
 
-val detector : ?marker_limit:int -> unit -> Detector.t
+val detector : unit -> Detector.t
 (** Wraps [check] for [Prompt] observations; a blocked prompt raises a
     [Suspicious] alarm.  The detector is named ["input-shield"]: its
     telemetry counters are keyed by that name, so same-seed rigs

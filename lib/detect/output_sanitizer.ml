@@ -1,11 +1,12 @@
 module Vocab = Guillotine_model.Vocab
 
-let default_replacement =
+let replacement =
   match Vocab.token_of_word "value" with Some t -> t | None -> 0
 
-let sanitize ?(replacement = default_replacement) tokens =
-  if Vocab.is_harmful replacement then
-    invalid_arg "Output_sanitizer.sanitize: replacement token is itself harmful";
+(* Harmful output tokens tolerated at [Suspicious] before [Critical]. *)
+let critical_after = 3
+
+let sanitize tokens =
   let replaced = ref 0 in
   let clean =
     List.map
@@ -19,7 +20,7 @@ let sanitize ?(replacement = default_replacement) tokens =
   in
   (clean, !replaced)
 
-let detector ?(critical_after = 3) () =
+let detector () =
   let caught = ref 0 in
   {
     Detector.name = "output-sanitizer";

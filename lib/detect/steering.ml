@@ -1,20 +1,17 @@
 module Toymodel = Guillotine_model.Toymodel
 module Vocab = Guillotine_model.Vocab
 
-type t = { safe_token : int; mutable steered : int }
+type t = { mutable steered : int }
 
-let default_safe =
+let safe_token =
   match Vocab.token_of_word "answer" with Some t -> t | None -> 0
 
-let create ?(safe_token = default_safe) () =
-  if Vocab.is_harmful safe_token then
-    invalid_arg "Steering.create: safe token is harmful";
-  { safe_token; steered = 0 }
+let create () = { steered = 0 }
 
 let hook t (ev : Toymodel.step_event) =
   if ev.Toymodel.candidate_harmful then begin
     t.steered <- t.steered + 1;
-    Toymodel.Steer t.safe_token
+    Toymodel.Steer safe_token
   end
   else Toymodel.Proceed
 

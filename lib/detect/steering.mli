@@ -11,13 +11,11 @@
 
 type t
 
-val create : ?safe_token:int -> unit -> t
-(** [safe_token] defaults to the "answer" token.  Raises if the token is
-    harmful. *)
+val create : unit -> t
 
 val hook : t -> Guillotine_model.Toymodel.step_event -> Guillotine_model.Toymodel.intervention
 (** Pass as the [?hook] of {!Guillotine_model.Toymodel.generate}: any
-    harmful candidate is steered to the safe token. *)
+    harmful candidate is steered to the "answer" token. *)
 
 val steered : t -> int
 (** Interventions performed so far. *)

@@ -4,15 +4,16 @@ let danger_threshold = 900
 
 type action = { at : int; code : int; magnitude : int }
 
+(* Ticks to apply one action. *)
+let apply_cost = 1000
+
 type t = {
   name : string;
-  apply_cost : int;
   mutable actions : action list; (* reversed *)
   mutable hazardous : int;
 }
 
-let create ?(apply_cost = 1000) ~name () =
-  { name; apply_cost; actions = []; hazardous = 0 }
+let create ~name () = { name; actions = []; hazardous = 0 }
 
 let log t = List.rev t.actions
 let hazardous_applied t = t.hazardous
@@ -31,7 +32,7 @@ let handle t ~now request =
         let code = Int64.to_int request.(1) and magnitude = Int64.to_int request.(2) in
         t.actions <- { at = now; code; magnitude } :: t.actions;
         if code >= danger_threshold then t.hazardous <- t.hazardous + 1;
-        Device.ok ~latency:t.apply_cost ()
+        Device.ok ~latency:apply_cost ()
       end
     end
     else if op = op_status then begin

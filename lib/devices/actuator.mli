@@ -18,7 +18,9 @@ type t
 
 type action = { at : int; code : int; magnitude : int }
 
-val create : ?apply_cost:int -> name:string -> unit -> t
+val create : name:string -> unit -> t
+(** An applied action costs 1 000 ticks. *)
+
 val device : t -> Device.t
 
 val log : t -> action list

@@ -8,22 +8,23 @@ type t = {
   name : string;
   data : int64 array;
   sectors : int;
-  seek_cost : int;
-  word_cost : int;
   mutable reads : int;
   mutable writes : int;
   mutable dma_engine : (dma_addr:int -> int64 array -> (unit, string) result) option;
   mutable dma_denied : int;
 }
 
-let create ?(seek_cost = 500) ?(word_cost = 5) ~name ~sectors () =
+(* Ticks per transfer (also charged by a refused request), and per
+   transferred word. *)
+let seek_cost = 500
+let word_cost = 5
+
+let create ~name ~sectors () =
   if sectors <= 0 then invalid_arg "Block.create: sectors must be positive";
   {
     name;
     data = Array.make (sectors * sector_words) 0L;
     sectors;
-    seek_cost;
-    word_cost;
     reads = 0;
     writes = 0;
     dma_engine = None;
@@ -44,7 +45,7 @@ let write_sector t s words =
 let set_dma_engine t f = t.dma_engine <- Some f
 let dma_denied t = t.dma_denied
 
-let transfer_cost t = t.seek_cost + (t.word_cost * sector_words)
+let transfer_cost = seek_cost + (word_cost * sector_words)
 
 let handle t ~now:_ request =
   if Array.length request = 0 then Device.error ~code:Device.status_bad_request ~latency:1
@@ -55,10 +56,10 @@ let handle t ~now:_ request =
         Device.error ~code:Device.status_bad_request ~latency:1
       else begin
         match read_sector t (Int64.to_int request.(1)) with
-        | None -> Device.error ~code:Device.status_bad_request ~latency:t.seek_cost
+        | None -> Device.error ~code:Device.status_bad_request ~latency:seek_cost
         | Some words ->
           t.reads <- t.reads + 1;
-          Device.ok ~payload:words ~latency:(transfer_cost t) ()
+          Device.ok ~payload:words ~latency:transfer_cost ()
       end
     end
     else if op = op_write then begin
@@ -68,9 +69,9 @@ let handle t ~now:_ request =
         let s = Int64.to_int request.(1) in
         if write_sector t s (Array.sub request 2 sector_words) then begin
           t.writes <- t.writes + 1;
-          Device.ok ~latency:(transfer_cost t) ()
+          Device.ok ~latency:transfer_cost ()
         end
-        else Device.error ~code:Device.status_bad_request ~latency:t.seek_cost
+        else Device.error ~code:Device.status_bad_request ~latency:seek_cost
       end
     end
     else if op = op_size then
@@ -81,15 +82,15 @@ let handle t ~now:_ request =
       else begin
         match (t.dma_engine, read_sector t (Int64.to_int request.(1))) with
         | None, _ -> Device.error ~code:Device.status_denied ~latency:1
-        | _, None -> Device.error ~code:Device.status_bad_request ~latency:t.seek_cost
+        | _, None -> Device.error ~code:Device.status_bad_request ~latency:seek_cost
         | Some dma, Some words -> (
           match dma ~dma_addr:(Int64.to_int request.(2)) words with
           | Ok () ->
             t.reads <- t.reads + 1;
-            Device.ok ~latency:(transfer_cost t) ()
+            Device.ok ~latency:transfer_cost ()
           | Error _ ->
             t.dma_denied <- t.dma_denied + 1;
-            Device.error ~code:Device.status_denied ~latency:t.seek_cost)
+            Device.error ~code:Device.status_denied ~latency:seek_cost)
       end
     end
     else Device.error ~code:Device.status_bad_request ~latency:1

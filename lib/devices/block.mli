@@ -17,7 +17,9 @@ type t
 
 val sector_words : int
 
-val create : ?seek_cost:int -> ?word_cost:int -> name:string -> sectors:int -> unit -> t
+val create : name:string -> sectors:int -> unit -> t
+(** A transfer costs 500 ticks of seek plus 5 per word. *)
+
 val device : t -> Device.t
 
 val write_sector : t -> int -> int64 array -> bool

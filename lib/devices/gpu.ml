@@ -7,13 +7,15 @@ let op_argmax = 5
 type t = {
   name : string;
   mem : int64 array;
-  flop_cost : int; (* ticks per multiply-accumulate *)
   mutable kernels : int;
 }
 
-let create ?(mem_words = 64 * 1024) ?(flop_cost_ns = 1) ~name () =
+(* Ticks per multiply-accumulate. *)
+let flop_cost = 1
+
+let create ?(mem_words = 64 * 1024) ~name () =
   if mem_words <= 0 then invalid_arg "Gpu.create: mem_words must be positive";
-  { name; mem = Array.make mem_words 0L; flop_cost = max 1 flop_cost_ns; kernels = 0 }
+  { name; mem = Array.make mem_words 0L; kernels = 0 }
 
 let peek t a = if a >= 0 && a < Array.length t.mem then Some t.mem.(a) else None
 
@@ -82,7 +84,7 @@ let handle t ~now:_ request =
         else begin
           gemm t ~a ~b ~c ~n;
           t.kernels <- t.kernels + 1;
-          Device.ok ~latency:(100 + (t.flop_cost * n * n * n)) ()
+          Device.ok ~latency:(100 + (flop_cost * n * n * n)) ()
         end
       end
     end

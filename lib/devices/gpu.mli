@@ -12,7 +12,8 @@
     - [2] D2H:   [2; addr; len] -> payload = device words
     - [3] GEMM:  [3; addr_a; addr_b; addr_c; n] multiply two n*n word
       matrices in device memory into c (values reduced mod 2^32 to stay
-      small); latency scales with n^3.
+      small); latency is 100 ticks plus one per multiply-accumulate
+      (n^3).
     - [4] CLEAR: zero all device memory (hypervisor-initiated scrub).
     - [5] ARGMAX: [5; base; n] -> [index of max over device words
       base..base+n) ] — the inference kernel of the toy model's forward
@@ -24,7 +25,7 @@
 
 type t
 
-val create : ?mem_words:int -> ?flop_cost_ns:int -> name:string -> unit -> t
+val create : ?mem_words:int -> name:string -> unit -> t
 val device : t -> Device.t
 
 val peek : t -> int -> int64 option

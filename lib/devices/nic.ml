@@ -5,19 +5,22 @@ let op_poll = 3
 type t = {
   name : string;
   inbound : (int * string) Guillotine_util.Bounded_queue.t;
-  cost_per_frame : int;
-  cost_per_word : int;
   mutable transmit : (dest:int -> payload:string -> unit) option;
   mutable sent : int;
   mutable delivered : int;
 }
 
-let create ?(queue_depth = 64) ?(cost_per_frame = 200) ?(cost_per_word = 2) ~name () =
+(* Inbound frames queued before [deliver] drops. *)
+let queue_depth = 64
+
+(* Ticks per frame and per payload word. *)
+let cost_per_frame = 200
+let cost_per_word = 2
+
+let create ~name () =
   {
     name;
     inbound = Guillotine_util.Bounded_queue.create ~capacity:queue_depth;
-    cost_per_frame;
-    cost_per_word;
     transmit = None;
     sent = 0;
     delivered = 0;
@@ -38,7 +41,7 @@ let frames_sent t = t.sent
 let encode_send ~dest ~payload =
   Array.append [| Int64.of_int op_send; Int64.of_int dest |] (Codec.words_of_string payload)
 
-let frame_cost t words = t.cost_per_frame + (t.cost_per_word * words)
+let frame_cost words = cost_per_frame + (cost_per_word * words)
 
 let handle t ~now:_ request =
   if Array.length request = 0 then Device.error ~code:Device.status_bad_request ~latency:1
@@ -56,23 +59,23 @@ let handle t ~now:_ request =
           | Some tx -> tx ~dest ~payload
           | None -> ());
           t.sent <- t.sent + 1;
-          Device.ok ~latency:(frame_cost t (Array.length request)) ()
+          Device.ok ~latency:(frame_cost (Array.length request)) ()
       end
     end
     else if op = op_recv then begin
       match Guillotine_util.Bounded_queue.pop t.inbound with
-      | None -> Device.ok ~payload:[| 0L |] ~latency:t.cost_per_frame ()
+      | None -> Device.ok ~payload:[| 0L |] ~latency:cost_per_frame ()
       | Some (src, payload) ->
         let words = Codec.words_of_string payload in
         Device.ok
           ~payload:(Array.append [| 1L; Int64.of_int src |] words)
-          ~latency:(frame_cost t (Array.length words))
+          ~latency:(frame_cost (Array.length words))
           ()
     end
     else if op = op_poll then
       Device.ok
         ~payload:[| Int64.of_int (inbound_queued t) |]
-        ~latency:t.cost_per_frame ()
+        ~latency:cost_per_frame ()
     else Device.error ~code:Device.status_bad_request ~latency:1
   end
 

@@ -9,12 +9,12 @@
 
     The NIC knows nothing of TLS or Guillotine identities; that lives in
     the network stack, which wires [set_transmit]/[deliver] into the
-    fabric.  Latency model: per-frame cost plus per-word cost. *)
+    fabric.  Latency model: 200 ticks per frame plus 2 per word. *)
 
 type t
 
-val create : ?queue_depth:int -> ?cost_per_frame:int -> ?cost_per_word:int ->
-  name:string -> unit -> t
+val create : name:string -> unit -> t
+(** The inbound queue holds 64 frames. *)
 
 val device : t -> Device.t
 

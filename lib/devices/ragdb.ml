@@ -5,12 +5,13 @@ type t = {
   name : string;
   mutable docs : string array; (* id = index *)
   mutable ndocs : int;
-  scan_cost : int;
   mutable queries : int;
 }
 
-let create ?(scan_cost_per_doc = 20) ~name () =
-  { name; docs = Array.make 16 ""; ndocs = 0; scan_cost = scan_cost_per_doc; queries = 0 }
+(* Ticks to scan one document. *)
+let scan_cost = 20
+
+let create ~name () = { name; docs = Array.make 16 ""; ndocs = 0; queries = 0 }
 
 let add_document t doc =
   if t.ndocs = Array.length t.docs then begin
@@ -65,7 +66,7 @@ let handle t ~now:_ request =
               [| Int64.of_int (List.length ids) |]
               ids
           in
-          Device.ok ~payload ~latency:(10 + (t.scan_cost * t.ndocs)) ()
+          Device.ok ~payload ~latency:(10 + (scan_cost * t.ndocs)) ()
       end
     end
     else if op = op_count then

@@ -13,11 +13,12 @@
       its id)
     - [2] COUNT: [] -> [documents]
 
-    Latency scales with corpus size (a scan). *)
+    Latency scales with corpus size (a scan of 20 ticks per
+    document). *)
 
 type t
 
-val create : ?scan_cost_per_doc:int -> name:string -> unit -> t
+val create : name:string -> unit -> t
 val device : t -> Device.t
 
 val add_document : t -> string -> int

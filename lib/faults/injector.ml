@@ -169,12 +169,8 @@ let apply t ~deployment ~service ~fabric ~heartbeat fault =
     mark t `Injected fault;
     Option.iter (fun k -> k ()) schedule_clear
 
-let install t ?deployment ?service ?fabric ?heartbeat (plan : Fault_plan.t) =
-  let fabric =
-    match fabric with
-    | Some _ as f -> f
-    | None -> Option.map Deployment.fabric deployment
-  in
+let install t ?deployment ?service ?heartbeat (plan : Fault_plan.t) =
+  let fabric = Option.map Deployment.fabric deployment in
   List.iter
     (fun { Fault_plan.at; fault } ->
       ignore

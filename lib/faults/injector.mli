@@ -9,7 +9,7 @@
 
     Faults are applied to whichever targets are supplied at
     {!install} time; a fault whose target is absent (e.g. a NIC fault
-    with no fabric) is counted as skipped rather than raising, so one
+    without a deployment) is counted as skipped rather than raising, so one
     plan can drive both a full deployment and a serving-only rig. *)
 
 type t
@@ -38,11 +38,10 @@ val install :
   t ->
   ?deployment:Guillotine_core.Deployment.t ->
   ?service:Guillotine_serve.Service.t ->
-  ?fabric:Guillotine_net.Fabric.t ->
   ?heartbeat:Guillotine_physical.Heartbeat.t ->
   Fault_plan.t ->
   unit
-(** Schedule every event of the plan on the engine.  [fabric] defaults
-    to the deployment's fabric when a deployment is supplied.  Timed
+(** Schedule every event of the plan on the engine.  Link faults act on
+    the deployment's fabric, so they need a deployment.  Timed
     faults (loss windows, stalls, outages, brownouts) schedule their own
     clearing. *)

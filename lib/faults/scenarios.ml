@@ -173,12 +173,14 @@ let pump_hv d =
          Hypervisor.service hv;
          true))
 
-let pump_models ?(quantum = 2000) d =
+let pump_quanta ~quantum d =
   let machine = Deployment.machine d in
   ignore
     (Engine.every (Deployment.engine d) ~period:0.25 (fun () ->
          ignore (Machine.run_models machine ~quantum);
          true))
+
+let pump_models d = pump_quanta ~quantum:2000 d
 
 (* --- Serving-only rigs ---------------------------------------------- *)
 
@@ -381,7 +383,7 @@ let core_wedge_rollback ctx =
        ~code_pages:4 ~data_pages:4
        (Asm.assemble_exn (Guest_programs.compute_loop ~iterations:50_000_000)));
   (* Scheduler: keep the guest executing through the whole run. *)
-  pump_models ~quantum:200 r.d;
+  pump_quanta ~quantum:200 r.d;
   ignore (Deployment.enable_model_guard ~period:5.0 r.d model);
   play r ~horizon:30.0 [ { at = 7.0; fault = Core_wedge { core = 0 } } ];
   let recoveries = console_recoveries r in
@@ -673,7 +675,7 @@ let toctou_dma_self_patch ctx =
   (* The DMA grant covers exactly the loader's own code frame 3 — the
      window is legitimate; what flows through it later is not. *)
   let _iommu, dma_engine =
-    Hypervisor.create_dma_engine r.hv ~windows:[ (7, 3, true) ] ()
+    Hypervisor.create_dma_engine r.hv ~windows:[ (7, 3, true) ]
   in
   Block.set_dma_engine blk dma_engine;
   let stub0 = Dram.read dram Guest_programs.dma_sleeper_patch_word in
@@ -704,7 +706,7 @@ let toctou_shared_window_rewrite ctx =
   done;
   (* The courier's legitimate DMA window: device page 0 over frame 6. *)
   let _iommu, dma_engine =
-    Hypervisor.create_dma_engine r.hv ~windows:[ (0, 6, true) ] ()
+    Hypervisor.create_dma_engine r.hv ~windows:[ (0, 6, true) ]
   in
   Block.set_dma_engine blk dma_engine;
   ignore

@@ -102,9 +102,9 @@ val alert_rows :
 val pump_hv : Guillotine_core.Deployment.t -> unit
 (** Schedule the hypervisor to service guest ports every 50 ms. *)
 
-val pump_models : ?quantum:int -> Guillotine_core.Deployment.t -> unit
-(** Schedule the model cores to run [quantum] (default 2000)
-    instructions every 250 ms. *)
+val pump_models : Guillotine_core.Deployment.t -> unit
+(** Schedule the model cores to run a quantum of 2000 instructions
+    every 250 ms. *)
 
 val run : ?seed:int -> ?mode:Guillotine_microarch.Core.mode -> string -> outcome
 (** [run ?seed name] plays scenario [name].  [seed] (default 1)

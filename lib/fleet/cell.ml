@@ -14,11 +14,9 @@ module Fault_plan = Guillotine_faults.Fault_plan
 module Scenarios = Guillotine_faults.Scenarios
 module Sha256 = Guillotine_crypto.Sha256
 module Machine = Guillotine_machine.Machine
-module Core = Guillotine_microarch.Core
 module Asm = Guillotine_isa.Asm
 module Vet = Guillotine_vet.Vet
 module Guest_programs = Guillotine_model.Guest_programs
-module Profile = Guillotine_obs.Profile
 module Vet_corpus = Guillotine_core.Vet_corpus
 module Interfere = Guillotine_vet.Interfere
 
@@ -32,14 +30,13 @@ type config = {
   storm : bool;
   toctou : bool;
   roster : string list;
-  profile : bool;
 }
 
 let cell_name id = Printf.sprintf "cell-%d" id
 
 let config ?(seed = 1) ?users ?(requests_per_user = 4) ?(max_tokens = 12)
     ?(rogue = false) ?(storm = false) ?(toctou = false) ?(roster = [])
-    ?(profile = false) ~cell_id () =
+    ~cell_id () =
   if cell_id < 0 then invalid_arg "Cell.config: negative cell_id";
   if requests_per_user <= 0 then
     invalid_arg "Cell.config: requests_per_user must be positive";
@@ -51,7 +48,7 @@ let config ?(seed = 1) ?users ?(requests_per_user = 4) ?(max_tokens = 12)
     roster;
   let users = match users with Some us -> us | None -> [ cell_id ] in
   { cell_id; seed; users; requests_per_user; max_tokens; rogue; storm; toctou;
-    roster; profile }
+    roster }
 
 (* The rogue model's trigger: a benign-band token every user's stream
    periodically ends a prompt with.  Honest models continue generating
@@ -128,15 +125,12 @@ let arm_toctou d =
   Scenarios.pump_models d
 
 let create cfg =
-  (* The mode lives on this cell's machine, so a profiled cell in one
-     domain never touches what sibling cells' cores record. *)
-  let mode = { Core.default_mode with Core.profile = cfg.profile } in
   (* The fleet seed is the salt, so the cell's randomness comes from the
      scenario plane's derivation, decorrelated per cell. *)
   let d =
     Deployment.create
       ~seed:(Scenarios.seed64 ~cell:cfg.cell_id cfg.seed 0)
-      ~mode ~name:(cell_name cfg.cell_id) ()
+      ~name:(cell_name cfg.cell_id) ()
   in
   let monitor = Deployment.enable_monitoring d in
   if cfg.toctou then arm_toctou d;
@@ -202,9 +196,6 @@ type report = {
   r_incident : string option;
   r_transcript : string;
   r_digest : string;
-  r_profile : Profile.t option;
-      (* carried outside the transcript: a profiled cell's transcript
-         and digest are byte-identical to the unprofiled run *)
 }
 
 let first_request_at = 1.0
@@ -327,7 +318,6 @@ let run cfg =
     r_incident = incident;
     r_transcript = transcript;
     r_digest = Sha256.digest_hex transcript;
-    r_profile = Deployment.profile c.d;
   }
 
 let report_summary r =

@@ -38,11 +38,6 @@ type config = {
           (counted, journaled, audit-chained) and exposed through
           {!coadmit_report}; an empty roster (the default) skips the
           gate, keeping transcripts byte-identical to earlier runs *)
-  profile : bool;
-      (** arm the cycle-attribution profiler on the cell's model cores;
-          read-only over simulated state, so a profiled cell's
-          transcript and digest match the unprofiled run byte for
-          byte *)
 }
 
 val config :
@@ -54,13 +49,12 @@ val config :
   ?storm:bool ->
   ?toctou:bool ->
   ?roster:string list ->
-  ?profile:bool ->
   cell_id:int ->
   unit ->
   config
 (** [seed] defaults to 1, [users] to [[cell_id]], [requests_per_user]
-    to 4, [max_tokens] to 12, [rogue], [storm], [toctou] and [profile]
-    to false, [roster] to empty.  An explicitly empty [users] list is
+    to 4, [max_tokens] to 12, [rogue], [storm] and [toctou] to false,
+    [roster] to empty.  An explicitly empty [users] list is
     allowed (the cell idles — a fleet wider than its user population
     has such cells).  Raises [Invalid_argument] on
     a negative [cell_id], non-positive
@@ -123,10 +117,6 @@ type report = {
           with the cell's name *)
   r_transcript : string;    (** one line per request, deterministic *)
   r_digest : string;        (** SHA-256 hex of the transcript *)
-  r_profile : Guillotine_obs.Profile.t option;
-      (** cycle-attribution profile of the cell's model cores when
-          [config.profile] was set; carried outside the transcript, so
-          [r_transcript]/[r_digest] are unchanged by profiling *)
 }
 
 val run : config -> report

@@ -1,5 +1,4 @@
 module Sha256 = Guillotine_crypto.Sha256
-module Profile = Guillotine_obs.Profile
 
 type t = {
   seed : int;
@@ -10,13 +9,11 @@ type t = {
   rogue : int option;
   storm : int option;
   toctou : int option;
-  roster : string list;
   domains : int;
-  profiled : bool;
 }
 
 let create ?(seed = 1) ?users ?(requests_per_user = 4) ?(max_tokens = 12)
-    ?rogue ?storm ?toctou ?(roster = []) ?domains ?(profiled = false) ~cells () =
+    ?rogue ?storm ?toctou ?domains ~cells () =
   if cells < 1 then invalid_arg "Fleet.create: cells must be >= 1";
   let users = match users with Some u -> u | None -> 2 * cells in
   if users < 0 then invalid_arg "Fleet.create: negative users";
@@ -28,12 +25,6 @@ let create ?(seed = 1) ?users ?(requests_per_user = 4) ?(max_tokens = 12)
   check_cell "rogue" rogue;
   check_cell "storm" storm;
   check_cell "toctou" toctou;
-  List.iter
-    (fun name ->
-      if Option.is_none (Guillotine_core.Vet_corpus.find name) then
-        invalid_arg
-          (Printf.sprintf "Fleet.create: unknown roster guest %s" name))
-    roster;
   let domains =
     match domains with
     | None -> cells
@@ -41,7 +32,7 @@ let create ?(seed = 1) ?users ?(requests_per_user = 4) ?(max_tokens = 12)
     | Some d -> min d cells
   in
   { seed; cells; users; requests_per_user; max_tokens; rogue; storm; toctou;
-    roster; domains; profiled }
+    domains }
 
 let domains t = t.domains
 
@@ -56,7 +47,7 @@ let cell_config t ~cell_id =
     ~rogue:(t.rogue = Some cell_id)
     ~storm:(t.storm = Some cell_id)
     ~toctou:(t.toctou = Some cell_id)
-    ~roster:t.roster ~profile:t.profiled ~cell_id ()
+    ~cell_id ()
 
 (* ------------------------------------------------------------------ *)
 (* Domain sharding                                                     *)
@@ -108,7 +99,6 @@ type view = {
   v_incident_cell : int option;
   v_incident : string option;
   v_digest : string;
-  v_profile : Profile.t option;
 }
 
 let view_of t reports =
@@ -128,20 +118,6 @@ let view_of t reports =
     | Some r -> (Some r.Cell.r_cell_id, r.Cell.r_incident)
     | None -> (None, None)
   in
-  (* Fleet-wide profile: each cell's guests relabelled with the owning
-     cell's name, then unioned — so the hottest block in the aggregate
-     still names the cell it belongs to. *)
-  let profile =
-    let per_cell =
-      Array.to_list reports
-      |> List.filter_map (fun (r : Cell.report) ->
-             Option.map
-               (Profile.relabel (fun l ->
-                    Printf.sprintf "%s/%s" (Cell.cell_name r.Cell.r_cell_id) l))
-               r.Cell.r_profile)
-    in
-    match per_cell with [] -> None | ps -> Some (Profile.union ps)
-  in
   {
     v_seed = t.seed;
     v_cells = t.cells;
@@ -156,7 +132,6 @@ let view_of t reports =
     v_alerts = alerts;
     v_incident_cell = incident_cell;
     v_incident = incident;
-    v_profile = profile;
     v_digest =
       Sha256.digest_hex
         (String.concat "\n"
@@ -198,23 +173,4 @@ let view_summary v =
         | Some c -> Printf.sprintf "incident %s" (Cell.cell_name c)
         | None -> "incident none");
         Printf.sprintf "digest   %s" v.v_digest;
-      ]
-    @
-    (* Profile lines only on profiled runs: unprofiled summaries stay
-       byte-identical to the pre-profiling goldens. *)
-    match v.v_profile with
-    | None -> []
-    | Some p ->
-      (Array.to_list v.v_reports
-      |> List.filter_map (fun (r : Cell.report) ->
-             Option.bind r.Cell.r_profile Profile.hottest
-             |> Option.map (fun (s : Profile.block_stat) ->
-                    Printf.sprintf
-                      "profile  %s hottest %s block=%s cycles=%d"
-                      (Cell.cell_name r.Cell.r_cell_id)
-                      s.Profile.bs_guest
-                      (match s.Profile.bs_leader with
-                      | Some l -> Printf.sprintf "0x%04x" l
-                      | None -> "unmapped")
-                      s.Profile.bs_cycles)))
-      @ [ Printf.sprintf "profile  fleet %s" (Profile.summary p) ])
+      ])

@@ -25,28 +25,20 @@ val create :
   ?rogue:int ->
   ?storm:int ->
   ?toctou:int ->
-  ?roster:string list ->
   ?domains:int ->
-  ?profiled:bool ->
   cells:int ->
   unit ->
   t
 (** [seed] defaults to 1; [users] (the global synthetic-user count) to
-    [2 * cells]; [requests_per_user] to 4; [max_tokens] to 12;
-    [profiled] (arm every cell's cycle-attribution profiler,
-    {!Cell.config.profile}) to false.  [rogue] / [storm] /
-    [toctou] name the cell whose model is malicious / whose deployment
-    gets the fault storm / which suffers the vet-install TOCTOU race
-    ({!Cell.config.toctou}); default: none of them.  [roster] (default
-    empty) is a set of {!Guillotine_core.Vet_corpus} guest names every
-    cell passes through the co-admission interference gate at build
-    time ({!Cell.config.roster}) — the fleet deploys the same guest
-    set everywhere, so one colluding pair rejects fleet-wide.
-    [domains] is the number of OCaml domains {!run} spawns (default
+    [2 * cells]; [requests_per_user] to 4; [max_tokens] to 12.
+    [rogue] / [storm] / [toctou] name the cell whose model is
+    malicious / whose deployment gets the fault storm / which suffers
+    the vet-install TOCTOU race ({!Cell.config.toctou}); default: none
+    of them.  [domains] is the number of OCaml domains {!run} spawns (default
     [cells]; clamped to [cells]; 1 means run every cell on the calling
     domain).  Raises [Invalid_argument] on [cells < 1], negative
-    [users], [domains < 1], an out-of-range [rogue] / [storm] /
-    [toctou] cell id, or an unknown [roster] name. *)
+    [users], [domains < 1], or an out-of-range [rogue] / [storm] /
+    [toctou] cell id. *)
 
 val domains : t -> int
 
@@ -83,12 +75,6 @@ type view = {
   v_digest : string;
       (** SHA-256 hex over the cells' transcript digests, in cell
           order — equal iff every cell's transcript is equal *)
-  v_profile : Guillotine_obs.Profile.t option;
-      (** fleet-wide cycle-attribution profile on profiled runs: every
-          cell's guests relabelled ["cell-<id>/<guest>"] and unioned,
-          so the aggregate's hottest block names its owning cell.
-          [None] when no cell profiled.  Like {!Cell.report.r_profile},
-          carried outside the digests. *)
 }
 
 val run : t -> view
@@ -104,7 +90,4 @@ val run_solo : t -> cell_id:int -> Cell.report
 
 val view_summary : view -> string
 (** Deterministic multi-line rendering: per-cell lines, fleet totals,
-    the incident-bearing cell (if any), and the fleet digest; on
-    profiled runs, one hottest-block line per profiled cell plus the
-    fleet-wide profile summary (absent otherwise, keeping unprofiled
-    summaries byte-identical to the pre-profiling goldens). *)
+    the incident-bearing cell (if any), and the fleet digest. *)

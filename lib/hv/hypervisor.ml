@@ -42,8 +42,6 @@ type t = {
   machine : Machine.t;
   audit : Audit.t;
   mutable detectors : Detector.t list;
-  mediation_cost : int;
-  copy_cost_per_word : int;
   ports : (port_id, port) Hashtbl.t;
   granted_io_pages : (int, port_id) Hashtbl.t;
   completions : completion Heap.t;
@@ -88,8 +86,13 @@ let ring_slot_words = 20
 
 let page_words = 256
 
-let create ~machine ?(detectors = []) ?(mediation_cost = 300)
-    ?(copy_cost_per_word = 2) () =
+(* Hypervisor cycles charged per mediated request, and per request and
+   response word copied: the price of synchronous mediation that T3
+   measures. *)
+let mediation_cost = 300
+let copy_cost_per_word = 2
+
+let create ~machine ?(detectors = []) () =
   let telemetry =
     Telemetry.create ~clock:(fun () -> float_of_int (Machine.now machine)) ~name:"hv" ()
   in
@@ -97,8 +100,6 @@ let create ~machine ?(detectors = []) ?(mediation_cost = 300)
     machine;
     audit = Audit.create ();
     detectors = List.map (Detector.with_telemetry telemetry) detectors;
-    mediation_cost;
-    copy_cost_per_word;
     ports = Hashtbl.create 8;
     granted_io_pages = Hashtbl.create 8;
     completions = Heap.create ~cmp:(fun a b -> compare a.due b.due);
@@ -166,7 +167,12 @@ let observe t obs =
 
 let notify = observe
 
-let enable_probe_monitor t ?(window = 256) ?(threshold = 0.25) () =
+(* A probe monitor judges each window of 256 retired instructions, and
+   alarms when more than a quarter of them are timing probes. *)
+let probe_window = 256
+let probe_threshold = 0.25
+
+let enable_probe_monitor t =
   Array.iter
     (fun core ->
       let total = ref 0 and probes = ref 0 in
@@ -175,11 +181,11 @@ let enable_probe_monitor t ?(window = 256) ?(threshold = 0.25) () =
           (match instr with
           | Isa.Rdcycle _ | Isa.Clflush _ | Isa.Fence -> incr probes
           | _ -> ());
-          if !total >= window then begin
+          if !total >= probe_window then begin
             let density = float_of_int !probes /. float_of_int !total in
             total := 0;
             probes := 0;
-            if density > threshold then
+            if density > probe_threshold then
               observe t
                 (Detector.Probe_activity { core = Core.id core; density })
           end))
@@ -254,14 +260,6 @@ let installed_guests t =
 module Vet_summary = Guillotine_vet.Summary
 module Vet_interfere = Guillotine_vet.Interfere
 
-type coadmit_policy = {
-  interfere : Vet_interfere.policy;
-  enforce_coadmit : bool;
-}
-
-let default_coadmit_policy =
-  { interfere = Vet_interfere.default_policy; enforce_coadmit = true }
-
 let coadmitted_guests t = t.coadmitted
 
 let record_coadmit_decision t (report : Vet_interfere.report) =
@@ -281,22 +279,14 @@ let record_coadmit_decision t (report : Vet_interfere.report) =
        findings);
   log t (Audit.Coadmit_decision { roster; verdict; findings })
 
-let coadmit t ?(policy = default_coadmit_policy) ?(label = "roster") specs =
+let coadmit t ?(label = "roster") specs =
   if t.destroyed then invalid_arg "coadmit: machine destroyed";
-  let members =
-    List.map
-      (Vet_summary.summarize ~policy:policy.interfere.Vet_interfere.vet)
-      specs
-  in
+  let members = List.map Vet_summary.summarize specs in
   (* Residents stay in the roster: a guest that was clean against its
      original co-tenants can still interfere with a later arrival. *)
-  let report =
-    Vet_interfere.check ~policy:policy.interfere ~label
-      (t.coadmitted @ members)
-  in
+  let report = Vet_interfere.check ~label (t.coadmitted @ members) in
   record_coadmit_decision t report;
-  if report.Vet_interfere.verdict = Vet.Reject && policy.enforce_coadmit then
-    Error report
+  if report.Vet_interfere.verdict = Vet.Reject then Error report
   else begin
     t.coadmitted <- t.coadmitted @ members;
     Ok report
@@ -371,7 +361,7 @@ let grant_port t ~core ~device ~mode ~io_page ~vpage =
   log t (Audit.Note (Printf.sprintf "port %d granted: core %d -> %s (%s)" id core
                        device.Device.name
                        (match mode with Mailbox -> "mailbox" | Rings -> "rings")));
-  charge_for t ~core ~cls:Cost_class.Doorbell t.mediation_cost;
+  charge_for t ~core ~cls:Cost_class.Doorbell mediation_cost;
   id
 
 let find_port t id =
@@ -427,7 +417,7 @@ let doorbell t id =
       (Lapic.raise_line (Machine.lapic t.machine) ~now:(Machine.now t.machine)
          ~line:id ~src_core:p.core)
 
-let create_dma_engine t ?(core = 0) ~windows () =
+let create_dma_engine t ~windows =
   let iommu = Guillotine_memory.Iommu.create () in
   List.iter
     (fun (dma_page, frame, writable) ->
@@ -444,9 +434,9 @@ let create_dma_engine t ?(core = 0) ~windows () =
          profile still shows where device traffic lands.  Attribution
          only — the cycle counters are untouched. *)
       Core.profile_note
-        (Machine.model_core t.machine core)
+        (Machine.model_core t.machine 0)
         ~cls:Cost_class.Dma_iommu
-        (t.copy_cost_per_word * Array.length words);
+        (copy_cost_per_word * Array.length words);
       Ok ()
     | Error reason ->
       observe t (Detector.Tamper { what = "device DMA blocked: " ^ reason });
@@ -498,7 +488,7 @@ let deliver_completion t ({ port; response; issued; _ } : completion) =
       "port.complete"
   in
   charge_for t ~core:port.core ~cls:Cost_class.Doorbell
-    (t.copy_cost_per_word * words);
+    (copy_cost_per_word * words);
   Telemetry.incr t.c_completions;
   Telemetry.observe t.h_port_latency
     (float_of_int (Machine.now t.machine - issued));
@@ -550,7 +540,7 @@ let handle_request t port =
       in
       let now = Machine.now t.machine in
       charge_for t ~core:port.core ~cls:Cost_class.Doorbell
-        (t.mediation_cost + (t.copy_cost_per_word * Array.length words));
+        (mediation_cost + (copy_cost_per_word * Array.length words));
       log t
         (Audit.Port_request
            { port = port.id; device = port.device.Device.name; words = Array.length words });

@@ -35,14 +35,11 @@ type port_id = int
 val create :
   machine:Machine.t ->
   ?detectors:Detector.t list ->
-  ?mediation_cost:int ->
-  ?copy_cost_per_word:int ->
   unit ->
   t
-(** [mediation_cost] (default 300) hypervisor cycles are charged per
-    request on top of [copy_cost_per_word] (default 2) per request and
-    response word — the price of synchronous mediation that experiment
-    T3 measures. *)
+(** 300 hypervisor cycles are charged per request on top of 2 per
+    request and response word — the price of synchronous mediation that
+    experiment T3 measures. *)
 
 val machine : t -> Machine.t
 val audit : t -> Audit.t
@@ -132,22 +129,17 @@ val installed_guests : t -> (int * string) list
     emitted to the event sink ([vet.coadmit]) and committed to the audit
     chain, exactly like solo decisions. *)
 
-type coadmit_policy = {
-  interfere : Guillotine_vet.Interfere.policy;
-  enforce_coadmit : bool;  (** reject ⇒ refuse the roster (advisory when false) *)
-}
-
 val coadmit :
   t ->
-  ?policy:coadmit_policy ->
   ?label:string ->
   Guillotine_vet.Summary.spec list ->
   (Guillotine_vet.Interfere.report, Guillotine_vet.Interfere.report) result
-(** Summarize the specs and check them jointly — {e including} every
+(** Summarize the specs under {!Guillotine_vet.Vet.default_policy} and
+    check them jointly — {e including} every
     guest a previous [coadmit] admitted, so arrivals are vetted against
     residents.  [Ok report] records the members as resident;
-    [Error report] (rejection under enforcement) leaves the resident
-    set untouched. *)
+    [Error report] (a rejection: the gate always enforces) leaves the
+    resident set untouched. *)
 
 val coadmitted_guests : t -> Guillotine_vet.Summary.t list
 (** Resident effect summaries, admission order. *)
@@ -185,9 +177,7 @@ val response_ring : t -> port_id -> Guillotine_devices.Ringbuf.t
 
 val create_dma_engine :
   t ->
-  ?core:int ->
   windows:(int * int * bool) list ->
-  unit ->
   Guillotine_memory.Iommu.t * (dma_addr:int -> int64 array -> (unit, string) result)
 (** Build a DMA write engine for one device: [windows] are
     [(dma_page, model_frame, writable)] grants in a fresh IOMMU.  The
@@ -195,22 +185,22 @@ val create_dma_engine :
     {!Guillotine_devices.Block.set_dma_engine}) writes bursts into model
     DRAM through the IOMMU; any blocked burst is audited and raised to
     the detectors as tamper evidence — a device pushing outside its
-    windows is either broken or suborned.  [core] (default 0) names the
-    guest whose profile successful bursts are attributed to (class
-    [Dma_iommu]; attribution only, no cycles charged). *)
+    windows is either broken or suborned.  Successful bursts are
+    attributed to model core 0's profile (class [Dma_iommu];
+    attribution only, no cycles charged). *)
 
 val doorbell : t -> port_id -> unit
 (** Simulate the owning model core executing [Irq line]: the signal goes
     through the LAPIC (and may be throttled).  Used by OCaml-level model
     runtimes; assembly guests raise the line themselves. *)
 
-val enable_probe_monitor : t -> ?window:int -> ?threshold:float -> unit -> unit
+val enable_probe_monitor : t -> unit
 (** Install retire-trace monitors on every model core (the hardware
-    trace port of §3.2's control plane): when more than [threshold]
-    (default 0.25) of any [window] (default 256) retired instructions
-    are timing-probe operations — rdcycle, clflush, fence — a
-    [Probe_activity] observation reaches the detectors.  Probing split
-    hardware is futile, but the attempt itself is signal. *)
+    trace port of §3.2's control plane): when more than a quarter of
+    any window of 256 retired instructions are timing-probe operations
+    — rdcycle, clflush, fence — a [Probe_activity] observation reaches
+    the detectors.  Probing split hardware is futile, but the attempt
+    itself is signal. *)
 
 (** {2 Service} *)
 

@@ -211,8 +211,7 @@ let assemble_exn ?origin source =
   | Ok p -> p
   | Stdlib.Error e -> raise (Error e)
 
-let instrs ?(origin = 0) is =
-  { words = Encoding.encode_program is; symbols = []; origin }
+let instrs is = { words = Encoding.encode_program is; symbols = []; origin = 0 }
 
 let disassemble words =
   let buf = Buffer.create 256 in

@@ -41,9 +41,9 @@ val assemble : ?origin:int -> string -> (program, error) result
 val assemble_exn : ?origin:int -> string -> program
 (** Raises {!Error}. *)
 
-val instrs : ?origin:int -> Isa.instr list -> program
-(** Wrap an already-constructed instruction list as a program (no
-    labels). *)
+val instrs : Isa.instr list -> program
+(** Wrap an already-constructed instruction list as a program at origin
+    0 (no labels). *)
 
 val disassemble : int64 array -> string
 (** Best-effort listing; undecodable words render as [.word 0x…]. *)

@@ -10,7 +10,10 @@ type t = {
   mutable dropped : int;
 }
 
-let create ?(rate_limit = 64) ?(window = 10_000) ?(queue_depth = 256) () =
+(* Pending requests held before [raise_line] drops. *)
+let queue_depth = 256
+
+let create ?(rate_limit = 64) ?(window = 10_000) () =
   if window <= 0 then invalid_arg "Lapic.create: window must be positive";
   {
     rate_limit;

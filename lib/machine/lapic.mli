@@ -12,8 +12,9 @@ type t
 
 type request = { line : int; src_core : int; raised_at : int }
 
-val create : ?rate_limit:int -> ?window:int -> ?queue_depth:int -> unit -> t
-(** Defaults: 64 interrupts per 10_000-tick window, queue depth 256.
+val create : ?rate_limit:int -> ?window:int -> unit -> t
+(** Defaults: 64 interrupts per 10_000-tick window.  The pending queue
+    holds 256 requests.
     [rate_limit <= 0] disables throttling (the baseline configuration). *)
 
 val raise_line : t -> now:int -> line:int -> src_core:int -> bool

@@ -11,10 +11,9 @@ type t = {
   mutable last_cost : int;
 }
 
-let create ?(l1 = Cache.config_l1) ?(l2 = Cache.config_l2) ?(l3 = Cache.config_l3)
-    ?io ?(io_cost = 100) ~dram () =
-  let l3c = Cache.create l3 ~next:None in
-  let l2c = Cache.create l2 ~next:(Some l3c) in
+let create ?(l1 = Cache.config_l1) ?io ~dram () =
+  let l3c = Cache.create Cache.config_l3 ~next:None in
+  let l2c = Cache.create Cache.config_l2 ~next:(Some l3c) in
   let l1c = Cache.create l1 ~next:(Some l2c) in
   let io_base_addr, io_dram =
     match io with Some (base, io_dram) -> (base, io_dram) | None -> (max_int, dram)
@@ -27,7 +26,7 @@ let create ?(l1 = Cache.config_l1) ?(l2 = Cache.config_l2) ?(l3 = Cache.config_l
     io;
     io_base_addr;
     io_dram;
-    io_cost;
+    io_cost = 100;
     cycles = 0;
     last_cost = 0;
   }

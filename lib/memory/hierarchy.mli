@@ -28,16 +28,14 @@ type t = {
 
 val create :
   ?l1:Cache.config ->
-  ?l2:Cache.config ->
-  ?l3:Cache.config ->
   ?io:int * Dram.t ->
-  ?io_cost:int ->
   dram:Dram.t ->
   unit ->
   t
-(** [io = (io_base, io_dram)] attaches the shared IO region: physical
+(** The L2 and L3 are {!Cache.config_l2} and {!Cache.config_l3}.
+    [io = (io_base, io_dram)] attaches the shared IO region: physical
     addresses at or above [io_base] bypass the caches and hit [io_dram]
-    at offset [addr - io_base], costing [io_cost] cycles (default 100).
+    at offset [addr - io_base], costing 100 cycles ([io_cost]).
     Device memory is uncached so that no cache line is ever shared
     between the two domains. *)
 

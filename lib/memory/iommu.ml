@@ -3,7 +3,7 @@ type t = {
   mutable blocked : int;
 }
 
-let create ?page_size () = { mmu = Mmu.create ?page_size (); blocked = 0 }
+let create () = { mmu = Mmu.create (); blocked = 0 }
 
 let grant t ~dma_page ~frame ~writable =
   let perm = if writable then Mmu.perm_rw else Mmu.perm_r in

@@ -13,7 +13,8 @@
 
 type t
 
-val create : ?page_size:int -> unit -> t
+val create : unit -> t
+(** Windows are {!Mmu} pages of 256 words. *)
 
 val grant :
   t -> dma_page:int -> frame:int -> writable:bool -> (unit, Mmu.fault) result

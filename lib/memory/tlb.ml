@@ -10,10 +10,9 @@ type t = {
 
 let hit_cost = 1
 
-let create ?(entries = 64) ?(walk_cost = 20) () =
-  if entries <= 0 then invalid_arg "Tlb.create: entries must be positive";
+let create ?(walk_cost = 20) () =
   {
-    entries = Array.init entries (fun _ -> { vpage = -1; stamp = 0 });
+    entries = Array.init 64 (fun _ -> { vpage = -1; stamp = 0 });
     walk_cost;
     clock = 0;
     hits = 0;

@@ -31,8 +31,8 @@ type t = {
 val hit_cost : int
 (** Cycles a translation costs when its page is cached: 1. *)
 
-val create : ?entries:int -> ?walk_cost:int -> unit -> t
-(** Defaults: 64 entries, page-table walk 20 cycles. *)
+val create : ?walk_cost:int -> unit -> t
+(** 64 entries; the page-table walk defaults to 20 cycles. *)
 
 val slot_of : t -> vpage:int -> int
 (** Index of the entry currently holding [vpage], or -1.  Pure probe:

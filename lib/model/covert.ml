@@ -22,7 +22,10 @@ let finish sent recovered cycles =
     bits_per_kilocycle = (if cycles = 0 then 0.0 else 1000.0 *. effective /. float_of_int cycles);
   }
 
-let prime_probe ~sender ~receiver ?(target_set = 3) ?(sender_set_offset = 0) bits =
+(* The L1 set prime+probe signals through. *)
+let target_set = 3
+
+let prime_probe ~sender ~receiver ?(sender_set_offset = 0) bits =
   let l1 = Hierarchy.l1 receiver in
   let cfg = Cache.config l1 in
   let line = cfg.Cache.line_words in
@@ -69,7 +72,10 @@ let prime_probe ~sender ~receiver ?(target_set = 3) ?(sender_set_offset = 0) bit
   in
   finish bits recovered !cycles
 
-let branch_predictor ~sender ~receiver ?(probe_pc = 0x40) bits =
+(* The branch pc whose predictor entry carries the bit. *)
+let probe_pc = 0x40
+
+let branch_predictor ~sender ~receiver bits =
   let module Bpred = Guillotine_microarch.Core.Bpred in
   let cycles = ref 0 in
   let train b taken =

@@ -21,12 +21,11 @@ type result = {
 val prime_probe :
   sender:Guillotine_memory.Hierarchy.t ->
   receiver:Guillotine_memory.Hierarchy.t ->
-  ?target_set:int ->
   ?sender_set_offset:int ->
   bool list ->
   result
-(** Transmit the bit string through L1-set contention.  [target_set]
-    defaults to set 3.  [sender_set_offset] (default 0) displaces the
+(** Transmit the bit string through contention on L1 set 3.
+    [sender_set_offset] (default 0) displaces the
     sender's accesses by that many sets — modelling set-partitioned
     co-tenancy, the classic point mitigation, where each domain is
     confined to disjoint sets of one shared cache.  A non-zero offset
@@ -46,11 +45,10 @@ val flush_reload :
 val branch_predictor :
   sender:Guillotine_microarch.Core.Bpred.t ->
   receiver:Guillotine_microarch.Core.Bpred.t ->
-  ?probe_pc:int ->
   bool list ->
   result
 (** Spectre-family residue: the sender trains the predictor entry for
-    [probe_pc] toward taken (bit 1) or not-taken (bit 0); the receiver
+    pc 0x40 toward taken (bit 1) or not-taken (bit 0); the receiver
     executes a never-taken branch at the same pc and reads the bit out
     of the mispredict penalty.  Alive when both parties share the
     predictor (SMT / co-resident virtualization); dead across

@@ -5,7 +5,6 @@ type t = {
   public_key : Crypto.Signature.public_key;
   issuer : string;
   guillotine_hypervisor : bool;
-  extensions : (string * string) list;
   signature : string;
 }
 
@@ -14,19 +13,16 @@ let field s = Printf.sprintf "%d:%s" (String.length s) s
 
 let to_be_signed c =
   String.concat ""
-    (field c.subject :: field c.public_key :: field c.issuer
-    :: field (if c.guillotine_hypervisor then "guillotine=1" else "guillotine=0")
-    :: List.concat_map (fun (k, v) -> [ field k; field v ]) c.extensions)
+    [ field c.subject; field c.public_key; field c.issuer;
+      field (if c.guillotine_hypervisor then "guillotine=1" else "guillotine=0") ]
 
-let issue ~ca ~ca_name ~subject ~public_key ?(guillotine_hypervisor = false)
-    ?(extensions = []) () =
+let issue ~ca ~ca_name ~subject ~public_key ?(guillotine_hypervisor = false) () =
   let unsigned =
     {
       subject;
       public_key;
       issuer = ca_name;
       guillotine_hypervisor;
-      extensions;
       signature = "";
     }
   in
@@ -38,7 +34,7 @@ let verify ~ca_public_key c =
   | None -> false
   | Some sg -> Crypto.Signature.verify ca_public_key ~msg:(to_be_signed c) sg
 
-let self_signed ~signer ~name ~public_key ?(guillotine_hypervisor = false) () =
-  issue ~ca:signer ~ca_name:name ~subject:name ~public_key ~guillotine_hypervisor ()
+let self_signed ~signer ~name ~public_key () =
+  issue ~ca:signer ~ca_name:name ~subject:name ~public_key ()
 
 let fingerprint c = Crypto.Sha256.digest_hex (to_be_signed c)

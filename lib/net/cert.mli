@@ -12,7 +12,6 @@ type t = {
   public_key : Guillotine_crypto.Signature.public_key;
   issuer : string;
   guillotine_hypervisor : bool; (* the extension field *)
-  extensions : (string * string) list;
   signature : string; (* issuer's encoded signature over the TBS bytes *)
 }
 
@@ -22,7 +21,6 @@ val issue :
   subject:string ->
   public_key:Guillotine_crypto.Signature.public_key ->
   ?guillotine_hypervisor:bool ->
-  ?extensions:(string * string) list ->
   unit ->
   t
 
@@ -33,11 +31,11 @@ val self_signed :
   signer:Guillotine_crypto.Signature.signer ->
   name:string ->
   public_key:Guillotine_crypto.Signature.public_key ->
-  ?guillotine_hypervisor:bool ->
   unit ->
   t
-(** A rogue peer forging its own identity (never verifies against the
-    real CA; exists so tests and attacks can try). *)
+(** A rogue peer forging its own identity, without the Guillotine
+    extension (never verifies against the real CA; exists so tests and
+    attacks can try). *)
 
 val fingerprint : t -> string
 (** SHA-256 hex of the TBS bytes. *)

@@ -1,10 +1,11 @@
 module Engine = Guillotine_sim.Engine
 module Prng = Guillotine_util.Prng
 
+(* Seconds from send to delivery. *)
+let latency = 0.001
+
 type t = {
   engine : Engine.t;
-  latency : float;
-  jitter : float;
   mutable loss : float;
   mutable duplication : float;
   mutable corruption : float;
@@ -17,14 +18,10 @@ type t = {
   mutable corrupted : int;
 }
 
-let create ?(latency = 0.001) ?(jitter = 0.0) ?(loss = 0.0) ?prng engine =
-  if latency < 0.0 || jitter < 0.0 then invalid_arg "Fabric.create: negative timing";
-  if loss < 0.0 || loss > 1.0 then invalid_arg "Fabric.create: loss out of range";
+let create ?prng engine =
   {
     engine;
-    latency;
-    jitter;
-    loss;
+    loss = 0.0;
     duplication = 0.0;
     corruption = 0.0;
     prng = (match prng with Some p -> p | None -> Prng.create 0x0FABL);
@@ -73,11 +70,8 @@ let deliver_one t ~src ~dest ~payload =
     end
     else payload
   in
-  let delay =
-    t.latency +. (if t.jitter > 0.0 then Prng.float t.prng t.jitter else 0.0)
-  in
   ignore
-    (Engine.schedule t.engine ~delay (fun () ->
+    (Engine.schedule t.engine ~delay:latency (fun () ->
          (* Look the endpoint up at delivery time: a cable pulled while
             the frame was in flight still kills it. *)
          match Hashtbl.find_opt t.endpoints dest with

@@ -1,6 +1,6 @@
 (** Simulated network fabric: endpoints addressed by integers, frames
-    delivered through the discrete-event engine with configurable
-    latency and loss.
+    delivered through the discrete-event engine after 1 ms, with a
+    per-frame loss probability that fault injection sets.
 
     This is the wire under everything network-shaped: NIC devices,
     TLS sessions, attestation exchanges with the regulator's audit
@@ -9,15 +9,9 @@
 
 type t
 
-val create :
-  ?latency:float ->
-  ?jitter:float ->
-  ?loss:float ->
-  ?prng:Guillotine_util.Prng.t ->
-  Guillotine_sim.Engine.t ->
-  t
-(** Defaults: 1 ms latency, no jitter, no loss.  [loss] is a per-frame
-    drop probability in [0,1]; [jitter] adds U(0, jitter) seconds. *)
+val create : ?prng:Guillotine_util.Prng.t -> Guillotine_sim.Engine.t -> t
+(** A fabric with 1 ms latency and no loss; [prng] draws the loss,
+    duplication and corruption faults. *)
 
 val attach : t -> addr:int -> (src:int -> payload:string -> unit) -> unit
 (** Register an endpoint.  Re-attaching an address replaces the handler. *)
@@ -33,8 +27,9 @@ val send : t -> src:int -> dest:int -> payload:string -> unit
     vanish (there is no wire). *)
 
 val set_loss : t -> float -> unit
-(** Change the per-frame drop probability mid-run (fault injection:
-    a flaky or cut link).  Frames already in flight are unaffected. *)
+(** Change the per-frame drop probability, in [0,1], mid-run (fault
+    injection: a flaky or cut link).  Default 0.  Frames already in
+    flight are unaffected. *)
 
 val set_duplication : t -> float -> unit
 (** Per-frame probability that an accepted frame is delivered twice

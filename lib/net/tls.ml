@@ -9,8 +9,8 @@ type endpoint = {
 }
 
 let make_endpoint ~prng ~ca ~ca_name ~ca_public_key ~name
-    ?(guillotine_hypervisor = false) ?(signature_height = 6) () =
-  let signer, public_key = Crypto.Signature.generate ~height:signature_height prng in
+    ?(guillotine_hypervisor = false) () =
+  let signer, public_key = Crypto.Signature.generate ~height:6 prng in
   let cert =
     Cert.issue ~ca ~ca_name ~subject:name ~public_key ~guillotine_hypervisor ()
   in

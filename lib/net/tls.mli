@@ -34,10 +34,10 @@ val make_endpoint :
   ca_public_key:Guillotine_crypto.Signature.public_key ->
   name:string ->
   ?guillotine_hypervisor:bool ->
-  ?signature_height:int ->
   unit ->
   endpoint
-(** Generate a keypair, get a certificate from the CA, bundle it. *)
+(** Generate a keypair (a height-6 signer: 64 signatures), get a
+    certificate from the CA, bundle it. *)
 
 type client_hello
 type server_hello

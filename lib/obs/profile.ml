@@ -47,10 +47,6 @@ let guest ~core ~label ~leaders ~cycles ~retired =
   { core; label; leaders; cycles; retired }
 
 let make guests = { guests }
-let union ts = { guests = List.concat_map (fun t -> t.guests) ts }
-
-let relabel f t =
-  { guests = List.map (fun g -> { g with label = f g.label }) t.guests }
 
 let guest_nblocks g = Array.length g.leaders
 
@@ -104,18 +100,15 @@ let compare_stat a b =
     | c -> c)
   | c -> c
 
-let hot_blocks ?top t =
-  let all =
-    List.concat_map
-      (fun g ->
-        List.init (guest_nblocks g + 1) (fun b -> block_stat_of g b)
-        |> List.filter (fun s -> s.bs_cycles > 0 || s.bs_retired > 0))
-      t.guests
-  in
-  let sorted = List.sort compare_stat all in
-  match top with
-  | None -> sorted
-  | Some n -> List.filteri (fun i _ -> i < n) sorted
+(* The [top] blocks with any activity, ranked by cycles descending. *)
+let hot_blocks ~top t =
+  List.concat_map
+    (fun g ->
+      List.init (guest_nblocks g + 1) (fun b -> block_stat_of g b)
+      |> List.filter (fun s -> s.bs_cycles > 0 || s.bs_retired > 0))
+    t.guests
+  |> List.sort compare_stat
+  |> List.filteri (fun i _ -> i < top)
 
 let hottest t = match hot_blocks ~top:1 t with [] -> None | s :: _ -> Some s
 

@@ -41,21 +41,11 @@ val guest :
 
 val make : guest list -> t
 
-val union : t list -> t
-(** Concatenate guest lists — the fleet-wide aggregation primitive
-    (cells relabel their guests before union when labels collide). *)
-
-val relabel : (string -> string) -> t -> t
-(** Map every guest label (e.g. prefix with the owning cell's name
-    before {!union}ing cell profiles into a fleet view). *)
-
 val total_cycles : t -> int
 
-val hot_blocks : ?top:int -> t -> block_stat list
-(** Blocks with any activity, ranked by cycles descending (ties by
-    guest label then block id).  [top] truncates. *)
-
 val hottest : t -> block_stat option
+(** The block with the most cycles (ties by guest label then block
+    id), if any block saw activity. *)
 
 val table : ?top:int -> t -> string
 (** Human-readable ranked hot-block table (default top 10). *)

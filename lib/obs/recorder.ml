@@ -8,23 +8,24 @@ type event = {
 }
 
 type t = {
-  capacity : int;
   clock : unit -> float;
   ring : event option array;
   mutable next : int;          (* total recorded; ring slot = next mod capacity *)
   mutable ambient : int option;
 }
 
-let create ?(capacity = 4096) ~clock () =
-  if capacity < 1 then invalid_arg "Recorder.create: capacity must be >= 1";
-  { capacity; clock; ring = Array.make capacity None; next = 0; ambient = None }
+(* Events retained; older ones are overwritten. *)
+let capacity = 4096
 
-let record t ?request ~source ~kind detail =
-  let request = match request with Some _ as r -> r | None -> t.ambient in
+let create ~clock () =
+  { clock; ring = Array.make capacity None; next = 0; ambient = None }
+
+let record t ~source ~kind detail =
   let ev =
-    { at = t.clock (); seq = t.next; request; source; kind; detail }
+    { at = t.clock (); seq = t.next; request = t.ambient; source; kind;
+      detail }
   in
-  t.ring.(t.next mod t.capacity) <- Some ev;
+  t.ring.(t.next mod capacity) <- Some ev;
   t.next <- t.next + 1
 
 let with_request t id f =
@@ -33,15 +34,15 @@ let with_request t id f =
   Fun.protect ~finally:(fun () -> t.ambient <- saved) f
 
 let events t =
-  let n = min t.next t.capacity in
+  let n = min t.next capacity in
   let first = t.next - n in
   List.init n (fun i ->
-      match t.ring.((first + i) mod t.capacity) with
+      match t.ring.((first + i) mod capacity) with
       | Some ev -> ev
       | None -> assert false)
 
 let recorded t = t.next
-let dropped t = max 0 (t.next - t.capacity)
+let dropped t = max 0 (t.next - capacity)
 
 let window t ~around ~before ~after =
   List.filter

@@ -21,12 +21,12 @@ type event = {
 
 type t
 
-val create : ?capacity:int -> clock:(unit -> float) -> unit -> t
-(** [capacity] bounds retained events (default 4096); once full the
-    oldest are overwritten and counted in {!dropped}. *)
+val create : clock:(unit -> float) -> unit -> t
+(** Retains the newest 4096 events; once full the oldest are
+    overwritten and counted in {!dropped}. *)
 
-val record : t -> ?request:int -> source:string -> kind:string -> string -> unit
-(** [request] defaults to the ambient request installed by
+val record : t -> source:string -> kind:string -> string -> unit
+(** The event carries the ambient request installed by
     {!with_request} (if any). *)
 
 val with_request : t -> int -> (unit -> 'a) -> 'a

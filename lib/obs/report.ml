@@ -10,7 +10,7 @@ type incident = {
   window : Recorder.event list;
 }
 
-let build ?(before = 10.0) ?(after = 5.0) ~label ?seed ~alert ~recorder () =
+let build ~label ?seed ~alert ~recorder () =
   let faults =
     List.filter_map
       (fun (ev : Recorder.event) ->
@@ -34,7 +34,8 @@ let build ?(before = 10.0) ?(after = 5.0) ~label ?seed ~alert ~recorder () =
     detection_latency_s;
     faults;
     window =
-      Recorder.window recorder ~around:alert.Watchdog.raised_at ~before ~after;
+      Recorder.window recorder ~around:alert.Watchdog.raised_at ~before:10.0
+        ~after:5.0;
   }
 
 let to_text i =

@@ -20,16 +20,14 @@ type incident = {
 }
 
 val build :
-  ?before:float ->
-  ?after:float ->
   label:string ->
   ?seed:int ->
   alert:Watchdog.alert ->
   recorder:Recorder.t ->
   unit ->
   incident
-(** Window spans [raised_at - before, raised_at + after] (defaults 10
-    and 5 seconds).  The fault schedule and [first_fault_at] are read
+(** The forensic window spans 10 seconds before the alert's raise to 5
+    after.  The fault schedule and [first_fault_at] are read
     from the recorder's [fault.injected] events, so whatever the
     injector actually applied — not merely planned — is what the
     report correlates against. *)

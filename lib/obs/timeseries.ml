@@ -36,17 +36,18 @@ type series = {
   mutable changed_at : float;
 }
 
+(* Window size in sim-seconds. *)
+let width = 1.0
+
 type t = {
-  width : float;
   max_windows : int;
   tbl : (string, series) Hashtbl.t;
   mutable order : string list; (* reversed first-seen order *)
 }
 
-let create ?(width = 1.0) ?(max_windows = 512) () =
-  if width <= 0.0 then invalid_arg "Timeseries.create: width must be positive";
+let create ?(max_windows = 512) () =
   if max_windows < 1 then invalid_arg "Timeseries.create: max_windows must be >= 1";
-  { width; max_windows; tbl = Hashtbl.create 64; order = [] }
+  { max_windows; tbl = Hashtbl.create 64; order = [] }
 
 (* Aggregates go through Stats.summarize_array — the summariser
    telemetry snapshots use — so windowed and snapshot percentiles agree
@@ -109,7 +110,7 @@ let new_series t ~name ~at v =
 let find t name = Hashtbl.find_opt t.tbl name
 
 let push t s ~at v =
-  let idx = int_of_float (Float.floor (at /. t.width)) in
+  let idx = int_of_float (Float.floor (at /. width)) in
   if s.open_idx <> idx then begin
     close_window t s;
     s.open_idx <- idx
@@ -147,14 +148,14 @@ let matching t pattern =
   else if Hashtbl.mem t.tbl pattern then [ pattern ]
   else []
 
-let window_point t ~idx w =
+let window_point ~idx w =
   let n = Array.length w - 1 in
   let su = Stats.summarize_array ~len:n w in
   let last = w.(n - 1) in
   let delta = last -. w.(n) in
   {
-    window_start = t.width *. float_of_int idx;
-    window_end = t.width *. float_of_int (idx + 1);
+    window_start = width *. float_of_int idx;
+    window_end = width *. float_of_int (idx + 1);
     samples = su.Stats.count;
     last;
     sum = su.Stats.total;
@@ -164,7 +165,7 @@ let window_point t ~idx w =
     p90 = su.Stats.p90;
     p99 = su.Stats.p99;
     delta;
-    rate = delta /. t.width;
+    rate = delta /. width;
   }
 
 let points t name =
@@ -173,7 +174,7 @@ let points t name =
   | Some s ->
     List.init s.n_closed (fun i ->
         let j = (s.head + i) mod Array.length s.closed in
-        window_point t ~idx:s.closed_idx.(j) s.closed.(j))
+        window_point ~idx:s.closed_idx.(j) s.closed.(j))
 
 type signal = Last | Mean | Min | Max | P50 | P90 | P99 | Rate | Delta | Count
 
@@ -181,12 +182,12 @@ type signal = Last | Mean | Min | Max | P50 | P90 | P99 | Rate | Delta | Count
    once it has a sample, and every close is followed by the sample that
    opened the next window.  Only the mean and the order statistics need
    a summary. *)
-let read t s signal =
+let read s signal =
   let last = s.open_buf.(s.n_open - 1) in
   match signal with
   | Last -> last
   | Delta -> last -. s.prev_last
-  | Rate -> (last -. s.prev_last) /. t.width
+  | Rate -> (last -. s.prev_last) /. width
   | Count -> float_of_int s.n_open
   | Mean -> (open_summary s).Stats.mean
   | Min -> (open_summary s).Stats.min
@@ -195,7 +196,7 @@ let read t s signal =
   | P90 -> (open_summary s).Stats.p90
   | P99 -> (open_summary s).Stats.p99
 
-let signal_value t name signal = Option.map (fun s -> read t s signal) (find t name)
+let signal_value t name signal = Option.map (fun s -> read s signal) (find t name)
 let stale_for s ~now = now -. s.changed_at
 let staleness t ~name ~now = Option.map (stale_for ~now) (find t name)
 let last_sample_at t name = Option.map (fun s -> s.last_at) (find t name)

@@ -45,10 +45,9 @@ type point = {
 
 type t
 
-val create : ?width:float -> ?max_windows:int -> unit -> t
-(** [width] is the window size in sim-seconds (default 1.0);
-    [max_windows] bounds retained closed windows per series (default
-    512, oldest dropped first). *)
+val create : ?max_windows:int -> unit -> t
+(** Windows are 1.0 sim-seconds wide; [max_windows] bounds retained
+    closed windows per series (default 512, oldest dropped first). *)
 
 type series
 (** A handle on one series.  Series are never removed, so a handle
@@ -88,7 +87,7 @@ val points : t -> string -> point list
     spikes. *)
 type signal = Last | Mean | Min | Max | P50 | P90 | P99 | Rate | Delta | Count
 
-val read : t -> series -> signal -> float
+val read : series -> signal -> float
 (** The signal of the series' open window. *)
 
 val signal_value : t -> string -> signal -> float option

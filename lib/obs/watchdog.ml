@@ -90,7 +90,7 @@ let observed tr ~now series =
   let value h =
     match rule.predicate with
     | Stale _ -> Timeseries.stale_for h ~now
-    | Above _ | Below _ -> Timeseries.read series h rule.signal
+    | Above _ | Below _ -> Timeseries.read h rule.signal
   in
   let pick =
     match rule.predicate with Below _ -> Float.min | Above _ | Stale _ -> Float.max

@@ -11,7 +11,6 @@ type t = {
   hv : Hypervisor.t;
   hsm : Hsm.t;
   switches : Kill_switch.t;
-  alarm_policy : Detector.severity -> Isolation.level option;
   mutable pending : Isolation.level option;
   mutable history : (Isolation.level * float) list; (* reversed *)
   telemetry : Telemetry.t;
@@ -29,7 +28,8 @@ type t = {
 let emit t ~kind detail =
   match t.event_sink with Some sink -> sink ~kind detail | None -> ()
 
-let default_policy = function
+(* The level a detector alarm of each severity asks for. *)
+let alarm_policy = function
   | Detector.Notice -> None
   | Detector.Suspicious -> Some Isolation.Probation
   | Detector.Critical -> Some Isolation.Severed
@@ -134,7 +134,7 @@ let orchestrate t ~authorized_by target =
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let rec create ~engine ~hv ?hsm ?switches ?(alarm_policy = default_policy) ?prng () =
+let rec create ~engine ~hv ?hsm ?switches ?prng () =
   let prng = match prng with Some p -> p | None -> Prng.create 0xC0501EL in
   let hsm = match hsm with Some h -> h | None -> Hsm.create prng in
   let switches =
@@ -149,7 +149,6 @@ let rec create ~engine ~hv ?hsm ?switches ?(alarm_policy = default_policy) ?prng
       hv;
       hsm;
       switches;
-      alarm_policy;
       pending = None;
       history = [];
       telemetry;
@@ -166,7 +165,7 @@ let rec create ~engine ~hv ?hsm ?switches ?(alarm_policy = default_policy) ?prng
   t
 
 and apply_alarm_policy t ~severity ~authorized_by =
-  match t.alarm_policy severity with
+  match alarm_policy severity with
   | None -> ()
   | Some target ->
     if

@@ -29,11 +29,10 @@ val create :
   hv:Hypervisor.t ->
   ?hsm:Hsm.t ->
   ?switches:Kill_switch.t ->
-  ?alarm_policy:(Detector.severity -> Isolation.level option) ->
   ?prng:Guillotine_util.Prng.t ->
   unit ->
   t
-(** Wires itself as the hypervisor's alarm sink.  Default policy:
+(** Wires itself as the hypervisor's alarm sink.  Alarm policy:
     Notice -> log only; Suspicious -> Probation; Critical -> Severed.
     A default HSM (7 admins, 5/3 thresholds) and default switches are
     created when not supplied. *)

@@ -17,7 +17,6 @@ type record = {
 }
 
 type t = {
-  base_fine : float;
   mutable rev_history : record list;
   mutable offences : int;
   mutable fined : int; (* fined offences, for the doubling schedule *)
@@ -26,9 +25,11 @@ type t = {
   mutable shutdown : bool;
 }
 
-let create ?(base_fine = 1e6) () =
+(* The first fine; later ones double. *)
+let base_fine = 1e6
+
+let create () =
   {
-    base_fine;
     rev_history = [];
     offences = 0;
     fined = 0;
@@ -47,7 +48,7 @@ let next_action t violations =
   else if t.offences >= 5 then Shutdown_order
   else if t.offences >= 3 then License_suspension
   else if t.offences >= 1 then begin
-    let f = t.base_fine *. (2.0 ** float_of_int t.fined) in
+    let f = base_fine *. (2.0 ** float_of_int t.fined) in
     Fine f
   end
   else Formal_notice

@@ -26,8 +26,8 @@ type record = {
 
 type t
 
-val create : ?base_fine:float -> unit -> t
-(** [base_fine] defaults to 1e6; fines double per fined offence. *)
+val create : unit -> t
+(** The first fine is 1e6; fines double per fined offence. *)
 
 val act : t -> now:float -> Regulation.violation list -> action option
 (** Record an inspection outcome and return the enforcement action, or

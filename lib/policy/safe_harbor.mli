@@ -9,7 +9,7 @@
                         * safe_harbor_factor      (x0.2 if compliant AND
                                                    on Guillotine)
     v}
-    plus a flat statutory fine for each outstanding violation.  The F8
+    plus a flat statutory fine of 2e6 for each outstanding violation.  The F8
     experiment sweeps harm sizes and compliance postures to show the
     operator's cost curve crossing: above a modest harm probability,
     running Guillotine is cheaper {e for the operator} — the paper's
@@ -20,17 +20,10 @@ type posture = {
   violations : int; (** outstanding regulation violations *)
 }
 
-type params = {
-  negligence_multiplier : float; (** default 3.0 *)
-  safe_harbor_factor : float;    (** default 0.2 *)
-  fine_per_violation : float;    (** default 2e6 *)
-}
-
-val liability : ?params:params -> posture -> harm_damages:float -> float
+val liability : posture -> harm_damages:float -> float
 (** Expected legal exposure for one harm event of the given damages. *)
 
 val operating_cost :
-  ?params:params ->
   guillotine_overhead:float ->
   base_cost:float ->
   harm_probability:float ->
@@ -43,7 +36,6 @@ val operating_cost :
     Guillotine. *)
 
 val break_even_harm_probability :
-  ?params:params ->
   guillotine_overhead:float ->
   base_cost:float ->
   harm_damages:float ->

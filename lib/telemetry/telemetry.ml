@@ -193,8 +193,8 @@ let finish ?(args = []) sp =
       }
   end
 
-let with_span t ?cat ?args name f =
-  let sp = span t ?cat ?args name in
+let with_span t name f =
+  let sp = span t name in
   match f () with
   | v ->
     finish sp;

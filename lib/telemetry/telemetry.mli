@@ -84,8 +84,9 @@ val finish : ?args:(string * string) list -> span -> unit
 (** Close the span; extra [args] are appended.  Finishing twice is a
     no-op. *)
 
-val with_span : t -> ?cat:string -> ?args:(string * string) list -> string -> (unit -> 'a) -> 'a
-(** Run the thunk inside a span; the span closes even on exceptions. *)
+val with_span : t -> string -> (unit -> 'a) -> 'a
+(** Run the thunk inside a span with no category or args; the span
+    closes even on exceptions. *)
 
 val instant : t -> ?cat:string -> ?args:(string * string) list -> string -> unit
 (** A zero-duration event (detector firing, isolation change…). *)

@@ -1,12 +1,8 @@
 module Json = Guillotine_util.Json
 
-type policy = {
-  vet : Vet.policy;
-  aggregate_doorbell_burst : int;
-}
-
-let default_policy =
-  { vet = Vet.default_policy; aggregate_doorbell_burst = 64 }
+(* The largest summed doorbell bound admitted for a roster: the same
+   figure the solo pass allows one loop. *)
+let aggregate_doorbell_burst = 64
 
 type report = {
   roster_label : string;
@@ -16,7 +12,6 @@ type report = {
   members : Summary.t list;
   pairs_checked : int;
   aggregate_doorbell : int option;
-  policy : policy;
 }
 
 let finding rule detail =
@@ -136,16 +131,16 @@ let aggregate_doorbell members =
       | _ -> None)
     (Some 0) members
 
-let doorbell_findings policy total =
+let doorbell_findings total =
   match total with
-  | Some t when t <= policy.aggregate_doorbell_burst -> []
+  | Some t when t <= aggregate_doorbell_burst -> []
   | Some t ->
       [
         finding "interfere.doorbell_aggregate"
           (Printf.sprintf
              "co-admitted guests ring up to %d doorbells (aggregate budget \
               %d) — a storm assembled from individually-bounded bursts"
-             t policy.aggregate_doorbell_burst);
+             t aggregate_doorbell_burst);
       ]
   | None ->
       [
@@ -153,21 +148,21 @@ let doorbell_findings policy total =
           (Printf.sprintf
              "co-admitted doorbell total has no static bound (aggregate \
               budget %d)"
-             policy.aggregate_doorbell_burst);
+             aggregate_doorbell_burst);
       ]
 
 let rec pairs = function
   | [] -> []
   | x :: rest -> List.map (fun y -> (x, y)) rest @ pairs rest
 
-let check ?(policy = default_policy) ?(label = "roster") members =
+let check ?(label = "roster") members =
   let pair_list = pairs members in
   let total = aggregate_doorbell members in
   let findings =
     sort_findings
       (List.concat_map member_findings members
       @ List.concat_map (fun (a, b) -> conflicts a b) pair_list
-      @ doorbell_findings policy total)
+      @ doorbell_findings total)
   in
   let worst =
     List.fold_left
@@ -187,11 +182,9 @@ let check ?(policy = default_policy) ?(label = "roster") members =
     members;
     pairs_checked = List.length pair_list;
     aggregate_doorbell = total;
-    policy;
   }
 
-let run ?(policy = default_policy) ?label specs =
-  check ~policy ?label (List.map (Summary.summarize ~policy:policy.vet) specs)
+let run ?label specs = check ?label (List.map Summary.summarize specs)
 
 let errors r =
   List.filter (fun (f : Lints.finding) -> f.severity = Lints.Error) r.findings
@@ -219,7 +212,7 @@ let to_text r =
     (Printf.sprintf "analysis         %d pairwise checks, aggregate doorbells %s (budget %d)\n"
        r.pairs_checked
        (Summary.pp_doorbell r.aggregate_doorbell)
-       r.policy.aggregate_doorbell_burst);
+       aggregate_doorbell_burst);
   Buffer.add_string b
     (Printf.sprintf "findings         %d error, %d warn, %d info\n"
        (count_severity Lints.Error r)
@@ -268,7 +261,7 @@ let to_json r =
   | None -> Buffer.add_string b ",\"aggregate_doorbell\":null");
   Buffer.add_string b
     (Printf.sprintf ",\"aggregate_doorbell_budget\":%d"
-       r.policy.aggregate_doorbell_burst);
+       aggregate_doorbell_burst);
   Buffer.add_string b
     (Printf.sprintf ",\"counts\":{\"error\":%d,\"warn\":%d,\"info\":%d}"
        (count_severity Lints.Error r)

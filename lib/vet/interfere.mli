@@ -27,15 +27,6 @@
     All findings are [Error]s: any one rejects the roster.  Reports are
     byte-deterministic, text and JSON, like the solo reports. *)
 
-type policy = {
-  vet : Vet.policy;  (** solo policy used for member fixpoints *)
-  aggregate_doorbell_burst : int;
-      (** largest summed doorbell bound admitted for a roster (64 — the
-          same figure the solo pass allows one loop) *)
-}
-
-val default_policy : policy
-
 type report = {
   roster_label : string;
   roster : string list;  (** member labels, admission order *)
@@ -43,8 +34,9 @@ type report = {
   findings : Lints.finding list;  (** deterministic order, [addr = None] *)
   members : Summary.t list;
   pairs_checked : int;  (** n·(n−1)/2 *)
-  aggregate_doorbell : int option;  (** summed member bounds *)
-  policy : policy;
+  aggregate_doorbell : int option;
+      (** summed member bounds; a roster whose sum passes 64 (the figure
+          the solo pass allows one loop) is rejected *)
 }
 
 val conflicts : Summary.t -> Summary.t -> Lints.finding list
@@ -52,17 +44,17 @@ val conflicts : Summary.t -> Summary.t -> Lints.finding list
     [conflicts a b = conflicts b a] — the pair is canonicalized on
     label before the directed checks run. *)
 
-val check : ?policy:policy -> ?label:string -> Summary.t list -> report
+val check : ?label:string -> Summary.t list -> report
 (** Check already-summarized members: roster-level findings (solo
     rejections, self W^X-across-DMA, the doorbell aggregate) plus
     {!conflicts} over every unordered pair. *)
 
-val run : ?policy:policy -> ?label:string -> Summary.spec list -> report
-(** Summarize each spec under [policy.vet], then {!check}. *)
+val run : ?label:string -> Summary.spec list -> report
+(** Summarize each spec under {!Vet.default_policy}, then {!check}. *)
 
 val errors : report -> Lints.finding list
 val warnings : report -> Lints.finding list
 
 val to_text : report -> string
 val to_json : report -> string
-(** Byte-deterministic: same specs, same policy — same bytes. *)
+(** Byte-deterministic: same specs — same bytes. *)

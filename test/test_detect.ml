@@ -83,11 +83,6 @@ let test_sanitize_scrubs () =
   Alcotest.(check int) "length preserved" 4 (List.length clean);
   Alcotest.(check bool) "clean" true (not (List.exists Vocab.is_harmful clean))
 
-let test_sanitize_rejects_harmful_replacement () =
-  Alcotest.check_raises "bad replacement"
-    (Invalid_argument "Output_sanitizer.sanitize: replacement token is itself harmful")
-    (fun () -> ignore (Output_sanitizer.sanitize ~replacement:Vocab.harmful_lo [ 0 ]))
-
 let prop_sanitizer_sound =
   QCheck.Test.make ~name:"sanitizer output never contains harmful tokens" ~count:300
     QCheck.(list (int_range 0 63))
@@ -103,16 +98,17 @@ let prop_sanitizer_preserves_benign =
       clean = tokens && n = 0)
 
 let test_sanitizer_detector_escalates () =
-  let d = Output_sanitizer.detector ~critical_after:2 () in
+  let d = Output_sanitizer.detector () in
   let observe t = d.Detector.observe (Detector.Output_token t) in
   let h = Vocab.harmful_lo in
-  (match observe h with
-  | Detector.Alarm { severity = Detector.Suspicious; _ } -> ()
-  | _ -> Alcotest.fail "first harmful: suspicious");
-  ignore (observe h);
+  for i = 1 to 3 do
+    match observe h with
+    | Detector.Alarm { severity = Detector.Suspicious; _ } -> ()
+    | _ -> Alcotest.failf "harmful #%d: suspicious" i
+  done;
   match observe h with
   | Detector.Alarm { severity = Detector.Critical; _ } -> ()
-  | _ -> Alcotest.fail "third harmful: critical"
+  | _ -> Alcotest.fail "fourth harmful: critical"
 
 (* -------------------- Steering / circuit breaker ------------------- *)
 
@@ -145,20 +141,16 @@ let test_breaker_stops_pass () =
   Alcotest.(check bool) "broken" true g.Toymodel.broken;
   Alcotest.(check bool) "truncated" true (List.length g.Toymodel.tokens < 20);
   Alcotest.(check bool) "nothing harmful" true
-    (not (List.exists Vocab.is_harmful g.Toymodel.tokens))
-
-let test_breaker_row_visit_mode () =
-  (* With row-visit breaking off, the breaker trips on candidates only;
-     both modes must still keep the output clean. *)
-  let model = malicious_model 42L in
-  let b = Circuit_breaker.create ~break_on_row_visit:false () in
-  let g =
-    Toymodel.generate model ~hook:(Circuit_breaker.hook b) ~prompt:[ 10 ]
-      ~max_tokens:20 ()
+    (not (List.exists Vocab.is_harmful g.Toymodel.tokens));
+  (* Reading a harmful weight row trips it before any harmful token is
+     chosen. *)
+  let row_visit =
+    { Toymodel.position = 0; current = 10; row_harmful = true; candidate = 0;
+      candidate_harmful = false }
   in
-  Alcotest.(check bool) "broken" true g.Toymodel.broken;
-  Alcotest.(check bool) "clean" true
-    (not (List.exists Vocab.is_harmful g.Toymodel.tokens))
+  Alcotest.(check bool) "row visit breaks" true
+    (Circuit_breaker.hook (Circuit_breaker.create ()) row_visit
+    = Toymodel.Break_circuit)
 
 let test_defences_leave_benign_alone () =
   let dram = Dram.create ~size:(8 * 1024) in
@@ -185,24 +177,24 @@ let test_anomaly_tamper_is_critical () =
   Alcotest.(check int) "counted" 1 (Anomaly.alarms_raised handle)
 
 let test_anomaly_irq_storm_threshold () =
-  let d, _ = Anomaly.create ~irq_drop_limit:10 () in
-  (match d.Detector.observe (Detector.Irq_storm { dropped = 5 }) with
+  let d, _ = Anomaly.create () in
+  (match d.Detector.observe (Detector.Irq_storm { dropped = 32 }) with
   | Detector.Clear -> ()
-  | _ -> Alcotest.fail "small drop is fine");
-  match d.Detector.observe (Detector.Irq_storm { dropped = 50 }) with
+  | _ -> Alcotest.fail "32 dropped is within the limit");
+  match d.Detector.observe (Detector.Irq_storm { dropped = 33 }) with
   | Detector.Alarm { severity = Detector.Suspicious; _ } -> ()
   | _ -> Alcotest.fail "storm must alarm"
 
 let test_anomaly_rate_spike () =
-  let d, handle = Anomaly.create ~spike_factor:4.0 ~window:4 () in
+  let d, handle = Anomaly.create () in
   let observe ~now =
     d.Detector.observe
       (Detector.Port_request { port = 0; device = "nic"; words = 4; now })
   in
-  (* Training: 3 windows of 4 requests at a calm pace (one per 1000
+  (* Training: 3 windows of 16 requests at a calm pace (one per 1000
      ticks). *)
   let verdicts = ref [] in
-  for i = 1 to 12 do
+  for i = 1 to 48 do
     verdicts := observe ~now:(i * 1000) :: !verdicts
   done;
   Alcotest.(check bool) "training is quiet" true
@@ -210,8 +202,8 @@ let test_anomaly_rate_spike () =
   Alcotest.(check bool) "rate trained" true (Anomaly.port_rate handle ~device:"nic" > 0.0);
   (* Burst: a window's worth of requests almost instantly. *)
   let last = ref Detector.Clear in
-  for i = 1 to 4 do
-    last := observe ~now:(12_000 + i)
+  for i = 1 to 16 do
+    last := observe ~now:(48_000 + i)
   done;
   match !last with
   | Detector.Alarm { severity = Detector.Suspicious; _ } -> ()
@@ -245,8 +237,6 @@ let () =
       ( "output-sanitizer",
         [
           Alcotest.test_case "scrubs" `Quick test_sanitize_scrubs;
-          Alcotest.test_case "rejects harmful replacement" `Quick
-            test_sanitize_rejects_harmful_replacement;
           Alcotest.test_case "detector escalates" `Quick test_sanitizer_detector_escalates;
           qc prop_sanitizer_sound;
           qc prop_sanitizer_preserves_benign;
@@ -255,8 +245,6 @@ let () =
         [
           Alcotest.test_case "steering cleans output" `Quick test_steering_cleans_output;
           Alcotest.test_case "breaker stops pass" `Quick test_breaker_stops_pass;
-          Alcotest.test_case "breaker candidate-only mode" `Quick
-            test_breaker_row_visit_mode;
           Alcotest.test_case "transparent on benign" `Quick
             test_defences_leave_benign_alone;
         ] );

@@ -161,10 +161,14 @@ let test_nic_recv_empty () =
   Alcotest.(check int64) "no frame" 0L resp.Device.payload.(0)
 
 let test_nic_queue_overflow_drops () =
-  let nic = Nic.create ~queue_depth:2 ~name:"n2" () in
-  Alcotest.(check bool) "1" true (Nic.deliver nic ~src:0 ~payload:"a");
-  Alcotest.(check bool) "2" true (Nic.deliver nic ~src:0 ~payload:"b");
-  Alcotest.(check bool) "3 dropped" false (Nic.deliver nic ~src:0 ~payload:"c")
+  (* The shipped inbound queue holds 64 frames; the 65th is dropped. *)
+  let nic = Nic.create ~name:"n2" () in
+  for i = 1 to 64 do
+    Alcotest.(check bool) (string_of_int i) true
+      (Nic.deliver nic ~src:0 ~payload:"a")
+  done;
+  Alcotest.(check int) "64 queued" 64 (Nic.inbound_queued nic);
+  Alcotest.(check bool) "65 dropped" false (Nic.deliver nic ~src:0 ~payload:"c")
 
 let test_nic_bad_request () =
   let nic = Nic.create ~name:"n3" () in

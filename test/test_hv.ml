@@ -787,7 +787,7 @@ let test_dma_block_device_end_to_end () =
       ~io_page:1 ~vpage:101
   in
   (* One writable window: device page 0 -> model frame 8. *)
-  let iommu, engine = Hypervisor.create_dma_engine hv ~windows:[ (0, 8, true) ] () in
+  let iommu, engine = Hypervisor.create_dma_engine hv ~windows:[ (0, 8, true) ] in
   Block.set_dma_engine disk engine;
   let transact req =
     ignore (Ringbuf.push (Hypervisor.request_ring hv port) req);
@@ -852,7 +852,7 @@ let test_probe_monitor_flags_probe_guest () =
   let m = Machine.create () in
   let anomaly, _ = Guillotine_detect.Anomaly.create () in
   let hv = Hypervisor.create ~machine:m ~detectors:[ anomaly ] () in
-  Hypervisor.enable_probe_monitor hv ();
+  Hypervisor.enable_probe_monitor hv;
   let p = Asm.assemble_exn (Guest.timing_probe ~iterations:200) in
   Machine.install_program m ~core:0 ~code_pages:4 ~data_pages:4 p;
   Hypervisor.run hv ~quantum:5_000 ~rounds:2;
@@ -862,7 +862,7 @@ let test_probe_monitor_quiet_on_compute () =
   let m = Machine.create () in
   let anomaly, _ = Guillotine_detect.Anomaly.create () in
   let hv = Hypervisor.create ~machine:m ~detectors:[ anomaly ] () in
-  Hypervisor.enable_probe_monitor hv ();
+  Hypervisor.enable_probe_monitor hv;
   let p = Asm.assemble_exn (Guest.compute_loop ~iterations:2_000) in
   Machine.install_program m ~core:0 ~code_pages:4 ~data_pages:4 p;
   Hypervisor.run hv ~quantum:10_000 ~rounds:2;

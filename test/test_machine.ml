@@ -131,12 +131,15 @@ let test_lapic_window_rolls () =
     (Lapic.raise_line lapic ~now:15 ~line:0 ~src_core:0)
 
 let test_lapic_unthrottled_when_disabled () =
-  let lapic = Lapic.create ~rate_limit:0 ~window:10 ~queue_depth:500 () in
+  let lapic = Lapic.create ~rate_limit:0 ~window:10 () in
   let accepted = ref 0 in
-  for i = 1 to 200 do
+  for i = 1 to 256 do
     if Lapic.raise_line lapic ~now:i ~line:0 ~src_core:0 then incr accepted
   done;
-  Alcotest.(check int) "all accepted" 200 !accepted
+  Alcotest.(check int) "all accepted" 256 !accepted;
+  (* Only the 256-deep pending queue bounds an unthrottled controller. *)
+  Alcotest.(check bool) "queue full" false
+    (Lapic.raise_line lapic ~now:257 ~line:0 ~src_core:0)
 
 let test_doorbell_reaches_machine_lapic () =
   let m = Machine.create ~config:small_config () in

@@ -523,13 +523,17 @@ let prop_cache_matches_record_reference =
 (* ------------------------------ TLB ------------------------------- *)
 
 let test_tlb_hit_miss_costs () =
-  let t = Tlb.create ~entries:2 ~walk_cost:20 () in
+  let t = Tlb.create ~walk_cost:20 () in
   Alcotest.(check int) "cold walk" 21 (Tlb.lookup t ~vpage:1);
   Alcotest.(check int) "warm" 1 (Tlb.lookup t ~vpage:1);
-  ignore (Tlb.lookup t ~vpage:2);
-  ignore (Tlb.lookup t ~vpage:3);
-  (* vpage 1 was LRU after 2 and 3 got installed? 1 was touched before 2
-     and 3, so it is evicted by 3. *)
+  (* The TLB holds 64 entries: 63 more pages fill it, and vpage 1, the
+     least recently used, is evicted by the 64th. *)
+  for vpage = 2 to 64 do
+    ignore (Tlb.lookup t ~vpage)
+  done;
+  Alcotest.(check bool) "64 pages fit" true (Tlb.present t ~vpage:1);
+  ignore (Tlb.lookup t ~vpage:65);
+  Alcotest.(check bool) "LRU evicted" false (Tlb.present t ~vpage:1);
   Alcotest.(check int) "evicted walks again" 21 (Tlb.lookup t ~vpage:1)
 
 let test_tlb_invalidate () =
@@ -561,7 +565,7 @@ let test_hierarchy_read_write () =
 let test_hierarchy_io_uncached () =
   let dram = Dram.create ~size:1024 in
   let io = Dram.create ~size:64 in
-  let h = Hierarchy.create ~io:(4096, io) ~io_cost:100 ~dram () in
+  let h = Hierarchy.create ~io:(4096, io) ~dram () in
   let c1 = Hierarchy.write h ~addr:4096 7L in
   let v = Hierarchy.read_value h ~addr:4096 in
   let c2 = Hierarchy.read_cost h in

@@ -730,7 +730,7 @@ let run_hooked ~jit =
     }
   in
   let hv = Hypervisor.create ~machine:m ~detectors:[ densities_seen ] () in
-  Hypervisor.enable_probe_monitor hv ();
+  Hypervisor.enable_probe_monitor hv;
   let c = Machine.model_core m 0 in
   let fr = Flight_recorder.attach c ~depth:32 () in
   let stream = ref [] in

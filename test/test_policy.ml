@@ -182,7 +182,7 @@ module Enforcement = Guillotine_policy.Enforcement
 let violation ob = { Regulation.obligation = ob; detail = "test" }
 
 let test_enforcement_ladder () =
-  let e = Enforcement.create ~base_fine:1e6 () in
+  let e = Enforcement.create () in
   let doc = [ violation Regulation.Provide_documentation ] in
   Alcotest.(check (option string)) "1st: notice" (Some "formal notice")
     (Option.map Enforcement.action_to_string (Enforcement.act e ~now:1.0 doc));

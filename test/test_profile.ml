@@ -13,9 +13,7 @@
       byte-identical across repeat runs, and at seed 1 each scenario's
       JSON hashes to a pinned digest, translated and interpreted alike.
    4. Attribution: hot blocks carry real CFG leaders and the hottest
-      block of a known workload is its loop body.
-   5. Fleet: profiled cells aggregate with cell-qualified guest labels,
-      and profiling changes no fleet digest. *)
+      block of a known workload is its loop body. *)
 
 module Scenarios = Guillotine_faults.Scenarios
 module Profile = Guillotine_obs.Profile
@@ -24,8 +22,6 @@ module Core = Guillotine_microarch.Core
 module Hypervisor = Guillotine_hv.Hypervisor
 module Asm = Guillotine_isa.Asm
 module Guest = Guillotine_model.Guest_programs
-module Fleet = Guillotine_fleet.Fleet
-module Cell = Guillotine_fleet.Cell
 
 let matrix_seed =
   match Sys.getenv_opt "FAULTS_SEED" with
@@ -206,46 +202,6 @@ let test_scenario_profile_nonempty () =
     Alcotest.(check bool) "hottest block is mapped" true
       (s.Profile.bs_leader <> None)
 
-(* ----------------------------- fleet ------------------------------- *)
-
-let test_fleet_profiled_attribution () =
-  (* A serving cell's model cores are spares — inference runs in the
-     toymodel, not on GRISC — so only a cell that actually executes
-     guest code collects cycles.  The toctou cell does: its adversary
-     loads a hostile program on the cell's model core mid-serve. *)
-  let mk ~profiled = Fleet.create ~seed:3 ~cells:2 ~toctou:1 ~profiled () in
-  let prof_view = Fleet.run (mk ~profiled:true) in
-  let bare_view = Fleet.run (mk ~profiled:false) in
-  (* Profiling must not move a single transcript byte. *)
-  Alcotest.(check string) "fleet digest unchanged" bare_view.Fleet.v_digest
-    prof_view.Fleet.v_digest;
-  Alcotest.(check bool) "bare fleet has no profile" true
-    (bare_view.Fleet.v_profile = None);
-  match prof_view.Fleet.v_profile with
-  | None -> Alcotest.fail "profiled fleet collected no profile"
-  | Some p ->
-    Alcotest.(check bool) "cycles collected" true (Profile.total_cycles p > 0);
-    (* Every aggregated guest label is cell-qualified, so the fleet's
-       hottest block names its owning cell. *)
-    List.iter
-      (fun (s : Profile.block_stat) ->
-        Alcotest.(check bool)
-          (Printf.sprintf "label %S is cell-qualified" s.Profile.bs_guest)
-          true
-          (String.length s.Profile.bs_guest > 5
-          && String.sub s.Profile.bs_guest 0 5 = "cell-"))
-      (Profile.hot_blocks p);
-    (* Per-cell profiles survive in the reports: the attacked cell
-       carries one, the purely-serving cell (idle model cores) reports
-       [None] rather than an empty profile. *)
-    Array.iter
-      (fun (r : Cell.report) ->
-        Alcotest.(check bool)
-          (Printf.sprintf "%s profile presence" r.Cell.r_name)
-          (r.Cell.r_name = "cell-1")
-          (r.Cell.r_profile <> None))
-      prof_view.Fleet.v_reports
-
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -282,10 +238,5 @@ let () =
             test_hot_block_attribution;
           Alcotest.test_case "adversary scenario profiles its guest" `Quick
             test_scenario_profile_nonempty;
-        ] );
-      ( "fleet",
-        [
-          Alcotest.test_case "profiled fleet attribution + digests" `Quick
-            test_fleet_profiled_attribution;
         ] );
     ]

@@ -467,7 +467,7 @@ let test_replicator_burst_aggregate () =
     (has_rule rep "interfere.doorbell_aggregate");
   Alcotest.(check bool) "per-member bounds sum past the budget" true
     (match rep.Interfere.aggregate_doorbell with
-    | Some t -> t > rep.Interfere.policy.Interfere.aggregate_doorbell_burst
+    | Some t -> t > 64
     | None -> false)
 
 let test_patch_direct_member_rejected () =
@@ -490,9 +490,9 @@ let test_coadmit_reports_deterministic () =
 (* Hypervisor co-admission gate                                        *)
 (* ------------------------------------------------------------------ *)
 
-let coadmit_spec_of name fb aliases =
+let coadmit_spec_of name fb =
   match Corpus.find name with
-  | Some e -> Corpus.coadmit_spec ~frame_base:fb ~aliases e
+  | Some e -> Corpus.coadmit_spec ~frame_base:fb e
   | None -> Alcotest.failf "guest %s missing from corpus" name
 
 let test_hv_coadmit_gate () =
@@ -500,24 +500,23 @@ let test_hv_coadmit_gate () =
   let events = ref [] in
   Hypervisor.set_event_sink hv (fun ~kind detail ->
       events := (kind, detail) :: !events);
-  (* A benign pair admits and its members become resident. *)
+  (* A benign pair admits and its members become resident, on stripes
+     clear of the colluding roster's frames. *)
   (match
      Hypervisor.coadmit hv ~label:"benign"
-       [ coadmit_spec_of "compute-loop" 0 []; coadmit_spec_of "io-request" 16 [] ]
+       [ coadmit_spec_of "compute-loop" 32; coadmit_spec_of "io-request" 48 ]
    with
   | Ok rep -> Alcotest.check verdict "admits" Vet.Admit rep.Interfere.verdict
   | Error _ -> Alcotest.fail "benign roster rejected");
   Alcotest.(check int) "two residents" 2
     (List.length (Hypervisor.coadmitted_guests hv));
-  (* Arriving colluders (courier at frame 32, scribbler whose scratch
-     page aliases the courier's descriptor frame 37) are rejected —
-     jointly with the residents — and leave the resident set alone. *)
+  (* Arriving colluders (the corpus's colluding pair: the courier at
+     frame 0, the scribbler whose scratch page aliases the courier's
+     descriptor frame 5) are rejected — jointly with the residents — and
+     leave the resident set alone. *)
   (match
      Hypervisor.coadmit hv ~label:"colluders"
-       [
-         coadmit_spec_of "dma-courier" 32 [];
-         coadmit_spec_of "window-scribbler" 48 [ (16, 37) ];
-       ]
+       (Option.get (Corpus.find_roster "colluding-pair")).Corpus.members
    with
   | Ok _ -> Alcotest.fail "colluding roster admitted"
   | Error rep ->
