@@ -144,7 +144,7 @@ let code_injection () =
 (* 4. Unmediated device access                                       *)
 (* ---------------------------------------------------------------- *)
 
-let device_escape ?seed:_ () =
+let device_escape () =
   (* Baseline: SR-IOV direct assignment — the request reaches the NIC
      with zero hypervisor visibility. *)
   let nic_b = Nic.create ~name:"nic-b" () in
@@ -224,9 +224,15 @@ let flood_metrics ~rate_limit ~count =
        else float_of_int hv_cycles /. float_of_int attacker_cycles);
   }
 
-let irq_flood ?seed:_ ?(count = 5_000) () =
-  let amp_b = (flood_metrics ~rate_limit:0 ~count).amplification in
-  let amp_g = (flood_metrics ~rate_limit:8 ~count).amplification in
+(* The doorbells the flooding guest rings: enough that an unthrottled
+   LAPIC costs the hypervisor several cycles per attacker cycle (the
+   "escaped" threshold below is 5x), and the same 5 000 that T4 and the
+   vet corpus's flood entry use. *)
+let flood_doorbells = 5_000
+
+let irq_flood () =
+  let amp_b = (flood_metrics ~rate_limit:0 ~count:flood_doorbells).amplification in
+  let amp_g = (flood_metrics ~rate_limit:8 ~count:flood_doorbells).amplification in
   {
     name = "interrupt-flood";
     description = "live-lock the hypervisor with doorbell interrupts";

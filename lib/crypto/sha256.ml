@@ -285,7 +285,32 @@ let compress ctx block off =
   add_into st 0 a; add_into st 1 b; add_into st 2 c; add_into st 3 d;
   add_into st 4 e; add_into st 5 f; add_into st 6 g; add_into st 7 h
 
-let feed ctx s =
+(* The CPU's SHA-256 instructions, in [sha256_stubs.c].  [hardware]
+   is asked once, at initialisation; [hardware_blocks] compresses the
+   [n] whole blocks of its source from [off] into the chaining state in
+   place, allocating nothing. *)
+external hardware_present : unit -> bool = "guillotine_sha256_ni_available"
+  [@@noalloc]
+
+external hardware_blocks :
+  int array -> Bytes.t -> (int[@untagged]) -> (int[@untagged]) -> unit
+  = "guillotine_sha256_ni_blocks_byte" "guillotine_sha256_ni_blocks"
+  [@@noalloc]
+
+let hardware = hardware_present ()
+
+(* The [n] whole blocks of [src] from [off], in one call: on the CPU's
+   instructions when [hw] holds, else through [compress].  Each
+   function below takes [hw] first; the public ones pass [hardware]
+   and [Portable]'s pass [false]. *)
+let[@inline] blocks hw ctx src off n =
+  if hw then hardware_blocks ctx.h src off n
+  else
+    for i = 0 to n - 1 do
+      compress ctx src (off + (64 * i))
+    done
+
+let feed_with hw ctx s =
   if ctx.finished then invalid_arg "Sha256.feed: context already finalized";
   let len = String.length s in
   ctx.total <- ctx.total + len;
@@ -297,16 +322,14 @@ let feed ctx s =
     ctx.buf_len <- ctx.buf_len + take;
     pos := take;
     if ctx.buf_len = 64 then begin
-      compress ctx ctx.buf 0;
+      blocks hw ctx ctx.buf 0 1;
       ctx.buf_len <- 0
     end
   end;
   (* Whole blocks straight from the input. *)
-  let input = Bytes.unsafe_of_string s in
-  while len - !pos >= 64 do
-    compress ctx input !pos;
-    pos := !pos + 64
-  done;
+  let whole = (len - !pos) / 64 in
+  blocks hw ctx (Bytes.unsafe_of_string s) !pos whole;
+  pos := !pos + (64 * whole);
   (* Stash the tail. *)
   let rest = len - !pos in
   if rest > 0 then begin
@@ -317,57 +340,69 @@ let feed ctx s =
 (* Padding in place after the [ctx.buf_len] buffered bytes: 0x80,
    zeros, then the message's 8-byte big-endian bit length.  The final
    state goes big-endian into [out] at [at]. *)
-let finish ctx out at =
+let finish hw ctx out at =
   let buf = ctx.buf and n = ctx.buf_len in
   Bytes.set buf n '\x80';
   Bytes.fill buf (n + 1) (63 - n) '\000';
   if n >= 56 then begin
-    compress ctx buf 0;
+    blocks hw ctx buf 0 1;
     Bytes.fill buf 0 56 '\000'
   end;
   Bytes.set_int64_be buf 56 (Int64.of_int (ctx.total * 8));
-  compress ctx buf 0;
+  blocks hw ctx buf 0 1;
   for i = 0 to 7 do
     Bytes.set_int32_be out (at + (4 * i)) (Int32.of_int ctx.h.(i))
   done
 
-let finalize ctx =
+let finalize_with hw ctx =
   if ctx.finished then invalid_arg "Sha256.finalize: context already finalized";
   ctx.finished <- true;
   let out = Bytes.create 32 in
-  finish ctx out 0;
+  finish hw ctx out 0;
   Bytes.unsafe_to_string out
 
 (* Whole blocks are compressed straight from [src]; only the tail is
    copied, into the context's block buffer. *)
-let digest_into ctx src ~off ~len out ~at =
+let digest_into_with hw ctx src ~off ~len out ~at =
   if off < 0 || len < 0 || off > Bytes.length src - len then
     invalid_arg "Sha256.digest_into: slice out of range";
   if at < 0 || at > Bytes.length out - 32 then
     invalid_arg "Sha256.digest_into: slot out of range";
   reset ctx;
   let tail = len land 63 in
-  let stop = off + len - tail in
-  let pos = ref off in
-  while !pos < stop do
-    compress ctx src !pos;
-    pos := !pos + 64
-  done;
-  Bytes.blit src stop ctx.buf 0 tail;
+  blocks hw ctx src off (len lsr 6);
+  Bytes.blit src (off + len - tail) ctx.buf 0 tail;
   ctx.buf_len <- tail;
   ctx.total <- len;
   ctx.finished <- true;
-  finish ctx out at
+  finish hw ctx out at
 
-let digest s =
+let digest_with hw s =
   let ctx = init () in
-  feed ctx s;
-  finalize ctx
+  feed_with hw ctx s;
+  finalize_with hw ctx
+
+let feed ctx s = feed_with hardware ctx s
+let finalize ctx = finalize_with hardware ctx
+
+let digest_into ctx src ~off ~len out ~at =
+  digest_into_with hardware ctx src ~off ~len out ~at
+
+let digest s = digest_with hardware s
 
 let digest_concat parts =
   let ctx = init () in
   List.iter (feed ctx) parts;
   finalize ctx
+
+module Portable = struct
+  let digest s = digest_with false s
+  let feed ctx s = feed_with false ctx s
+  let finalize ctx = finalize_with false ctx
+
+  let digest_into ctx src ~off ~len out ~at =
+    digest_into_with false ctx src ~off ~len out ~at
+end
 
 let hex_digits = "0123456789abcdef"
 

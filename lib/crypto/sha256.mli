@@ -2,29 +2,46 @@
 
     This is the root primitive for the whole trust stack: HMAC,
     Merkle trees, hash-based signatures, certificate fingerprints, and
-    remote-attestation measurements are all built on it.  The
-    implementation is pure OCaml for a 64-bit host.  The compression
-    function is straight-line code over unboxed [int64] locals: the 16
-    message words, the 48 schedule words and the 64 rounds are written
-    out, with each round constant a literal, so nothing is boxed, no
-    operation pays OCaml's integer-tag fix-up, and no round loads a
-    constant, indexes a schedule array or closes a loop.  Every
-    rotation reads the doubled word [x lor (x lsl 32)], whose bits [n]
-    to [n + 31] are [x] rotated right by [n] (SHA-256 rotates by at
-    most 25).
+    remote-attestation measurements are all built on it.
+
+    Two kernels compress, and they give the same digests byte for byte.
+    - {b The hardware kernel}, in [sha256_stubs.c], runs the x86-64 SHA
+      extensions ([sha256rnds2], [sha256msg1], [sha256msg2]).  It is
+      chosen once, when the module is initialised, if CPUID reports
+      SHA, SSSE3 and SSE4.1 ({!hardware}).  On any other CPU,
+      architecture or C compiler the stub only answers "absent".
+    - {b The portable kernel} is OCaml and runs everywhere else; it is
+      also the reference the tests check the hardware kernel against,
+      through {!Portable}.  Its compression function is straight-line
+      code over unboxed [int64] locals: the 16 message words, the 48
+      schedule words and the 64 rounds are written out, with each round
+      constant a literal, so nothing is boxed, no operation pays OCaml's
+      integer-tag fix-up, and no round loads a constant, indexes a
+      schedule array or closes a loop.  Every rotation reads the
+      doubled word [x lor (x lsl 32)], whose bits [n] to [n + 31] are
+      [x] rotated right by [n] (SHA-256 rotates by at most 25).
+
+    {!feed}, {!digest_into} and the padding each pass all of their
+    whole blocks to the chosen kernel in one call, and the hardware
+    kernel reads and writes the context's chaining state in place.  A
+    host without the extensions pays one branch per call over the
+    portable kernel alone.
 
     Costs: a digest of [n] bytes compresses [n / 64 + 1] blocks, one
-    more when [n mod 64 >= 56]; compressing allocates nothing.
-    {!digest} allocates 31 words whatever [n] (context, chaining state,
-    block buffer, result); {!digest_into} hashes a slice of a [Bytes.t]
-    into a slot of another through a context the caller owns, and
-    allocates nothing, which is how a Lamport leaf hashes its 512
-    preimages and an audit log its entries.  On a 2-core shared x86-64
-    VM the best of seven 100 000-digest loops over 32 bytes read
-    0.41-0.42 us for {!digest} and 0.38 us for {!digest_into}, against
-    0.65-0.67 and 0.57 us for the rolled loop over native ints in the
-    same runs.  The test suite checks the digest against the FIPS test
-    vectors and against a reference implementation over [int32]. *)
+    more when [n mod 64 >= 56]; compressing allocates nothing, on
+    either kernel.  {!digest} allocates 31 words whatever [n] (context,
+    chaining state, block buffer, result); {!digest_into} hashes a
+    slice of a [Bytes.t] into a slot of another through a context the
+    caller owns, and allocates nothing, which is how a Lamport leaf
+    hashes its 512 preimages and an audit log its entries.  On a
+    2-core shared x86-64 VM (a Xeon whose flags list [sha_ni]), the
+    best of seven 100 000-digest loops over 32 bytes read 0.36-0.38 us
+    for {!digest} and 0.34-0.36 us for {!digest_into} on the portable
+    kernel, and 0.12 and 0.09 us on the hardware kernel; a 16 KiB
+    slice took 301-336 and 44-47 ns per block (DESIGN.md, "The
+    hardware kernel").  The test suite checks both kernels against the
+    FIPS test vectors and against a reference implementation over
+    [int32]. *)
 
 type digest = string
 (** 32 raw bytes. *)
@@ -57,3 +74,19 @@ val digest_into : ctx -> Bytes.t -> off:int -> len:int -> Bytes.t -> at:int -> u
     whatever it held; afterwards it counts as finalized.  Contexts are
     not shared between domains.  Raises [Invalid_argument] if the slice
     or the slot lies outside its buffer. *)
+
+val hardware : bool
+(** [true] when this process compresses on the CPU's SHA-256
+    instructions: x86-64, built with gcc 7 or later or clang 6 or later,
+    on a CPU whose CPUID reports SHA, SSSE3 and SSE4.1.  Fixed at
+    initialisation. *)
+
+(** The portable kernel, whatever {!hardware} says: the same functions
+    as above, on the same contexts, compressing in OCaml.  The tests
+    hold the chosen kernel to it. *)
+module Portable : sig
+  val digest : string -> digest
+  val feed : ctx -> string -> unit
+  val finalize : ctx -> digest
+  val digest_into : ctx -> Bytes.t -> off:int -> len:int -> Bytes.t -> at:int -> unit
+end

@@ -66,25 +66,35 @@ let verify root ~msg signature =
 (* Wire format: u16 index | u16 path_len | leaf_pub | ots | path entries
    (each: 1 side byte + 32-byte digest).  All integers big-endian. *)
 
-let u16 n = String.init 2 (fun i -> Char.chr ((n lsr (8 * (1 - i))) land 0xFF))
-
 let read_u16 s off = (Char.code s.[off] lsl 8) lor Char.code s.[off + 1]
 
 let leaf_pub_len = 2 * 256 * 32
 let ots_len = 256 * 32
 
+(* The wire bytes go straight into one [Bytes] of the exact length: an
+   h8 signature is 24 844 bytes, one major allocation. *)
 let encode sg =
-  let buf = Buffer.create (leaf_pub_len + ots_len + 256) in
-  Buffer.add_string buf (u16 sg.index);
-  Buffer.add_string buf (u16 (List.length sg.path));
-  Buffer.add_string buf sg.leaf_pub;
-  Buffer.add_string buf sg.ots;
-  List.iter
-    (fun (digest, side) ->
-      Buffer.add_char buf (match side with `Left -> 'L' | `Right -> 'R');
-      Buffer.add_string buf digest)
-    sg.path;
-  Buffer.contents buf
+  let put b pos s =
+    Bytes.blit_string s 0 b pos (String.length s);
+    pos + String.length s
+  in
+  let len =
+    List.fold_left
+      (fun n (digest, _) -> n + 1 + String.length digest)
+      (4 + String.length sg.leaf_pub + String.length sg.ots)
+      sg.path
+  in
+  let b = Bytes.create len in
+  Bytes.set_uint16_be b 0 (sg.index land 0xFFFF);
+  Bytes.set_uint16_be b 2 (List.length sg.path land 0xFFFF);
+  let pos = put b (put b 4 sg.leaf_pub) sg.ots in
+  ignore
+    (List.fold_left
+       (fun pos (digest, side) ->
+         Bytes.set b pos (match side with `Left -> 'L' | `Right -> 'R');
+         put b (pos + 1) digest)
+       pos sg.path);
+  Bytes.unsafe_to_string b
 
 let decode s =
   let len = String.length s in

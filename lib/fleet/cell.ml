@@ -146,11 +146,10 @@ let create cfg =
       let specs =
         List.mapi
           (fun i name ->
-            match Vet_corpus.find name with
-            | Some e -> Vet_corpus.coadmit_spec ~frame_base:(i * 16) e
-            | None ->
-              invalid_arg
-                (Printf.sprintf "Cell.create: unknown roster guest %s" name))
+            (* [config], the record's only constructor, checked every
+               name. *)
+            Vet_corpus.coadmit_spec ~frame_base:(i * 16)
+              (Option.get (Vet_corpus.find name)))
           cfg.roster
       in
       let label = cell_name cfg.cell_id ^ "-roster" in

@@ -15,7 +15,7 @@
 
 (** {2 Configuration} *)
 
-type config = {
+type config = private {
   cell_id : int;          (** position in the fleet; names the cell *)
   seed : int;             (** fleet-wide base seed *)
   users : int list;       (** global user ids this cell serves, ascending *)
@@ -39,6 +39,8 @@ type config = {
           {!coadmit_report}; an empty roster (the default) skips the
           gate, keeping transcripts byte-identical to earlier runs *)
 }
+(** Private: {!val-config} is the only way to build one, so every
+    config a cell sees has passed its checks. *)
 
 val config :
   ?seed:int ->

@@ -1,13 +1,32 @@
 (* Tests for the crypto substrate: FIPS/RFC vectors for SHA-256 and
-   HMAC, SHA-256 against the int32 reference in [Sha256_ref], Merkle
-   proofs, Lamport and Merkle-scheme signatures, and deferred keys. *)
+   HMAC, SHA-256 against the int32 reference in [Sha256_ref] on each
+   kernel the host has, Merkle proofs, Lamport and Merkle-scheme
+   signatures, and deferred keys. *)
 
 open Guillotine_crypto
 module Prng = Guillotine_util.Prng
 
 (* ---------------------------- SHA-256 ----------------------------- *)
 
-let test_sha256_fips_vectors () =
+(* A compression kernel, as the tests reach it: the one [Sha256] chose
+   for this host (the hardware kernel where the CPU has the SHA
+   extensions) or the portable OCaml kernel.  The two share contexts. *)
+type kernel = {
+  digest : string -> Sha256.digest;
+  feed : Sha256.ctx -> string -> unit;
+  finalize : Sha256.ctx -> Sha256.digest;
+  digest_into : Sha256.ctx -> Bytes.t -> off:int -> len:int -> Bytes.t -> at:int -> unit;
+}
+
+let chosen =
+  { digest = Sha256.digest; feed = Sha256.feed; finalize = Sha256.finalize;
+    digest_into = Sha256.digest_into }
+
+let portable =
+  { digest = Sha256.Portable.digest; feed = Sha256.Portable.feed;
+    finalize = Sha256.Portable.finalize; digest_into = Sha256.Portable.digest_into }
+
+let test_sha256_fips_vectors k () =
   let cases =
     [
       ("", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
@@ -20,13 +39,13 @@ let test_sha256_fips_vectors () =
     ]
   in
   List.iter
-    (fun (msg, expect) -> Alcotest.(check string) msg expect (Sha256.digest_hex msg))
+    (fun (msg, expect) -> Alcotest.(check string) msg expect (Sha256.hex (k.digest msg)))
     cases
 
-let test_sha256_million_a () =
+let test_sha256_million_a k () =
   Alcotest.(check string) "1M a"
     "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-    (Sha256.digest_hex (String.make 1_000_000 'a'))
+    (Sha256.hex (k.digest (String.make 1_000_000 'a')))
 
 let test_sha256_streaming_equals_oneshot () =
   let parts = [ "Guill"; ""; "otine "; "hyper"; "visor"; String.make 200 'x' ] in
@@ -64,29 +83,29 @@ let prop_sha256_avalanche =
     (fun (a, b) -> a = b || Sha256.digest a <> Sha256.digest b)
 
 (* Feed [s] in pieces whose lengths cycle through [cuts]. *)
-let chunked_digest s cuts =
+let chunked_digest k s cuts =
   let ctx = Sha256.init () in
   let cuts = Array.of_list (if cuts = [] then [ String.length s ] else cuts) in
   let rec go pos i =
     if pos < String.length s then begin
       let n = min (String.length s - pos) cuts.(i mod Array.length cuts) in
-      Sha256.feed ctx (String.sub s pos n);
+      k.feed ctx (String.sub s pos n);
       go (pos + n) (i + 1)
     end
   in
   go 0 0;
-  Sha256.finalize ctx
+  k.finalize ctx
 
 (* No shrinker: shrinking a 300-byte string one byte at a time takes
    minutes, and the printed input is enough to reproduce a failure. *)
-let prop_sha256_matches_reference =
+let prop_sha256_matches_reference k =
   QCheck.Test.make ~name:"chunked digest = int32 reference" ~count:500
     (QCheck.make
        ~print:QCheck.Print.(pair string (list int))
        QCheck.Gen.(pair (string_size (0 -- 300)) (list_size (0 -- 10) (1 -- 80))))
     (fun (s, cuts) ->
       let expect = Sha256_ref.digest s in
-      String.equal (Sha256.digest s) expect && String.equal (chunked_digest s cuts) expect)
+      String.equal (k.digest s) expect && String.equal (chunked_digest k s cuts) expect)
 
 let test_sha256_long_matches_reference () =
   let prng = Prng.create 70_000L in
@@ -109,11 +128,11 @@ let test_sha256_allocation_budget () =
 
 (* The compression function allocates nothing: 20 digests of a 16 KiB
    slice (257 blocks each) take 0 minor words. *)
-let test_sha256_compress_allocates_nothing () =
+let test_sha256_compress_allocates_nothing k () =
   let src = Bytes.make 16384 'z' and out = Bytes.create 32 and ctx = Sha256.init () in
   let before = Gc.minor_words () in
   for _ = 1 to 20 do
-    Sha256.digest_into ctx src ~off:0 ~len:16384 out ~at:0
+    k.digest_into ctx src ~off:0 ~len:16384 out ~at:0
   done;
   Alcotest.(check (float 0.)) "5 140 compressions allocate nothing" 0.
     (Gc.minor_words () -. before)
@@ -122,7 +141,7 @@ let test_sha256_compress_allocates_nothing () =
    and slots, equals the int32 reference: lengths 0-1 100 cross every
    padding edge of up to 18 blocks, and 16 384 is a Lamport public key.
    The bytes around the slot stay as they were. *)
-let prop_digest_into_matches_reference =
+let prop_digest_into_matches_reference k =
   let ctx = Sha256.init () in
   QCheck.Test.make ~name:"digest_into = int32 reference" ~count:200
     (QCheck.make
@@ -135,7 +154,7 @@ let prop_digest_into_matches_reference =
       let prng = Prng.create seed in
       let src = Bytes.init (off + len + 3) (fun _ -> Char.chr (Prng.int prng 256)) in
       let out = Bytes.make (at + 35) '\xff' in
-      Sha256.digest_into ctx src ~off ~len out ~at;
+      k.digest_into ctx src ~off ~len out ~at;
       String.equal (Bytes.sub_string out at 32)
         (Sha256_ref.digest (Bytes.sub_string src off len))
       && Bytes.equal (Bytes.sub out 0 at) (Bytes.make at '\xff')
@@ -206,6 +225,61 @@ let test_sha256_digest_into () =
   done;
   Alcotest.(check (float 0.)) "1 000 digests allocate nothing" 0.
     (Gc.minor_words () -. before)
+
+(* [digest_into] hands a slice's whole blocks to the kernel in one
+   call, and [feed] the whole blocks of each string after topping up
+   the context's buffer.  One call of 1, 2, 255, 256 and 257 blocks,
+   from offsets 3 and 13 of a buffer and from offset 59 of a string
+   (after a 5-byte feed), followed by 0 to 63 tail bytes, must equal
+   the int32 reference and the portable kernel. *)
+let test_sha256_whole_blocks_one_call () =
+  let prng = Prng.create 257L in
+  let src = Bytes.init ((257 * 64) + 80) (fun _ -> Char.chr (Prng.int prng 256)) in
+  let out = Bytes.create 32 and ctx = Sha256.init () in
+  List.iter
+    (fun (blocks, tail) ->
+      let len = (64 * blocks) + tail in
+      List.iter
+        (fun off ->
+          let expect = Sha256_ref.digest (Bytes.sub_string src off len) in
+          let label what = Printf.sprintf "%d blocks + %d at %d: %s" blocks tail off what in
+          Sha256.digest_into ctx src ~off ~len out ~at:0;
+          Alcotest.(check string) (label "digest_into") (Sha256.hex expect)
+            (Sha256.hex (Bytes.to_string out));
+          Sha256.Portable.digest_into ctx src ~off ~len out ~at:0;
+          Alcotest.(check string) (label "portable") (Sha256.hex expect)
+            (Sha256.hex (Bytes.to_string out)))
+        [ 3; 13 ];
+      let s = Bytes.sub_string src 0 (5 + len) in
+      let ctx = Sha256.init () in
+      Sha256.feed ctx (String.sub s 0 5);
+      Sha256.feed ctx (String.sub s 5 len);
+      Alcotest.(check string)
+        (Printf.sprintf "%d blocks + %d fed at 59" blocks tail)
+        (Sha256.hex (Sha256_ref.digest s))
+        (Sha256.hex (Sha256.finalize ctx)))
+    [ (1, 0); (2, 7); (255, 63); (256, 1); (257, 0) ]
+
+(* Where the kernel's flags list the SHA extensions, [Sha256] must have
+   chosen the hardware kernel: a CPUID check that broke would otherwise
+   fall back to the portable kernel, pass every other test and only run
+   slower.  Skips where there is no /proc/cpuinfo or no sha_ni flag. *)
+let test_sha256_hardware_where_listed () =
+  let flags =
+    match open_in "/proc/cpuinfo" with
+    | exception Sys_error _ -> []
+    | ic ->
+        let rec scan () =
+          match input_line ic with
+          | exception End_of_file -> []
+          | line when String.starts_with ~prefix:"flags" line ->
+              String.split_on_char ' ' (String.trim line)
+          | _ -> scan ()
+        in
+        Fun.protect ~finally:(fun () -> close_in ic) scan
+  in
+  if Sys.word_size <> 64 || not (List.mem "sha_ni" flags) then Alcotest.skip ();
+  Alcotest.(check bool) "hardware kernel chosen" true Sha256.hardware
 
 (* ----------------------------- HMAC ------------------------------- *)
 
@@ -438,22 +512,37 @@ let () =
     [
       ( "sha256",
         [
-          Alcotest.test_case "FIPS vectors" `Quick test_sha256_fips_vectors;
-          Alcotest.test_case "million a" `Slow test_sha256_million_a;
+          Alcotest.test_case "FIPS vectors" `Quick (test_sha256_fips_vectors chosen);
+          Alcotest.test_case "million a" `Slow (test_sha256_million_a chosen);
           Alcotest.test_case "streaming = one-shot" `Quick
             test_sha256_streaming_equals_oneshot;
           Alcotest.test_case "block boundaries" `Quick test_sha256_block_boundaries;
           Alcotest.test_case "finalize once" `Quick test_sha256_finalize_once;
           qc prop_sha256_avalanche;
-          qc prop_sha256_matches_reference;
+          qc (prop_sha256_matches_reference chosen);
           Alcotest.test_case "70 000 bytes = reference" `Quick
             test_sha256_long_matches_reference;
           Alcotest.test_case "allocation budget" `Quick test_sha256_allocation_budget;
           Alcotest.test_case "two domains = sequential" `Quick test_sha256_two_domains;
           Alcotest.test_case "digest_into" `Quick test_sha256_digest_into;
           Alcotest.test_case "compress allocates nothing" `Quick
-            test_sha256_compress_allocates_nothing;
-          qc prop_digest_into_matches_reference;
+            (test_sha256_compress_allocates_nothing chosen);
+          qc (prop_digest_into_matches_reference chosen);
+          Alcotest.test_case "whole blocks in one call" `Quick
+            test_sha256_whole_blocks_one_call;
+          Alcotest.test_case "hardware kernel where sha_ni" `Quick
+            test_sha256_hardware_where_listed;
+        ] );
+      (* The OCaml kernel.  Group names stay no wider than "signature":
+         a wider name column cuts the long test names in the report. *)
+      ( "portable",
+        [
+          Alcotest.test_case "FIPS vectors" `Quick (test_sha256_fips_vectors portable);
+          Alcotest.test_case "million a" `Slow (test_sha256_million_a portable);
+          qc (prop_sha256_matches_reference portable);
+          Alcotest.test_case "compress allocates nothing" `Quick
+            (test_sha256_compress_allocates_nothing portable);
+          qc (prop_digest_into_matches_reference portable);
         ] );
       ( "hmac",
         [
