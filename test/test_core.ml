@@ -124,6 +124,16 @@ let test_deployment_key_bytes_pinned () =
     "31f5f17669798aa57efd6c276f1463ceb0bc4515f1ce98026b7229388006dbfc"
     (Sha256.digest_hex cert.Cert.signature)
 
+(* The measurement root a default deployment attests to, over the
+   configuration string "cores=2/1 dram=262144/65536 io=16384
+   lapic=64/10000".  The fault scenarios compute their expected root
+   from the same code, so only a pin notices a changed measurement. *)
+let test_measurement_root_pinned () =
+  let d = Deployment.create ~seed:1L () in
+  Alcotest.(check string) "measurement root"
+    "bd62964d4c5d77ec70f07b9b43dc6808c877dd59b3a53c1dffe3cf46428ea784"
+    (Sha256.hex (Deployment.expected_measurement_root d))
+
 let test_shared_ca_certificates_pinned () =
   let regulator = Regulator.create ~seed:3L () in
   let a = Deployment.create ~seed:5L ~name:"a" ~ca:(Regulator.ca regulator) () in
@@ -467,6 +477,8 @@ let () =
             test_deployments_share_ca_and_refuse_ring;
           Alcotest.test_case "shared-CA certificates pinned" `Quick
             test_shared_ca_certificates_pinned;
+          Alcotest.test_case "measurement root pinned" `Quick
+            test_measurement_root_pinned;
         ] );
       ( "network",
         [
