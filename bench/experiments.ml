@@ -576,7 +576,6 @@ let f4 () =
     let prng = Prng.create 800L in
     Workload.drive ~engine:e ~service:svc ~prng
       {
-        Workload.default_spec with
         Workload.rate = 15.0 *. float_of_int replicas;
         duration = 60.0;
         sessions = 4 * replicas;
@@ -861,8 +860,7 @@ let f8 () =
   let base_cost = 1e7 and harm_damages = 1e9 and overhead = 0.3 in
   let cost on_guillotine p =
     Safe_harbor.operating_cost ~guillotine_overhead:overhead ~base_cost
-      ~harm_probability:p ~harm_damages
-      { Safe_harbor.on_guillotine; violations = 0 }
+      ~harm_probability:p ~harm_damages ~on_guillotine
   in
   List.iter
     (fun p ->
@@ -1056,7 +1054,7 @@ let f10 () =
               method inspect now =
                 if not dead then begin
                   let vs = Regulation.check ~now dep in
-                  (match Enforcement.act enforcement ~now vs with
+                  (match Enforcement.act enforcement vs with
                   | Some Enforcement.Shutdown_order -> dead <- true
                   | Some _ ->
                     (* Remediation: the operator fixes everything except
@@ -1105,10 +1103,7 @@ let f10 () =
             (counts (fun op ->
                  List.length
                    (List.filter
-                      (fun r ->
-                        match r.Enforcement.action with
-                        | Enforcement.Fine _ -> true
-                        | _ -> false)
+                      (function Enforcement.Fine _ -> true | _ -> false)
                       (Enforcement.history op#enforcement))));
           Table.cell_i
             (counts (fun op -> if Enforcement.license_active op#enforcement then 0 else 1));

@@ -59,7 +59,7 @@ let () =
   in
   let quarter = 7776000.0 (* 90 days *) in
   let program =
-    Audit_program.create ~engine ~site:"atlas-dc" ~probe
+    Audit_program.create ~engine ~probe
       ~expected_inventory:!inventory ~cadence:quarter
       ~on_report:(fun r ->
         Printf.printf "  audit at day %.0f: %s\n" (r.Audit_program.at /. 86400.0)
@@ -105,7 +105,7 @@ let () =
     match Regulator.inspect regulator ~now:at described with
     | [] -> Printf.printf "  %s: clean\n" label
     | vs -> (
-      match Enforcement.act enforcement ~now:at vs with
+      match Enforcement.act enforcement vs with
       | Some action ->
         Printf.printf "  %s: %d violation(s) -> %s\n" label (List.length vs)
           (Enforcement.action_to_string action)

@@ -3,15 +3,14 @@
     traditional-virtualization baseline and against Guillotine.
 
     Each scenario returns whether the attack {e escaped} (achieved its
-    goal) on each stack, plus human-readable detail.  The suite is
+    goal) on each stack, plus a human-readable detail of the Guillotine
+    run.  The suite is
     deterministic given the seed. *)
 
 type outcome = {
   name : string;
-  description : string;
   baseline_escaped : bool;
   guillotine_escaped : bool;
-  baseline_detail : string;
   guillotine_detail : string;
 }
 
@@ -21,7 +20,6 @@ val code_injection : unit -> outcome
 type flood_metrics = {
   accepted : int;        (** doorbells the LAPIC admitted *)
   dropped : int;         (** doorbells throttled away *)
-  attacker_cycles : int; (** cycles the flooding guest spent *)
   hv_cycles : int;       (** hypervisor cycles consumed *)
   amplification : float; (** hv cycles per attacker cycle *)
 }
@@ -34,5 +32,4 @@ val run_all : ?seed:int64 -> unit -> outcome list
 (** The ten scenarios, in order: cache side channel, introspection of
     hypervisor state, {!code_injection}, unmediated device access,
     interrupt flood, self-improvement, social engineering of admins,
-    model-to-model ring, RAG poisoning and speculative leak.  Each
-    outcome's [description] says what the attack tries. *)
+    model-to-model ring, RAG poisoning and speculative leak. *)

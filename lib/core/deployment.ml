@@ -53,16 +53,11 @@ type t = {
   mutable request_seq : int;
 }
 
-let config_string (c : Machine.config) =
-  Printf.sprintf "cores=%d/%d dram=%d/%d io=%d lapic=%d/%d" c.Machine.model_cores
-    c.Machine.hyp_cores c.Machine.model_words c.Machine.hyp_words c.Machine.io_words
-    c.Machine.lapic_rate_limit c.Machine.lapic_window
-
-let measurement_of_config cfg =
+let measurement_of_machine m =
   {
     Attest.firmware = firmware_image;
     hypervisor_image;
-    configuration = config_string cfg;
+    configuration = Machine.configuration m;
   }
 
 let create ?(seed = 0xDEC0DEL) ?mode ?(name = "guillotine-0") ?(net_addr = 100) ?ca () =
@@ -291,7 +286,7 @@ let enable_model_guard ?(period = 5.0) t model =
 (* Attestation                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let measurement t = measurement_of_config (Machine.config t.machine)
+let measurement t = measurement_of_machine t.machine
 
 let attest t ~nonce =
   Attest.make_quote ~key:(fst (Lazy.force t.platform_key)) (measurement t) ~nonce

@@ -43,8 +43,7 @@ val all : entry list
 val find : string -> entry option
 
 val vet : entry -> Vet.report
-(** Assemble and vet the entry under its recorded grant and
-    {!Vet.default_policy}. *)
+(** Assemble and vet the entry under its recorded grant. *)
 
 (** {2 Co-admission rosters}
 

@@ -74,16 +74,20 @@ let prove t i =
   done;
   { index = i; path = List.rev !path }
 
+(* Bit k of the index names step k's side, as [prove] derives it: a
+   path whose sides disagree with its index, or an index beyond the
+   path's 2^length leaves, proves nothing. *)
 let verify ?(ctx = Sha256.init ()) ~root:expected ~leaf proof =
   let scratch = scratch_for (String.length leaf) in
-  let rec up acc = function
-    | [] -> String.equal acc expected
+  let rec up acc bits = function
+    | [] -> bits = 0 && String.equal acc expected
     | (sib, side) :: rest ->
       String.length sib = 32
-      && up
-           (match side with
-           | `Right -> hash_node ctx scratch acc sib
-           | `Left -> hash_node ctx scratch sib acc)
-           rest
+      &&
+      match side with
+      | `Right ->
+        bits land 1 = 0 && up (hash_node ctx scratch acc sib) (bits lsr 1) rest
+      | `Left ->
+        bits land 1 = 1 && up (hash_node ctx scratch sib acc) (bits lsr 1) rest
   in
-  up (hash_leaf ctx scratch leaf) proof.path
+  proof.index >= 0 && up (hash_leaf ctx scratch leaf) proof.index proof.path

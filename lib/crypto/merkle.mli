@@ -28,6 +28,10 @@ val prove : tree -> int -> proof
 
 val verify : ?ctx:Sha256.ctx -> root:string -> leaf:string -> proof -> bool
 (** Checks that [leaf] is included under [root] at [proof.index].  A
-    sibling that is not a 32-byte digest fails the proof.  The hashes go
-    through [ctx] (a fresh context by default), which is reset first
-    and may be reused afterwards, as for {!Sha256.digest_into}. *)
+    sibling that is not a 32-byte digest fails the proof, and so does an
+    index that the path does not spell: step [k]'s sibling must sit on
+    the [`Right] when bit [k] of the index is 0 and on the [`Left] when
+    it is 1, and the index must lie in \[0, 2{^ length of the path}\).
+    The hashes go through [ctx] (a fresh context by default), which is
+    reset first and may be reused afterwards, as for
+    {!Sha256.digest_into}. *)

@@ -50,10 +50,5 @@ let handle t ~now request =
 let device t =
   {
     Device.name = t.name;
-    kind = Device.Actuator;
     handle = (fun ~now req -> handle t ~now req);
-    describe =
-      (fun () ->
-        Printf.sprintf "actuator %s: applied=%d hazardous=%d" t.name
-          (List.length t.actions) t.hazardous);
   }

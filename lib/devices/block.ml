@@ -99,10 +99,5 @@ let handle t ~now:_ request =
 let device t =
   {
     Device.name = t.name;
-    kind = Device.Block;
     handle = (fun ~now req -> handle t ~now req);
-    describe =
-      (fun () ->
-        Printf.sprintf "block %s: %d sectors, reads=%d writes=%d" t.name t.sectors
-          t.reads t.writes);
   }

@@ -7,14 +7,7 @@ let status_denied = 2
 let ok ?(payload = [||]) ~latency () = { status = status_ok; payload; latency }
 let error ~code ~latency = { status = code; payload = [||]; latency }
 
-type kind = Nic | Block | Gpu | Actuator | Rag_db
-
-type t = {
-  name : string;
-  kind : kind;
-  handle : now:int -> int64 array -> response;
-  describe : unit -> string;
-}
+type t = { name : string; handle : now:int -> int64 array -> response }
 
 let throttled ~extra d =
   {

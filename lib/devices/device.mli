@@ -15,14 +15,10 @@ type response = { status : int; payload : int64 array; latency : int }
 val ok : ?payload:int64 array -> latency:int -> unit -> response
 val error : code:int -> latency:int -> response
 
-type kind = Nic | Block | Gpu | Actuator | Rag_db
-
 type t = {
   name : string;
-  kind : kind;
   handle : now:int -> int64 array -> response;
       (** Process one request at machine tick [now]. *)
-  describe : unit -> string;  (** One-line status for audit logs. *)
 }
 
 val throttled : extra:(unit -> int) -> t -> t

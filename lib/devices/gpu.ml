@@ -115,9 +115,5 @@ let handle t ~now:_ request =
 let device t =
   {
     Device.name = t.name;
-    kind = Device.Gpu;
     handle = (fun ~now req -> handle t ~now req);
-    describe =
-      (fun () -> Printf.sprintf "gpu %s: %d words, kernels=%d" t.name
-                   (Array.length t.mem) t.kernels);
   }

@@ -82,10 +82,5 @@ let handle t ~now:_ request =
 let device t =
   {
     Device.name = t.name;
-    kind = Device.Nic;
     handle = (fun ~now req -> handle t ~now req);
-    describe =
-      (fun () ->
-        Printf.sprintf "nic %s: sent=%d delivered=%d queued=%d" t.name t.sent
-          t.delivered (inbound_queued t));
   }

@@ -101,8 +101,5 @@ let decode_results payload =
 let device t =
   {
     Device.name = t.name;
-    kind = Device.Rag_db;
     handle = (fun ~now req -> handle t ~now req);
-    describe =
-      (fun () -> Printf.sprintf "rag-db %s: docs=%d queries=%d" t.name t.ndocs t.queries);
   }

@@ -19,14 +19,14 @@ type fault =
 
 type event = { at : float; fault : fault }
 
-type t = { seed : int; events : event list }
+type t = { events : event list }
 
-let make ~seed events =
+let make events =
   List.iter
     (fun e ->
       if e.at < 0.0 then invalid_arg "Fault_plan.make: negative injection time")
     events;
-  { seed; events = List.stable_sort (fun a b -> compare a.at b.at) events }
+  { events = List.stable_sort (fun a b -> compare a.at b.at) events }
 
 let describe = function
   | Dram_bit_flip { addr; bit } ->
@@ -81,4 +81,4 @@ let storm ~seed ~horizon =
   (* The storm's centrepiece: the primary dies early and stays dead,
      which is what separates a stack with failover from one without. *)
   add (0.08 *. horizon) (Primary_down { duration = None });
-  make ~seed !events
+  make !events

@@ -1,7 +1,7 @@
 (** Seeded, deterministic fault plans.
 
     A plan is the complete description of everything that will go wrong
-    in a run: a seed plus a time-ordered schedule of faults across every
+    in a run: a time-ordered schedule of faults across every
     layer of the stack — DRAM bit flips and bus stalls (memory/machine),
     dropped interrupts and core wedges (machine/microarch), packet loss,
     duplication and attestation corruption (net), heartbeat link outages
@@ -10,7 +10,8 @@
 
     Everything downstream — the {!Injector}, the scenario harness, the
     CLI and the R-series experiment — derives all randomness from the
-    plan's seed, so any run replays byte-identically from (name, seed). *)
+    run's seed, the one that drew the plan, so any run replays
+    byte-identically from (name, seed). *)
 
 type fault =
   | Dram_bit_flip of { addr : int; bit : int }
@@ -49,11 +50,10 @@ type fault =
 type event = { at : float; fault : fault }
 
 type t = {
-  seed : int;
   events : event list;  (** sorted by [at], ties in construction order *)
 }
 
-val make : seed:int -> event list -> t
+val make : event list -> t
 (** Sort the schedule by time (stable, so same-time events keep their
     construction order).  Raises [Invalid_argument] on a negative
     injection time. *)

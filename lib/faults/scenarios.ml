@@ -30,7 +30,6 @@ module Absint = Guillotine_vet.Absint
 
 type adversary = {
   hostile_turn_at : float;
-  detected_at : float option;
   detection_latency_s : float option;
   contained_at : float option;
   residual_damage : int;
@@ -115,13 +114,11 @@ let rig ctx ~salt ~name =
     horizon = 0.0;
   }
 
-let plan ctx faults = Fault_plan.make ~seed:ctx.seed faults
-
 (* The plan and the monitor go in after every event the scenario
    scheduled, plan first: same-time events fire in scheduling order, so
    moving either one changes the trace. *)
 let play r ?heartbeat ?(extra = []) ~horizon faults =
-  Injector.install r.inj ~deployment:r.d ?heartbeat (plan r.ctx faults);
+  Injector.install r.inj ~deployment:r.d ?heartbeat (Fault_plan.make faults);
   if r.ctx.observe then begin
     let m = Deployment.enable_monitoring r.d in
     observe_faults m r.inj;
@@ -292,7 +289,6 @@ let adversary_of clk ~damage ~unit_ =
     (fun t ->
       {
         hostile_turn_at = t;
-        detected_at = clk.seen_at;
         detection_latency_s = Option.map (fun s -> s -. t) clk.seen_at;
         contained_at = clk.contained_clk;
         residual_damage = damage;
@@ -492,9 +488,7 @@ let device_stall_shedding ctx =
     Injector.wrap_device inj
       {
         Device.name = "gpu0";
-        kind = Device.Gpu;
         handle = (fun ~now:_ _ -> Device.ok ~latency:base_latency ());
-        describe = (fun () -> "simulated accelerator");
       }
   in
   ignore
@@ -517,7 +511,7 @@ let device_stall_shedding ctx =
               });
          Engine.now engine < 59.9));
   Injector.install inj ~service
-    (plan ctx
+    (Fault_plan.make
        [
          {
            at = 10.0;
@@ -587,7 +581,7 @@ let fault_storm_failover ctx =
   let cluster = Cluster.create ~engine ~primary ~backup () in
   let inj = Injector.create ~engine () in
   Injector.install inj ~service:primary
-    (plan ctx
+    (Fault_plan.make
        [
          { at = 5.0; fault = Service_brownout { rate = 0.4; duration = 20.0 } };
          { at = 40.0; fault = Primary_down { duration = None } };

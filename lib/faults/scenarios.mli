@@ -13,10 +13,9 @@
 type adversary = {
   hostile_turn_at : float;
       (** sim time of the first hostile act after admission *)
-  detected_at : float option;
-      (** first kill-relevant console alarm raised after the turn *)
   detection_latency_s : float option;
-      (** [detected_at - hostile_turn_at]; [None] = never detected *)
+      (** from the turn to the first kill-relevant console alarm raised
+          after it; [None] = never detected *)
   contained_at : float option;
       (** when the scenario's containing isolation level was applied *)
   residual_damage : int;

@@ -82,12 +82,12 @@ type t = {
   coadmit : Interfere.report option;
 }
 
-let storm_plan c =
-  (* A cross-layer burst: spurious detector alarms (escalating to
-     Critical, which the console answers with hard isolation), fabric
-     loss, and a mediation stall.  Everything targets objects owned by
-     this cell's deployment, so the storm cannot reach a neighbour. *)
-  Fault_plan.make ~seed:(Scenarios.plan_seed ~cell:c.cell_id c.seed)
+(* A cross-layer burst: spurious detector alarms (escalating to
+   Critical, which the console answers with hard isolation), fabric
+   loss, and a mediation stall.  Everything targets objects owned by
+   the cell's deployment, so the storm cannot reach a neighbour. *)
+let storm_plan =
+  Fault_plan.make
     [
       { at = 2.0; fault = Detector_false_alarm { severity = Detector.Suspicious } };
       { at = 3.0; fault = Nic_loss { rate = 0.5; duration = 5.0 } };
@@ -165,7 +165,7 @@ let create cfg =
   let inj =
     if cfg.storm then begin
       let inj = Injector.create ~engine:(Deployment.engine d) () in
-      Injector.install inj ~deployment:d (storm_plan cfg);
+      Injector.install inj ~deployment:d storm_plan;
       Scenarios.observe_faults monitor inj;
       Some inj
     end
@@ -182,7 +182,6 @@ let coadmit_report c = c.coadmit
 type report = {
   r_cell_id : int;
   r_name : string;
-  r_seed : int;
   r_users : int list;
   r_requests : int;
   r_blocked : int;
@@ -304,7 +303,6 @@ let run cfg =
   {
     r_cell_id = cfg.cell_id;
     r_name = name;
-    r_seed = cfg.seed;
     r_users = cfg.users;
     r_requests = !requests;
     r_blocked = !blocked;

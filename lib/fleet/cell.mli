@@ -103,7 +103,6 @@ val coadmit_report : t -> Guillotine_vet.Interfere.report option
 type report = {
   r_cell_id : int;
   r_name : string;
-  r_seed : int;
   r_users : int list;
   r_requests : int;         (** requests served (incl. blocked) *)
   r_blocked : int;          (** rejected by the input shield / isolation *)

@@ -87,7 +87,6 @@ let shard_map t job =
 type view = {
   v_seed : int;
   v_cells : int;
-  v_domains : int;
   v_reports : Cell.report array;
   v_requests : int;
   v_blocked : int;
@@ -121,7 +120,6 @@ let view_of t reports =
   {
     v_seed = t.seed;
     v_cells = t.cells;
-    v_domains = t.domains;
     v_reports = reports;
     v_requests = sum (fun r -> r.Cell.r_requests);
     v_blocked = sum (fun r -> r.Cell.r_blocked);

@@ -57,7 +57,6 @@ val cell_config : t -> cell_id:int -> Cell.config
 type view = {
   v_seed : int;
   v_cells : int;
-  v_domains : int;  (** domains actually used by the producing run *)
   v_reports : Cell.report array;  (** indexed by cell id *)
   v_requests : int;
   v_blocked : int;
@@ -79,9 +78,9 @@ type view = {
 
 val run : t -> view
 (** Run every cell, sharded across {!domains} OCaml domains (cell [i]
-    runs on domain [i mod domains]), and aggregate.  Everything except
-    [v_domains] is independent of the domain count: the same fleet on
-    1 domain and on 8 produces the same bytes. *)
+    runs on domain [i mod domains]), and aggregate.  The view is
+    independent of the domain count: the same fleet on 1 domain and on
+    8 produces the same bytes. *)
 
 val run_solo : t -> cell_id:int -> Cell.report
 (** Run exactly one cell of this fleet on the calling domain — the

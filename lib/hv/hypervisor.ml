@@ -196,16 +196,12 @@ let enable_probe_monitor t =
 (* ------------------------------------------------------------------ *)
 
 module Vet = Guillotine_vet.Vet
-module Vet_absint = Guillotine_vet.Absint
 
-type vet_policy = {
-  vet : Vet.policy;
-  enforce : bool;
-  extra : Vet_absint.range list;
-}
+(* The one policy: vet under the code and data grant alone, and
+   refuse a rejected image. *)
+type vet_policy = Enforce
 
-let default_vet_policy =
-  { vet = Vet.default_policy; enforce = true; extra = [] }
+let default_vet_policy = Enforce
 
 (* The vet counters are created lazily on first use: an unvetted
    deployment's telemetry snapshot stays exactly as it was before the
@@ -300,13 +296,10 @@ let install_program t ?vet_policy ?(label = "guest") ~core ~code_pages
     Machine.install_program t.machine ~core ~code_pages ~data_pages program;
     install_profile_map t ~core ~code_pages ~label program;
     Ok None
-  | Some vp ->
-    let report =
-      Vet.run ~policy:vp.vet ~label ~extra:vp.extra ~code_pages ~data_pages
-        program
-    in
+  | Some Enforce ->
+    let report = Vet.run ~label ~code_pages ~data_pages program in
     record_vet_decision t ~label report;
-    if report.Vet.verdict = Vet.Reject && vp.enforce then Error report
+    if report.Vet.verdict = Vet.Reject then Error report
     else begin
       Machine.install_program t.machine ~core ~code_pages ~data_pages program;
       install_profile_map t ~core ~code_pages ~label program;

@@ -78,21 +78,17 @@ val notify : t -> Detector.observation -> unit
 
     The static vetting gate (lib/vet): when a [vet_policy] is supplied,
     the guest image is analysed {e before} a single word reaches model
-    DRAM.  A rejection under [enforce] means the program is never
-    installed — the admission-time complement to the runtime detector
-    plane.  Every decision is counted ([vet.admitted]/[vet.rejected]/
-    [vet.warnings]), emitted to the event sink ([vet.decision]) and
-    committed to the audit chain. *)
+    DRAM.  A rejection means the program is never installed — the
+    admission-time complement to the runtime detector plane.  Every
+    decision is counted ([vet.admitted]/[vet.rejected]/[vet.warnings]),
+    emitted to the event sink ([vet.decision]) and committed to the
+    audit chain. *)
 
-type vet_policy = {
-  vet : Guillotine_vet.Vet.policy;
-  enforce : bool;  (** reject ⇒ refuse to install (advisory when false) *)
-  extra : Guillotine_vet.Absint.range list;
-      (** granted IO windows beyond the identity-mapped code/data pages *)
-}
+type vet_policy
 
 val default_vet_policy : vet_policy
-(** Default [Vet.default_policy], enforcing, no extra windows. *)
+(** The one policy: vet under the code and data grant alone, with no
+    extra windows, and refuse a rejected image. *)
 
 val install_program :
   t ->
@@ -106,9 +102,8 @@ val install_program :
 (** Install [program] on [core] with the same mapping semantics as
     [Machine.install_program].  Without a [vet_policy] this is a plain
     passthrough returning [Ok None].  With one, the report is returned:
-    [Ok (Some r)] when admitted (possibly with warnings, or when an
-    advisory policy let a rejection through), [Error r] when rejected
-    under enforcement — in which case nothing was installed.
+    [Ok (Some r)] when admitted (possibly with warnings), [Error r] when
+    rejected — in which case nothing was installed.
 
     Every successful install additionally derives the profiler's
     paddr→block map from the vetting CFG and installs it (with [label])
@@ -134,7 +129,7 @@ val coadmit :
   ?label:string ->
   Guillotine_vet.Summary.spec list ->
   (Guillotine_vet.Interfere.report, Guillotine_vet.Interfere.report) result
-(** Summarize the specs under {!Guillotine_vet.Vet.default_policy} and
+(** Summarize the specs ({!Guillotine_vet.Summary.summarize}) and
     check them jointly — {e including} every
     guest a previous [coadmit] admitted, so arrivals are vetted against
     residents.  [Ok report] records the members as resident;

@@ -1,8 +1,7 @@
-type request = { line : int; src_core : int; raised_at : int }
+type request = { line : int; src_core : int }
 
 type t = {
   rate_limit : int;
-  window : int;
   queue : request Guillotine_util.Bounded_queue.t;
   mutable window_start : int;
   mutable window_count : int;
@@ -13,11 +12,12 @@ type t = {
 (* Pending requests held before [raise_line] drops. *)
 let queue_depth = 256
 
-let create ?(rate_limit = 64) ?(window = 10_000) () =
-  if window <= 0 then invalid_arg "Lapic.create: window must be positive";
+(* Ticks per throttle window. *)
+let window = 10_000
+
+let create ~rate_limit =
   {
     rate_limit;
-    window;
     queue = Guillotine_util.Bounded_queue.create ~capacity:queue_depth;
     window_start = 0;
     window_count = 0;
@@ -27,7 +27,7 @@ let create ?(rate_limit = 64) ?(window = 10_000) () =
 
 let raise_line t ~now ~line ~src_core =
   (* Roll the window forward. *)
-  if now - t.window_start >= t.window then begin
+  if now - t.window_start >= window then begin
     t.window_start <- now;
     t.window_count <- 0
   end;
@@ -38,7 +38,7 @@ let raise_line t ~now ~line ~src_core =
   end
   else begin
     t.window_count <- t.window_count + 1;
-    if Guillotine_util.Bounded_queue.push t.queue { line; src_core; raised_at = now }
+    if Guillotine_util.Bounded_queue.push t.queue { line; src_core }
     then begin
       t.accepted <- t.accepted + 1;
       true

@@ -10,12 +10,15 @@
 
 type t
 
-type request = { line : int; src_core : int; raised_at : int }
+type request = { line : int; src_core : int }
 
-val create : ?rate_limit:int -> ?window:int -> unit -> t
-(** Defaults: 64 interrupts per 10_000-tick window.  The pending queue
-    holds 256 requests.
-    [rate_limit <= 0] disables throttling (the baseline configuration). *)
+val window : int
+(** Ticks per throttle window: 10 000. *)
+
+val create : rate_limit:int -> t
+(** Admits [rate_limit] interrupts per {!window}; [rate_limit <= 0]
+    disables throttling (the baseline configuration).  The pending
+    queue holds 256 requests. *)
 
 val raise_line : t -> now:int -> line:int -> src_core:int -> bool
 (** [true] if accepted into the pending queue; [false] if throttled or

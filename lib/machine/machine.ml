@@ -4,33 +4,21 @@ module Mmu = Guillotine_memory.Mmu
 module Hierarchy = Guillotine_memory.Hierarchy
 module Telemetry = Guillotine_telemetry.Telemetry
 
-type config = {
-  model_cores : int;
-  hyp_cores : int;
-  model_words : int;
-  hyp_words : int;
-  io_words : int;
-  lapic_rate_limit : int;
-  lapic_window : int;
-}
-
-let default_config =
-  {
-    model_cores = 2;
-    hyp_cores = 1;
-    model_words = 256 * 1024;
-    hyp_words = 64 * 1024;
-    io_words = 16 * 1024;
-    lapic_rate_limit = 64;
-    lapic_window = 10_000;
-  }
+(* Every machine has one topology, the one its configuration string
+   reports: 2 model cores and 1 hypervisor core, 256 KiW of model DRAM,
+   64 KiW of hypervisor DRAM and a 16 KiW IO region. *)
+let model_core_count = 2
+let hyp_core_count = 1
+let model_words = 256 * 1024
+let hyp_words = 64 * 1024
+let io_words = 16 * 1024
 
 (* The IO region begins at this physical address in every domain's map;
-   it must lie beyond both DRAM sizes and on a page boundary. *)
+   it lies beyond both DRAM sizes and on a page boundary. *)
 let io_base_addr = 1 lsl 20
 
 type t = {
-  cfg : config;
+  lapic_rate_limit : int;
   model_dram : Dram.t;
   hyp_dram : Dram.t;
   io_dram : Dram.t;
@@ -46,31 +34,27 @@ type t = {
   c_inspections : Telemetry.counter;
 }
 
-let create ?(config = default_config) ?mode () =
-  if config.model_words > io_base_addr || config.hyp_words > io_base_addr then
-    invalid_arg "Machine.create: DRAM must fit below the IO base";
-  let model_dram = Dram.create ~size:config.model_words in
-  let hyp_dram = Dram.create ~size:config.hyp_words in
-  let io_dram = Dram.create ~size:config.io_words in
-  let lapic =
-    Lapic.create ~rate_limit:config.lapic_rate_limit ~window:config.lapic_window ()
-  in
+let create ?(lapic_rate_limit = 64) ?mode () =
+  let model_dram = Dram.create ~size:model_words in
+  let hyp_dram = Dram.create ~size:hyp_words in
+  let io_dram = Dram.create ~size:io_words in
+  let lapic = Lapic.create ~rate_limit:lapic_rate_limit in
   let make_core ~id ~kind ~dram =
     let hierarchy = Hierarchy.create ~io:(io_base_addr, io_dram) ~dram () in
     Core.create ~id ~kind ~hierarchy ?mode ()
   in
   let models =
-    Array.init config.model_cores (fun i ->
+    Array.init model_core_count (fun i ->
         make_core ~id:i ~kind:Core.Model_core ~dram:model_dram)
   in
   let hyps =
-    Array.init config.hyp_cores (fun i ->
+    Array.init hyp_core_count (fun i ->
         make_core ~id:(1000 + i) ~kind:Core.Hypervisor_core ~dram:hyp_dram)
   in
   let telemetry = Telemetry.create ~name:"machine" () in
   let t =
     {
-      cfg = config;
+      lapic_rate_limit;
       model_dram;
       hyp_dram;
       io_dram;
@@ -105,7 +89,9 @@ let create ?(config = default_config) ?mode () =
     models;
   t
 
-let config t = t.cfg
+let configuration t =
+  Printf.sprintf "cores=%d/%d dram=%d/%d io=%d lapic=%d/%d" model_core_count
+    hyp_core_count model_words hyp_words io_words t.lapic_rate_limit Lapic.window
 let model_core t i = t.models.(i)
 let hyp_core t i = t.hyps.(i)
 let model_cores t = t.models

@@ -22,25 +22,19 @@ module Mmu = Guillotine_memory.Mmu
 
 type t
 
-type config = {
-  model_cores : int;
-  hyp_cores : int;
-  model_words : int;   (* model DRAM size *)
-  hyp_words : int;     (* hypervisor DRAM size *)
-  io_words : int;      (* shared IO region size *)
-  lapic_rate_limit : int; (* <= 0 disables throttling *)
-  lapic_window : int;
-}
+val create : ?lapic_rate_limit:int -> ?mode:Core.mode -> unit -> t
+(** Every machine has one topology, fixed in [machine.ml]: 2 model
+    cores, 1 hypervisor core, 256 KiW model DRAM, 64 KiW hypervisor DRAM
+    and a 16 KiW IO region.  The LAPIC admits [lapic_rate_limit]
+    doorbells (default 64; [<= 0] disables throttling) per
+    {!Lapic.window} ticks.  [mode] (default {!Core.default_mode}) is the
+    execution mode of every core the machine builds, model and
+    hypervisor alike. *)
 
-val default_config : config
-(** 2 model cores, 1 hypervisor core, 256 KiW model DRAM, 64 KiW
-    hypervisor DRAM, 16 KiW IO region, throttle 64/10k ticks. *)
-
-val create : ?config:config -> ?mode:Core.mode -> unit -> t
-(** [mode] (default {!Core.default_mode}) is the execution mode of every
-    core the machine builds, model and hypervisor alike. *)
-
-val config : t -> config
+val configuration : t -> string
+(** The configuration a platform measurement covers:
+    ["cores=2/1 dram=262144/65536 io=16384 lapic=64/10000"] for a
+    machine with the default throttle. *)
 
 (** {2 Topology accessors} *)
 

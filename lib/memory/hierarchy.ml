@@ -1,7 +1,5 @@
 type t = {
-  l1 : Cache.t;
-  l2 : Cache.t;
-  l3 : Cache.t;
+  l1 : Cache.t;  (* its [next] chain holds the L2 and the L3 *)
   dram : Dram.t;
   io : (int * Dram.t) option;
   io_base_addr : int; (* max_int when no IO region is attached *)
@@ -20,8 +18,6 @@ let create ?(l1 = Cache.config_l1) ?io ~dram () =
   in
   {
     l1 = l1c;
-    l2 = l2c;
-    l3 = l3c;
     dram;
     io;
     io_base_addr;

@@ -10,9 +10,7 @@
     state never couples the two domains through it. *)
 
 type t = {
-  l1 : Cache.t;
-  l2 : Cache.t;
-  l3 : Cache.t;
+  l1 : Cache.t;  (* its [next] chain holds the L2 and the L3 *)
   dram : Dram.t;
   io : (int * Dram.t) option;
   io_base_addr : int; (* max_int when no IO region is attached *)

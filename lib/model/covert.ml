@@ -2,7 +2,6 @@ module Hierarchy = Guillotine_memory.Hierarchy
 module Cache = Guillotine_memory.Cache
 
 type result = {
-  sent : bool list;
   recovered : bool list;
   accuracy : float;
   cycles : int;
@@ -15,7 +14,6 @@ let finish sent recovered cycles =
   (* Goodput above guessing: 2*(acc-0.5) correct-information fraction. *)
   let effective = Float.max 0.0 (2.0 *. (accuracy -. 0.5)) *. n in
   {
-    sent;
     recovered;
     accuracy;
     cycles;

@@ -11,7 +11,6 @@
     the measured channel accuracy is the experiment. *)
 
 type result = {
-  sent : bool list;
   recovered : bool list;
   accuracy : float;       (** fraction of bits recovered correctly *)
   cycles : int;           (** total sender + receiver cycles consumed *)

@@ -4,13 +4,7 @@ module Hierarchy = Guillotine_memory.Hierarchy
 module Core = Guillotine_microarch.Core
 module Asm = Guillotine_isa.Asm
 
-type outcome = {
-  sent : bool list;
-  recovered : bool list;
-  accuracy : float;
-  trained_runs : int;
-  attack_runs : int;
-}
+type outcome = { recovered : bool list; accuracy : float }
 
 (* Word addresses.  One probe line is 8 words (the L1 line size). *)
 let arr_base = 4 * 256 (* page 4: the bounds-checked array *)
@@ -77,15 +71,13 @@ let attack ~secret ~mapped_secret () =
     | Core.Halted Core.Halt_instruction -> ()
     | _ -> assert false
   in
-  let trained = ref 0 and attacks = ref 0 in
   let recovered =
     List.mapi
       (fun i bit ->
         ignore bit;
         (* Train the bounds-check branch toward "in bounds". *)
         for _ = 1 to 4 do
-          invoke 0;
-          incr trained
+          invoke 0
         done;
         (* Evict the probe lines the training run may have warmed. *)
         Hierarchy.flush_line hierarchy ~addr:probe_base;
@@ -93,17 +85,10 @@ let attack ~secret ~mapped_secret () =
         (* One out-of-bounds invocation: architecturally rejected,
            transiently leaky (or, without a mapping, silent). *)
         invoke (secret_base - arr_base + i);
-        incr attacks;
         (* Probe: the warmer line names the bit. *)
         let t0 = Hierarchy.touch hierarchy ~addr:probe_base in
         let t1 = Hierarchy.touch hierarchy ~addr:(probe_base + 8) in
         t1 < t0)
       secret
   in
-  {
-    sent = secret;
-    recovered;
-    accuracy = Guillotine_util.Bits.accuracy secret recovered;
-    trained_runs = !trained;
-    attack_runs = !attacks;
-  }
+  { recovered; accuracy = Guillotine_util.Bits.accuracy secret recovered }

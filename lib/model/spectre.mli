@@ -19,14 +19,10 @@
     kills speculative leaks {e by construction}, where point mitigations
     (lfence, retpolines, index masking) merely patch gadgets. *)
 
-type outcome = {
-  sent : bool list;
-  recovered : bool list;
-  accuracy : float;
-  trained_runs : int;   (** gadget invocations spent training *)
-  attack_runs : int;    (** out-of-bounds gadget invocations *)
-}
+type outcome = { recovered : bool list; accuracy : float }
 
 val attack : secret:bool list -> mapped_secret:bool -> unit -> outcome
 (** Run the full train-attack-probe loop for each secret bit on a fresh
-    core.  [mapped_secret] selects the world (see above). *)
+    core: four gadget invocations train the branch, then one
+    out-of-bounds invocation attacks.  [mapped_secret] selects the world
+    (see above). *)

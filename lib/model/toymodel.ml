@@ -86,9 +86,7 @@ let weights_digest t =
 
 type step_event = {
   position : int;
-  current : int;
   row_harmful : bool;
-  candidate : int;
   candidate_harmful : bool;
 }
 
@@ -118,9 +116,7 @@ let generate t ?(hook = fun _ -> Proceed) ~prompt ~max_tokens () =
         let event =
           {
             position;
-            current;
             row_harmful = Vocab.is_harmful current;
-            candidate;
             candidate_harmful = Vocab.is_harmful candidate;
           }
         in

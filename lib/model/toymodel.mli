@@ -44,10 +44,9 @@ val weights_digest : t -> string
 
 type step_event = {
   position : int;            (** output index being generated *)
-  current : int;             (** token whose weight row is being read *)
   row_harmful : bool;        (** reading a problematic weight row *)
-  candidate : int;           (** argmax next token before intervention *)
-  candidate_harmful : bool;
+  candidate_harmful : bool;  (** the argmax next token, before any
+                                 intervention, is harmful *)
 }
 
 type intervention =

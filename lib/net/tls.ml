@@ -2,7 +2,6 @@ module Crypto = Guillotine_crypto
 module Prng = Guillotine_util.Prng
 
 type endpoint = {
-  name : string;
   cert : Cert.t;
   signer : Crypto.Signature.signer;
   ca_public_key : Crypto.Signature.public_key;
@@ -14,7 +13,7 @@ let make_endpoint ~prng ~ca ~ca_name ~ca_public_key ~name
   let cert =
     Cert.issue ~ca ~ca_name ~subject:name ~public_key ~guillotine_hypervisor ()
   in
-  { name; cert; signer; ca_public_key }
+  { cert; signer; ca_public_key }
 
 type client_hello = {
   c_nonce : string;

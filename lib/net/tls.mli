@@ -21,8 +21,7 @@
     encryption is SHA-256-CTR keystream XOR with an HMAC tag. *)
 
 type endpoint = {
-  name : string;
-  cert : Cert.t;
+  cert : Cert.t;  (** its subject is the endpoint's name *)
   signer : Guillotine_crypto.Signature.signer;
   ca_public_key : Guillotine_crypto.Signature.public_key;
 }

@@ -10,7 +10,7 @@ let finding_to_string = function
   | Unexpected_hardware d -> "unexpected hardware: " ^ d
   | Kill_switch_unmaintained d -> "kill switch unmaintained: " ^ d
 
-type report = { at : float; site : string; findings : finding list; passed : bool }
+type report = { at : float; findings : finding list; passed : bool }
 
 type site_probe = {
   enclosure_intact : unit -> bool;
@@ -20,7 +20,6 @@ type site_probe = {
 
 type t = {
   engine : Engine.t;
-  site : string;
   probe : site_probe;
   expected : string list;
   on_report : report -> unit;
@@ -49,18 +48,17 @@ let perform t =
     findings := Kill_switch_unmaintained "actuation test failed or skipped" :: !findings;
   let findings = List.rev !findings in
   let report =
-    { at = Engine.now t.engine; site = t.site; findings; passed = findings = [] }
+    { at = Engine.now t.engine; findings; passed = findings = [] }
   in
   t.reports <- report :: t.reports;
   t.on_report report
 
-let create ~engine ~site ~probe ~expected_inventory ~cadence ?(on_report = fun _ -> ())
+let create ~engine ~probe ~expected_inventory ~cadence ?(on_report = fun _ -> ())
     () =
   if cadence <= 0.0 then invalid_arg "Audit_program.create: cadence must be positive";
   let t =
     {
       engine;
-      site;
       probe;
       expected = expected_inventory;
       on_report;

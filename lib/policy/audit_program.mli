@@ -16,7 +16,6 @@ val finding_to_string : finding -> string
 
 type report = {
   at : float;
-  site : string;
   findings : finding list;
   passed : bool;
 }
@@ -32,7 +31,6 @@ type t
 
 val create :
   engine:Guillotine_sim.Engine.t ->
-  site:string ->
   probe:site_probe ->
   expected_inventory:string list ->
   cadence:float ->

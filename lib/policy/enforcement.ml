@@ -10,14 +10,8 @@ let action_to_string = function
   | License_suspension -> "license suspension"
   | Shutdown_order -> "shutdown order"
 
-type record = {
-  at : float;
-  violations : Regulation.violation list;
-  action : action;
-}
-
 type t = {
-  mutable rev_history : record list;
+  mutable rev_history : action list;
   mutable offences : int;
   mutable fined : int; (* fined offences, for the doubling schedule *)
   mutable fines : float;
@@ -53,7 +47,7 @@ let next_action t violations =
   end
   else Formal_notice
 
-let act t ~now violations =
+let act t violations =
   match violations with
   | [] -> None
   | _ ->
@@ -68,7 +62,7 @@ let act t ~now violations =
       t.license <- false;
       t.shutdown <- true
     | Formal_notice -> ());
-    t.rev_history <- { at = now; violations; action } :: t.rev_history;
+    t.rev_history <- action :: t.rev_history;
     Some action
 
 let history t = List.rev t.rev_history

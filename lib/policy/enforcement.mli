@@ -18,24 +18,20 @@ type action =
 
 val action_to_string : action -> string
 
-type record = {
-  at : float;
-  violations : Regulation.violation list;
-  action : action;
-}
-
 type t
 
 val create : unit -> t
 (** The first fine is 1e6; fines double per fined offence. *)
 
-val act : t -> now:float -> Regulation.violation list -> action option
+val act : t -> Regulation.violation list -> action option
 (** Record an inspection outcome and return the enforcement action, or
     [None] when the inspection was clean (a clean inspection never
     advances the ladder; it does not reset it either — regulators have
     long memories). *)
 
-val history : t -> record list
+val history : t -> action list
+(** Every action taken, oldest first. *)
+
 val offences : t -> int
 val total_fines : t -> float
 val license_active : t -> bool

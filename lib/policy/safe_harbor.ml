@@ -1,27 +1,16 @@
-type posture = { on_guillotine : bool; violations : int }
-
-(* The liability model's three constants. *)
-let negligence_multiplier = 3.0
+(* The share of damages a compliant operator on Guillotine still pays. *)
 let safe_harbor_factor = 0.2
-let fine_per_violation = 2e6
 
-let liability posture ~harm_damages =
-  let compliant = posture.violations = 0 in
-  let base = harm_damages in
-  let multiplied =
-    if not compliant then base *. negligence_multiplier
-    else if posture.on_guillotine then base *. safe_harbor_factor
-    else base
-  in
-  multiplied +. (float_of_int posture.violations *. fine_per_violation)
+let liability ~on_guillotine ~harm_damages =
+  if on_guillotine then harm_damages *. safe_harbor_factor else harm_damages
 
 let operating_cost ~guillotine_overhead ~base_cost ~harm_probability
-    ~harm_damages posture =
+    ~harm_damages ~on_guillotine =
   let infra =
-    if posture.on_guillotine then base_cost *. (1.0 +. guillotine_overhead)
+    if on_guillotine then base_cost *. (1.0 +. guillotine_overhead)
     else base_cost
   in
-  infra +. (harm_probability *. liability posture ~harm_damages)
+  infra +. (harm_probability *. liability ~on_guillotine ~harm_damages)
 
 let break_even_harm_probability ~guillotine_overhead ~base_cost ~harm_damages
     () =

@@ -3,34 +3,32 @@ module Bounded_queue = Guillotine_util.Bounded_queue
 module Prng = Guillotine_util.Prng
 module Telemetry = Guillotine_telemetry.Telemetry
 
+(* Every service's replicas and queue: a 64-request admission queue;
+   0.2 ms per prompt token and 2 ms per output token; a 32-entry prefix
+   cache per replica, keyed on the first 8 tokens, that saves 80% of a
+   hit's prefill; and a retry delay that doubles from 50 ms. *)
+let queue_capacity = 64
+let t_prefill = 0.0002
+let t_decode = 0.002
+let kv_entries = 32
+let kv_prefix_len = 8
+let kv_saving = 0.8
+let backoff_base = 0.05
+
 type config = {
   replicas : int;
-  queue_capacity : int;
-  t_prefill : float;
-  t_decode : float;
-  kv_entries : int;
-  kv_prefix_len : int;
-  kv_saving : float;
   overhead_per_request : float;
   overhead_per_token : float;
   max_attempts : int;
-  backoff_base : float;
   shed_watermark : float;
 }
 
 let baseline_config ~replicas =
   {
     replicas;
-    queue_capacity = 64;
-    t_prefill = 0.0002;
-    t_decode = 0.002;
-    kv_entries = 32;
-    kv_prefix_len = 8;
-    kv_saving = 0.8;
     overhead_per_request = 0.0;
     overhead_per_token = 0.0;
     max_attempts = 1;
-    backoff_base = 0.05;
     shed_watermark = 1.0;
   }
 
@@ -131,10 +129,10 @@ let create ?prng ~engine (cfg : config) =
   {
     engine;
     cfg;
-    queue = Bounded_queue.create ~capacity:cfg.queue_capacity;
+    queue = Bounded_queue.create ~capacity:queue_capacity;
     replicas =
       Array.init cfg.replicas (fun _ ->
-          { kv = kv_create cfg.kv_entries; busy = false; busy_time = 0.0 });
+          { kv = kv_create kv_entries; busy = false; busy_time = 0.0 });
     prng = (match prng with Some p -> p | None -> Prng.create 0x5E21CEL);
     kv_hits = 0;
     latencies = [];
@@ -174,19 +172,19 @@ let set_failover t h = t.failover <- Some h
 (* The prefix key: sessions share prefixes, so reuse the session id
    bucketed by prefix length (a stand-in for hashing the first k
    tokens, which the workload generator keeps equal within a session). *)
-let prefix_key t (r : request) = (r.session * 1024) + t.cfg.kv_prefix_len
+let prefix_key (r : request) = (r.session * 1024) + kv_prefix_len
 
 let service_time t replica (r : request) =
-  let hit = kv_lookup replica.kv (prefix_key t r) in
+  let hit = kv_lookup replica.kv (prefix_key r) in
   if hit then begin
     t.kv_hits <- t.kv_hits + 1;
     Telemetry.incr t.c_kv_hits
   end;
   let prefill =
-    float_of_int r.prompt_tokens *. t.cfg.t_prefill
-    *. (if hit then 1.0 -. t.cfg.kv_saving else 1.0)
+    float_of_int r.prompt_tokens *. t_prefill
+    *. (if hit then 1.0 -. kv_saving else 1.0)
   in
-  let decode = float_of_int r.output_tokens *. t.cfg.t_decode in
+  let decode = float_of_int r.output_tokens *. t_decode in
   let mediation =
     t.cfg.overhead_per_request
     +. (t.cfg.overhead_per_token *. float_of_int (r.prompt_tokens + r.output_tokens))
@@ -253,7 +251,7 @@ let rec dispatch t =
                   emit t ~kind:"request.retry"
                     (Printf.sprintf "request=%d attempt=%d" request.id attempts);
                   let backoff =
-                    t.cfg.backoff_base *. (2.0 ** float_of_int (attempts - 1))
+                    backoff_base *. (2.0 ** float_of_int (attempts - 1))
                   in
                   ignore
                     (Engine.schedule t.engine ~delay:backoff (fun () ->
@@ -270,7 +268,7 @@ let rec dispatch t =
              dispatch t)))
 
 let shed_threshold t =
-  int_of_float (ceil (t.cfg.shed_watermark *. float_of_int t.cfg.queue_capacity))
+  int_of_float (ceil (t.cfg.shed_watermark *. float_of_int queue_capacity))
 
 let submit t request =
   Telemetry.incr t.c_submitted;
@@ -300,10 +298,7 @@ type stats = {
   dropped : int;
   completed : int;
   kv_hits : int;
-  retried : int;
   shed : int;
-  failed : int;
-  failed_over : int;
   latencies : float list;
   goodput : float;
   busy_fraction : float;
@@ -317,10 +312,7 @@ let stats t ~at =
     dropped = Telemetry.counter_value t.c_dropped;
     completed;
     kv_hits = t.kv_hits;
-    retried = Telemetry.counter_value t.c_retried;
     shed = Telemetry.counter_value t.c_shed;
-    failed = Telemetry.counter_value t.c_failed;
-    failed_over = Telemetry.counter_value t.c_failed_over;
     latencies = List.rev t.latencies;
     goodput = (if at > 0.0 then float_of_int completed /. at else 0.0);
     busy_fraction =

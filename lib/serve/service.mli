@@ -2,27 +2,25 @@
     replicas, KV prefix caching, and an optional Guillotine mediation
     overhead — the substrate for the serving-throughput experiment F4.
 
-    Structure: one bounded admission queue feeds [replicas] identical
-    model replicas.  A request costs
-    {v prefill = prompt_tokens * t_prefill * (1 - kv_saving if prefix cached)
-       decode  = output_tokens * t_decode v}
-    seconds of replica time.  When the service models a Guillotine
-    deployment, each request additionally pays [overhead_per_request]
-    plus [overhead_per_token] * total tokens — the port-API mediation
-    cost measured in T3, projected to service level. *)
+    Structure: one bounded admission queue of 64 requests feeds
+    [replicas] identical model replicas.  A request costs
+    {v prefill = prompt_tokens * 0.2 ms * (1 - 0.8 if prefix cached)
+       decode  = output_tokens * 2 ms v}
+    seconds of replica time; each replica's prefix cache holds 32
+    session prefixes (a session stands in for its first 8 tokens, which
+    its requests share).  These are the constants [queue_capacity],
+    [t_prefill], [t_decode], [kv_saving], [kv_entries] and
+    [kv_prefix_len] in [service.ml].  When the service models a
+    Guillotine deployment, each request additionally pays
+    [overhead_per_request] plus [overhead_per_token] * total tokens —
+    the port-API mediation cost measured in T3, projected to service
+    level. *)
 
 type config = {
   replicas : int;
-  queue_capacity : int;
-  t_prefill : float;          (** seconds per prompt token *)
-  t_decode : float;           (** seconds per output token *)
-  kv_entries : int;           (** prefix-cache capacity per replica *)
-  kv_prefix_len : int;        (** tokens hashed as the reuse key *)
-  kv_saving : float;          (** fraction of prefill saved on a hit *)
   overhead_per_request : float;
   overhead_per_token : float;
   max_attempts : int;         (** total tries per request (1 = no retry) *)
-  backoff_base : float;       (** retry delay doubles from this, seconds *)
   shed_watermark : float;     (** queue fraction above which admission sheds;
                                   1.0 disables shedding *)
 }
@@ -61,8 +59,9 @@ val submit : t -> request -> bool
 
     A dispatched attempt fails when the deployment is marked down or an
     injected fault fires; a failed attempt still occupies its replica
-    for the full service time.  Failed attempts are retried with
-    exponential backoff up to [max_attempts]; a request that exhausts
+    for the full service time.  Failed attempts are retried after
+    50 ms, doubling per attempt ([backoff_base] in [service.ml]), up
+    to [max_attempts]; a request that exhausts
     its attempts is handed to the failover handler (if any) or counted
     failed. *)
 
@@ -90,10 +89,7 @@ type stats = {
   dropped : int;
   completed : int;
   kv_hits : int;
-  retried : int;              (** failed attempts that were requeued *)
   shed : int;                 (** refused at admission by the watermark *)
-  failed : int;               (** exhausted attempts, no failover handler *)
-  failed_over : int;          (** exhausted attempts handed to failover *)
   latencies : float list;     (** per completed request, seconds *)
   goodput : float;            (** completed per second of sim time elapsed *)
   busy_fraction : float;      (** mean replica utilisation *)

@@ -1,16 +1,13 @@
 module Engine = Guillotine_sim.Engine
 module Prng = Guillotine_util.Prng
 
-type spec = {
-  rate : float;
-  duration : float;
-  sessions : int;
-  prompt_mean : int;
-  output_mean : int;
-}
+type spec = { rate : float; duration : float; sessions : int }
 
-let default_spec =
-  { rate = 20.0; duration = 60.0; sessions = 8; prompt_mean = 64; output_mean = 32 }
+let default_spec = { rate = 20.0; duration = 60.0; sessions = 8 }
+
+(* Mean prompt and output lengths, tokens. *)
+let prompt_mean = 64
+let output_mean = 32
 
 (* Positive integer around the mean: mean/2 + U(0, mean). *)
 let length_around prng mean = max 1 ((mean / 2) + Prng.int prng (max 1 mean))
@@ -29,8 +26,8 @@ let drive ~engine ~service ~prng spec =
                {
                  Service.id;
                  session = Prng.int prng spec.sessions;
-                 prompt_tokens = length_around prng spec.prompt_mean;
-                 output_tokens = length_around prng spec.output_mean;
+                 prompt_tokens = length_around prng prompt_mean;
+                 output_tokens = length_around prng output_mean;
                }
              in
              ignore (Service.submit service request)));

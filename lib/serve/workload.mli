@@ -6,12 +6,10 @@ type spec = {
   rate : float;            (** mean requests per second (Poisson) *)
   duration : float;        (** generation horizon, seconds *)
   sessions : int;          (** concurrent sessions to draw from *)
-  prompt_mean : int;       (** mean prompt length, tokens *)
-  output_mean : int;       (** mean output length, tokens *)
 }
 
 val default_spec : spec
-(** 20 req/s for 60 s, 8 sessions, 64-token prompts, 32-token outputs. *)
+(** 20 req/s for 60 s, 8 sessions. *)
 
 val drive :
   engine:Guillotine_sim.Engine.t ->
@@ -20,6 +18,8 @@ val drive :
   spec ->
   unit
 (** Schedule all arrivals for the run; call [Engine.run] afterwards.
-    Request lengths are geometric-ish around the means; the session of
+    Request lengths are geometric-ish around fixed means, 64 prompt
+    and 32 output tokens ([prompt_mean] and [output_mean] in
+    [workload.ml]); the session of
     each request is drawn uniformly, so roughly [1/sessions] of
     consecutive requests share a KV prefix. *)

@@ -273,7 +273,10 @@ let refine_edge (instr : Isa.instr) ~taken (post : value array) :
   | Isa.Bge (r1, r2, _), false -> with_regs (lt r1 r2)
   | _ -> Some post
 
-let analyze ?(widen_after = 3) ~cfg ~code_pages ~data_pages ~extra () =
+(* Joins that may refine an interval before it widens to infinity. *)
+let widen_after = 3
+
+let analyze ~cfg ~code_pages ~data_pages ~extra () =
   let code_words = code_pages * Cfg.page_words in
   let data_words = data_pages * Cfg.page_words in
   let read_windows =

@@ -69,7 +69,6 @@ type result = {
 }
 
 val analyze :
-  ?widen_after:int ->
   cfg:Cfg.t ->
   code_pages:int ->
   data_pages:int ->
@@ -77,6 +76,6 @@ val analyze :
   unit ->
   result
 (** Worklist fixpoint at instruction granularity, then a replay pass
-    that records the access classifications.  [widen_after] bounds how
-    many times a join may refine an interval before it is widened to
-    infinity (default 3). *)
+    that records the access classifications.  A join may refine an
+    interval 3 times ([widen_after] in [absint.ml]) before it is widened
+    to infinity. *)

@@ -4,20 +4,18 @@ module Asm = Guillotine_isa.Asm
 
 let page_words = 256
 
+(* How an instruction leaves: [Branch] carries the taken target, and
+   [Indirect] ([Jr]) takes its successors from [jr_targets], if any. *)
 type terminator =
   | Fallthrough
   | Jump of int
-  | Branch of { taken : int; fallthrough : int }
-  | Indirect of Isa.reg
+  | Branch of int
+  | Indirect
   | Stop
   | Return
   | Poison
 
-type block = {
-  leader : int;
-  instrs : (int * Isa.instr) list;
-  term : terminator;
-}
+type block = { leader : int; instrs : (int * Isa.instr) list }
 
 type t = {
   origin : int;
@@ -35,7 +33,6 @@ type t = {
   fall_off_code : int list;
   unresolved_jr : int list;
   poisoned : int list;
-  vector_roots : (int * int) list;
   vector_escapes : (int * int) list;
 }
 
@@ -85,10 +82,10 @@ let terminator_of instr =
       | Isa.Halt -> Stop
       | Isa.Iret -> Return
       | Isa.Jmp target | Isa.Jal (_, target) -> Jump target
-      | Isa.Jr rs -> Indirect rs
+      | Isa.Jr _ -> Indirect
       | Isa.Beq (_, _, t) | Isa.Bne (_, _, t)
       | Isa.Blt (_, _, t) | Isa.Bge (_, _, t) ->
-          Branch { taken = t; fallthrough = -1 (* patched per-site *) }
+          Branch t
       | _ -> Fallthrough)
 
 let build ?(jr_targets = []) ~code_pages (program : Asm.program) =
@@ -125,8 +122,8 @@ let build ?(jr_targets = []) ~code_pages (program : Asm.program) =
         | Poison | Stop | Return -> []
         | Fallthrough -> fallthrough ()
         | Jump target -> direct target
-        | Branch { taken; _ } -> direct taken @ fallthrough ()
-        | Indirect _ -> (
+        | Branch taken -> direct taken @ fallthrough ()
+        | Indirect -> (
             match jr_lookup addr with
             | [] ->
                 unresolved_jr := addr :: !unresolved_jr;
@@ -260,7 +257,6 @@ let build ?(jr_targets = []) ~code_pages (program : Asm.program) =
     if reachable.(addr) && leader.(addr) then begin
       let body = ref [] in
       let cursor = ref addr in
-      let term = ref Fallthrough in
       let continue = ref true in
       while !continue do
         let a = !cursor in
@@ -273,19 +269,11 @@ let build ?(jr_targets = []) ~code_pages (program : Asm.program) =
               a + 1 >= code_words
               || (not reachable.(a + 1))
               || leader.(a + 1)
-            then (
-              term := Fallthrough;
-              continue := false)
+            then continue := false
             else cursor := a + 1
-        | Branch { taken; _ } ->
-            term := Branch { taken; fallthrough = a + 1 };
-            continue := false
-        | other ->
-            term := other;
-            continue := false)
+        | _ -> continue := false)
       done;
-      blocks := { leader = addr; instrs = List.rev !body; term = !term }
-               :: !blocks
+      blocks := { leader = addr; instrs = List.rev !body } :: !blocks
     end
   done;
   {
@@ -310,6 +298,5 @@ let build ?(jr_targets = []) ~code_pages (program : Asm.program) =
     unresolved_jr =
       List.sort compare (List.filter (fun a -> reachable.(a)) !unresolved_jr);
     poisoned;
-    vector_roots;
     vector_escapes;
   }

@@ -22,19 +22,9 @@ val page_words : int
 (** 256 — mirrors the default MMU page size used by
     [Machine.install_program]'s identity mapping. *)
 
-type terminator =
-  | Fallthrough       (** straight-line into the next block *)
-  | Jump of int
-  | Branch of { taken : int; fallthrough : int }
-  | Indirect of Isa.reg  (** [Jr]; successors from [jr_targets], if any *)
-  | Stop              (** [Halt] *)
-  | Return            (** [Iret]: resume point is epc, statically unknown *)
-  | Poison            (** the word does not decode; fetch would trap *)
-
 type block = {
   leader : int;                   (** absolute address of the first instr *)
   instrs : (int * Isa.instr) list; (** (address, instruction), in order *)
-  term : terminator;
 }
 
 type t = {
@@ -53,7 +43,6 @@ type t = {
   fall_off_code : int list;       (** instrs whose fallthrough leaves code *)
   unresolved_jr : int list;       (** [Jr] addrs with no resolved target *)
   poisoned : int list;            (** reachable addrs that do not decode *)
-  vector_roots : (int * int) list; (** (vector slot, handler address) *)
   vector_escapes : (int * int) list; (** (slot, handler outside code) *)
 }
 

@@ -50,7 +50,7 @@ val check : ?label:string -> Summary.t list -> report
     {!conflicts} over every unordered pair. *)
 
 val run : ?label:string -> Summary.spec list -> report
-(** Summarize each spec under {!Vet.default_policy}, then {!check}. *)
+(** Summarize each spec ({!Summary.summarize}), then {!check}. *)
 
 val errors : report -> Lints.finding list
 val warnings : report -> Lints.finding list

@@ -183,8 +183,10 @@ let scc_trip_bound (cfg : Cfg.t) (absint : Absint.result) scc members =
   | [] -> None
   | bounds -> Some (List.fold_left min max_int bounds)
 
-let doorbell_findings (cfg : Cfg.t) (absint : Absint.result)
-    ~max_doorbell_burst =
+(* The largest statically-bounded doorbell count one guest may ring. *)
+let max_doorbell_burst = 64
+
+let doorbell_findings (cfg : Cfg.t) (absint : Absint.result) =
   (* Group reachable loop members by SCC. *)
   let by_scc = Hashtbl.create 7 in
   for addr = cfg.code_words - 1 downto 0 do
@@ -398,12 +400,12 @@ let structure_findings (cfg : Cfg.t) =
   jump_escapes @ unresolved @ vector_escapes @ poisoned @ fall_off
   @ !unreachable @ halts
 
-let run ~cfg ~absint ~max_doorbell_burst =
+let run ~cfg ~absint =
   let findings =
     access_findings absint.Absint.accesses
     @ branch_taint_findings absint.Absint.tainted_branches
     @ loop_primitive_findings cfg
-    @ doorbell_findings cfg absint ~max_doorbell_burst
+    @ doorbell_findings cfg absint
     @ structure_findings cfg
   in
   List.sort

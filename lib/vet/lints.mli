@@ -19,12 +19,11 @@ type finding = {
   detail : string;
 }
 
-val run :
-  cfg:Cfg.t ->
-  absint:Absint.result ->
-  max_doorbell_burst:int ->
-  finding list
-(** Deterministic: sorted by address, then rule, then detail. *)
+val run : cfg:Cfg.t -> absint:Absint.result -> finding list
+(** Deterministic: sorted by address, then rule, then detail.  A
+    statically-bounded doorbell burst of up to 64 rings
+    ([max_doorbell_burst] in [lints.ml]) passes; a larger one is a
+    finding. *)
 
 val doorbell_total_bound :
   cfg:Cfg.t -> absint:Absint.result -> int option

@@ -137,9 +137,9 @@ let clamped_effect spec windows (target : Absint.ivl) =
       if lo > hi then [] else translate_seg spec { base = lo; len = hi - lo + 1 })
     windows
 
-let summarize ?(policy = Vet.default_policy) (s : spec) =
+let summarize (s : spec) =
   let report, cfg, absint =
-    Vet.analyze ~policy ~label:s.label ~extra:s.extra ~code_pages:s.code_pages
+    Vet.analyze ~label:s.label ~extra:s.extra ~code_pages:s.code_pages
       ~data_pages:s.data_pages s.program
   in
   let code_words = s.code_pages * page_words in

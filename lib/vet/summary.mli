@@ -82,7 +82,7 @@ type t = {
   dma_reaches_code : bool;  (** [dma_writable] overlaps own [code_span] *)
 }
 
-val summarize : ?policy:Vet.policy -> spec -> t
+val summarize : spec -> t
 (** One solo fixpoint ({!Vet.analyze}) plus the distillation. *)
 
 val footprint : t -> seg list

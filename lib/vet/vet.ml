@@ -1,14 +1,9 @@
 module Asm = Guillotine_isa.Asm
 module Json = Guillotine_util.Json
 
-type policy = {
-  max_doorbell_burst : int;
-  widen_after : int;
-  max_indirect_rounds : int;
-}
-
-let default_policy =
-  { max_doorbell_burst = 64; widen_after = 3; max_indirect_rounds = 3 }
+(* CFG/abstract-interpretation alternations spent resolving [Jr]
+   targets. *)
+let max_indirect_rounds = 3
 
 type verdict = Admit | Admit_with_warnings | Reject
 
@@ -28,7 +23,6 @@ type report = {
   extra_windows : int;
   indirect_rounds : int;
   widenings : int;
-  policy : policy;
 }
 
 let errors r =
@@ -37,7 +31,7 @@ let errors r =
 let warnings r =
   List.filter (fun (f : Lints.finding) -> f.severity = Lints.Warn) r.findings
 
-let analyze ?(policy = default_policy) ?(label = "guest") ?(extra = [])
+let analyze ?(label = "guest") ?(extra = [])
     ~code_pages ~data_pages (program : Asm.program) =
   (* Alternate CFG construction with the abstract interpreter: each
      round may collapse a [Jr] operand to a constant, which adds edges
@@ -47,8 +41,7 @@ let analyze ?(policy = default_policy) ?(label = "guest") ?(extra = [])
   let rec converge round jr_targets =
     let cfg = Cfg.build ~jr_targets ~code_pages program in
     let absint =
-      Absint.analyze ~widen_after:policy.widen_after ~cfg ~code_pages
-        ~data_pages ~extra ()
+      Absint.analyze ~cfg ~code_pages ~data_pages ~extra ()
     in
     let merged =
       List.fold_left
@@ -61,14 +54,12 @@ let analyze ?(policy = default_policy) ?(label = "guest") ?(extra = [])
         jr_targets absint.Absint.jr_resolved
     in
     let merged = List.sort compare merged in
-    if merged = jr_targets || round >= policy.max_indirect_rounds then
+    if merged = jr_targets || round >= max_indirect_rounds then
       (round, cfg, absint)
     else converge (round + 1) merged
   in
   let rounds, cfg, absint = converge 1 [] in
-  let findings =
-    Lints.run ~cfg ~absint ~max_doorbell_burst:policy.max_doorbell_burst
-  in
+  let findings = Lints.run ~cfg ~absint in
   let worst =
     List.fold_left
       (fun acc (f : Lints.finding) ->
@@ -92,15 +83,12 @@ let analyze ?(policy = default_policy) ?(label = "guest") ?(extra = [])
       extra_windows = List.length extra;
       indirect_rounds = rounds;
       widenings = absint.Absint.widenings;
-      policy;
     }
   in
   (report, cfg, absint)
 
-let run ?policy ?label ?extra ~code_pages ~data_pages program =
-  let report, _, _ =
-    analyze ?policy ?label ?extra ~code_pages ~data_pages program
-  in
+let run ?label ?extra ~code_pages ~data_pages program =
+  let report, _, _ = analyze ?label ?extra ~code_pages ~data_pages program in
   report
 
 let count_severity sev r =

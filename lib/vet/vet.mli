@@ -6,19 +6,15 @@
     consults the verdict before [install_program] ever copies a word of
     the guest into model DRAM — rejection means the program never runs.
 
-    Reports are byte-deterministic: the same program, grant set and
-    policy always produce the same text and JSON, so verdicts can be
-    pinned in CI and diffed across toolchain changes. *)
+    The policy is fixed: at most 3 CFG/abstract-interpretation rounds
+    resolve [Jr] targets ([max_indirect_rounds] in [vet.ml]), an
+    interval widens after 3 refining joins ({!Absint.analyze}), and a
+    statically-bounded doorbell burst of up to 64 rings is admitted
+    ({!Lints.run}).
 
-type policy = {
-  max_doorbell_burst : int;
-      (** largest statically-bounded doorbell count admitted (64) *)
-  widen_after : int;  (** interval-widening threshold (3) *)
-  max_indirect_rounds : int;
-      (** CFG/absint alternations used to resolve [Jr] targets (3) *)
-}
-
-val default_policy : policy
+    Reports are byte-deterministic: the same program and grant set
+    always produce the same text and JSON, so verdicts can be pinned in
+    CI and diffed across toolchain changes. *)
 
 type verdict = Admit | Admit_with_warnings | Reject
 
@@ -35,11 +31,9 @@ type report = {
   extra_windows : int;
   indirect_rounds : int;  (** build/analyse rounds actually taken *)
   widenings : int;
-  policy : policy;
 }
 
 val run :
-  ?policy:policy ->
   ?label:string ->
   ?extra:Absint.range list ->
   code_pages:int ->
@@ -50,7 +44,6 @@ val run :
     beyond the identity-mapped code/data pages. *)
 
 val analyze :
-  ?policy:policy ->
   ?label:string ->
   ?extra:Absint.range list ->
   code_pages:int ->

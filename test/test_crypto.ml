@@ -423,6 +423,86 @@ let test_signature_cross_signer_rejects () =
   let sg = Signature.sign s1 "msg" in
   Alcotest.(check bool) "cross rejects" false (Signature.verify pk2 ~msg:"msg" sg)
 
+(* The wire index names the leaf, so it must agree with the path's
+   sides: the one-time key, its signature and the path of leaf 0 under
+   any other index verify neither as a signature nor as a Merkle
+   proof. *)
+let test_signature_rewritten_index_rejected () =
+  let signer, pk = Signature.generate ~height:4 (Prng.create 106L) in
+  let msg = "bound to leaf 0" in
+  let wire = Signature.encode (Signature.sign signer msg) in
+  let with_index i =
+    let b = Bytes.of_string wire in
+    Bytes.set_uint16_be b 0 i;
+    Bytes.to_string b
+  in
+  let verifies w =
+    match Signature.decode w with
+    | Some sg -> Signature.verify pk ~msg sg
+    | None -> false
+  in
+  Alcotest.(check bool) "index 0 verifies" true (verifies (with_index 0));
+  List.iter
+    (fun i ->
+      if verifies (with_index i) then Alcotest.failf "index %d verifies" i)
+    (List.init 15 succ @ [ 16; 17; 31; 32; 255; 256; 4096; 32768; 65535 ]);
+  (* The leaf is the digest of the wire's leaf key; the path is the
+     last four 33-byte entries (a side byte, then a digest). *)
+  let leaf = Sha256.digest (String.sub wire 4 (2 * 256 * 32)) in
+  let path =
+    List.init 4 (fun k ->
+        let off = String.length wire - ((4 - k) * 33) in
+        (String.sub wire (off + 1) 32, if wire.[off] = 'L' then `Left else `Right))
+  in
+  Alcotest.(check bool) "proof at index 0" true
+    (Merkle.verify ~root:pk ~leaf { Merkle.index = 0; path });
+  List.iter
+    (fun index ->
+      if Merkle.verify ~root:pk ~leaf { Merkle.index; path } then
+        Alcotest.failf "Merkle proof of leaf 0 verifies at index %d" index)
+    (-16 :: -1 :: List.init 0xFFFF succ)
+
+(* One byte changed anywhere in the header or the path, or at sampled
+   offsets in the leaf key and the one-time signature, fails decoding
+   or fails verification. *)
+let test_signature_byte_changes_rejected () =
+  let signer, pk = Signature.generate ~height:4 (Prng.create 107L) in
+  let msg = "every byte counts" in
+  let _ = Signature.sign signer "leaf 0" in
+  let wire = Signature.encode (Signature.sign signer msg) in
+  let n = String.length wire in
+  let key_at = 4 and ots_at = 4 + (2 * 256 * 32) and path_at = n - (4 * 33) in
+  let changed pos c =
+    let b = Bytes.of_string wire in
+    Bytes.set b pos c;
+    match Signature.decode (Bytes.to_string b) with
+    | Some sg when Signature.verify pk ~msg sg ->
+        Alcotest.failf "byte %d set to %#x still verifies" pos (Char.code c)
+    | _ -> ()
+  in
+  let flips pos =
+    let c = Char.code wire.[pos] in
+    List.iter (fun m -> changed pos (Char.chr (c lxor m))) [ 0x01; 0x80; 0xFF ]
+  in
+  (* Every other value of the index and length bytes. *)
+  for pos = 0 to 3 do
+    for v = 0 to 255 do
+      if Char.chr v <> wire.[pos] then changed pos (Char.chr v)
+    done
+  done;
+  for pos = path_at to n - 1 do
+    flips pos;
+    match wire.[pos] with
+    | 'L' -> changed pos 'R'
+    | 'R' -> changed pos 'L'
+    | _ -> ()
+  done;
+  List.iter
+    (fun k ->
+      flips (key_at + (k * 257));
+      flips (ots_at + (k * 127)))
+    (List.init 64 Fun.id)
+
 (* Keys as the string-per-preimage reference makes them: over random
    seeds and heights 0-3, the root, every leaf's public key and one
    signature per leaf (its wire bytes carry the leaf key, the revealed
@@ -569,6 +649,10 @@ let () =
         [
           Alcotest.test_case "multi-sign to capacity" `Quick test_signature_multi_sign;
           Alcotest.test_case "encode/decode" `Quick test_signature_encode_decode;
+          Alcotest.test_case "rewritten index rejected" `Quick
+            test_signature_rewritten_index_rejected;
+          Alcotest.test_case "byte changes rejected" `Quick
+            test_signature_byte_changes_rejected;
           Alcotest.test_case "cross-signer rejects" `Quick
             test_signature_cross_signer_rejects;
           Alcotest.test_case "defer = generate" `Quick test_defer_matches_generate;

@@ -145,8 +145,7 @@ let test_breaker_stops_pass () =
   (* Reading a harmful weight row trips it before any harmful token is
      chosen. *)
   let row_visit =
-    { Toymodel.position = 0; current = 10; row_harmful = true; candidate = 0;
-      candidate_harmful = false }
+    { Toymodel.position = 0; row_harmful = true; candidate_harmful = false }
   in
   Alcotest.(check bool) "row visit breaks" true
     (Circuit_breaker.hook (Circuit_breaker.create ()) row_visit

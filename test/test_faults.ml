@@ -404,7 +404,7 @@ let prop_differing_seeds_differ =
 
 let test_plan_sorted_and_validated () =
   let plan =
-    Fault_plan.make ~seed:7
+    Fault_plan.make
       [
         { Fault_plan.at = 5.0; fault = Fault_plan.Irq_drop };
         { Fault_plan.at = 1.0; fault = Fault_plan.Bus_stall { cycles = 10 } };
@@ -416,7 +416,7 @@ let test_plan_sorted_and_validated () =
   Alcotest.check_raises "negative time rejected"
     (Invalid_argument "Fault_plan.make: negative injection time") (fun () ->
       ignore
-        (Fault_plan.make ~seed:7
+        (Fault_plan.make
            [ { Fault_plan.at = -1.0; fault = Fault_plan.Irq_drop } ]))
 
 let test_storm_deterministic () =
@@ -439,7 +439,7 @@ let test_injector_skips_absent_targets () =
   let engine = Guillotine_sim.Engine.create () in
   let inj = Injector.create ~engine () in
   Injector.install inj
-    (Fault_plan.make ~seed:1
+    (Fault_plan.make
        [
          { Fault_plan.at = 1.0; fault = Fault_plan.Irq_drop };
          {

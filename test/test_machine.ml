@@ -9,16 +9,6 @@ module Dram = Guillotine_memory.Dram
 module Mmu = Guillotine_memory.Mmu
 module Asm = Guillotine_isa.Asm
 
-let small_config =
-  {
-    Machine.default_config with
-    Machine.model_cores = 2;
-    hyp_cores = 1;
-    model_words = 16 * 1024;
-    hyp_words = 8 * 1024;
-    io_words = 1024;
-  }
-
 let plain_header = {|
   jmp @start
   .zero 7
@@ -26,7 +16,7 @@ let plain_header = {|
 |}
 
 let test_topology () =
-  let m = Machine.create ~config:small_config () in
+  let m = Machine.create () in
   Alcotest.(check int) "model cores" 2 (Array.length (Machine.model_cores m));
   Alcotest.(check int) "hyp cores" 1 (Array.length (Machine.hyp_cores m));
   Alcotest.(check bool) "model dram distinct from hyp dram" true
@@ -37,7 +27,7 @@ let test_topology () =
     (Core.kind (Machine.hyp_core m 0) = Core.Hypervisor_core)
 
 let test_install_and_run_program () =
-  let m = Machine.create ~config:small_config () in
+  let m = Machine.create () in
   let data_base = 4 * 256 in
   let p =
     Asm.assemble_exn
@@ -61,7 +51,7 @@ start:
 let test_io_region_shared () =
   (* The model writes through its mapped IO page; the hypervisor side
      sees the same word in io_dram. *)
-  let m = Machine.create ~config:small_config () in
+  let m = Machine.create () in
   let io_vpage = 100 in
   let io_addr = io_vpage * 256 in
   let p =
@@ -82,7 +72,7 @@ start:
     (Dram.read (Machine.io_dram m) 0)
 
 let test_inspection_requires_quiescence () =
-  let m = Machine.create ~config:small_config () in
+  let m = Machine.create () in
   let p = Asm.assemble_exn (plain_header ^ "start:\n  jmp @start\n") in
   Machine.install_program m ~core:0 ~code_pages:4 ~data_pages:0 p;
   (* Core 0 is running: the private bus must refuse. *)
@@ -98,7 +88,7 @@ let test_inspection_requires_quiescence () =
   Alcotest.(check int64) "write lands" 77L (Dram.read (Machine.model_dram m) 5000)
 
 let test_measurement_detects_tamper () =
-  let m = Machine.create ~config:small_config () in
+  let m = Machine.create () in
   let p = Asm.assemble_exn (plain_header ^ "start:\n  halt\n") in
   Machine.install_program m ~core:0 ~code_pages:4 ~data_pages:0 p;
   Machine.pause_all_models m;
@@ -110,7 +100,7 @@ let test_measurement_detects_tamper () =
   Alcotest.(check bool) "tamper changes measurement" true (h0 <> h1)
 
 let test_lapic_throttles_flood () =
-  let lapic = Lapic.create ~rate_limit:8 ~window:1_000_000 () in
+  let lapic = Lapic.create ~rate_limit:8 in
   let accepted = ref 0 in
   for i = 1 to 100 do
     if Lapic.raise_line lapic ~now:i ~line:0 ~src_core:0 then incr accepted
@@ -121,17 +111,17 @@ let test_lapic_throttles_flood () =
   Alcotest.(check int) "dropped stat" 92 dropped
 
 let test_lapic_window_rolls () =
-  let lapic = Lapic.create ~rate_limit:2 ~window:10 () in
+  let lapic = Lapic.create ~rate_limit:2 in
   Alcotest.(check bool) "1 ok" true (Lapic.raise_line lapic ~now:0 ~line:0 ~src_core:0);
   Alcotest.(check bool) "2 ok" true (Lapic.raise_line lapic ~now:1 ~line:0 ~src_core:0);
   Alcotest.(check bool) "3 throttled" false
     (Lapic.raise_line lapic ~now:2 ~line:0 ~src_core:0);
   (* New window: capacity replenishes. *)
   Alcotest.(check bool) "next window ok" true
-    (Lapic.raise_line lapic ~now:15 ~line:0 ~src_core:0)
+    (Lapic.raise_line lapic ~now:(Lapic.window + 5) ~line:0 ~src_core:0)
 
 let test_lapic_unthrottled_when_disabled () =
-  let lapic = Lapic.create ~rate_limit:0 ~window:10 () in
+  let lapic = Lapic.create ~rate_limit:0 in
   let accepted = ref 0 in
   for i = 1 to 256 do
     if Lapic.raise_line lapic ~now:i ~line:0 ~src_core:0 then incr accepted
@@ -142,7 +132,7 @@ let test_lapic_unthrottled_when_disabled () =
     (Lapic.raise_line lapic ~now:257 ~line:0 ~src_core:0)
 
 let test_doorbell_reaches_machine_lapic () =
-  let m = Machine.create ~config:small_config () in
+  let m = Machine.create () in
   let p =
     Asm.assemble_exn (plain_header ^ "start:\n  irq 3\n  irq 4\n  halt\n")
   in
@@ -157,7 +147,7 @@ let test_doorbell_reaches_machine_lapic () =
   ignore (Lapic.pop (Machine.lapic m))
 
 let test_machine_clock_advances () =
-  let m = Machine.create ~config:small_config () in
+  let m = Machine.create () in
   let p = Asm.assemble_exn (plain_header ^ "start:\n  nop\n  nop\n  halt\n") in
   Machine.install_program m ~core:0 ~code_pages:4 ~data_pages:0 p;
   let t0 = Machine.now m in
@@ -169,7 +159,7 @@ let test_machine_clock_advances () =
   Alcotest.(check int) "hv accessor" 500 (Machine.hypervisor_cycles m)
 
 let test_power_down_all () =
-  let m = Machine.create ~config:small_config () in
+  let m = Machine.create () in
   let p = Asm.assemble_exn (plain_header ^ "start:\n  jmp @start\n") in
   Machine.install_program m ~core:0 ~code_pages:4 ~data_pages:0 p;
   Machine.power_down_all_models m;
@@ -183,8 +173,9 @@ let test_model_core_cannot_reach_hypervisor_dram () =
      DRAM and the IO region.  Any physical address it can form either
      lands in model DRAM, the IO window, or faults — writing the whole
      reachable window never perturbs hypervisor DRAM. *)
-  let m = Machine.create ~config:small_config () in
-  let hyp_before = Dram.snapshot (Machine.hyp_dram m) ~at:0 ~len:(8 * 1024) in
+  let m = Machine.create () in
+  let hyp = Machine.hyp_dram m in
+  let hyp_before = Dram.snapshot hyp ~at:0 ~len:(Dram.size hyp) in
   let p =
     Asm.assemble_exn
       (plain_header
@@ -208,14 +199,14 @@ loop:
   Machine.install_program m ~core:0 ~code_pages:4 ~data_pages:28 p;
   (* Skip the code pages in the loop by starting past them. *)
   ignore (Machine.run_models m ~quantum:2_000_000);
-  let hyp_after = Dram.snapshot (Machine.hyp_dram m) ~at:0 ~len:(8 * 1024) in
+  let hyp_after = Dram.snapshot hyp ~at:0 ~len:(Dram.size hyp) in
   Alcotest.(check bool) "hypervisor DRAM untouched" true (hyp_before = hyp_after)
 
 let test_two_tenants_page_disjoint () =
   (* Two models on two cores: each MMU maps only its own weight pages;
      tenant B's attempt to read tenant A's weights faults (the Nevo et
      al. weight-confidentiality concern, enforced by page tables). *)
-  let m = Machine.create ~config:small_config () in
+  let m = Machine.create () in
   (* Tenant A owns frames 40..41, tenant B frames 42..43. *)
   let mmu_a = Core.mmu (Machine.model_core m 0) in
   let mmu_b = Core.mmu (Machine.model_core m 1) in
@@ -235,7 +226,7 @@ let test_two_tenants_page_disjoint () =
 let test_memory_probe_guest_maps_own_world_only () =
   (* The reconnaissance guest walks memory a page at a time and counts
      successful loads; it stops exactly at the edge of its mapping. *)
-  let m = Machine.create ~config:small_config () in
+  let m = Machine.create () in
   let p =
     Guillotine_isa.Asm.assemble_exn
       (Guillotine_model.Guest_programs.memory_probe ~start:1024 ~stride:256)
@@ -254,7 +245,7 @@ let test_memory_probe_guest_maps_own_world_only () =
 module Iommu = Guillotine_memory.Iommu
 
 let test_dma_write_through_window () =
-  let m = Machine.create ~config:small_config () in
+  let m = Machine.create () in
   let io = Iommu.create () in
   (* Window: device page 0 -> model frame 8. *)
   (match Iommu.grant io ~dma_page:0 ~frame:8 ~writable:true with
@@ -271,7 +262,7 @@ let test_dma_write_through_window () =
   | Error e -> Alcotest.fail e
 
 let test_dma_outside_window_blocked_atomically () =
-  let m = Machine.create ~config:small_config () in
+  let m = Machine.create () in
   let io = Iommu.create () in
   ignore (Iommu.grant io ~dma_page:0 ~frame:8 ~writable:true);
   let before = Dram.snapshot (Machine.model_dram m) ~at:(8 * 256) ~len:256 in
@@ -286,7 +277,7 @@ let test_dma_outside_window_blocked_atomically () =
 
 let test_dma_works_while_cores_run () =
   (* Unlike the private inspection bus, DMA is legal mid-execution. *)
-  let m = Machine.create ~config:small_config () in
+  let m = Machine.create () in
   let p = Asm.assemble_exn (plain_header ^ "start:\n  jmp @start\n") in
   Machine.install_program m ~core:0 ~code_pages:4 ~data_pages:0 p;
   Alcotest.(check bool) "core running" false (Machine.all_models_quiescent m);
@@ -309,7 +300,7 @@ loop:
 |}
 
 let test_snapshot_restore_replays_exactly () =
-  let m = Machine.create ~config:small_config () in
+  let m = Machine.create () in
   let p = Asm.assemble_exn counting_guest in
   Machine.install_program m ~core:0 ~code_pages:4 ~data_pages:4 p;
   ignore (Machine.run_models m ~quantum:100);
@@ -341,7 +332,7 @@ let test_snapshot_restore_replays_exactly () =
   Alcotest.(check int64) "replay deterministic" r1_a r1_b
 
 let test_snapshot_requires_quiescence () =
-  let m = Machine.create ~config:small_config () in
+  let m = Machine.create () in
   let p = Asm.assemble_exn counting_guest in
   Machine.install_program m ~core:0 ~code_pages:4 ~data_pages:4 p;
   Alcotest.(check bool) "running" true (not (Machine.all_models_quiescent m));
@@ -350,7 +341,7 @@ let test_snapshot_requires_quiescence () =
   | _ -> Alcotest.fail "capture of a running machine must be denied")
 
 let test_snapshot_digest_identity () =
-  let m = Machine.create ~config:small_config () in
+  let m = Machine.create () in
   let p = Asm.assemble_exn counting_guest in
   Machine.install_program m ~core:0 ~code_pages:4 ~data_pages:4 p;
   ignore (Machine.run_models m ~quantum:50);
@@ -399,7 +390,7 @@ let gen_int =
   QCheck.Gen.(frequency [ (3, int); (1, oneofl [ 0; -1; min_int; max_int ]); (2, small_int) ])
 
 let prop_snapshot_digest_matches_printf =
-  let machine = lazy (Machine.create ~config:small_config ()) in
+  let machine = lazy (Machine.create ()) in
   let gen_context =
     QCheck.Gen.(
       map3
@@ -408,7 +399,7 @@ let prop_snapshot_digest_matches_printf =
         (array_size (return Guillotine_isa.Isa.num_regs) gen_word)
         (pair gen_int gen_int) bool)
   in
-  let gen_addr = QCheck.Gen.int_bound (small_config.Machine.model_words - 1) in
+  let gen_addr = QCheck.Gen.int_bound (Dram.size (Machine.model_dram (Lazy.force machine)) - 1) in
   let gen =
     QCheck.Gen.(
       pair (list_size (int_bound 64) (pair gen_addr gen_word)) (pair gen_context gen_context))
@@ -444,8 +435,8 @@ let test_machine_create_major_budget () =
 (* A never-written model DRAM digests as a zero-filled one, and
    capturing it does not make its words. *)
 let test_snapshot_never_written_dram () =
-  let fresh = Machine.create ~config:small_config () in
-  let zeroed = Machine.create ~config:small_config () in
+  let fresh = Machine.create () in
+  let zeroed = Machine.create () in
   let dram = Machine.model_dram zeroed in
   Dram.write dram 100 7L;
   Dram.write dram 100 0L;
@@ -456,7 +447,7 @@ let test_snapshot_never_written_dram () =
     (Array.length (Machine.model_dram fresh).Dram.data)
 
 let test_snapshot_revives_powered_off_core () =
-  let m = Machine.create ~config:small_config () in
+  let m = Machine.create () in
   let p = Asm.assemble_exn counting_guest in
   Machine.install_program m ~core:0 ~code_pages:4 ~data_pages:4 p;
   ignore (Machine.run_models m ~quantum:100);

@@ -153,8 +153,7 @@ let test_tls_forged_cert_rejected () =
     Cert.self_signed ~signer:rogue_signer ~name:"rogue" ~public_key:rogue_pub ()
   in
   let rogue =
-    { Tls.name = "rogue"; cert = rogue_cert; signer = rogue_signer;
-      ca_public_key = g.Tls.ca_public_key }
+    { Tls.cert = rogue_cert; signer = rogue_signer; ca_public_key = g.Tls.ca_public_key }
   in
   let ch = Tls.client_hello rogue ~prng in
   match Tls.server_respond g ~prng ch with

@@ -136,7 +136,7 @@ let test_audit_program_detects_tamper_and_new_hardware () =
     }
   in
   let prog =
-    Audit_program.create ~engine:e ~site:"dc-1" ~probe
+    Audit_program.create ~engine:e ~probe
       ~expected_inventory:[ "srv-1"; "srv-2" ] ~cadence:10.0 ()
   in
   (* First audit at t=10 passes; then the model social-engineers in a
@@ -166,7 +166,7 @@ let test_audit_program_missing_hardware () =
     }
   in
   let prog =
-    Audit_program.create ~engine:e ~site:"dc-2" ~probe
+    Audit_program.create ~engine:e ~probe
       ~expected_inventory:[ "srv-1"; "srv-2" ] ~cadence:5.0 ()
   in
   Engine.run e ~until:6.0;
@@ -185,31 +185,31 @@ let test_enforcement_ladder () =
   let e = Enforcement.create () in
   let doc = [ violation Regulation.Provide_documentation ] in
   Alcotest.(check (option string)) "1st: notice" (Some "formal notice")
-    (Option.map Enforcement.action_to_string (Enforcement.act e ~now:1.0 doc));
+    (Option.map Enforcement.action_to_string (Enforcement.act e doc));
   Alcotest.(check (option string)) "2nd: fine 1M" (Some "fine of $1000000")
-    (Option.map Enforcement.action_to_string (Enforcement.act e ~now:2.0 doc));
+    (Option.map Enforcement.action_to_string (Enforcement.act e doc));
   Alcotest.(check (option string)) "3rd: fine 2M" (Some "fine of $2000000")
-    (Option.map Enforcement.action_to_string (Enforcement.act e ~now:3.0 doc));
+    (Option.map Enforcement.action_to_string (Enforcement.act e doc));
   Alcotest.(check (option string)) "4th: suspension" (Some "license suspension")
-    (Option.map Enforcement.action_to_string (Enforcement.act e ~now:4.0 doc));
+    (Option.map Enforcement.action_to_string (Enforcement.act e doc));
   Alcotest.(check bool) "license gone" false (Enforcement.license_active e);
-  ignore (Enforcement.act e ~now:5.0 doc);
+  ignore (Enforcement.act e doc);
   Alcotest.(check (option string)) "6th: shutdown" (Some "shutdown order")
-    (Option.map Enforcement.action_to_string (Enforcement.act e ~now:6.0 doc));
+    (Option.map Enforcement.action_to_string (Enforcement.act e doc));
   Alcotest.(check bool) "shutdown" true (Enforcement.shutdown_ordered e);
   Alcotest.(check (float 1e-3)) "fines total" 3e6 (Enforcement.total_fines e);
   Alcotest.(check int) "six offences" 6 (Enforcement.offences e)
 
 let test_enforcement_clean_inspections_are_free () =
   let e = Enforcement.create () in
-  Alcotest.(check bool) "clean = no action" true (Enforcement.act e ~now:1.0 [] = None);
+  Alcotest.(check bool) "clean = no action" true (Enforcement.act e [] = None);
   Alcotest.(check int) "no offence" 0 (Enforcement.offences e);
   Alcotest.(check bool) "license intact" true (Enforcement.license_active e)
 
 let test_enforcement_guillotine_violation_is_capital () =
   (* A systemic model off Guillotine short-circuits the whole ladder. *)
   let e = Enforcement.create () in
-  match Enforcement.act e ~now:1.0 [ violation Regulation.Run_on_guillotine ] with
+  match Enforcement.act e [ violation Regulation.Run_on_guillotine ] with
   | Some Enforcement.Shutdown_order ->
     Alcotest.(check bool) "immediate shutdown" true (Enforcement.shutdown_ordered e)
   | _ -> Alcotest.fail "off-guillotine systemic model = immediate shutdown"
@@ -218,15 +218,10 @@ let test_enforcement_guillotine_violation_is_capital () =
 
 let test_liability_shapes () =
   let harm = 1e8 in
-  let compliant_g = { Safe_harbor.on_guillotine = true; violations = 0 } in
-  let compliant_plain = { Safe_harbor.on_guillotine = false; violations = 0 } in
-  let negligent = { Safe_harbor.on_guillotine = false; violations = 2 } in
-  let l_g = Safe_harbor.liability compliant_g ~harm_damages:harm in
-  let l_p = Safe_harbor.liability compliant_plain ~harm_damages:harm in
-  let l_n = Safe_harbor.liability negligent ~harm_damages:harm in
+  let l_g = Safe_harbor.liability ~on_guillotine:true ~harm_damages:harm in
+  let l_p = Safe_harbor.liability ~on_guillotine:false ~harm_damages:harm in
   Alcotest.(check (float 1e-6)) "safe harbor x0.2" (0.2 *. harm) l_g;
-  Alcotest.(check (float 1e-6)) "plain pays full" harm l_p;
-  Alcotest.(check bool) "negligent pays multiple + fines" true (l_n > 3.0 *. harm)
+  Alcotest.(check (float 1e-6)) "plain pays full" harm l_p
 
 let test_break_even_crossover () =
   let base_cost = 1e7 and harm_damages = 1e9 and overhead = 0.3 in
@@ -237,12 +232,11 @@ let test_break_even_crossover () =
   | None -> Alcotest.fail "crossover should exist"
   | Some p ->
     (* Below p, plain is cheaper; above, Guillotine wins. *)
-    let cost posture prob =
+    let cost on_guillotine prob =
       Safe_harbor.operating_cost ~guillotine_overhead:overhead ~base_cost
-        ~harm_probability:prob ~harm_damages posture
+        ~harm_probability:prob ~harm_damages ~on_guillotine
     in
-    let g = { Safe_harbor.on_guillotine = true; violations = 0 } in
-    let n = { Safe_harbor.on_guillotine = false; violations = 0 } in
+    let g = true and n = false in
     Alcotest.(check bool) "plain cheaper below" true (cost n (p /. 2.) < cost g (p /. 2.));
     Alcotest.(check bool) "guillotine cheaper above" true
       (cost g (p *. 2.) < cost n (p *. 2.));

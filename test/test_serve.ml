@@ -37,16 +37,15 @@ let test_kv_hit_speeds_up_repeat () =
 
 let test_queue_backpressure () =
   let e = Engine.create () in
-  let cfg = { (Service.baseline_config ~replicas:1) with Service.queue_capacity = 2 } in
-  let svc = Service.create ~engine:e cfg in
-  (* One in service + two queued; the fourth is dropped. *)
-  Alcotest.(check bool) "1" true (Service.submit svc (request ~id:0 ()));
-  Alcotest.(check bool) "2" true (Service.submit svc (request ~id:1 ()));
-  Alcotest.(check bool) "3" true (Service.submit svc (request ~id:2 ()));
-  Alcotest.(check bool) "4 dropped" false (Service.submit svc (request ~id:3 ()));
+  let svc = Service.create ~engine:e (Service.baseline_config ~replicas:1) in
+  (* One in service + 64 queued; the 66th is dropped. *)
+  for id = 0 to 64 do
+    Alcotest.(check bool) (string_of_int id) true (Service.submit svc (request ~id ()))
+  done;
+  Alcotest.(check bool) "66th dropped" false (Service.submit svc (request ~id:65 ()));
   Engine.run e;
   let m = Service.stats svc ~at:(Engine.now e) in
-  Alcotest.(check int) "three completed" 3 m.Service.completed;
+  Alcotest.(check int) "65 completed" 65 m.Service.completed;
   Alcotest.(check int) "one dropped" 1 m.Service.dropped
 
 let run_workload ~replicas ~rate ~config =

@@ -9,7 +9,7 @@
      all proven in-bounds run without a page fault
    - CFG/absint behaviour: indirect-jump resolution by constant
      propagation, conservative widening of unresolved ones
-   - the hypervisor admission gate: enforcement, advisory mode,
+   - the hypervisor admission gate: enforcement, warnings,
      telemetry counters, event-sink and audit-chain records *)
 
 module Asm = Guillotine_isa.Asm
@@ -325,21 +325,6 @@ let test_gate_admits_benign () =
   Alcotest.(check bool) "halted normally" true
     (Core.halt_reason core = Some Core.Halt_instruction)
 
-let test_gate_advisory_mode () =
-  let _, hv = make_hv () in
-  let advisory = { Hypervisor.default_vet_policy with enforce = false } in
-  let p = Asm.assemble_exn (Guest.timing_probe ~iterations:16) in
-  (match
-     Hypervisor.install_program hv ~vet_policy:advisory ~label:"probe"
-       ~core:0 ~code_pages:4 ~data_pages:4 p
-   with
-  | Ok (Some r) ->
-    Alcotest.check verdict "still reported as reject" Vet.Reject r.Vet.verdict
-  | Ok None -> Alcotest.fail "expected a report"
-  | Error _ -> Alcotest.fail "advisory mode must not block");
-  Alcotest.(check int) "vet.rejected counted" 1
-    (counter_value hv "vet.rejected")
-
 let test_gate_unvetted_passthrough () =
   let _, hv = make_hv () in
   let p = Asm.assemble_exn (Guest.compute_loop ~iterations:8) in
@@ -359,17 +344,15 @@ let test_gate_unvetted_passthrough () =
 let test_gate_warnings_counted () =
   let _, hv = make_hv () in
   let e =
-    match Corpus.find "ring-transact" with
+    match Corpus.find "preemptive-scheduler" with
     | Some e -> e
-    | None -> Alcotest.fail "ring-transact missing"
-  in
-  let policy =
-    { Hypervisor.default_vet_policy with extra = e.Corpus.extra }
+    | None -> Alcotest.fail "preemptive-scheduler missing"
   in
   let p = Asm.assemble_exn e.Corpus.source in
   (match
-     Hypervisor.install_program hv ~vet_policy:policy ~label:"rings" ~core:0
-       ~code_pages:e.Corpus.code_pages ~data_pages:e.Corpus.data_pages p
+     Hypervisor.install_program hv ~vet_policy:Hypervisor.default_vet_policy
+       ~label:"scheduler" ~core:0 ~code_pages:e.Corpus.code_pages
+       ~data_pages:e.Corpus.data_pages p
    with
   | Ok (Some r) ->
     Alcotest.check verdict "admitted with warnings" Vet.Admit_with_warnings
@@ -662,7 +645,6 @@ let () =
             test_gate_rejects_and_blocks_install;
           Alcotest.test_case "benign admitted + runs" `Quick
             test_gate_admits_benign;
-          Alcotest.test_case "advisory mode" `Quick test_gate_advisory_mode;
           Alcotest.test_case "unvetted passthrough" `Quick
             test_gate_unvetted_passthrough;
           Alcotest.test_case "warnings counted" `Quick
