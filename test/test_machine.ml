@@ -359,14 +359,19 @@ let test_snapshot_digest_identity () =
 
 (* Reference digest, for tests only: the frozen serialisation written
    with [Printf], which [Snapshot]'s nibble-table writer must match byte
-   for byte. *)
+   for byte.  A zero word is formatted once: most of the 256 KiW the
+   cases digest are zero. *)
 let reference_digest m =
   let dram =
     Machine.inspect_region m ~at:0 ~len:(Dram.size (Machine.model_dram m))
   in
   let contexts = Array.map Core.save_context (Machine.model_cores m) in
   let buf = Buffer.create (8 * Array.length dram) in
-  Array.iter (fun w -> Buffer.add_string buf (Printf.sprintf "%Lx;" w)) dram;
+  let zero = Printf.sprintf "%Lx;" 0L in
+  Array.iter
+    (fun w ->
+      Buffer.add_string buf (if w = 0L then zero else Printf.sprintf "%Lx;" w))
+    dram;
   Array.iter
     (fun (c : Core.context) ->
       Array.iter (fun r -> Buffer.add_string buf (Printf.sprintf "%Lx," r)) c.Core.ctx_regs;
