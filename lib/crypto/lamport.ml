@@ -15,15 +15,12 @@ let prng_draws = 2 * bits * (chunk / 8)
 
 (* The preimages are the PRNG's next 2 048 draws, little-endian in
    draw order; slot [k]'s digest is slot [k] of the public key.  One
-   context hashes all 512 slots. *)
+   call hashes all 512 slots. *)
 let generate prng =
   let pre = Bytes.create (2 * bits * chunk) in
   Prng.fill_bytes prng pre;
   let pub = Bytes.create (2 * bits * chunk) in
-  let ctx = Sha256.init () in
-  for k = 0 to (2 * bits) - 1 do
-    Sha256.digest_into ctx pre ~off:(k * chunk) ~len:chunk pub ~at:(k * chunk)
-  done;
+  Sha256.digest_slots (Sha256.init ()) pre ~off:0 ~count:(2 * bits) pub ~at:0;
   ({ pre; used = false }, Bytes.unsafe_to_string pub)
 
 (* The slot revealed for bit [i] of digest [d]: [2 i] for a 0 bit,
@@ -65,7 +62,7 @@ let verify ?(ctx = Sha256.init ()) pub ~msg signature =
   let rec check i =
     i = bits
     || begin
-      Sha256.digest_into ctx revealed ~off:(i * chunk) ~len:chunk got ~at:0;
+      Sha256.digest_slots ctx revealed ~off:(i * chunk) ~count:1 got ~at:0;
       slot_equal got 0 pub (revealed_slot d i * chunk) && check (i + 1)
     end
   in

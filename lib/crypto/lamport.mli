@@ -17,10 +17,10 @@ val generate : Guillotine_util.Prng.t -> secret_key * public_key
 (** Deterministic from the PRNG stream — simulation keys, not wall-clock
     entropy.  The 512 preimages are the stream's next {!prng_draws}
     draws, each little-endian, in one 16 KiB buffer (preimage [k] at
-    byte [32 k]); their digests go straight into the public key through
-    one SHA-256 context.  Besides the two 16 KiB buffers, which the
-    runtime allocates in the major heap, a key costs a few dozen minor
-    words. *)
+    byte [32 k]); one {!Sha256.digest_slots} call writes their 512
+    digests straight into the public key.  Besides the two 16 KiB
+    buffers, which the runtime allocates in the major heap, a key costs
+    a few dozen minor words (the call's SHA-256 context among them). *)
 
 val prng_draws : int
 (** {!Guillotine_util.Prng.int64} draws one [generate] makes (2048). *)
@@ -30,7 +30,8 @@ val sign : secret_key -> string -> signature
     preimages.  Raises [Invalid_argument] on a second use of [sk]. *)
 
 val verify : ?ctx:Sha256.ctx -> public_key -> msg:string -> signature -> bool
-(** Hashes the 256 revealed preimages through [ctx] (a fresh context by
-    default, reset first and reusable afterwards, as for
-    {!Sha256.digest_into}) and compares each digest in place with its
-    public-key slot. *)
+(** Hashes the message through [ctx] (a fresh context by default,
+    reset first and reusable afterwards, as for {!Sha256.digest_into}),
+    then each revealed preimage in turn with a one-slot
+    {!Sha256.digest_slots} call, comparing its digest in place with its
+    public-key slot and stopping at the first that differs. *)

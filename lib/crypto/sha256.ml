@@ -297,6 +297,14 @@ external hardware_blocks :
   = "guillotine_sha256_ni_blocks_byte" "guillotine_sha256_ni_blocks"
   [@@noalloc]
 
+(* [hardware_slots src off n out at]: the digests of the [n] 32-byte
+   messages of [src] from [off] into the [n] 32-byte slots of [out]
+   from [at], padding and all, allocating nothing. *)
+external hardware_slots :
+  Bytes.t -> (int[@untagged]) -> (int[@untagged]) -> Bytes.t -> (int[@untagged]) -> unit
+  = "guillotine_sha256_ni_slots_byte" "guillotine_sha256_ni_slots"
+  [@@noalloc]
+
 let hardware = hardware_present ()
 
 (* The [n] whole blocks of [src] from [off], in one call: on the CPU's
@@ -363,11 +371,7 @@ let finalize_with hw ctx =
 
 (* Whole blocks are compressed straight from [src]; only the tail is
    copied, into the context's block buffer. *)
-let digest_into_with hw ctx src ~off ~len out ~at =
-  if off < 0 || len < 0 || off > Bytes.length src - len then
-    invalid_arg "Sha256.digest_into: slice out of range";
-  if at < 0 || at > Bytes.length out - 32 then
-    invalid_arg "Sha256.digest_into: slot out of range";
+let[@inline] slice_into hw ctx src off len out at =
   reset ctx;
   let tail = len land 63 in
   blocks hw ctx src off (len lsr 6);
@@ -376,6 +380,27 @@ let digest_into_with hw ctx src ~off ~len out ~at =
   ctx.total <- len;
   ctx.finished <- true;
   finish hw ctx out at
+
+let digest_into_with hw ctx src ~off ~len out ~at =
+  if off < 0 || len < 0 || off > Bytes.length src - len then
+    invalid_arg "Sha256.digest_into: slice out of range";
+  if at < 0 || at > Bytes.length out - 32 then
+    invalid_arg "Sha256.digest_into: slot out of range";
+  slice_into hw ctx src off len out at
+
+(* [count] is checked against the source's length first, so
+   [32 * count] cannot overflow. *)
+let digest_slots_with hw ctx src ~off ~count out ~at =
+  if count < 0 || count > Bytes.length src / 32 || off < 0
+     || off > Bytes.length src - (32 * count)
+  then invalid_arg "Sha256.digest_slots: slice out of range";
+  if at < 0 || at > Bytes.length out - (32 * count) then
+    invalid_arg "Sha256.digest_slots: slot out of range";
+  if hw then hardware_slots src off count out at
+  else
+    for i = 0 to count - 1 do
+      slice_into false ctx src (off + (32 * i)) 32 out (at + (32 * i))
+    done
 
 let digest_with hw s =
   let ctx = init () in
@@ -387,6 +412,9 @@ let finalize ctx = finalize_with hardware ctx
 
 let digest_into ctx src ~off ~len out ~at =
   digest_into_with hardware ctx src ~off ~len out ~at
+
+let digest_slots ctx src ~off ~count out ~at =
+  digest_slots_with hardware ctx src ~off ~count out ~at
 
 let digest s = digest_with hardware s
 
@@ -402,6 +430,9 @@ module Portable = struct
 
   let digest_into ctx src ~off ~len out ~at =
     digest_into_with false ctx src ~off ~len out ~at
+
+  let digest_slots ctx src ~off ~count out ~at =
+    digest_slots_with false ctx src ~off ~count out ~at
 end
 
 let hex_digits = "0123456789abcdef"

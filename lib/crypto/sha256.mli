@@ -23,22 +23,25 @@
 
     {!feed}, {!digest_into} and the padding each pass all of their
     whole blocks to the chosen kernel in one call, and the hardware
-    kernel reads and writes the context's chaining state in place.  A
-    host without the extensions pays one branch per call over the
-    portable kernel alone.
+    kernel reads and writes the context's chaining state in place.
+    {!digest_slots} passes a whole run of 32-byte messages, padding
+    and all.  A host without the extensions pays one branch per call
+    over the portable kernel alone.
 
     Costs: a digest of [n] bytes compresses [n / 64 + 1] blocks, one
     more when [n mod 64 >= 56]; compressing allocates nothing, on
     either kernel.  {!digest} allocates 31 words whatever [n] (context,
     chaining state, block buffer, result); {!digest_into} hashes a
     slice of a [Bytes.t] into a slot of another through a context the
-    caller owns, and allocates nothing, which is how a Lamport leaf
-    hashes its 512 preimages and an audit log its entries.  On a
-    2-core shared x86-64 VM (a Xeon whose flags list [sha_ni]), the
-    best of seven 100 000-digest loops over 32 bytes read 0.36-0.38 us
-    for {!digest} and 0.34-0.36 us for {!digest_into} on the portable
-    kernel, and 0.12 and 0.09 us on the hardware kernel; a 16 KiB
-    slice took 301-336 and 44-47 ns per block (DESIGN.md, "The
+    caller owns, and allocates nothing, which is how an audit log
+    hashes its entries.  {!digest_slots} hashes [count] 32-byte slices
+    into [count] slots in one call, which is how a Lamport leaf hashes
+    its 512 preimages.  On a 2-core shared x86-64 VM (a Xeon whose
+    flags list [sha_ni]), the best of seven 100 000-digest loops over
+    32 bytes read 0.36-0.38 us for {!digest} and 0.34-0.36 us for
+    {!digest_into} on the portable kernel, and 0.12 and 0.09 us on the
+    hardware kernel; {!digest_slots} took 0.33 and 0.04 us per digest;
+    a 16 KiB slice took 301-336 and 44-47 ns per block (DESIGN.md, "The
     hardware kernel").  The test suite checks both kernels against the
     FIPS test vectors and against a reference implementation over
     [int32]. *)
@@ -75,6 +78,27 @@ val digest_into : ctx -> Bytes.t -> off:int -> len:int -> Bytes.t -> at:int -> u
     not shared between domains.  Raises [Invalid_argument] if the slice
     or the slot lies outside its buffer. *)
 
+val digest_slots : ctx -> Bytes.t -> off:int -> count:int -> Bytes.t -> at:int -> unit
+(** [digest_slots ctx src ~off ~count out ~at] writes the digest of
+    each of the [count] 32-byte slices of [src] from [off] into the
+    [count] 32-byte slots of [out] from [at]: slice [i] (the bytes from
+    [off + 32 i]) into slot [i] (from [at + 32 i]), in that order,
+    allocating nothing.  It equals [count] calls of {!digest_into} with
+    [~len:32].  On the hardware kernel it is one call into C: a 32-byte
+    message is one block whose padding is constant, so each digest is
+    one compression from the initial state, kept in registers and
+    stored big-endian, with no reset, padding fill or per-word store in
+    OCaml: 38-40 ns per digest on the VM above, where {!digest_into} of
+    32 bytes took 88-94 ns in the same runs.  Messages are hashed one
+    at a time, not interleaved: a block's 64 rounds are one chain of
+    dependent instructions, yet two messages interleaved ran no faster
+    on that CPU (DESIGN.md, "The hardware kernel").  Elsewhere it is a loop of
+    the portable {!digest_into}, through [ctx]; the hardware kernel
+    leaves [ctx] alone, so afterwards the context serves further
+    digests but is not to be fed or finalized.  Raises
+    [Invalid_argument] if [count] is negative or the slices or the
+    slots run outside their buffer. *)
+
 val hardware : bool
 (** [true] when this process compresses on the CPU's SHA-256
     instructions: x86-64, built with gcc 7 or later or clang 6 or later,
@@ -89,4 +113,5 @@ module Portable : sig
   val feed : ctx -> string -> unit
   val finalize : ctx -> digest
   val digest_into : ctx -> Bytes.t -> off:int -> len:int -> Bytes.t -> at:int -> unit
+  val digest_slots : ctx -> Bytes.t -> off:int -> count:int -> Bytes.t -> at:int -> unit
 end

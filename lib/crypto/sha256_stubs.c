@@ -5,17 +5,19 @@
    SHA256MSG2, and the SSSE3 and SSE4.1 instructions the compressing
    function is compiled with beside them (byte shuffles, and the blends
    and extracts that move the state); if so, it passes every run of
-   whole 64-byte blocks to [guillotine_sha256_ni_blocks], and otherwise
-   to its own OCaml kernel, which is also the reference the tests hold
-   this one to.  On any other architecture or compiler this file
-   compiles to a stub that answers "absent".
+   whole 64-byte blocks to [guillotine_sha256_ni_blocks] and every run
+   of 32-byte messages hashed slot for slot to
+   [guillotine_sha256_ni_slots], and otherwise to its own OCaml kernel,
+   which is also the reference the tests hold this one to.  On any
+   other architecture or compiler this file compiles to a stub that
+   answers "absent".
 
    The blocks function reads and writes the context's chaining state
    in place: an OCaml [int array] of eight 32-bit words, as tagged
-   immediates, so a store needs no write barrier.  It allocates
-   nothing, raises nothing, calls no OCaml and keeps no state between
-   calls; the file's only static object is the round-constant table,
-   and it is const. */
+   immediates, so a store needs no write barrier.  The slots function
+   reads bytes and writes bytes.  Neither allocates, raises, calls
+   OCaml or keeps state between calls; the file's only static object
+   is the round-constant table, and it is const. */
 
 #include <stdint.h>
 #include <stdlib.h>
@@ -109,6 +111,47 @@ static void compress_blocks(value h, const unsigned char *p, intnat n)
   Field(h, 6) = Val_long(out[5]); Field(h, 7) = Val_long(out[4]);
 }
 
+/* The digests of the [n] 32-byte messages at [p] into the [n] 32-byte
+   slots at [q].  A 32-byte message is one block whose second half is
+   constant padding: 0x80000000, six zero words and the 64-bit bit
+   length 256.  Each block starts from the initial state and never
+   leaves the registers before its digest is stored big-endian.  One
+   message at a time: the rounds of one block are a dependency chain,
+   but two messages interleaved ran no faster on a Xeon with the SHA
+   extensions (DESIGN.md, "The hardware kernel"). */
+__attribute__((target("sha,sse4.1,ssse3")))
+static void digest_slots(const unsigned char *p, unsigned char *q, intnat n)
+{
+  const __m128i bswap = _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  const __m128i abef_iv = _mm_set_epi32(0x6a09e667, (int)0xbb67ae85, 0x510e527f, (int)0x9b05688c);
+  const __m128i cdgh_iv = _mm_set_epi32(0x3c6ef372, (int)0xa54ff53a, 0x1f83d9ab, 0x5be0cd19);
+  const __m128i pad = _mm_set_epi32(0, 0, 0, (int)0x80000000);
+  const __m128i len = _mm_set_epi32(256, 0, 0, 0);
+  int j;
+  for (; n > 0; n--, p += 32, q += 32) {
+    __m128i abef = abef_iv, cdgh = cdgh_iv, lo, hi;
+    __m128i m0 = _mm_shuffle_epi8(_mm_loadu_si128((const __m128i *)p), bswap);
+    __m128i m1 = _mm_shuffle_epi8(_mm_loadu_si128((const __m128i *)(p + 16)), bswap);
+    __m128i m2 = pad, m3 = len;
+    QUAD(0, m0); QUAD(1, m1); QUAD(2, m2); QUAD(3, m3);
+    for (j = 4; j < 16; j += 4) {
+      SCHEDULE(m0, m1, m2, m3); QUAD(j, m0);
+      SCHEDULE(m1, m2, m3, m0); QUAD(j + 1, m1);
+      SCHEDULE(m2, m3, m0, m1); QUAD(j + 2, m2);
+      SCHEDULE(m3, m0, m1, m2); QUAD(j + 3, m3);
+    }
+    abef = _mm_add_epi32(abef, abef_iv);
+    cdgh = _mm_add_epi32(cdgh, cdgh_iv);
+    /* Lanes F, E, B, A and H, G, D, C to A, B, C, D and E, F, G, H. */
+    abef = _mm_shuffle_epi32(abef, 0x1b);
+    cdgh = _mm_shuffle_epi32(cdgh, 0xb1);
+    lo = _mm_blend_epi16(abef, cdgh, 0xf0);
+    hi = _mm_alignr_epi8(cdgh, abef, 8);
+    _mm_storeu_si128((__m128i *)q, _mm_shuffle_epi8(lo, bswap));
+    _mm_storeu_si128((__m128i *)(q + 16), _mm_shuffle_epi8(hi, bswap));
+  }
+}
+
 #else
 
 CAMLprim value guillotine_sha256_ni_available(value unit)
@@ -117,11 +160,17 @@ CAMLprim value guillotine_sha256_ni_available(value unit)
   return Val_false;
 }
 
-/* Never called: [Sha256] calls the blocks function only where the
-   function above answers true. */
+/* Never called: [Sha256] calls the blocks and slots functions only
+   where the function above answers true. */
 static void compress_blocks(value h, const unsigned char *p, intnat n)
 {
   (void)h; (void)p; (void)n;
+  abort();
+}
+
+static void digest_slots(const unsigned char *p, unsigned char *q, intnat n)
+{
+  (void)p; (void)q; (void)n;
   abort();
 }
 
@@ -138,4 +187,19 @@ CAMLprim value guillotine_sha256_ni_blocks(value h, value src, intnat off, intna
 CAMLprim value guillotine_sha256_ni_blocks_byte(value h, value src, value off, value n)
 {
   return guillotine_sha256_ni_blocks(h, src, Long_val(off), Long_val(n));
+}
+
+/* [slots src off n out at] writes the digests of the [n] 32-byte
+   messages of [src] from byte [off] into the [n] 32-byte slots of
+   [out] from byte [at]. */
+CAMLprim value guillotine_sha256_ni_slots(value src, intnat off, intnat n, value out, intnat at)
+{
+  digest_slots(Bytes_val(src) + off, Bytes_val(out) + at, n);
+  return Val_unit;
+}
+
+CAMLprim value guillotine_sha256_ni_slots_byte(value src, value off, value n, value out,
+                                               value at)
+{
+  return guillotine_sha256_ni_slots(src, Long_val(off), Long_val(n), out, Long_val(at));
 }

@@ -5,13 +5,12 @@ module Telemetry = Guillotine_telemetry.Telemetry
 
 (* Every service's replicas and queue: a 64-request admission queue;
    0.2 ms per prompt token and 2 ms per output token; a 32-entry prefix
-   cache per replica, keyed on the first 8 tokens, that saves 80% of a
-   hit's prefill; and a retry delay that doubles from 50 ms. *)
+   cache per replica, keyed on the session, that saves 80% of a hit's
+   prefill; and a retry delay that doubles from 50 ms. *)
 let queue_capacity = 64
 let t_prefill = 0.0002
 let t_decode = 0.002
 let kv_entries = 32
-let kv_prefix_len = 8
 let kv_saving = 0.8
 let backoff_base = 0.05
 
@@ -53,9 +52,12 @@ type request = {
   output_tokens : int;
 }
 
-(* Per-replica KV prefix cache: LRU over session prefixes. *)
+(* Per-replica KV prefix cache: LRU over session prefixes.  Every
+   lookup stamps exactly one key with a fresh clock, so no two entries
+   share a stamp and the victim is the unique oldest, whatever order
+   [Hashtbl.iter] visits them in. *)
 type kv_cache = {
-  entries : (int, int) Hashtbl.t; (* prefix key -> lru stamp *)
+  entries : (int, int) Hashtbl.t; (* session -> lru stamp *)
   capacity : int;
   mutable clock : int;
 }
@@ -169,13 +171,10 @@ let is_down t = t.down
 let set_slowdown t f = t.slowdown <- f
 let set_failover t h = t.failover <- Some h
 
-(* The prefix key: sessions share prefixes, so reuse the session id
-   bucketed by prefix length (a stand-in for hashing the first k
-   tokens, which the workload generator keeps equal within a session). *)
-let prefix_key (r : request) = (r.session * 1024) + kv_prefix_len
-
+(* The session is the prefix key: it stands in for hashing a prompt's
+   prefix, which the workload generator keeps equal within a session. *)
 let service_time t replica (r : request) =
-  let hit = kv_lookup replica.kv (prefix_key r) in
+  let hit = kv_lookup replica.kv r.session in
   if hit then begin
     t.kv_hits <- t.kv_hits + 1;
     Telemetry.incr t.c_kv_hits

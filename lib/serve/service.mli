@@ -6,11 +6,11 @@
     [replicas] identical model replicas.  A request costs
     {v prefill = prompt_tokens * 0.2 ms * (1 - 0.8 if prefix cached)
        decode  = output_tokens * 2 ms v}
-    seconds of replica time; each replica's prefix cache holds 32
-    session prefixes (a session stands in for its first 8 tokens, which
-    its requests share).  These are the constants [queue_capacity],
-    [t_prefill], [t_decode], [kv_saving], [kv_entries] and
-    [kv_prefix_len] in [service.ml].  When the service models a
+    seconds of replica time; each replica's prefix cache holds the
+    prefixes of the 32 sessions it served last (a session stands in for
+    the prompt prefix its requests share).  These are the constants
+    [queue_capacity], [t_prefill], [t_decode], [kv_saving] and
+    [kv_entries] in [service.ml].  When the service models a
     Guillotine deployment, each request additionally pays
     [overhead_per_request] plus [overhead_per_token] * total tokens —
     the port-API mediation cost measured in T3, projected to service

@@ -16,15 +16,17 @@ type kernel = {
   feed : Sha256.ctx -> string -> unit;
   finalize : Sha256.ctx -> Sha256.digest;
   digest_into : Sha256.ctx -> Bytes.t -> off:int -> len:int -> Bytes.t -> at:int -> unit;
+  digest_slots : Sha256.ctx -> Bytes.t -> off:int -> count:int -> Bytes.t -> at:int -> unit;
 }
 
 let chosen =
   { digest = Sha256.digest; feed = Sha256.feed; finalize = Sha256.finalize;
-    digest_into = Sha256.digest_into }
+    digest_into = Sha256.digest_into; digest_slots = Sha256.digest_slots }
 
 let portable =
   { digest = Sha256.Portable.digest; feed = Sha256.Portable.feed;
-    finalize = Sha256.Portable.finalize; digest_into = Sha256.Portable.digest_into }
+    finalize = Sha256.Portable.finalize; digest_into = Sha256.Portable.digest_into;
+    digest_slots = Sha256.Portable.digest_slots }
 
 let test_sha256_fips_vectors k () =
   let cases =
@@ -260,6 +262,63 @@ let test_sha256_whole_blocks_one_call () =
         (Sha256.hex (Sha256.finalize ctx)))
     [ (1, 0); (2, 7); (255, 63); (256, 1); (257, 0) ]
 
+(* [digest_slots] hashes a run of 32-byte slices into a run of slots
+   in one call: 0, 1, 2, 255, 512 (a Lamport leaf) and 513 slices, from
+   offsets 0, 3 and 13 of a buffer into slots from 0 and 7, must each
+   equal the int32 reference of their slice and the portable call's
+   bytes, and leave the bytes around the slots as they were.  A
+   negative count, a slice past the source's end (or a count whose
+   byte length overflows) and a slot past the output's end raise, and
+   1 000 calls allocate nothing. *)
+let test_sha256_digest_slots k () =
+  let prng = Prng.create 513L in
+  let src = Bytes.init ((513 * 32) + 13) (fun _ -> Char.chr (Prng.int prng 256)) in
+  let out = Bytes.create ((513 * 32) + 10) and ref_out = Bytes.create ((513 * 32) + 10) in
+  let ctx = Sha256.init () in
+  List.iter
+    (fun count ->
+      List.iter
+        (fun (off, at) ->
+          let label what = Printf.sprintf "%d slots from %d at %d: %s" count off at what in
+          Bytes.fill out 0 (Bytes.length out) '\xff';
+          Bytes.fill ref_out 0 (Bytes.length ref_out) '\xff';
+          k.digest_slots ctx src ~off ~count out ~at;
+          Sha256.Portable.digest_slots ctx src ~off ~count ref_out ~at;
+          for i = 0 to count - 1 do
+            let expect = Sha256_ref.digest (Bytes.sub_string src (off + (32 * i)) 32) in
+            let got = Bytes.sub_string out (at + (32 * i)) 32 in
+            if not (String.equal got expect) then
+              Alcotest.failf "%s" (label (Printf.sprintf "slot %d differs" i))
+          done;
+          Alcotest.(check bool) (label "= portable") true (Bytes.equal out ref_out);
+          Alcotest.(check string) (label "bytes before the slots") (String.make at '\xff')
+            (Bytes.sub_string out 0 at);
+          let past = at + (32 * count) in
+          Alcotest.(check string) (label "bytes after the slots")
+            (String.make (Bytes.length out - past) '\xff')
+            (Bytes.sub_string out past (Bytes.length out - past)))
+        [ (0, 0); (0, 7); (3, 0); (3, 7); (13, 0); (13, 7) ])
+    [ 0; 1; 2; 255; 512; 513 ];
+  let raises what f =
+    Alcotest.check_raises what (Invalid_argument ("Sha256.digest_slots: " ^ what)) f
+  in
+  raises "slice out of range" (fun () ->
+      k.digest_slots ctx src ~off:0 ~count:(-1) out ~at:0);
+  raises "slice out of range" (fun () ->
+      k.digest_slots ctx src ~off:14 ~count:513 out ~at:0);
+  raises "slice out of range" (fun () ->
+      k.digest_slots ctx src ~off:0 ~count:(max_int / 16) out ~at:0);
+  raises "slot out of range" (fun () ->
+      k.digest_slots ctx src ~off:0 ~count:513 out ~at:11);
+  raises "slot out of range" (fun () ->
+      k.digest_slots ctx src ~off:0 ~count:1 out ~at:(-1));
+  let before = Gc.minor_words () in
+  for i = 0 to 999 do
+    k.digest_slots ctx src ~off:(i mod 13) ~count:(i mod 5) out ~at:(i mod 7)
+  done;
+  Alcotest.(check (float 0.)) "1 000 calls allocate nothing" 0.
+    (Gc.minor_words () -. before)
+
 (* Where the kernel's flags list the SHA extensions, [Sha256] must have
    chosen the hardware kernel: a CPUID check that broke would otherwise
    fall back to the portable kernel, pass every other test and only run
@@ -382,6 +441,38 @@ let test_lamport_cross_key_rejects () =
   let _, pk2 = Lamport.generate prng in
   let sg = Lamport.sign sk1 "msg" in
   Alcotest.(check bool) "other key rejects" false (Lamport.verify pk2 ~msg:"msg" sg)
+
+(* Verification hashes every revealed preimage: one bit flipped in
+   preimage 0, 1, 254 or 255 (its first byte's low bit or its last
+   byte's high bit) fails a Lamport signature, and an h4 signature
+   through its wire bytes. *)
+let test_every_revealed_preimage_checked () =
+  let flipped s ~at i bit =
+    let b = Bytes.of_string s and pos = at + (32 * i) + if bit = 0x01 then 0 else 31 in
+    Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor bit));
+    Bytes.to_string b
+  in
+  let each f =
+    List.iter (fun i -> List.iter (fun bit -> f i bit) [ 0x01; 0x80 ]) [ 0; 1; 254; 255 ]
+  in
+  let msg = "every preimage counts" in
+  let sk, pk = Lamport.generate (Prng.create 108L) in
+  let sg = Lamport.sign sk msg in
+  Alcotest.(check bool) "lamport verifies" true (Lamport.verify pk ~msg sg);
+  each (fun i bit ->
+      if Lamport.verify pk ~msg (flipped sg ~at:0 i bit) then
+        Alcotest.failf "lamport: preimage %d with bit %#x flipped verifies" i bit);
+  let signer, root = Signature.generate ~height:4 (Prng.create 109L) in
+  let wire = Signature.encode (Signature.sign signer msg) in
+  let verifies w =
+    match Signature.decode w with
+    | Some sg -> Signature.verify root ~msg sg
+    | None -> false
+  in
+  Alcotest.(check bool) "h4 verifies" true (verifies wire);
+  each (fun i bit ->
+      if verifies (flipped wire ~at:(4 + (2 * 256 * 32)) i bit) then
+        Alcotest.failf "h4: preimage %d with bit %#x flipped verifies" i bit)
 
 (* ------------------------ Merkle signatures ----------------------- *)
 
@@ -610,6 +701,7 @@ let () =
           qc (prop_digest_into_matches_reference chosen);
           Alcotest.test_case "whole blocks in one call" `Quick
             test_sha256_whole_blocks_one_call;
+          Alcotest.test_case "digest_slots" `Quick (test_sha256_digest_slots chosen);
           Alcotest.test_case "hardware kernel where sha_ni" `Quick
             test_sha256_hardware_where_listed;
         ] );
@@ -623,6 +715,7 @@ let () =
           Alcotest.test_case "compress allocates nothing" `Quick
             (test_sha256_compress_allocates_nothing portable);
           qc (prop_digest_into_matches_reference portable);
+          Alcotest.test_case "digest_slots" `Quick (test_sha256_digest_slots portable);
         ] );
       ( "hmac",
         [
@@ -644,6 +737,8 @@ let () =
           Alcotest.test_case "sign/verify" `Quick test_lamport_sign_verify;
           Alcotest.test_case "one-time enforced" `Quick test_lamport_one_time_enforced;
           Alcotest.test_case "cross-key rejects" `Quick test_lamport_cross_key_rejects;
+          Alcotest.test_case "every revealed preimage checked" `Quick
+            test_every_revealed_preimage_checked;
         ] );
       ( "signature",
         [

@@ -35,6 +35,24 @@ let test_kv_hit_speeds_up_repeat () =
   | [ l1; l2 ] -> Alcotest.(check bool) "repeat faster" true (l2 < l1)
   | _ -> Alcotest.fail "two latencies"
 
+(* A replica's prefix cache holds its last 32 sessions: after
+   sessions 0 to 32 in turn, session 0 is the oldest and gone, while
+   session 32 is still there. *)
+let test_kv_evicts_oldest_session () =
+  let e = Engine.create () in
+  let svc = Service.create ~engine:e (Service.baseline_config ~replicas:1) in
+  let hits_after id session =
+    ignore (Service.submit svc (request ~id ~session ()));
+    Engine.run e;
+    (Service.stats svc ~at:(Engine.now e)).Service.kv_hits
+  in
+  for session = 0 to 32 do
+    Alcotest.(check int) (Printf.sprintf "session %d misses" session) 0
+      (hits_after session session)
+  done;
+  Alcotest.(check int) "session 0 misses again" 0 (hits_after 33 0);
+  Alcotest.(check int) "session 32 hits" 1 (hits_after 34 32)
+
 let test_queue_backpressure () =
   let e = Engine.create () in
   let svc = Service.create ~engine:e (Service.baseline_config ~replicas:1) in
@@ -99,6 +117,7 @@ let () =
         [
           Alcotest.test_case "single request latency" `Quick test_single_request_latency;
           Alcotest.test_case "kv hit speeds repeat" `Quick test_kv_hit_speeds_up_repeat;
+          Alcotest.test_case "kv evicts oldest session" `Quick test_kv_evicts_oldest_session;
           Alcotest.test_case "queue backpressure" `Quick test_queue_backpressure;
           Alcotest.test_case "replica scaling" `Slow test_more_replicas_more_goodput;
           Alcotest.test_case "guillotine overhead direction" `Slow
