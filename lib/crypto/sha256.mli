@@ -91,11 +91,11 @@ val digest_slots : ctx -> Bytes.t -> off:int -> count:int -> Bytes.t -> at:int -
     OCaml: 38-40 ns per digest on the VM above, where {!digest_into} of
     32 bytes took 88-94 ns in the same runs.  Messages are hashed one
     at a time, not interleaved: a block's 64 rounds are one chain of
-    dependent instructions, yet two messages interleaved ran no faster
-    on that CPU (DESIGN.md, "The hardware kernel").  Elsewhere it is a loop of
-    the portable {!digest_into}, through [ctx]; the hardware kernel
-    leaves [ctx] alone, so afterwards the context serves further
-    digests but is not to be fed or finalized.  Raises
+    dependent instructions, yet interleaving two messages gained at
+    most 3% on that CPU (DESIGN.md, "The hardware kernel").  Elsewhere
+    it is a loop of the portable {!digest_into}, through [ctx]; the
+    hardware kernel leaves [ctx] alone, so afterwards the context
+    serves further digests but is not to be fed or finalized.  Raises
     [Invalid_argument] if [count] is negative or the slices or the
     slots run outside their buffer. *)
 

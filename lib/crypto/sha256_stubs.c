@@ -117,8 +117,9 @@ static void compress_blocks(value h, const unsigned char *p, intnat n)
    length 256.  Each block starts from the initial state and never
    leaves the registers before its digest is stored big-endian.  One
    message at a time: the rounds of one block are a dependency chain,
-   but two messages interleaved ran no faster on a Xeon with the SHA
-   extensions (DESIGN.md, "The hardware kernel"). */
+   but interleaving two messages gained at most 3% on a Xeon with the
+   SHA extensions, for twice the code (DESIGN.md, "The hardware
+   kernel"). */
 __attribute__((target("sha,sse4.1,ssse3")))
 static void digest_slots(const unsigned char *p, unsigned char *q, intnat n)
 {
